@@ -819,7 +819,6 @@ def _run_check(request: RunRequest, params: dict[str, Any]) -> RunResult:
         prune_baseline,
         repo_root,
         run_checks,
-        run_with_cache,
         write_baseline,
     )
 
@@ -828,14 +827,8 @@ def _run_check(request: RunRequest, params: dict[str, Any]) -> RunResult:
     baseline_path = root / params["baseline"]
     select = list(params["select"]) or None
     ignore = list(params["ignore"]) or None
-    cache_path = Path(params["cache"]) if params["cache"] else None
 
     def run(baseline=()):
-        if cache_path is not None:
-            return run_with_cache(
-                tree, cache_path,
-                select=select, ignore=ignore, baseline=baseline,
-            )
         return run_checks(
             tree, select=select, ignore=ignore, baseline=baseline
         )
@@ -1218,12 +1211,6 @@ def _register_builtins() -> None:
                     "drop stale baseline entries (findings that no "
                     "longer fire) from the baseline file, then "
                     "re-report against the pruned file",
-                ),
-                Parameter(
-                    "cache", str, "",
-                    "incremental-cache file: unchanged files replay "
-                    "their previous findings (empty = run cold); cold "
-                    "and cached runs report identically",
                 ),
             ),
             runner=_run_check,

@@ -30,10 +30,7 @@ silenced per line with ``# repro-check: ignore[CODE]``; pre-existing
 findings are grandfathered in the committed ``checks-baseline.json``,
 where every entry carries a reason and a stale entry (one whose
 finding no longer fires) fails the pass until pruned
-(``--prune-baseline``).  With a cache path
-(``--cache``/:func:`run_repo_checks`'s ``cache_path``) unchanged
-files replay their previous findings instead of being re-analysed —
-see :mod:`repro.checks.cache`.
+(``--prune-baseline``).
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ from repro.checks import (  # noqa: F401
     hygiene,
     purity,
 )
-from repro.checks.cache import rules_fingerprint, run_with_cache
 from repro.checks.callgraph import (
     CallGraph,
     CallSite,
@@ -96,8 +92,6 @@ __all__ = [
     "get_check",
     "register_check",
     "run_checks",
-    "run_with_cache",
-    "rules_fingerprint",
     "load_baseline",
     "prune_baseline",
     "write_baseline",
@@ -117,7 +111,6 @@ def run_repo_checks(
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
     baseline_path: Path | None = None,
-    cache_path: Path | None = None,
 ) -> CheckReport:
     """Run the full pass the ``check`` workload and CI job run.
 
@@ -128,26 +121,13 @@ def run_repo_checks(
         ignore: Checker codes/groups/prefixes to drop from the run.
         baseline_path: Grandfathered-findings file (default:
             ``<root>/checks-baseline.json``; missing file = empty).
-        cache_path: Incremental-cache file; ``None`` (the default)
-            runs cold.  Cold and cached runs produce identical
-            reports (see :mod:`repro.checks.cache`).
     """
     base = Path(root) if root is not None else repo_root()
-    tree = load_tree(base)
     if baseline_path is None:
         baseline_path = base / "checks-baseline.json"
-    baseline = load_baseline(Path(baseline_path))
-    if cache_path is not None:
-        return run_with_cache(
-            tree,
-            Path(cache_path),
-            select=select,
-            ignore=ignore,
-            baseline=baseline,
-        )
     return run_checks(
-        tree,
+        load_tree(base),
         select=select,
         ignore=ignore,
-        baseline=baseline,
+        baseline=load_baseline(Path(baseline_path)),
     )

@@ -261,8 +261,7 @@ class CallGraph:
 
         The union of (a) files containing any function reachable from
         a function defined in ``rel`` and (b) files of modules ``rel``
-        imports — the set the incremental cache records as the file's
-        dependency fingerprint.
+        imports.
         """
         starts = [
             info.node_id
@@ -580,19 +579,14 @@ def _resolve_name(
 def build_graph(tree) -> CallGraph:
     """Build the :class:`CallGraph` of a parsed source tree.
 
-    ``tree`` is a :class:`~repro.checks.source.SourceTree` (or a
-    restricted view of one — the *full* underlying file set is always
-    what the graph covers, so transitive queries cross view
-    boundaries).
+    ``tree`` is a :class:`~repro.checks.source.SourceTree`.
     """
     graph = CallGraph()
     graph._resolvers = {}
     graph._module_ast = {}
-    files = getattr(tree, "all_files", None)
-    covered = files() if callable(files) else tree.files
 
     # Pass 1: register every function/class and the import tables.
-    for file in covered:
+    for file in tree.files:
         module = module_name(file.rel)
         mod = _ModuleInfo(module=module, file=file.rel)
         graph._modules[module] = mod
@@ -617,7 +611,7 @@ def build_graph(tree) -> CallGraph:
         _register_functions(graph, mod, file.rel, file.tree)
 
     # Pass 2: resolve every call expression into edges.
-    for file in covered:
+    for file in tree.files:
         mod = graph._modules[module_name(file.rel)]
         _build_edges(graph, mod, file.rel, file.tree)
     return graph

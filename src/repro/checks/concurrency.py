@@ -90,7 +90,7 @@ def _collect_locks(graph: CallGraph, tree: SourceTree) -> frozenset[str]:
                 if name is not None and name.startswith("self."):
                     attr = name[len("self."):]
                     locks.add(f"{info.module}:{info.class_name}.{attr}")
-    for file in tree.all_files():
+    for file in tree.files:
         module = module_name(file.rel)
         for stmt in file.tree.body:
             if isinstance(stmt, ast.Assign) and _is_lock_ctor(stmt.value):
@@ -280,9 +280,8 @@ class _Analysis:
 def _analysis(tree: SourceTree) -> _Analysis:
     """The tree's lock analysis, computed once and shared.
 
-    Memoized on the call graph object, which full trees and their
-    restricted views share — so the three LK rules (and cold/warm
-    cache runs over the same tree) scan each function exactly once.
+    Memoized on the tree's call graph, so the three LK rules scan each
+    function exactly once.
     """
     graph = tree.callgraph()
     memo = getattr(graph, "_lock_analysis", None)
@@ -419,7 +418,6 @@ def _register() -> None:
             summary="inconsistent lock acquisition order between two "
             "sites (deadlock)",
             run=_lk001,
-            cache_scope="tree",
         )
     )
     register_check(
@@ -430,7 +428,6 @@ def _register() -> None:
             summary="blocking I/O or future-wait reachable while a "
             "threading lock is held",
             run=_lk002,
-            cache_scope="deps",
         )
     )
     register_check(
@@ -441,7 +438,6 @@ def _register() -> None:
             summary="await under a held synchronous lock inside a "
             "coroutine",
             run=_lk003,
-            cache_scope="deps",
         )
     )
 

@@ -300,7 +300,6 @@ def _register() -> None:
             severity="error",
             summary="module-level random.* call (shared unseeded state)",
             run=_det001,
-            cache_scope="file",
         )
     )
     register_check(
@@ -311,7 +310,6 @@ def _register() -> None:
             summary="wall-clock/entropy read (time.time, datetime.now, "
             "os.urandom, uuid4)",
             run=_det002,
-            cache_scope="file",
         )
     )
     register_check(
@@ -322,7 +320,6 @@ def _register() -> None:
             summary="builtin hash() outside __hash__ (PYTHONHASHSEED-"
             "randomized)",
             run=_det003,
-            cache_scope="file",
         )
     )
     register_check(
@@ -333,7 +330,6 @@ def _register() -> None:
             summary="direct set iteration (unstable order feeding "
             "ordered consumers)",
             run=_det004,
-            cache_scope="file",
         )
     )
     register_check(
@@ -344,7 +340,6 @@ def _register() -> None:
             summary="float == against a non-integral literal on "
             "analysis values",
             run=_det005,
-            cache_scope="file",
         )
     )
     register_check(
@@ -355,7 +350,6 @@ def _register() -> None:
             summary="entropy/clock read reachable from a registered "
             "family worker (path reported)",
             run=_det006,
-            cache_scope="tree",
         )
     )
 

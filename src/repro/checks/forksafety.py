@@ -168,7 +168,6 @@ def _register() -> None:
             summary="asyncio loop or live-thread state reachable from "
             "a subprocess entry point",
             run=_fs001,
-            cache_scope="tree",
         )
     )
     register_check(
@@ -179,7 +178,6 @@ def _register() -> None:
             summary="module-global mutation reachable from a "
             "subprocess entry point",
             run=_fs002,
-            cache_scope="tree",
         )
     )
 

@@ -182,7 +182,6 @@ def _register() -> None:
             summary="blocking call (sleep, sqlite, subprocess, file I/O) "
             "inside async def",
             run=check_async_hygiene,
-            cache_scope="file",
         )
     )
     register_check(
@@ -193,7 +192,6 @@ def _register() -> None:
             summary="blocking call reachable from async def through a "
             "sync call chain (path reported)",
             run=check_async_transitive,
-            cache_scope="deps",
         )
     )
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
@@ -83,14 +83,6 @@ class Checker:
         summary: One-line description (docs table, ``--help`` listings).
         run: ``SourceTree -> iterable of Finding``.  Introspection-based
             rules may ignore the tree and read the live registries.
-        cache_scope: How the incremental cache may reuse this rule's
-            findings for an unchanged file (see
-            :mod:`repro.checks.cache`). ``"file"``: findings depend on
-            the file alone. ``"deps"``: findings depend on the file
-            plus its call-graph closure. ``"tree"``: findings couple
-            arbitrary files (reused only when *nothing* changed).
-            ``None``: never cached — the rule reads live registries,
-            not just source text, so it runs every pass.
     """
 
     code: str
@@ -98,14 +90,6 @@ class Checker:
     severity: str
     summary: str
     run: Callable[[SourceTree], Iterable[Finding]]
-    cache_scope: str | None = None
-
-    def __post_init__(self) -> None:
-        require(
-            self.cache_scope in (None, "file", "deps", "tree"),
-            f"checker {self.code}: cache_scope must be None, 'file', "
-            f"'deps' or 'tree'; got {self.cache_scope!r}",
-        )
 
 
 _CHECKERS: dict[str, Checker] = {}
@@ -183,19 +167,6 @@ def _selected(
         dropped = {c.code for c in resolve(ignore)}
         chosen = [c for c in chosen if c.code not in dropped]
     return chosen
-
-
-def selected_checkers(
-    select: Sequence[str] | None = None,
-    ignore: Sequence[str] | None = None,
-) -> list[Checker]:
-    """The concrete checkers a ``--select``/``--ignore`` pair runs.
-
-    Public alias of the resolution :func:`run_checks` uses, so the
-    incremental cache layer partitions exactly the same checker set by
-    ``cache_scope`` instead of re-implementing term matching.
-    """
-    return _selected(select, ignore)
 
 
 # ----------------------------------------------------------------------
@@ -375,27 +346,6 @@ def run_checks(
     raw: list[Finding] = []
     for checker in checkers:
         raw.extend(checker.run(tree))
-    return fold_findings(
-        tree,
-        raw,
-        baseline=baseline,
-        codes_run=tuple(c.code for c in checkers),
-    )
-
-
-def fold_findings(
-    tree: SourceTree,
-    raw: Sequence[Finding],
-    baseline: Sequence[tuple[str, str, int]],
-    codes_run: tuple[str, ...],
-) -> CheckReport:
-    """Fold raw findings through suppression/baseline into a report.
-
-    Split out of :func:`run_checks` so the incremental cache — which
-    assembles ``raw`` from a mix of fresh checker runs and cached
-    per-file results — produces byte-identical reports through the
-    same folding path.
-    """
     baseline_keys = set(baseline)
     findings: list[Finding] = []
     suppressed = 0
@@ -410,6 +360,7 @@ def fold_findings(
             baselined += 1
         else:
             findings.append(finding)
+    codes_run = tuple(c.code for c in checkers)
     ran = set(codes_run)
     stale = sorted(
         key

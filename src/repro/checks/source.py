@@ -20,7 +20,6 @@ from __future__ import annotations
 import ast
 import inspect
 import re
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -63,11 +62,7 @@ class SourceFile:
         text: Raw file contents.
         lines: The contents split into lines (1-based via index+1).
         suppressions: ``line -> codes`` inline suppression map.
-
-    The AST is parsed lazily on first ``tree`` access and memoized:
-    a warm incremental-cache run over an unchanged repo hashes file
-    contents but never needs an AST, and skipping the parse is where
-    most of the warm-run speedup comes from.
+        tree: The parsed ``ast.Module``.
     """
 
     path: Path
@@ -75,21 +70,7 @@ class SourceFile:
     text: str
     lines: list[str]
     suppressions: dict[int, frozenset[str]]
-    _ast: ast.Module | None = field(
-        default=None, repr=False, compare=False
-    )
-
-    @property
-    def tree(self) -> ast.Module:
-        """The parsed ``ast.Module`` (parsed on first access)."""
-        if self._ast is None:
-            object.__setattr__(
-                self,
-                "_ast",
-                ast.parse(self.text, filename=str(self.path)),
-            )
-        assert self._ast is not None
-        return self._ast
+    tree: ast.Module = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -117,16 +98,6 @@ class SourceTree:
         """The parsed file at repo-relative ``rel``, if covered."""
         return self._by_rel.get(rel)
 
-    def all_files(self) -> tuple[SourceFile, ...]:
-        """Every covered file (same as ``files`` on a full tree).
-
-        Restricted views (:meth:`restrict`) override this: checkers
-        iterate ``files`` for the set they must *report on*, while the
-        call graph always builds over ``all_files()`` so transitive
-        queries cross the view boundary.
-        """
-        return self.files
-
     def callgraph(self) -> CallGraph:
         """The interprocedural call graph, built once per tree."""
         if not self._graph:
@@ -134,20 +105,6 @@ class SourceTree:
 
             self._graph.append(build_graph(self))
         return self._graph[0]
-
-    def restrict(self, rels: Iterable[str]) -> SourceView:
-        """A view over this tree covering only ``rels``.
-
-        The incremental cache re-runs per-file checkers on exactly the
-        changed files; a view keeps the checker contract (iterate
-        ``tree.files``) while sharing this tree's call graph and
-        suppression tables.
-        """
-        wanted = set(rels)
-        return SourceView(
-            base=self,
-            files=tuple(f for f in self.files if f.rel in wanted),
-        )
 
     def is_suppressed(self, rel: str, line: int, code: str) -> bool:
         """Whether ``code`` is suppressed on ``rel:line``."""
@@ -185,55 +142,17 @@ class SourceTree:
         return (rel, line)
 
 
-@dataclass(frozen=True)
-class SourceView:
-    """A restricted window onto a :class:`SourceTree`.
-
-    ``files`` covers only the requested subset (what per-file checkers
-    iterate and report on); every cross-file capability — suppression
-    lookup, object location, the call graph, ``all_files()`` —
-    delegates to the full base tree, so transitive checkers looking
-    *through* the view still see the whole repository.
-    """
-
-    base: SourceTree
-    files: tuple[SourceFile, ...]
-
-    @property
-    def root(self) -> Path:
-        return self.base.root
-
-    def file(self, rel: str) -> SourceFile | None:
-        """The parsed file at ``rel`` — full-tree lookup."""
-        return self.base.file(rel)
-
-    def all_files(self) -> tuple[SourceFile, ...]:
-        """The full underlying file set (call-graph coverage)."""
-        return self.base.files
-
-    def callgraph(self) -> CallGraph:
-        """The base tree's call graph (shared, built once)."""
-        return self.base.callgraph()
-
-    def is_suppressed(self, rel: str, line: int, code: str) -> bool:
-        return self.base.is_suppressed(rel, line, code)
-
-    def suppression_count(self) -> int:
-        return sum(len(f.suppressions) for f in self.files)
-
-    def locate(self, obj: Any) -> tuple[str, int]:
-        return self.base.locate(obj)
-
-
 def parse_file(path: Path, rel: str) -> SourceFile:
-    """Read one file into a :class:`SourceFile` (AST parsed lazily)."""
+    """Read and parse one file into a :class:`SourceFile`."""
     text = path.read_text()
+    lines = text.splitlines()
     return SourceFile(
         path=path,
         rel=rel,
         text=text,
-        lines=text.splitlines(),
-        suppressions=_scan_suppressions(text.splitlines()),
+        lines=lines,
+        suppressions=_scan_suppressions(lines),
+        tree=ast.parse(text, filename=str(path)),
     )
 
 

@@ -101,9 +101,12 @@ class EngineConfig:
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Effective worker count: ``requested`` or the CPU count."""
+    """Effective worker count: ``requested``, else the CPUs this process
+    may run on (its affinity mask where the platform has one)."""
     if requested is not None and requested > 0:
         return requested
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

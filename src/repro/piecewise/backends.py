@@ -10,8 +10,8 @@ delay-bound evaluation.  This module makes the kernel implementing it a
   point-evaluation kernel and an optional *batch bound kernel*;
 * :func:`register_backend` / :func:`get_backend` /
   :func:`available_backends` — the registry surface.  ``scalar`` and
-  ``vectorized`` (both stdlib-only) are always available; ``numpy`` and
-  ``numba`` register as available only when their module imports;
+  ``vectorized`` (both stdlib-only) are always available; ``numpy``
+  registers as available only when its module imports;
 * :class:`BatchedGrid` — a struct-of-arrays layout of one function's
   segments (built once per shared-artifact context via
   :func:`batched_grid`, memoised) against which a whole lane-array of
@@ -171,7 +171,7 @@ def resolve_backend(name: str) -> KernelBackend:
 
     Raises:
         ValueError: for unknown names, or for registered-but-unavailable
-            backends (e.g. ``numba`` without the module installed),
+            backends (e.g. ``numpy`` without the module installed),
             listing the currently available choices.
     """
     backend = get_backend(name)
@@ -438,220 +438,6 @@ def _evaluate_many_numpy(
 
 
 # ----------------------------------------------------------------------
-# numba kernel (compiled lazily; registered available only when the
-# module imports)
-# ----------------------------------------------------------------------
-
-_NUMBA_KERNEL = None
-
-
-def _numba_kernel():
-    """JIT-compile (once) the per-lane transliteration of Algorithm 1."""
-    global _NUMBA_KERNEL
-    if _NUMBA_KERNEL is not None:
-        return _NUMBA_KERNEL
-    import numba
-    import numpy as np  # noqa: F401  (used inside the jitted body)
-
-    @numba.njit(cache=False)
-    def kernel(
-        starts, x0, x1, y0, y1, qs, wcet, min_frac, max_iter
-    ):  # pragma: no cover - exercised only where numba is installed
-        n = starts.shape[0]
-        lanes = qs.shape[0]
-        totals = np.zeros(lanes, dtype=np.float64)
-        converged = np.ones(lanes, dtype=np.bool_)
-        preempts = np.zeros(lanes, dtype=np.int64)
-        failed = -1
-        for i in range(lanes):
-            q = qs[i]
-            total = 0.0
-            p_next = q
-            count = 0
-            iteration = 0
-            while p_next < wcet:
-                iteration += 1
-                if iteration > max_iter:
-                    failed = i
-                    break
-                prog = p_next
-                c = prog + q
-                window_end = min(c, wcet)
-                # first meeting with the descending line on
-                # [prog, window_end]
-                lo = prog
-                hi = window_end
-                # bisect_right(starts, v)
-                b_lo = 0
-                b_hi = n
-                while b_lo < b_hi:
-                    mid = (b_lo + b_hi) // 2
-                    if lo < starts[mid]:
-                        b_hi = mid
-                    else:
-                        b_lo = mid + 1
-                first = b_lo - 2
-                if first < 0:
-                    first = 0
-                b_lo = 0
-                b_hi = n
-                while b_lo < b_hi:
-                    mid = (b_lo + b_hi) // 2
-                    if hi < starts[mid]:
-                        b_hi = mid
-                    else:
-                        b_lo = mid + 1
-                last = b_lo - 1
-                if last < first:
-                    last = first
-                p_cross = window_end
-                found = False
-                for k in range(first, last + 1):
-                    s_lo = lo if lo > x0[k] else x0[k]
-                    s_hi = hi if hi < x1[k] else x1[k]
-                    if s_lo > s_hi:
-                        continue
-                    if s_lo == x0[k]:
-                        v_lo = y0[k]
-                    elif s_lo == x1[k]:
-                        v_lo = y1[k]
-                    else:
-                        ratio = (s_lo - x0[k]) / (x1[k] - x0[k])
-                        v_lo = y0[k] + ratio * (y1[k] - y0[k])
-                    g_lo = v_lo - (c - s_lo)
-                    if g_lo >= 0:
-                        p_cross = s_lo
-                        found = True
-                        break
-                    if s_hi == x0[k]:
-                        v_hi = y0[k]
-                    elif s_hi == x1[k]:
-                        v_hi = y1[k]
-                    else:
-                        ratio = (s_hi - x0[k]) / (x1[k] - x0[k])
-                        v_hi = y0[k] + ratio * (y1[k] - y0[k])
-                    g_hi = v_hi - (c - s_hi)
-                    if g_hi < 0:
-                        continue
-                    if g_hi == g_lo:
-                        continue
-                    root = s_lo + (s_hi - s_lo) * (0.0 - g_lo) / (
-                        g_hi - g_lo
-                    )
-                    if root < s_lo:
-                        root = s_lo
-                    if root > s_hi:
-                        root = s_hi
-                    p_cross = root
-                    found = True
-                    break
-                if not found:
-                    p_cross = window_end
-                # max_on(prog, p_cross)
-                hi = p_cross
-                b_lo = 0
-                b_hi = n
-                while b_lo < b_hi:
-                    mid = (b_lo + b_hi) // 2
-                    if lo < starts[mid]:
-                        b_hi = mid
-                    else:
-                        b_lo = mid + 1
-                first = b_lo - 2
-                if first < 0:
-                    first = 0
-                b_lo = 0
-                b_hi = n
-                while b_lo < b_hi:
-                    mid = (b_lo + b_hi) // 2
-                    if hi < starts[mid]:
-                        b_hi = mid
-                    else:
-                        b_lo = mid + 1
-                last = b_lo - 1
-                if last < first:
-                    last = first
-                delay = -np.inf
-                for k in range(first, last + 1):
-                    s_lo = lo if lo > x0[k] else x0[k]
-                    s_hi = hi if hi < x1[k] else x1[k]
-                    if s_lo > s_hi:
-                        continue
-                    if s_lo == x0[k]:
-                        v_lo = y0[k]
-                    elif s_lo == x1[k]:
-                        v_lo = y1[k]
-                    else:
-                        ratio = (s_lo - x0[k]) / (x1[k] - x0[k])
-                        v_lo = y0[k] + ratio * (y1[k] - y0[k])
-                    if s_hi == x0[k]:
-                        v_hi = y0[k]
-                    elif s_hi == x1[k]:
-                        v_hi = y1[k]
-                    else:
-                        ratio = (s_hi - x0[k]) / (x1[k] - x0[k])
-                        v_hi = y0[k] + ratio * (y1[k] - y0[k])
-                    v = v_hi if v_hi > v_lo else v_lo
-                    if v > delay:
-                        delay = v
-                if delay >= q - q * min_frac:
-                    total = np.inf
-                    converged[i] = False
-                    break
-                p_next = c - delay
-                total += delay
-                count += 1
-            totals[i] = total
-            preempts[i] = count
-            if failed >= 0:
-                break
-        return totals, converged, preempts, failed
-
-    _NUMBA_KERNEL = kernel
-    return kernel
-
-
-def _bound_batch_numba(
-    grid: BatchedGrid,
-    qs: Sequence[float],
-    *,
-    wcet: float,
-    min_progress_fraction: float,
-    max_iterations: int,
-) -> tuple[list[float], list[bool], list[int]]:
-    """Per-lane compiled transliteration of the scalar Algorithm 1."""
-    import numpy as np
-
-    q_all = np.asarray(qs, dtype=np.float64)
-    totals, converged, preempts, failed = _numba_kernel()(
-        grid.starts,
-        grid.x0,
-        grid.x1,
-        grid.y0,
-        grid.y1,
-        q_all,
-        wcet,
-        min_progress_fraction,
-        max_iterations,
-    )
-    if failed >= 0:
-        raise ValueError(
-            f"Algorithm 1 exceeded {max_iterations} iterations "
-            f"(C={wcet}, Q={q_all[failed]}); the bound is close to "
-            "divergence"
-        )
-    return totals.tolist(), converged.tolist(), preempts.tolist()
-
-
-def _evaluate_many_numba(
-    f: PiecewiseFunction, xs: Sequence[float]
-) -> list[float]:
-    """Point evaluation under the numba backend (shares the NumPy
-    candidate-window kernel; the compiled path covers the bound walk)."""
-    return _evaluate_many_numpy(f, xs)
-
-
-# ----------------------------------------------------------------------
 # built-in entries
 # ----------------------------------------------------------------------
 
@@ -704,20 +490,6 @@ def _register_builtins() -> None:
             batch_capable=True,
             evaluate_many=_evaluate_many_numpy if numpy_available else None,
             bound_batch=_bound_batch_numpy if numpy_available else None,
-        )
-    )
-    numba_available = numpy_available and find_spec("numba") is not None
-    register_backend(
-        KernelBackend(
-            name="numba",
-            description="JIT-compiled per-lane transliteration of the "
-            "scalar window walk",
-            exactness=EXACT_BIT_IDENTICAL,
-            requires="numba",
-            available=numba_available,
-            batch_capable=True,
-            evaluate_many=_evaluate_many_numba if numba_available else None,
-            bound_batch=_bound_batch_numba if numba_available else None,
         )
     )
 

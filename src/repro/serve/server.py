@@ -38,7 +38,6 @@ workload), and :func:`start_server` (background thread returning a
 from __future__ import annotations
 
 import asyncio
-import os
 import threading
 from collections import deque
 from collections.abc import Callable
@@ -58,6 +57,7 @@ from repro.engine import (
     WorkerError,
     emit_from_store,
     record_line,
+    resolve_workers,
     run_cached_batch,
 )
 from repro.engine.sinks import ResultSink
@@ -84,7 +84,7 @@ _DEFAULT_WORKER_CAP = 8
 
 def default_workers() -> int:
     """The pool width used when :attr:`ServeConfig.workers` is unset."""
-    return max(1, min(os.cpu_count() or 1, _DEFAULT_WORKER_CAP))
+    return min(resolve_workers(), _DEFAULT_WORKER_CAP)
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class ServeConfig:
         jobs: Engine pool width for fresh scenarios (``None`` inline).
         chunk: Engine chunk size (``None`` auto).
         workers: Concurrent job slots (``None`` =
-            :func:`default_workers`, i.e. ``os.cpu_count()`` capped).
+            :func:`default_workers`, i.e. the usable CPUs, capped).
             Independent jobs each take one slot; a large job fans out
             over the idle ones via shard sub-runs.  ``1`` reproduces
             the strictly serialized pre-pool behavior.

@@ -21,12 +21,22 @@ from repro.engine import (
     run_cached_batch,
 )
 from repro.engine.sweeps import bound_context_key
+from repro.piecewise.backends import (
+    available_backends,
+    backend_names,
+    get_backend,
+)
 from repro.store import ResultStore
 
 #: Mixed grid over two benchmark functions: easy lanes, a lane close to
 #: the divergence threshold, and q values spread across the domain.
 QS = [50.0, 120.0, 260.0, 395.0]
 KNOTS = 48
+
+#: Every registered backend whose design includes a batch bound kernel.
+BATCH_BACKENDS = [
+    name for name in backend_names() if get_backend(name).batch_capable
+]
 
 
 def _scenarios() -> list[BoundScenario]:
@@ -85,14 +95,10 @@ class TestBatchWorkerParity:
             )
         assert str(batch_exc.value) == str(scalar_exc.value)
 
-    @pytest.mark.parametrize("backend", ["numpy", "numba"])
+    @pytest.mark.parametrize("backend", BATCH_BACKENDS)
     def test_every_batch_backend_matches_the_reference(self, backend):
-        # The parity surface of the optional-backend CI legs: any
-        # registered batch kernel (numba rides along when installed)
-        # must agree with the scalar walk bit for bit.
-        pytest.importorskip("numpy")
-        from repro.piecewise.backends import available_backends
-
+        # Any registered batch kernel must agree with the scalar walk
+        # bit for bit.
         if backend not in available_backends():
             pytest.skip(f"backend {backend!r} not available here")
         scenarios = _scenarios()
@@ -275,12 +281,10 @@ class TestStudyBatchWorkerParity:
         )
         assert got == expected
 
-    @pytest.mark.parametrize("backend", ["numpy", "numba"])
+    @pytest.mark.parametrize("backend", BATCH_BACKENDS)
     def test_every_batch_backend_matches_the_reference(self, backend):
-        pytest.importorskip("numpy")
         from repro.engine import evaluate_study_batch
         from repro.engine.sweeps import evaluate_study_scenario
-        from repro.piecewise.backends import available_backends
 
         if backend not in available_backends():
             pytest.skip(f"backend {backend!r} not available here")

@@ -124,5 +124,23 @@ class TestConfig:
         assert resolve_workers(3) == 3
         assert resolve_workers(None) >= 1
 
+    def test_resolve_workers_respects_the_affinity_mask(self, monkeypatch):
+        # Pinned to one CPU of many (taskset -c 0): one worker.
+        monkeypatch.setattr("os.cpu_count", lambda: 16)
+        monkeypatch.setattr(
+            "os.sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        assert resolve_workers(None) == 1
+        assert resolve_workers(3) == 3
+
+    def test_resolve_workers_without_affinity_uses_cpu_count(
+        self, monkeypatch
+    ):
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 6)
+        assert resolve_workers(None) == 6
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert resolve_workers(None) == 1
+
     def test_engine_default_config(self):
         assert BatchEngine().config == EngineConfig()

@@ -2,7 +2,7 @@
 
 Two surfaces are locked in here:
 
-1. **Registry semantics** — the four built-in entries, registration
+1. **Registry semantics** — the three built-in entries, registration
    order, loud failure for unknown and unavailable names, duplicate
    protection, and the declared (environment-independent) capability
    flags the docs table is generated from.
@@ -82,7 +82,7 @@ def _fake_backend(**overrides) -> KernelBackend:
 
 class TestRegistry:
     def test_builtins_registered_in_order(self):
-        assert backend_names() == ("scalar", "vectorized", "numpy", "numba")
+        assert backend_names() == ("scalar", "vectorized", "numpy")
 
     def test_stdlib_backends_always_available(self):
         for name in ("scalar", "vectorized"):
@@ -105,7 +105,6 @@ class TestRegistry:
             ("scalar", False),
             ("vectorized", False),
             ("numpy", True),
-            ("numba", True),
         ):
             assert get_backend(name).batch_capable is capable
 

@@ -266,6 +266,10 @@ class TestCancellation:
         # workers=1 keeps the slow job unsplit, so the cancel reliably
         # lands while records are still being produced.
         handle = serve_factory(workers=1)
+        # Computed before the job starts: the package fingerprint reads
+        # every source file, and with a CPU-bound job holding the GIL
+        # that can take longer than the whole job.
+        job_id = _expected_job_id(SLOW)
         with ThreadPoolExecutor(max_workers=1) as pool:
 
             def run_slow():
@@ -274,7 +278,6 @@ class TestCancellation:
 
             victim = pool.submit(run_slow)
             _wait_for(lambda: _status(handle)["jobs"]["running"] == 1)
-            job_id = _expected_job_id(SLOW)
             with ServeClient(handle.host, handle.port) as client:
                 ack = client.cancel(job_id)
                 assert ack == {"frame": "cancelled", "job": job_id}

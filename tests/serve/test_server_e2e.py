@@ -236,18 +236,23 @@ class TestBackendOption:
         # A client-side ExecutionOptions would already refuse the name,
         # so craft the wire frame by hand: the server must also reject
         # it (bad-request, no job) rather than crash the executor.
+        # "numba" was a backend once and is now just an unknown name.
         from repro.api.wire import request_to_wire
         from repro.serve.protocol import encode_frame
 
-        wire = request_to_wire(GRID_A)
-        wire["options"] = {"backend": "bogus"}
         handle = serve_factory()
         with ServeClient(handle.host, handle.port) as client:
-            frame = client.send_raw(
-                encode_frame({"op": "submit", "request": wire})
-            )
-            assert frame["code"] == "bad-request"
-            assert "unknown backend 'bogus'" in frame["message"]
+            for name in ("bogus", "numba"):
+                wire = request_to_wire(GRID_A)
+                wire["options"] = {"backend": name}
+                frame = client.send_raw(
+                    encode_frame({"op": "submit", "request": wire})
+                )
+                assert frame["code"] == "bad-request"
+                assert f"unknown backend {name!r}" in frame["message"]
+                assert frame["message"].endswith(
+                    "registered backends: scalar, vectorized, numpy"
+                )
             status = client.status()
             assert status["jobs"]["done"] == 0
 
@@ -273,6 +278,28 @@ GRID_WIDE = RunRequest.family(
     },
     defaults={"function": "gaussian1", "knots": 48},
 )
+
+
+class TestDefaultWorkers:
+    """The default slot count follows the usable CPUs, capped."""
+
+    def test_follows_the_affinity_mask(self, monkeypatch) -> None:
+        from repro.serve.server import default_workers
+
+        monkeypatch.setattr("os.cpu_count", lambda: 16)
+        monkeypatch.setattr(
+            "os.sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        assert default_workers() == 1
+
+    def test_is_capped(self, monkeypatch) -> None:
+        from repro.serve.server import default_workers
+
+        monkeypatch.setattr(
+            "os.sched_getaffinity", lambda pid: set(range(32)),
+            raising=False,
+        )
+        assert default_workers() == 8
 
 
 class TestWorkerPool:

@@ -13,6 +13,8 @@ import pytest
 from repro.api.workloads import get_workload, workload_names
 from repro.cli import main
 from repro.piecewise import available_backends
+from repro.piecewise import backends as backends_module
+from repro.piecewise.backends import EXACT_BIT_IDENTICAL, KernelBackend
 from repro.store import ResultStore
 
 HAS_NUMPY = "numpy" in available_backends()
@@ -54,7 +56,7 @@ class TestBackendsCommand:
     def test_lists_the_whole_registry(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("scalar", "vectorized", "numpy", "numba"):
+        for name in ("scalar", "vectorized", "numpy"):
             assert name in out
         assert "bit-identical" in out
 
@@ -75,32 +77,40 @@ class TestUniformFlag:
     def test_unknown_backend_exits_2_listing_the_registry(
         self, tmp_path, monkeypatch, capsys
     ):
-        code = _run(
-            tmp_path, monkeypatch, [*_SWEEP, "--backend", "bogus"]
-        )
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "unknown backend 'bogus'" in err
-        assert "scalar, vectorized, numpy, numba" in err
+        # "numba" was a backend once; stores it wrote still resume
+        # (TestStoreRecording), but the flag now names nothing.
+        for name in ("bogus", "numba"):
+            code = _run(tmp_path, monkeypatch, [*_SWEEP, "--backend", name])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert f"unknown backend {name!r}" in err
+            assert "registered backends: scalar, vectorized, numpy\n" in err
 
     def test_unavailable_backend_exits_2(
         self, tmp_path, monkeypatch, capsys
     ):
-        from repro.piecewise import backend_names
-
-        unavailable = [
-            name
-            for name in backend_names()
-            if name not in available_backends()
-        ]
-        if not unavailable:
-            pytest.skip("every registered backend is available here")
+        # A registered backend whose module is missing, on every host.
+        monkeypatch.setitem(
+            backends_module._BACKENDS,
+            "fake-unavailable",
+            KernelBackend(
+                name="fake-unavailable",
+                description="registered by a test; never left behind",
+                exactness=EXACT_BIT_IDENTICAL,
+                requires="no_such_module",
+                available=False,
+                batch_capable=False,
+                evaluate_many=None,
+                bound_batch=None,
+            ),
+        )
         code = _run(
-            tmp_path, monkeypatch, [*_SWEEP, "--backend", unavailable[0]]
+            tmp_path, monkeypatch, [*_SWEEP, "--backend", "fake-unavailable"]
         )
         err = capsys.readouterr().err
         assert code == 2
         assert "not available" in err
+        assert "requires the 'no_such_module' module" in err
 
     def test_non_engine_workloads_accept_the_flag(
         self, tmp_path, monkeypatch, capsys
@@ -260,3 +270,26 @@ class TestStoreRecording:
         assert _run(tmp_path, monkeypatch, [*argv, "--resume"]) == 0
         with ResultStore(store) as opened:
             assert opened.backend_info["name"] == "numpy"
+
+    def test_store_recorded_under_numba_resumes_byte_identical(
+        self, tmp_path, monkeypatch
+    ):
+        # Stores written by the removed numba backend record it as
+        # bit-identical, so they resume under the default unchanged.
+        plain = tmp_path / "plain.jsonl"
+        assert _run(
+            tmp_path, monkeypatch, [*_SWEEP, "--out", str(plain)]
+        ) == 0
+        store = tmp_path / "numba.sqlite"
+        recorded = {"name": "numba", "exactness": "bit-identical"}
+        with ResultStore(store) as opened:
+            opened.set_backend_info(**recorded)
+        out = tmp_path / "resumed.jsonl"
+        argv = [*_SWEEP, "--out", str(out), "--store", str(store)]
+        assert _run(
+            tmp_path, monkeypatch, [*argv, "--fail-after", "2"]
+        ) == 130
+        assert _run(tmp_path, monkeypatch, [*argv, "--resume"]) == 0
+        assert out.read_bytes() == plain.read_bytes()
+        with ResultStore(store) as opened:
+            assert opened.backend_info == recorded
