@@ -18,12 +18,22 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 from pathlib import Path
 
 import pytest
 
 #: Environment variable enabling the reduced "smoke" workloads.
 SMOKE_ENV = "REPRO_BENCH_SMOKE"
+
+#: Committed smoke-mode absolute numbers, stamped with the host they
+#: were measured on (see :func:`baseline_drift`).
+BASELINE_PATH = Path(__file__).resolve().parent / "BASELINE.json"
+
+#: A bench fails against ``BASELINE.json`` only when an absolute number
+#: is this many times worse: the shared hosts the baseline comes from
+#: run the same code up to 2x apart, so smaller drift is only reported.
+MAX_BASELINE_REGRESSION = 3.0
 
 
 def smoke_mode() -> bool:
@@ -84,3 +94,34 @@ def update_bench_json(directory: Path, name: str, metrics: dict) -> Path:
     payload.setdefault("sections", {}).update(stamped)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def host_stamp() -> dict:
+    """What an absolute timing is only comparable on: CPU count and model."""
+    model = platform.processor() or platform.machine()
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists():
+        for line in cpuinfo.read_text().splitlines():
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return {"nproc": cpus, "cpu_model": model}
+
+
+def baseline_drift(section: str, metric: str, measured: float) -> tuple[float, bool]:
+    """Compare a lower-is-better absolute number with ``BASELINE.json``.
+
+    Returns:
+        ``(ratio, gated)``: ``measured`` over the committed value, and
+        whether the ratio may fail the bench, which it may only in smoke
+        mode (the mode the baseline is measured in) on a host with the
+        baseline's CPU count and model.  Elsewhere the drift is reported
+        and the bench's own ratio floor is the only gate.
+    """
+    baseline = json.loads(BASELINE_PATH.read_text())
+    ratio = measured / baseline["sections"][section][metric]
+    return ratio, smoke_mode() and host_stamp() == baseline["host"]

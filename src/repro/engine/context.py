@@ -44,7 +44,7 @@ from repro.npr.qmax_fp import fp_blocking_tolerances, fp_max_npr_lengths
 from repro.piecewise.vectorized import SegmentIndex, segment_index
 from repro.tasks.generation import gaussian_delay_factory, generate_task_set
 from repro.tasks.task import TaskSet
-from repro.utils.caching import SwappableLRU
+from repro.utils.caching import ThreadPinnedLRU
 from repro.utils.checks import require
 
 # ----------------------------------------------------------------------
@@ -358,13 +358,14 @@ def _get_context(
     (:func:`repro.engine.chunking.grouped_chunk_plan`) each worker
     builds each context exactly once and serves its whole slice from
     the memo.  Exposed as :data:`get_context`, a
-    :class:`~repro.utils.caching.SwappableLRU` so the capacity follows
-    ``REPRO_CACHE_SIZE`` and can be resized at runtime.
+    :class:`~repro.utils.caching.ThreadPinnedLRU` so the capacity follows
+    ``REPRO_CACHE_SIZE``, can be resized at runtime, and a thread worker
+    keeps its chunk's context even when other threads evict it.
     """
     return build_context(key, artifacts)
 
 
-get_context = SwappableLRU(_get_context, CONTEXT_CACHE_SIZE)
+get_context = ThreadPinnedLRU(_get_context, CONTEXT_CACHE_SIZE)
 
 
 def clear_context_cache() -> None:

@@ -122,10 +122,17 @@ def unimodal_upper_step(
     require(knots >= 1, "need at least one knot interval")
     width = (hi - lo) / knots
     bounds = [lo + k * width for k in range(knots)] + [hi]
+    # One call per knot (interior knots bound two intervals) and at most one
+    # at the peak; max keeps the argument order (a, b, peak), which decides
+    # ties between zeros of opposite sign.
+    ys = [fn(x) for x in bounds]
+    y_peak = None
     values = []
-    for a, b in pairwise(bounds):
-        candidates = [fn(a), fn(b)]
+    for a, b, y_a, y_b in zip(bounds, bounds[1:], ys, ys[1:]):
         if a <= peak <= b:
-            candidates.append(fn(peak))
-        values.append(max(candidates))
+            if y_peak is None:
+                y_peak = fn(peak)
+            values.append(max(y_a, y_b, y_peak))
+        else:
+            values.append(max(y_a, y_b))
     return step(bounds, values)

@@ -47,10 +47,8 @@ class PiecewiseFunction:
         segs = tuple(segments)
         require(len(segs) > 0, "a piecewise function needs at least one segment")
         for left, right in zip(segs, segs[1:]):
-            require(
-                abs(left.x1 - right.x0) <= _CONTIGUITY_TOLERANCE,
-                f"segments must be contiguous: {left!r} then {right!r}",
-            )
+            if not abs(left.x1 - right.x0) <= _CONTIGUITY_TOLERANCE:
+                raise ValueError(f"segments must be contiguous: {left!r} then {right!r}")
         self._segments = segs
         self._starts = [s.x0 for s in segs]
 
@@ -125,7 +123,8 @@ class PiecewiseFunction:
             ValueError: if ``x`` lies outside the domain.
         """
         lo, hi = self.domain
-        require(lo <= x <= hi, f"{x} outside domain [{lo}, {hi}]")
+        if not lo <= x <= hi:
+            raise ValueError(f"{x} outside domain [{lo}, {hi}]")
         best: float | None = None
         for idx in self._segment_range(x, x):
             seg = self._segments[idx]
@@ -153,16 +152,25 @@ class PiecewiseFunction:
             ``[lo, hi]`` where the maximum is attained.
         """
         d_lo, d_hi = self.domain
-        require(d_lo <= lo <= hi <= d_hi, f"[{lo}, {hi}] outside domain [{d_lo}, {d_hi}]")
+        if not d_lo <= lo <= hi <= d_hi:
+            raise ValueError(f"[{lo}, {hi}] outside domain [{d_lo}, {d_hi}]")
         best_v = -float("inf")
         best_x = lo
         for idx in self._segment_range(lo, hi):
             seg = self._segments[idx]
-            s_lo = max(lo, seg.x0)
-            s_hi = min(hi, seg.x1)
-            if s_lo > s_hi:
-                continue
-            v, x = seg.max_on(s_lo, s_hi)
+            if lo < seg.x0 and seg.x1 < hi:
+                # A piece strictly inside [lo, hi]: the end values
+                # Segment.max_on would compare, without clipping.
+                if seg.y1 > seg.y0:
+                    v, x = seg.y1, seg.x1
+                else:
+                    v, x = seg.y0, seg.x0
+            else:
+                s_lo = max(lo, seg.x0)
+                s_hi = min(hi, seg.x1)
+                if s_lo > s_hi:
+                    continue
+                v, x = seg.max_on(s_lo, s_hi)
             if v > best_v or (v == best_v and x < best_x):
                 best_v, best_x = v, x
         return best_v, best_x
@@ -174,7 +182,8 @@ class PiecewiseFunction:
         minimum, mirroring the evaluation convention used for maxima.
         """
         d_lo, d_hi = self.domain
-        require(d_lo <= lo <= hi <= d_hi, f"[{lo}, {hi}] outside domain [{d_lo}, {d_hi}]")
+        if not d_lo <= lo <= hi <= d_hi:
+            raise ValueError(f"[{lo}, {hi}] outside domain [{d_lo}, {d_hi}]")
         best_v = float("inf")
         best_x = lo
         for idx in self._segment_range(lo, hi):
@@ -210,9 +219,19 @@ class PiecewiseFunction:
             the line on all of ``[lo, hi]``.
         """
         d_lo, d_hi = self.domain
-        require(d_lo <= lo <= hi <= d_hi, f"[{lo}, {hi}] outside domain [{d_lo}, {d_hi}]")
+        if not d_lo <= lo <= hi <= d_hi:
+            raise ValueError(f"[{lo}, {hi}] outside domain [{d_lo}, {d_hi}]")
         for idx in self._segment_range(lo, hi):
             seg = self._segments[idx]
+            if (
+                lo < seg.x0
+                and seg.x1 < hi
+                and seg.y0 - (c - seg.x0) < 0
+                and seg.y1 - (c - seg.x1) < 0
+            ):
+                # A piece strictly inside [lo, hi] and below the line at
+                # both ends, where Segment's test would return None.
+                continue
             s_lo = max(lo, seg.x0)
             s_hi = min(hi, seg.x1)
             if s_lo > s_hi:
@@ -236,13 +255,15 @@ class PiecewiseFunction:
     def scaled(self, factor: float) -> "PiecewiseFunction":
         """Multiply all ordinates by ``factor`` (must be >= 0 to preserve
         upper-bound semantics; negative factors are rejected)."""
-        require(factor >= 0, f"scale factor must be non-negative, got {factor}")
+        if not factor >= 0:
+            raise ValueError(f"scale factor must be non-negative, got {factor}")
         return PiecewiseFunction(s.scaled(factor) for s in self._segments)
 
     def restricted(self, lo: float, hi: float) -> "PiecewiseFunction":
         """Restrict the domain to ``[lo, hi]`` (must be inside the domain)."""
         d_lo, d_hi = self.domain
-        require(d_lo <= lo < hi <= d_hi, f"[{lo}, {hi}] not inside [{d_lo}, {d_hi}]")
+        if not d_lo <= lo < hi <= d_hi:
+            raise ValueError(f"[{lo}, {hi}] not inside [{d_lo}, {d_hi}]")
         pieces = []
         for idx in self._segment_range(lo, hi):
             seg = self._segments[idx]

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.utils.checks import require
-
 
 @dataclass(frozen=True, slots=True)
 class Segment:
@@ -32,11 +30,18 @@ class Segment:
     y1: float
 
     def __post_init__(self) -> None:
-        require(
-            all(math.isfinite(v) for v in (self.x0, self.x1, self.y0, self.y1)),
-            f"segment coordinates must be finite, got {self!r}",
-        )
-        require(self.x1 > self.x0, f"segment must have positive width, got {self!r}")
+        # The checks in this class use ``if not …: raise`` instead of
+        # ``require``, which would format ``self`` on every call: every
+        # segment the analysis builds or evaluates runs them.
+        if not (
+            math.isfinite(self.x0)
+            and math.isfinite(self.x1)
+            and math.isfinite(self.y0)
+            and math.isfinite(self.y1)
+        ):
+            raise ValueError(f"segment coordinates must be finite, got {self!r}")
+        if not self.x1 > self.x0:
+            raise ValueError(f"segment must have positive width, got {self!r}")
 
     @property
     def slope(self) -> float:
@@ -54,7 +59,8 @@ class Segment:
 
     def value_at(self, x: float) -> float:
         """Evaluate the affine piece at ``x`` (``x`` must lie in the segment)."""
-        require(self.contains(x), f"{x} outside segment [{self.x0}, {self.x1}]")
+        if not self.x0 <= x <= self.x1:
+            raise ValueError(f"{x} outside segment [{self.x0}, {self.x1}]")
         if x == self.x0:
             return self.y0
         if x == self.x1:
@@ -72,7 +78,8 @@ class Segment:
         """
         lo = max(lo, self.x0)
         hi = min(hi, self.x1)
-        require(lo <= hi, f"empty intersection of [{lo}, {hi}] with {self!r}")
+        if not lo <= hi:
+            raise ValueError(f"empty intersection of [{lo}, {hi}] with {self!r}")
         v_lo = self.value_at(lo)
         v_hi = self.value_at(hi)
         if v_hi > v_lo:
@@ -83,7 +90,8 @@ class Segment:
         """Minimum of the piece on ``[lo, hi] ∩ [x0, x1]`` (value, leftmost arg)."""
         lo = max(lo, self.x0)
         hi = min(hi, self.x1)
-        require(lo <= hi, f"empty intersection of [{lo}, {hi}] with {self!r}")
+        if not lo <= hi:
+            raise ValueError(f"empty intersection of [{lo}, {hi}] with {self!r}")
         v_lo = self.value_at(lo)
         v_hi = self.value_at(hi)
         if v_hi < v_lo:
@@ -133,5 +141,6 @@ class Segment:
         """The restriction of the piece to ``[lo, hi] ∩ [x0, x1]``."""
         lo = max(lo, self.x0)
         hi = min(hi, self.x1)
-        require(lo < hi, f"clip [{lo}, {hi}] leaves no width in {self!r}")
+        if not lo < hi:
+            raise ValueError(f"clip [{lo}, {hi}] leaves no width in {self!r}")
         return Segment(lo, hi, self.value_at(lo), self.value_at(hi))

@@ -13,12 +13,16 @@ sizes them all:
 * :class:`SwappableLRU` — an ``functools.lru_cache`` wrapper whose
   capacity can be rebuilt at runtime (``resize()``), used instead of
   the bare decorator so the environment override and programmatic
-  resizing share one code path.
+  resizing share one code path;
+* :class:`ThreadPinnedLRU` — a :class:`SwappableLRU` that also keeps
+  each thread's last result, for memos that thread workers call once
+  per scenario.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from collections.abc import Callable
 from functools import lru_cache
 
@@ -97,3 +101,45 @@ class SwappableLRU:
     def cache_info(self):
         """The underlying ``functools`` cache statistics."""
         return self._cached.cache_info()
+
+
+class ThreadPinnedLRU(SwappableLRU):
+    """A :class:`SwappableLRU` that also keeps each thread's last result.
+
+    Engine workers call their memo once per scenario, and a
+    group-respecting chunk asks for the same key over and over.  With
+    thread workers the shared LRU alone does not guarantee one build per
+    chunk: while one thread is between two scenarios of its chunk, the
+    others can insert enough new keys to evict its entry, and its next
+    scenario builds it again.  A per-thread pin of the last
+    ``(args, result)`` answers those calls whatever the other threads
+    evict.  :meth:`cache_clear` and :meth:`resize` invalidate every
+    pin.  Pin hits bypass the LRU and do not show in ``cache_info()``.
+    """
+
+    def __init__(self, fn: Callable, default_size: int):
+        super().__init__(fn, default_size)
+        self._local = threading.local()
+        self._generation = 0
+
+    def __call__(self, *args):
+        pin = getattr(self._local, "pin", None)
+        if pin is not None and pin[0] == self._generation and pin[1] == args:
+            return pin[2]
+        result = super().__call__(*args)
+        self._local.pin = (self._generation, args, result)
+        return result
+
+    def resize(self, size: int | None = None) -> None:
+        super().resize(size)
+        self._unpin()
+
+    def cache_clear(self) -> None:
+        super().cache_clear()
+        self._unpin()
+
+    def _unpin(self) -> None:
+        # Other threads see the new generation on their next call; the
+        # calling thread also lets go of its pinned result right away.
+        self._generation += 1
+        self._local.pin = None

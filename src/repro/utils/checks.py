@@ -11,22 +11,26 @@ import math
 
 
 def require(condition: bool, message: str) -> None:
-    """Raise :class:`ValueError` with ``message`` unless ``condition`` holds."""
+    """Raise :class:`ValueError` with ``message`` unless ``condition`` holds.
+
+    Python builds ``message`` before the call, whether or not the check
+    fails: an f-string argument formats its fields (a dataclass ``!r``, a
+    float) on every call.  Hot paths therefore write
+    ``if not condition: raise ValueError(f"...")`` so the message is only
+    built on failure; ``require`` suits constant messages and code that
+    runs once per request.
+    """
     if not condition:
         raise ValueError(message)
 
 
 def require_positive(value: float, name: str) -> None:
     """Validate that ``value`` is a finite number strictly greater than zero."""
-    require(
-        isinstance(value, (int, float)) and math.isfinite(value) and value > 0,
-        f"{name} must be a finite positive number, got {value!r}",
-    )
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 def require_non_negative(value: float, name: str) -> None:
     """Validate that ``value`` is a finite number greater than or equal to zero."""
-    require(
-        isinstance(value, (int, float)) and math.isfinite(value) and value >= 0,
-        f"{name} must be a finite non-negative number, got {value!r}",
-    )
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")

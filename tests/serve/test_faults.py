@@ -29,13 +29,15 @@ CHEAP = RunRequest.family(
 )
 
 #: Heavy enough (~1s of work) that the worker is reliably still busy
-#: while the test pokes at the server from other connections.
+#: while the test pokes at the server from other connections.  The
+#: function build dominates and grows with ``knots``; at 4096 knots the
+#: job takes under 0.1 s, too short for that.
 SLOW = RunRequest.family(
     "bound",
     axes={
         "q": {"linspace": {"start": 50.0, "stop": 400.0, "points": 8}}
     },
-    defaults={"function": "gaussian1", "knots": 4096},
+    defaults={"function": "gaussian1", "knots": 131072},
 )
 
 

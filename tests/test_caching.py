@@ -7,9 +7,16 @@ wiring — each engine memo is a :class:`SwappableLRU` that picks the
 override up on ``resize()``.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
-from repro.utils.caching import CACHE_SIZE_ENV, SwappableLRU, cache_size
+from repro.utils.caching import (
+    CACHE_SIZE_ENV,
+    SwappableLRU,
+    ThreadPinnedLRU,
+    cache_size,
+)
 
 
 class TestCacheSize:
@@ -99,6 +106,53 @@ class TestSwappableLRU:
         assert memo.__name__ == "fn"
         assert memo.__doc__ == "doc survives wrapping"
         assert memo.__wrapped__(5) == 10
+
+
+class TestThreadPinnedLRU:
+    def _counting_memo(self, size=1):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return x * 2
+
+        return ThreadPinnedLRU(fn, size), calls
+
+    def test_pin_survives_eviction_by_another_thread(self):
+        memo, calls = self._counting_memo(size=1)
+        assert memo(1) == 2
+        with ThreadPoolExecutor(max_workers=1) as other:
+            assert other.submit(memo, 2).result() == 4  # evicts 1
+        assert memo(1) == 2
+        assert calls == [1, 2]
+        # Without the pin the same sequence builds 1 twice.
+        plain = SwappableLRU(memo.__wrapped__, 1)
+        plain(1)
+        with ThreadPoolExecutor(max_workers=1) as other:
+            other.submit(plain, 2).result()
+        plain(1)
+        assert calls == [1, 2, 1, 2, 1]
+
+    def test_the_pin_holds_one_key_per_thread(self):
+        memo, calls = self._counting_memo(size=1)
+        memo(1), memo(2), memo(1)
+        assert calls == [1, 2, 1]
+
+    @pytest.mark.parametrize("drop", ["cache_clear", "resize"])
+    def test_clear_and_resize_drop_every_threads_pin(self, drop):
+        memo, calls = self._counting_memo(size=4)
+        with ThreadPoolExecutor(max_workers=1) as other:
+            other.submit(memo, 3).result()
+            memo(1)
+            getattr(memo, drop)()
+            memo(1)
+            other.submit(memo, 3).result()
+        assert calls == [3, 1, 1, 3]
+
+    def test_context_memo_is_pinned(self):
+        from repro.engine.context import get_context
+
+        assert isinstance(get_context, ThreadPinnedLRU)
 
 
 class TestEngineMemoWiring:

@@ -175,7 +175,8 @@ class TestJobCommands:
         assert set(backends) <= set(backend_names())
 
     def test_bench_smoke_job_gates_the_numpy_backend_speedup(self, workflow):
-        # The >=10x struct-of-arrays claim is asserted inside
+        # The struct-of-arrays claim (>=1.2x, and absolute µs/scenario
+        # against benchmarks/BASELINE.json) is asserted inside
         # bench_engine.py; the numpy leg runs it as its own visible
         # step, and skips with a ::notice:: (not a failure) when numpy
         # cannot be imported.
