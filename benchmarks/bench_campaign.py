@@ -30,7 +30,6 @@ from repro.campaign import compile_campaign
 from repro.engine import clear_context_cache, q_sweep_scenarios, run_batch
 from repro.engine.sweeps import benchmark_function, evaluate_bound_scenario
 from repro.experiments import default_q_grid, render_table
-from repro.piecewise import clear_segment_index_cache
 from repro.store import canonical_bytes
 
 #: Sweep shape (scenarios = 3x the point count).
@@ -81,7 +80,6 @@ def test_spec_compilation_overhead_is_negligible(artifacts_dir):
     ]
 
     benchmark_function.cache_clear()
-    clear_segment_index_cache()
     clear_context_cache()
     started = time.perf_counter()
     results = run_batch(evaluate_bound_scenario, compiled.scenarios)

@@ -72,7 +72,7 @@ from repro.engine.sweeps import (
 )
 from repro.experiments import default_q_grid, render_table
 from repro.experiments.functions_fig4 import fig4_delay_function
-from repro.piecewise import clear_segment_index_cache, evaluate_sorted
+from repro.piecewise import evaluate_sorted
 from repro.sched.crpd_rta import METHODS, delay_aware_rta
 
 #: Sweep shape: 350 Q points x 3 functions = 1050 scenarios (>= 1000);
@@ -172,22 +172,15 @@ def test_engine_vs_sequential_baselines(artifacts_dir):
     t_single_shot = time.perf_counter() - started
 
     # The hoisted-vs-engine comparison is tight, so take best-of-N with
-    # every per-path cache cleared before each rep (cold construction
-    # is charged to both paths alike).
+    # the engine's function cache cleared before each rep (cold
+    # construction is charged to both paths alike).
     t_hoisted, hoisted = _best_of(
-        TIMING_REPS,
-        lambda: _sequential_hoisted(scenarios),
-        before=clear_segment_index_cache,
+        TIMING_REPS, lambda: _sequential_hoisted(scenarios)
     )
-
-    def _engine_cold():
-        benchmark_function.cache_clear()  # engine builds its functions itself
-        clear_segment_index_cache()
-
     t_engine, batched = _best_of(
         TIMING_REPS,
         lambda: run_batch(evaluate_bound_scenario, scenarios),
-        before=_engine_cold,
+        before=benchmark_function.cache_clear,  # engine builds its functions itself
     )
 
     # Bit-identical results across all three paths.
@@ -474,7 +467,6 @@ def test_vectorized_kernel_beats_scalar_loop(artifacts_dir):
     scalar = [f.value(x) for x in grid]
     t_scalar = time.perf_counter() - started
 
-    clear_segment_index_cache()
     started = time.perf_counter()
     vectorized = evaluate_sorted(f.function, grid)
     t_vectorized = time.perf_counter() - started

@@ -34,7 +34,6 @@ from repro.engine import (
 )
 from repro.engine.sweeps import benchmark_function, bound_result_from_record
 from repro.experiments import default_q_grid, render_table
-from repro.piecewise import clear_segment_index_cache
 from repro.store import ResultStore, package_fingerprint
 
 #: Sweep shape (scenarios = 3x the point count).
@@ -67,7 +66,6 @@ def test_warm_resweep_beats_cold_and_is_identical(artifacts_dir, tmp_path):
 
     # Cold: empty store, caches cleared — everything is computed.
     benchmark_function.cache_clear()
-    clear_segment_index_cache()
     started = time.perf_counter()
     cold = sweep("cold.jsonl")
     t_cold = time.perf_counter() - started
@@ -76,7 +74,6 @@ def test_warm_resweep_beats_cold_and_is_identical(artifacts_dir, tmp_path):
 
     # Warm: same sweep, same store — everything is served from disk.
     benchmark_function.cache_clear()
-    clear_segment_index_cache()
     started = time.perf_counter()
     warm = sweep("warm.jsonl")
     t_warm = time.perf_counter() - started

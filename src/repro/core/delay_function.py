@@ -31,10 +31,10 @@ class PreemptionDelayFunction:
     __slots__ = ("function",)
 
     def __init__(self, function: PiecewiseFunction):
-        require(
-            function.domain_start == 0,
-            f"f_i must be defined from progression 0, domain is {function.domain}",
-        )
+        if function.domain_start != 0:
+            raise ValueError(
+                f"f_i must be defined from progression 0, domain is {function.domain}"
+            )
         require(function.is_non_negative(), "f_i must be non-negative everywhere")
         self.function = function
 

@@ -3,10 +3,9 @@
 Algorithm 1 and the Eq. 4 recurrence are cheap per ``(f, Q)`` point, but
 a sweep grid evaluates *many* points against the *same* expensive shared
 inputs: the generated task set, its per-task delay functions, the
-Lehoczky blocking tolerances and safe-Q vectors (:mod:`repro.npr`), the
-global delay maxima the event-accounting RTA methods read O(n²) times,
-and the flattened :class:`~repro.piecewise.vectorized.SegmentIndex`
-views.  Re-deriving those per scenario is the dominant waste of a
+Lehoczky blocking tolerances and safe-Q vectors (:mod:`repro.npr`), and
+the global delay maxima the event-accounting RTA methods read O(n²)
+times.  Re-deriving those per scenario is the dominant waste of a
 fig5-shaped grid (hundreds of Q / height points per task set).
 
 This module makes the shared state explicit:
@@ -61,7 +60,8 @@ DELAY_MAXIMA = "delay-maxima"
 FP_CURVES = "fp-curves"
 #: The EDF (Bertogna & Baruah slack) safe-Q vector.
 EDF_CURVES = "edf-curves"
-#: Flattened :class:`SegmentIndex` per task delay function.
+#: :class:`SegmentIndex` view per task delay function (O(1) to build:
+#: it shares the function's own coordinate tuples).
 SEGMENT_INDICES = "segment-indices"
 #: One Figure 4 benchmark delay function (+ its max and index).
 BENCHMARK_FUNCTION = "benchmark-function"
@@ -85,8 +85,8 @@ BENCHMARK_KIND = "benchmark"
 #: of groups at a time (a q-major fig5 grid cycles through its three
 #: functions), so a small memo already guarantees one build per worker.
 #: ``REPRO_CACHE_SIZE`` overrides this default (see
-#: :mod:`repro.utils.caching`), sizing it together with the segment-index
-#: and batched-grid memos.
+#: :mod:`repro.utils.caching`), sizing it together with the batched-grid
+#: memo.
 CONTEXT_CACHE_SIZE = 32
 
 
@@ -178,12 +178,12 @@ class AnalysisContext:
             negative — the set admits no assignment.
         safe_q_edf: Maximal safe EDF NPR lengths (:data:`EDF_CURVES`);
             ``None`` when the set has negative slack.
-        segment_indices: Flattened per-task function views
+        segment_indices: Per-task function views
             (:data:`SEGMENT_INDICES`).
         function: The benchmark delay function
             (:data:`BENCHMARK_FUNCTION`).
         function_max: Its precomputed global maximum.
-        function_index: Its precomputed :class:`SegmentIndex`.
+        function_index: Its :class:`SegmentIndex` view.
     """
 
     key: ContextKey
@@ -218,20 +218,19 @@ class AnalysisContext:
             ValueError: for invalid *parameters* (unknown policy,
                 out-of-range fraction) — these must fail loudly.
         """
-        require(policy in ("edf", "fp"), f"unknown policy {policy!r}")
-        require(
-            0.0 < q_fraction <= 1.0,
-            f"q_fraction must lie in (0, 1], got {q_fraction}",
-        )
+        if policy not in ("edf", "fp"):
+            raise ValueError(f"unknown policy {policy!r}")
+        if not 0.0 < q_fraction <= 1.0:
+            raise ValueError(f"q_fraction must lie in (0, 1], got {q_fraction}")
         # A missing artifact is a family mis-declaration, never a
         # silent "this set is infeasible".
         needed = FP_CURVES if policy == "fp" else EDF_CURVES
-        require(
-            TASK_SET in self.artifacts and needed in self.artifacts,
-            f"context {self.key.kind!r} was built without "
-            f"{TASK_SET!r}/{needed!r}; declare them in the family's "
-            "artifacts",
-        )
+        if TASK_SET not in self.artifacts or needed not in self.artifacts:
+            raise ValueError(
+                f"context {self.key.kind!r} was built without "
+                f"{TASK_SET!r}/{needed!r}; declare them in the family's "
+                "artifacts"
+            )
         lengths = self.safe_q_fp if policy == "fp" else self.safe_q_edf
         if lengths is None:
             return None

@@ -14,7 +14,6 @@ from collections.abc import Mapping
 from repro.npr.qmax_edf import edf_max_npr_lengths
 from repro.npr.qmax_fp import fp_max_npr_lengths
 from repro.tasks.task import TaskSet
-from repro.utils.checks import require
 
 
 def apply_npr_lengths(
@@ -38,14 +37,13 @@ def apply_npr_lengths(
         ValueError: for out-of-range fractions or lengths that scale to
             a non-positive NPR (the set admits no assignment).
     """
-    require(0.0 < fraction <= 1.0, f"fraction must lie in (0, 1], got {fraction}")
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
     scaled = {}
     for name, q in lengths.items():
         value = q * fraction
-        require(
-            value > 0,
-            f"task {name} admits no positive NPR length (Q_max = {q})",
-        )
+        if not value > 0:
+            raise ValueError(f"task {name} admits no positive NPR length (Q_max = {q})")
         scaled[name] = value
     return tasks.map(lambda t: t.with_npr_length(scaled[t.name]))
 
@@ -73,8 +71,10 @@ def assign_npr_lengths(
         ValueError: for unknown policies, out-of-range fractions, or
             task sets admitting no positive NPR length.
     """
-    require(policy in ("edf", "fp"), f"unknown policy {policy!r}")
-    require(0.0 < fraction <= 1.0, f"fraction must lie in (0, 1], got {fraction}")
+    if policy not in ("edf", "fp"):
+        raise ValueError(f"unknown policy {policy!r}")
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
     if policy == "edf":
         lengths = edf_max_npr_lengths(tasks)
     else:

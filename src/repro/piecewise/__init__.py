@@ -5,12 +5,17 @@ represented as :class:`PiecewiseFunction` objects: ordered contiguous affine
 segments with optional jump discontinuities.  All interval queries used by
 the analyses (interval maxima, descending-line crossings) are exact.
 
+A function stores its pieces as four index-aligned coordinate tuples
+(``x0, x1, y0, y1``) and the queries walk those tuples directly;
+:class:`Segment` objects are built only when ``.segments`` is read.
+
 Two evaluation paths share the same semantics: the scalar
 :meth:`PiecewiseFunction.value` and the batched kernel of
 :mod:`repro.piecewise.vectorized` (:func:`evaluate_many` /
 :func:`evaluate_sorted`), which the batch-analysis engine and the figure
 samplers use to evaluate one function at many abscissae in a single
-merge walk over an LRU-cached :class:`SegmentIndex`.
+merge walk over a :class:`SegmentIndex`, an O(1) view of the same
+tuples.
 """
 
 from repro.piecewise.backends import (
@@ -45,7 +50,6 @@ from repro.piecewise.operations import (
 from repro.piecewise.segments import Segment
 from repro.piecewise.vectorized import (
     SegmentIndex,
-    clear_segment_index_cache,
     evaluate_many,
     evaluate_sorted,
     segment_index,
@@ -68,7 +72,6 @@ __all__ = [
     "segment_index",
     "evaluate_many",
     "evaluate_sorted",
-    "clear_segment_index_cache",
     "DEFAULT_BACKEND",
     "EXACT_BIT_IDENTICAL",
     "BatchedGrid",

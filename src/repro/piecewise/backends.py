@@ -55,8 +55,7 @@ EXACT_BIT_IDENTICAL = "bit-identical"
 DEFAULT_BACKEND = "vectorized"
 
 #: Number of distinct functions whose struct-of-arrays grids are retained
-#: (same default as the ``SegmentIndex`` memo; ``REPRO_CACHE_SIZE``
-#: overrides both).
+#: (``REPRO_CACHE_SIZE`` overrides it, see :mod:`repro.utils.caching`).
 BATCHED_GRID_CACHE_SIZE = 256
 
 
@@ -468,8 +467,8 @@ def _register_builtins() -> None:
     register_backend(
         KernelBackend(
             name="vectorized",
-            description="stdlib-only merge-walk over the flattened "
-            "SegmentIndex (the default)",
+            description="stdlib-only merge-walk over the function's "
+            "coordinate tuples (the default)",
             exactness=EXACT_BIT_IDENTICAL,
             requires=None,
             available=True,

@@ -13,18 +13,19 @@ Two families of builders exist:
 
 from __future__ import annotations
 
+import bisect
 from collections.abc import Callable, Sequence
 
 from repro.piecewise.function import PiecewiseFunction
-from repro.piecewise.segments import Segment
 from repro.utils.checks import require
 from repro.utils.seq import is_strictly_increasing, pairwise
 
 
 def constant(value: float, lo: float, hi: float) -> PiecewiseFunction:
     """The constant function ``f(x) = value`` on ``[lo, hi]``."""
-    require(hi > lo, f"domain must have positive width, got [{lo}, {hi}]")
-    return PiecewiseFunction([Segment(lo, hi, value, value)])
+    if not hi > lo:
+        raise ValueError(f"domain must have positive width, got [{lo}, {hi}]")
+    return PiecewiseFunction._from_coordinates((lo,), (hi,), (value,), (value,))
 
 
 def from_points(xs: Sequence[float], ys: Sequence[float]) -> PiecewiseFunction:
@@ -37,11 +38,7 @@ def from_points(xs: Sequence[float], ys: Sequence[float]) -> PiecewiseFunction:
     require(len(xs) == len(ys), "xs and ys must have the same length")
     require(len(xs) >= 2, "need at least two points")
     require(is_strictly_increasing(xs), "xs must be strictly increasing")
-    segments = [
-        Segment(x0, x1, y0, y1)
-        for (x0, x1), (y0, y1) in zip(pairwise(xs), pairwise(ys))
-    ]
-    return PiecewiseFunction(segments)
+    return PiecewiseFunction._from_coordinates(xs[:-1], xs[1:], ys[:-1], ys[1:])
 
 
 def step(bounds: Sequence[float], values: Sequence[float]) -> PiecewiseFunction:
@@ -54,10 +51,8 @@ def step(bounds: Sequence[float], values: Sequence[float]) -> PiecewiseFunction:
     require(len(bounds) == len(values) + 1, "need len(bounds) == len(values) + 1")
     require(len(values) >= 1, "need at least one interval")
     require(is_strictly_increasing(bounds), "bounds must be strictly increasing")
-    segments = [
-        Segment(lo, hi, v, v) for (lo, hi), v in zip(pairwise(bounds), values)
-    ]
-    return PiecewiseFunction(segments)
+    values = tuple(values)
+    return PiecewiseFunction._from_coordinates(bounds[:-1], bounds[1:], values, values)
 
 
 def upper_step_from_callable(
@@ -126,13 +121,14 @@ def unimodal_upper_step(
     # at the peak; max keeps the argument order (a, b, peak), which decides
     # ties between zeros of opposite sign.
     ys = [fn(x) for x in bounds]
+    values = list(map(max, ys, ys[1:]))
+    # The interval(s) holding the peak: one, or two when it sits on a knot.
+    first = max(bisect.bisect_left(bounds, peak) - 1, 0)
+    last = min(bisect.bisect_right(bounds, peak), knots)
     y_peak = None
-    values = []
-    for a, b, y_a, y_b in zip(bounds, bounds[1:], ys, ys[1:]):
-        if a <= peak <= b:
+    for k in range(first, last):
+        if bounds[k] <= peak <= bounds[k + 1]:
             if y_peak is None:
                 y_peak = fn(peak)
-            values.append(max(y_a, y_b, y_peak))
-        else:
-            values.append(max(y_a, y_b))
+            values[k] = max(ys[k], ys[k + 1], y_peak)
     return step(bounds, values)

@@ -21,6 +21,8 @@ paper's ``f_i`` is an upper bound on the preemption cost).
 from __future__ import annotations
 
 import bisect
+import math
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 
 from repro.piecewise.segments import Segment
@@ -29,19 +31,60 @@ from repro.utils.checks import require
 _CONTIGUITY_TOLERANCE = 1e-9
 
 
+def _all_finite(values: tuple[float, ...]) -> bool:
+    """Whether every element of ``values`` is finite, in one C-level pass.
+
+    An infinity or a NaN keeps any sum it enters non-finite, so a finite
+    sum proves every term finite.  A sum that overflows, or terms a float
+    cannot be added to (an int too large for a float, a ``Decimal``),
+    read as ``False``; callers then check piece by piece.
+    """
+    try:
+        return math.isfinite(sum(values, 0.0))
+    except (OverflowError, TypeError):
+        return False
+
+
+def _contiguous(x0: tuple[float, ...], x1: tuple[float, ...]) -> bool:
+    """Whether each piece starts where the previous one ends, within
+    the contiguity tolerance."""
+    if x1[:-1] == x0[1:]:
+        return True
+    return all(
+        abs(end - start) <= _CONTIGUITY_TOLERANCE for end, start in zip(x1, x0[1:])
+    )
+
+
+def _value_on(x0: float, x1: float, y0: float, y1: float, x: float) -> float:
+    """The affine piece through ``(x0, y0)`` and ``(x1, y1)`` at ``x``.
+
+    The arithmetic of :meth:`Segment.value_at` for an ``x`` known to lie
+    in ``[x0, x1]``: the endpoint ordinates exactly, else the same
+    interpolation expression.
+    """
+    if x == x0:
+        return y0
+    if x == x1:
+        return y1
+    ratio = (x - x0) / (x1 - x0)
+    return y0 + ratio * (y1 - y0)
+
+
 class PiecewiseFunction:
     """A function defined by contiguous affine segments on a closed domain.
 
     Instances are immutable.  Construction validates that the segments are
     sorted, non-overlapping and contiguous (each segment starts where the
-    previous one ends).
+    previous one ends).  The pieces are stored as four index-aligned
+    coordinate tuples (see :attr:`coordinates`); :class:`Segment` objects
+    are built only when :attr:`segments` is read.
 
     Args:
         segments: Non-empty iterable of :class:`Segment`, ordered by ``x0``,
             with ``segments[k].x1 == segments[k + 1].x0``.
     """
 
-    __slots__ = ("_segments", "_starts")
+    __slots__ = ("_x0", "_x1", "_y0", "_y1")
 
     def __init__(self, segments: Iterable[Segment]):
         segs = tuple(segments)
@@ -49,52 +92,95 @@ class PiecewiseFunction:
         for left, right in zip(segs, segs[1:]):
             if not abs(left.x1 - right.x0) <= _CONTIGUITY_TOLERANCE:
                 raise ValueError(f"segments must be contiguous: {left!r} then {right!r}")
-        self._segments = segs
-        self._starts = [s.x0 for s in segs]
+        self._x0 = tuple(s.x0 for s in segs)
+        self._x1 = tuple(s.x1 for s in segs)
+        self._y0 = tuple(s.y0 for s in segs)
+        self._y1 = tuple(s.y1 for s in segs)
+
+    @classmethod
+    def _from_coordinates(
+        cls,
+        x0: Iterable[float],
+        x1: Iterable[float],
+        y0: Iterable[float],
+        y1: Iterable[float],
+    ) -> PiecewiseFunction:
+        """The function whose piece ``k`` runs from ``(x0[k], y0[k])`` to
+        ``(x1[k], y1[k])``.
+
+        Accepts exactly what ``PiecewiseFunction([Segment(...), ...])``
+        accepts, checking whole tuples at C speed: finiteness, positive
+        widths, then contiguity.  When any check fails the pieces are
+        rebuilt through :class:`Segment` in order, so the first failing
+        check raises its usual message.
+        """
+        x0, x1, y0, y1 = tuple(x0), tuple(x1), tuple(y0), tuple(y1)
+        if not (
+            x0
+            and _all_finite(x0)
+            and _all_finite(x1)
+            and _all_finite(y0)
+            and _all_finite(y1)
+            and all(map(operator.lt, x0, x1))
+            and _contiguous(x0, x1)
+        ):
+            return cls(map(Segment, x0, x1, y0, y1))
+        self = object.__new__(cls)
+        self._x0, self._x1, self._y0, self._y1 = x0, x1, y0, y1
+        return self
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def segments(self) -> tuple[Segment, ...]:
-        """The underlying segments, in increasing abscissa order."""
-        return self._segments
+        """The pieces as :class:`Segment` objects, in increasing abscissa
+        order (built on every read)."""
+        return tuple(map(Segment, self._x0, self._x1, self._y0, self._y1))
+
+    @property
+    def coordinates(
+        self,
+    ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+        """``(x0, x1, y0, y1)``: index-aligned tuples, piece ``k`` running
+        from ``(x0[k], y0[k])`` to ``(x1[k], y1[k])``."""
+        return self._x0, self._x1, self._y0, self._y1
 
     @property
     def domain(self) -> tuple[float, float]:
         """The closed interval ``[x_min, x_max]`` on which ``f`` is defined."""
-        return self._segments[0].x0, self._segments[-1].x1
+        return self._x0[0], self._x1[-1]
 
     @property
     def domain_start(self) -> float:
         """Left end of the domain."""
-        return self._segments[0].x0
+        return self._x0[0]
 
     @property
     def domain_end(self) -> float:
         """Right end of the domain."""
-        return self._segments[-1].x1
+        return self._x1[-1]
 
     def __len__(self) -> int:
-        return len(self._segments)
+        return len(self._x0)
 
     def __iter__(self) -> Iterator[Segment]:
-        return iter(self._segments)
+        return iter(self.segments)
 
     def __repr__(self) -> str:
         lo, hi = self.domain
         return (
-            f"PiecewiseFunction({len(self._segments)} segments on "
+            f"PiecewiseFunction({len(self)} segments on "
             f"[{lo:g}, {hi:g}], max={self.max_value():g})"
         )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PiecewiseFunction):
             return NotImplemented
-        return self._segments == other._segments
+        return self.coordinates == other.coordinates
 
     def __hash__(self) -> int:
-        return hash(self._segments)
+        return hash(self.coordinates)
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -107,9 +193,9 @@ class PiecewiseFunction:
         segment whose right endpoint equals ``lo`` participates — its
         one-sided limit matters at jump discontinuities.
         """
-        first = bisect.bisect_right(self._starts, lo) - 2
+        first = bisect.bisect_right(self._x0, lo) - 2
         first = max(first, 0)
-        last = bisect.bisect_right(self._starts, hi) - 1
+        last = bisect.bisect_right(self._x0, hi) - 1
         last = max(last, first)
         return range(first, last + 1)
 
@@ -122,16 +208,27 @@ class PiecewiseFunction:
         Raises:
             ValueError: if ``x`` lies outside the domain.
         """
-        lo, hi = self.domain
+        lo, hi = self._x0[0], self._x1[-1]
         if not lo <= x <= hi:
             raise ValueError(f"{x} outside domain [{lo}, {hi}]")
+        return self._value_at_cursor(bisect.bisect_right(self._x0, x), x)
+
+    def _value_at_cursor(self, cursor: int, x: float) -> float:
+        """``f(x)`` for an ``x`` inside the domain, given
+        ``cursor == bisect_right(x0, x)``.
+
+        The candidates are the pieces of ``_segment_range(x, x)``; the
+        batched kernels in :mod:`repro.piecewise.vectorized` call this
+        with the cursor of their merge walk.
+        """
+        x0s, x1s, y0s, y1s = self._x0, self._x1, self._y0, self._y1
+        first = max(cursor - 2, 0)
         best: float | None = None
-        for idx in self._segment_range(x, x):
-            seg = self._segments[idx]
-            if seg.contains(x):
-                v = seg.value_at(x)
+        for k in range(first, max(cursor - 1, first) + 1):
+            if x0s[k] <= x <= x1s[k]:
+                v = _value_on(x0s[k], x1s[k], y0s[k], y1s[k], x)
                 best = v if best is None else max(best, v)
-        assert best is not None  # domain check above guarantees coverage
+        assert best is not None  # the domain check guarantees coverage
         return best
 
     def __call__(self, x: float) -> float:
@@ -151,26 +248,33 @@ class PiecewiseFunction:
             ``(value, argmax)``; ``argmax`` is the smallest abscissa in
             ``[lo, hi]`` where the maximum is attained.
         """
-        d_lo, d_hi = self.domain
+        x0s, x1s, y0s, y1s = self._x0, self._x1, self._y0, self._y1
+        d_lo, d_hi = x0s[0], x1s[-1]
         if not d_lo <= lo <= hi <= d_hi:
             raise ValueError(f"[{lo}, {hi}] outside domain [{d_lo}, {d_hi}]")
         best_v = -float("inf")
         best_x = lo
-        for idx in self._segment_range(lo, hi):
-            seg = self._segments[idx]
-            if lo < seg.x0 and seg.x1 < hi:
-                # A piece strictly inside [lo, hi]: the end values
-                # Segment.max_on would compare, without clipping.
-                if seg.y1 > seg.y0:
-                    v, x = seg.y1, seg.x1
+        for k in self._segment_range(lo, hi):
+            a, b, ya, yb = x0s[k], x1s[k], y0s[k], y1s[k]
+            if lo < a and b < hi:
+                # A piece strictly inside [lo, hi]: its larger end value.
+                if yb > ya:
+                    v, x = yb, b
                 else:
-                    v, x = seg.y0, seg.x0
+                    v, x = ya, a
             else:
-                s_lo = max(lo, seg.x0)
-                s_hi = min(hi, seg.x1)
+                # Clip as max(lo, a) and min(hi, b) do, so ties between
+                # zeros of opposite sign keep the same operand.
+                s_lo = a if a > lo else lo
+                s_hi = b if b < hi else hi
                 if s_lo > s_hi:
                     continue
-                v, x = seg.max_on(s_lo, s_hi)
+                v_lo = _value_on(a, b, ya, yb, s_lo)
+                v_hi = _value_on(a, b, ya, yb, s_hi)
+                if v_hi > v_lo:
+                    v, x = v_hi, s_hi
+                else:
+                    v, x = v_lo, s_lo
             if v > best_v or (v == best_v and x < best_x):
                 best_v, best_x = v, x
         return best_v, best_x
@@ -186,8 +290,9 @@ class PiecewiseFunction:
             raise ValueError(f"[{lo}, {hi}] outside domain [{d_lo}, {d_hi}]")
         best_v = float("inf")
         best_x = lo
+        segments = self.segments
         for idx in self._segment_range(lo, hi):
-            seg = self._segments[idx]
+            seg = segments[idx]
             s_lo = max(lo, seg.x0)
             s_hi = min(hi, seg.x1)
             if s_lo > s_hi:
@@ -218,46 +323,50 @@ class PiecewiseFunction:
             The meeting abscissa, or ``None`` if ``f`` stays strictly below
             the line on all of ``[lo, hi]``.
         """
-        d_lo, d_hi = self.domain
+        x0s, x1s, y0s, y1s = self._x0, self._x1, self._y0, self._y1
+        d_lo, d_hi = x0s[0], x1s[-1]
         if not d_lo <= lo <= hi <= d_hi:
             raise ValueError(f"[{lo}, {hi}] outside domain [{d_lo}, {d_hi}]")
-        for idx in self._segment_range(lo, hi):
-            seg = self._segments[idx]
-            if (
-                lo < seg.x0
-                and seg.x1 < hi
-                and seg.y0 - (c - seg.x0) < 0
-                and seg.y1 - (c - seg.x1) < 0
-            ):
+        for k in self._segment_range(lo, hi):
+            a, b, ya, yb = x0s[k], x1s[k], y0s[k], y1s[k]
+            if lo < a and b < hi and ya - (c - a) < 0 and yb - (c - b) < 0:
                 # A piece strictly inside [lo, hi] and below the line at
-                # both ends, where Segment's test would return None.
+                # both ends: no meeting point on it.
                 continue
-            s_lo = max(lo, seg.x0)
-            s_hi = min(hi, seg.x1)
+            s_lo = a if a > lo else lo
+            s_hi = b if b < hi else hi
             if s_lo > s_hi:
                 continue
-            meeting = seg.first_point_at_or_above_descending_line(s_lo, s_hi, c)
-            if meeting is not None:
-                return meeting
+            # Segment.first_point_at_or_above_descending_line: g(x) =
+            # y(x) - (c - x) is affine; a meeting point is any x with
+            # g(x) >= 0, else the root of g crossing from below.
+            g_lo = _value_on(a, b, ya, yb, s_lo) - (c - s_lo)
+            if g_lo >= 0:
+                return s_lo
+            g_hi = _value_on(a, b, ya, yb, s_hi) - (c - s_hi)
+            if g_hi < 0 or g_hi == g_lo:
+                continue
+            root = s_lo + (s_hi - s_lo) * (0.0 - g_lo) / (g_hi - g_lo)
+            return min(max(root, s_lo), s_hi)
         return None
 
     def integral(self) -> float:
         """The exact integral of ``f`` over its domain (trapezoid per piece)."""
-        return sum(0.5 * (s.y0 + s.y1) * s.width for s in self._segments)
+        return sum(0.5 * (s.y0 + s.y1) * s.width for s in self.segments)
 
     # ------------------------------------------------------------------
     # Transformations (all return new instances)
     # ------------------------------------------------------------------
     def shifted(self, dx: float = 0.0, dy: float = 0.0) -> "PiecewiseFunction":
         """Translate the graph by ``dx`` along x and ``dy`` along y."""
-        return PiecewiseFunction(s.shifted(dx, dy) for s in self._segments)
+        return PiecewiseFunction(s.shifted(dx, dy) for s in self.segments)
 
     def scaled(self, factor: float) -> "PiecewiseFunction":
         """Multiply all ordinates by ``factor`` (must be >= 0 to preserve
         upper-bound semantics; negative factors are rejected)."""
         if not factor >= 0:
             raise ValueError(f"scale factor must be non-negative, got {factor}")
-        return PiecewiseFunction(s.scaled(factor) for s in self._segments)
+        return PiecewiseFunction(s.scaled(factor) for s in self.segments)
 
     def restricted(self, lo: float, hi: float) -> "PiecewiseFunction":
         """Restrict the domain to ``[lo, hi]`` (must be inside the domain)."""
@@ -265,8 +374,9 @@ class PiecewiseFunction:
         if not d_lo <= lo < hi <= d_hi:
             raise ValueError(f"[{lo}, {hi}] not inside [{d_lo}, {d_hi}]")
         pieces = []
+        segments = self.segments
         for idx in self._segment_range(lo, hi):
-            seg = self._segments[idx]
+            seg = segments[idx]
             s_lo = max(lo, seg.x0)
             s_hi = min(hi, seg.x1)
             if s_lo < s_hi:
@@ -275,9 +385,7 @@ class PiecewiseFunction:
 
     def breakpoints(self) -> list[float]:
         """All abscissae at which a segment starts or ends (sorted, unique)."""
-        points = [self._segments[0].x0]
-        points.extend(s.x1 for s in self._segments)
-        return points
+        return [self._x0[0], *self._x1]
 
     def sample(self, xs: Sequence[float]) -> list[float]:
         """Evaluate the function at each abscissa in ``xs``.
@@ -293,4 +401,4 @@ class PiecewiseFunction:
 
     def is_non_negative(self) -> bool:
         """Whether ``f(x) >= 0`` everywhere on the domain."""
-        return all(s.y0 >= 0 and s.y1 >= 0 for s in self._segments)
+        return min(self._y0) >= 0 and min(self._y1) >= 0

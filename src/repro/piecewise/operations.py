@@ -9,18 +9,19 @@ becomes a boundary of the result.
 from __future__ import annotations
 
 import bisect
+import math
 from collections.abc import Callable
 
-from repro.piecewise.function import PiecewiseFunction
+from repro.piecewise.function import PiecewiseFunction, _value_on
 from repro.piecewise.segments import Segment
-from repro.utils.checks import require
 
 _MERGE_TOLERANCE = 1e-12
 
 
 def _merged_grid(f: PiecewiseFunction, g: PiecewiseFunction) -> list[float]:
     """Union of the breakpoint grids of ``f`` and ``g`` on their common domain."""
-    require(f.domain == g.domain, f"domains differ: {f.domain} vs {g.domain}")
+    if f.domain != g.domain:
+        raise ValueError(f"domains differ: {f.domain} vs {g.domain}")
     points = sorted(set(f.breakpoints()) | set(g.breakpoints()))
     merged = [points[0]]
     for p in points[1:]:
@@ -32,21 +33,35 @@ def _merged_grid(f: PiecewiseFunction, g: PiecewiseFunction) -> list[float]:
     return merged
 
 
-def _segment_on_cell(
-    fn: PiecewiseFunction, starts: list[float], a: float, b: float
-) -> Segment:
-    """The restriction of ``fn`` to the cell ``[a, b]`` as a single segment.
+def _segment_on_cell(fn: PiecewiseFunction, a: float, b: float) -> tuple[float, float]:
+    """The values of ``fn`` at the ends of the cell ``[a, b]``.
 
     The cell is contained in one affine piece of ``fn`` by construction of
-    the merged grid; ``starts`` is the precomputed list of piece start
-    abscissae of ``fn`` used for binary search.
+    the merged grid; the piece is found by binary search over its start
+    abscissae.  An interpolated value that overflows raises the message
+    of the cell's :class:`Segment`.
     """
+    x0s, x1s, y0s, y1s = fn.coordinates
     mid = 0.5 * (a + b)
-    idx = max(bisect.bisect_right(starts, mid) - 1, 0)
-    seg = fn.segments[idx]
-    if seg.x0 <= mid <= seg.x1:
-        return Segment(a, b, seg.value_at(max(a, seg.x0)), seg.value_at(min(b, seg.x1)))
+    idx = max(bisect.bisect_right(x0s, mid) - 1, 0)
+    x0, x1, y0, y1 = x0s[idx], x1s[idx], y0s[idx], y1s[idx]
+    if x0 <= mid <= x1:
+        v0 = _value_on(x0, x1, y0, y1, max(a, x0))
+        v1 = _value_on(x0, x1, y0, y1, min(b, x1))
+        if not math.isfinite(v0 + v1):
+            Segment(a, b, v0, v1)  # raises when v0 or v1 is not finite
+        return v0, v1
     raise AssertionError(f"no segment of {fn!r} contains {mid}")  # pragma: no cover
+
+
+def _check_pieces(x0s, x1s, y0s, y1s) -> None:
+    """Raise the message of the first invalid piece, if any.
+
+    Called before re-raising an error found while computing a later
+    cell, so errors surface in piece order.
+    """
+    for piece in zip(x0s, x1s, y0s, y1s):
+        Segment(*piece)
 
 
 def combine(
@@ -63,14 +78,18 @@ def combine(
     interior crossings.
     """
     grid = _merged_grid(f, g)
-    f_starts = [s.x0 for s in f.segments]
-    g_starts = [s.x0 for s in g.segments]
-    segments = []
+    y0s: list[float] = []
+    y1s: list[float] = []
     for a, b in zip(grid, grid[1:]):
-        sf = _segment_on_cell(f, f_starts, a, b)
-        sg = _segment_on_cell(g, g_starts, a, b)
-        segments.append(Segment(a, b, op(sf.y0, sg.y0), op(sf.y1, sg.y1)))
-    return PiecewiseFunction(segments)
+        try:
+            f0, f1 = _segment_on_cell(f, a, b)
+            g0, g1 = _segment_on_cell(g, a, b)
+        except ValueError:
+            _check_pieces(grid, grid[1:], y0s, y1s)
+            raise
+        y0s.append(op(f0, g0))
+        y1s.append(op(f1, g1))
+    return PiecewiseFunction._from_coordinates(grid[:-1], grid[1:], y0s, y1s)
 
 
 def add(f: PiecewiseFunction, g: PiecewiseFunction) -> PiecewiseFunction:
@@ -88,26 +107,42 @@ def _envelope(
 ) -> PiecewiseFunction:
     """Exact pointwise max (or min) envelope, splitting cells at crossings."""
     grid = _merged_grid(f, g)
-    f_starts = [s.x0 for s in f.segments]
-    g_starts = [s.x0 for s in g.segments]
-    segments: list[Segment] = []
+    pick = max if take_max else min
+    x0s: list[float] = []
+    x1s: list[float] = []
+    y0s: list[float] = []
+    y1s: list[float] = []
     for a, b in zip(grid, grid[1:]):
-        sf = _segment_on_cell(f, f_starts, a, b)
-        sg = _segment_on_cell(g, g_starts, a, b)
-        d0 = sf.y0 - sg.y0
-        d1 = sf.y1 - sg.y1
-        pick = (lambda u, v: max(u, v)) if take_max else (lambda u, v: min(u, v))
+        try:
+            f0, f1 = _segment_on_cell(f, a, b)
+            g0, g1 = _segment_on_cell(g, a, b)
+        except ValueError:
+            _check_pieces(x0s, x1s, y0s, y1s)
+            raise
+        d0 = f0 - g0
+        d1 = f1 - g1
         if d0 * d1 < 0:
             # The two affine pieces cross strictly inside the cell: split.
             t = d0 / (d0 - d1)
             x_cross = a + t * (b - a)
-            y_cross = sf.value_at(x_cross) if abs(d0) < abs(d1) else sg.value_at(x_cross)
+            if not a <= x_cross <= b:
+                # Rounding put the crossing outside the cell, which
+                # Segment.value_at reports after any earlier bad piece.
+                _check_pieces(x0s, x1s, y0s, y1s)
+                raise ValueError(f"{x_cross} outside segment [{a}, {b}]")
+            y_a, y_b = (f0, f1) if abs(d0) < abs(d1) else (g0, g1)
+            y_cross = _value_on(a, b, y_a, y_b, x_cross)
             if x_cross - a > _MERGE_TOLERANCE and b - x_cross > _MERGE_TOLERANCE:
-                segments.append(Segment(a, x_cross, pick(sf.y0, sg.y0), y_cross))
-                segments.append(Segment(x_cross, b, y_cross, pick(sf.y1, sg.y1)))
+                x0s += (a, x_cross)
+                x1s += (x_cross, b)
+                y0s += (pick(f0, g0), y_cross)
+                y1s += (y_cross, pick(f1, g1))
                 continue
-        segments.append(Segment(a, b, pick(sf.y0, sg.y0), pick(sf.y1, sg.y1)))
-    return PiecewiseFunction(segments)
+        x0s.append(a)
+        x1s.append(b)
+        y0s.append(pick(f0, g0))
+        y1s.append(pick(f1, g1))
+    return PiecewiseFunction._from_coordinates(x0s, x1s, y0s, y1s)
 
 
 def max_envelope(f: PiecewiseFunction, g: PiecewiseFunction) -> PiecewiseFunction:

@@ -7,9 +7,9 @@ curves, delay-profile plots, the batch engine's scenario kernels) that
 overhead dominates.  This module provides the array-of-breakpoints fast
 path:
 
-* :func:`segment_index` — flatten a :class:`PiecewiseFunction` into
-  parallel coordinate tuples once, memoised with an LRU cache keyed on
-  the (hashable, immutable) function itself;
+* :func:`segment_index` — an O(1) view of the function's own
+  coordinate tuples (a :class:`PiecewiseFunction` stores its pieces that
+  way, so there is nothing to flatten or memoise);
 * :func:`evaluate_sorted` — evaluate at a non-decreasing sequence of
   query points with a single merge walk over the breakpoint array
   (``O(n + m)`` instead of ``m`` independent binary searches);
@@ -29,14 +29,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.piecewise.function import PiecewiseFunction
-from repro.utils.caching import SwappableLRU
-
-#: Number of distinct functions whose flattened indices are retained.
-#: Bounds memory while letting sweep workers reuse the same few benchmark
-#: functions across thousands of scenarios.  ``REPRO_CACHE_SIZE``
-#: overrides this default (see :mod:`repro.utils.caching`), sizing it
-#: together with the other per-process memos.
-SEGMENT_INDEX_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,61 +62,11 @@ class SegmentIndex:
         return len(self.starts)
 
 
-def _build_segment_index(f: PiecewiseFunction) -> SegmentIndex:
-    """The flattened :class:`SegmentIndex` of ``f``, LRU-memoised.
-
-    ``PiecewiseFunction`` is immutable and hashable, so the index is
-    computed once per distinct function; repeated batch evaluations of
-    the same function (the common case in scenario sweeps) skip the
-    flattening entirely.  Exposed as :data:`segment_index`, a
-    :class:`~repro.utils.caching.SwappableLRU` so the capacity follows
-    ``REPRO_CACHE_SIZE`` and can be resized at runtime.
-    """
-    segs = f.segments
-    lo, hi = f.domain
-    return SegmentIndex(
-        starts=tuple(s.x0 for s in segs),
-        x0=tuple(s.x0 for s in segs),
-        x1=tuple(s.x1 for s in segs),
-        y0=tuple(s.y0 for s in segs),
-        y1=tuple(s.y1 for s in segs),
-        lo=lo,
-        hi=hi,
-    )
-
-
-segment_index = SwappableLRU(_build_segment_index, SEGMENT_INDEX_CACHE_SIZE)
-
-
-def _value_from_index(index: SegmentIndex, cursor: int, x: float) -> float:
-    """Evaluate at ``x`` given the merge-walk ``cursor``.
-
-    ``cursor`` must equal ``bisect_right(index.starts, x)``; the candidate
-    segments and the per-segment arithmetic replicate
-    :meth:`PiecewiseFunction.value` exactly (same candidate window, same
-    interpolation expression, same max-of-limits tie handling) so results
-    are bit-identical to the scalar path.
-    """
-    first = cursor - 2
-    if first < 0:
-        first = 0
-    last = cursor - 1
-    if last < first:
-        last = first
-    x0s, x1s, y0s, y1s = index.x0, index.x1, index.y0, index.y1
-    best: float | None = None
-    for k in range(first, last + 1):
-        if x0s[k] <= x <= x1s[k]:
-            if x == x0s[k]:
-                v = y0s[k]
-            elif x == x1s[k]:
-                v = y1s[k]
-            else:
-                ratio = (x - x0s[k]) / (x1s[k] - x0s[k])
-                v = y0s[k] + ratio * (y1s[k] - y0s[k])
-            best = v if best is None else max(best, v)
-    assert best is not None  # domain check by the callers guarantees coverage
-    return best
+def segment_index(f: PiecewiseFunction) -> SegmentIndex:
+    """The :class:`SegmentIndex` of ``f``: a view sharing ``f``'s own
+    coordinate tuples, built in O(1)."""
+    x0, x1, y0, y1 = f.coordinates
+    return SegmentIndex(x0, x0, x1, y0, y1, x0[0], x1[-1])
 
 
 def evaluate_sorted(
@@ -224,10 +166,6 @@ def evaluate_many(
             raise ValueError(f"{x} outside domain [{lo}, {hi}]")
         while cursor < n and starts[cursor] <= x:
             cursor += 1
-        out[i] = _value_from_index(index, cursor, x)
+        out[i] = f._value_at_cursor(cursor, x)
     return out
 
-
-def clear_segment_index_cache() -> None:
-    """Drop all memoised segment indices (mainly for tests/long sweeps)."""
-    segment_index.cache_clear()

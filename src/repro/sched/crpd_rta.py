@@ -120,7 +120,8 @@ def delay_aware_rta(
     Returns:
         The test outcome with the execution times it used.
     """
-    require(method in METHODS, f"unknown method {method!r}; pick from {METHODS}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; pick from {METHODS}")
 
     if method == "oblivious":
         wcets = {t.name: t.wcet for t in tasks}

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 from repro.tasks.task import Task, TaskSet
-from repro.utils.checks import require
 
 #: Iteration cap for the fixpoint; reached only near U = 1 pathologies.
 _MAX_ITERATIONS = 100_000
@@ -74,7 +73,8 @@ def response_time(
         past the deadline (the caller treats that as a deadline miss).
     """
     c = execution_time if execution_time is not None else task.wcet
-    require(c > 0, f"{task.name}: execution time must be > 0")
+    if not c > 0:
+        raise ValueError(f"{task.name}: execution time must be > 0")
     hp_times = hp_execution_times or {}
     hp_costs = [
         (hp, hp_times.get(hp.name, hp.wcet)) for hp in higher_priority

@@ -43,18 +43,19 @@ class Task:
 
     def __post_init__(self) -> None:
         require(bool(self.name), "task needs a non-empty name")
-        require_positive(self.wcet, f"{self.name}.wcet")
-        require_positive(self.period, f"{self.name}.period")
+        require_positive(self.wcet, "wcet", owner=self.name)
+        require_positive(self.period, "period", owner=self.name)
         if self.deadline is None:
             object.__setattr__(self, "deadline", self.period)
-        require_positive(self.deadline, f"{self.name}.deadline")
+        require_positive(self.deadline, "deadline", owner=self.name)
         if self.npr_length is not None:
-            require_positive(self.npr_length, f"{self.name}.npr_length")
-        if self.delay_function is not None:
-            require(
-                abs(self.delay_function.wcet - self.wcet) < 1e-9,
+            require_positive(self.npr_length, "npr_length", owner=self.name)
+        if self.delay_function is not None and not (
+            abs(self.delay_function.wcet - self.wcet) < 1e-9
+        ):
+            raise ValueError(
                 f"{self.name}: delay function domain "
-                f"[0, {self.delay_function.wcet}] must match wcet {self.wcet}",
+                f"[0, {self.delay_function.wcet}] must match wcet {self.wcet}"
             )
 
     @property

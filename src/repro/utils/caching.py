@@ -1,8 +1,7 @@
 """Shared sizing knob for the per-process memo caches.
 
-The engine keeps several per-process LRU memos (flattened
-``SegmentIndex`` arrays, shared-artifact ``AnalysisContext`` objects,
-batched kernel grids).  Historically each had its own hard-coded
+The engine keeps two per-process LRU memos (shared-artifact
+``AnalysisContext`` objects and batched kernel grids).  Historically each had its own hard-coded
 default and no runtime control, so a campaign whose working set
 exceeded one of the defaults would silently thrash that cache while
 the others sat oversized.  This module provides the one surface that

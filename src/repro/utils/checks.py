@@ -24,10 +24,15 @@ def require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def require_positive(value: float, name: str) -> None:
-    """Validate that ``value`` is a finite number strictly greater than zero."""
+def require_positive(value: float, name: str, owner: str | None = None) -> None:
+    """Validate that ``value`` is a finite number strictly greater than zero.
+
+    The message names ``owner.name`` when ``owner`` is given; that label
+    is formatted only when the check fails.
+    """
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+        label = name if owner is None else f"{owner}.{name}"
+        raise ValueError(f"{label} must be a finite positive number, got {value!r}")
 
 
 def require_non_negative(value: float, name: str) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 from typing import TypeVar
 
@@ -23,7 +24,7 @@ def pairwise(items: Iterable[T]) -> Iterator[tuple[T, T]]:
 
 def is_strictly_increasing(values: Sequence[float]) -> bool:
     """Return ``True`` when every element is strictly larger than the previous."""
-    return all(a < b for a, b in pairwise(values))
+    return all(map(operator.lt, values, values[1:]))
 
 
 def lcm_many(values: Iterable[int]) -> int:

@@ -1,4 +1,4 @@
-"""Bit-identity of the piecewise layer's shortcuts with the loops they
+"""Bit-identity of the piecewise layer's fast paths with the code they
 replace.
 
 * :meth:`PiecewiseFunction.max_on` reads the end values of pieces that
@@ -10,14 +10,31 @@ replace.
 * :func:`unimodal_upper_step` evaluates the callable once per knot; it
   must build the same step function as the loop below, which evaluates
   both ends of every interval.
+* A :class:`PiecewiseFunction` stores coordinate tuples, validated as
+  whole tuples.  The tuple constructor, :func:`combine`,
+  :func:`max_envelope` and every window of Algorithm 1 must match
+  frozen copies of the :class:`Segment`-based code: the same function
+  or the same first error, and the same :class:`WindowStep` trace.
 """
 
+import bisect
 import math
+import operator
 
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from repro.piecewise import PiecewiseFunction, Segment, step, unimodal_upper_step
+from repro.core import PreemptionDelayFunction, floating_npr_delay_bound
+from repro.core.floating_npr import WindowStep
+from repro.piecewise import (
+    PiecewiseFunction,
+    Segment,
+    combine,
+    max_envelope,
+    min_envelope,
+    step,
+    unimodal_upper_step,
+)
 from repro.utils.seq import pairwise
 
 #: Ordinates rich in ties: equal values, and zeros of both signs.
@@ -288,3 +305,261 @@ class TestUnimodalUpperStep:
         calls.clear()
         unimodal_upper_step(counted, 500.0, 0.0, 100.0, knots=64)
         assert len(calls) == 65
+
+
+# ----------------------------------------------------------------------
+# Frozen Segment-based reference code
+# ----------------------------------------------------------------------
+
+TOLERANCE = 1e-9
+MERGE_TOLERANCE = 1e-12
+
+
+def reference_function(segments) -> tuple:
+    """``PiecewiseFunction.__init__`` as it was: the pieces, or its error."""
+    segs = tuple(segments)
+    if not segs:
+        raise ValueError("a piecewise function needs at least one segment")
+    for left, right in zip(segs, segs[1:]):
+        if not abs(left.x1 - right.x0) <= TOLERANCE:
+            raise ValueError(f"segments must be contiguous: {left!r} then {right!r}")
+    return segs
+
+
+def function_bits(pieces) -> list[tuple]:
+    """``bits`` of every coordinate of a function or a tuple of pieces
+    (read as stored: building a Segment would validate them again)."""
+    if isinstance(pieces, PiecewiseFunction):
+        rows = zip(*pieces.coordinates)
+    else:
+        rows = ((s.x0, s.x1, s.y0, s.y1) for s in pieces)
+    return [tuple(bits(v) for v in row) for row in rows]
+
+
+def built(call) -> tuple:
+    """``function_bits`` of what ``call()`` builds, or the message it raises."""
+    try:
+        return ("built", function_bits(call()))
+    except ValueError as error:
+        return ("raised", str(error))
+
+
+def reference_merged_grid(f, g):
+    if not f.domain == g.domain:
+        raise ValueError(f"domains differ: {f.domain} vs {g.domain}")
+    points = sorted(set(f.breakpoints()) | set(g.breakpoints()))
+    merged = [points[0]]
+    for p in points[1:]:
+        if p - merged[-1] > MERGE_TOLERANCE:
+            merged.append(p)
+    if merged[-1] != points[-1]:
+        merged[-1] = points[-1]
+    return merged
+
+
+def reference_segment_on_cell(segments, starts, a, b):
+    mid = 0.5 * (a + b)
+    seg = segments[max(bisect.bisect_right(starts, mid) - 1, 0)]
+    assert seg.x0 <= mid <= seg.x1
+    return Segment(a, b, seg.value_at(max(a, seg.x0)), seg.value_at(min(b, seg.x1)))
+
+
+def reference_combine(f, g, op):
+    """``combine`` as it was, building a Segment per cell."""
+    grid = reference_merged_grid(f, g)
+    fs, gs = f.segments, g.segments
+    f_starts, g_starts = [s.x0 for s in fs], [s.x0 for s in gs]
+    segments = []
+    for a, b in zip(grid, grid[1:]):
+        sf = reference_segment_on_cell(fs, f_starts, a, b)
+        sg = reference_segment_on_cell(gs, g_starts, a, b)
+        segments.append(Segment(a, b, op(sf.y0, sg.y0), op(sf.y1, sg.y1)))
+    return reference_function(segments)
+
+
+def reference_envelope(f, g, take_max):
+    """``max_envelope`` / ``min_envelope`` as they were."""
+    grid = reference_merged_grid(f, g)
+    fs, gs = f.segments, g.segments
+    f_starts, g_starts = [s.x0 for s in fs], [s.x0 for s in gs]
+    segments = []
+    for a, b in zip(grid, grid[1:]):
+        sf = reference_segment_on_cell(fs, f_starts, a, b)
+        sg = reference_segment_on_cell(gs, g_starts, a, b)
+        d0 = sf.y0 - sg.y0
+        d1 = sf.y1 - sg.y1
+        pick = (lambda u, v: max(u, v)) if take_max else (lambda u, v: min(u, v))
+        if d0 * d1 < 0:
+            t = d0 / (d0 - d1)
+            x_cross = a + t * (b - a)
+            y_cross = sf.value_at(x_cross) if abs(d0) < abs(d1) else sg.value_at(x_cross)
+            if x_cross - a > MERGE_TOLERANCE and b - x_cross > MERGE_TOLERANCE:
+                segments.append(Segment(a, x_cross, pick(sf.y0, sg.y0), y_cross))
+                segments.append(Segment(x_cross, b, y_cross, pick(sf.y1, sg.y1)))
+                continue
+        segments.append(Segment(a, b, pick(sf.y0, sg.y0), pick(sf.y1, sg.y1)))
+    return reference_function(segments)
+
+
+def reference_algorithm1(f, q, max_preemptions, min_progress_fraction=1e-12):
+    """Algorithm 1's loop over the Segment-based queries above:
+    ``(total, converged, preemptions, steps)``."""
+    wcet = f.domain_end
+    steps = []
+    total = 0.0
+    p_next = q
+    iteration = 0
+    while p_next < wcet:
+        iteration += 1
+        prog = p_next
+        window_end = min(prog + q, wcet)
+        lo, hi = max(prog, 0.0), min(window_end, wcet)
+        p_cross = reference_first_meeting(f, lo, hi, prog + q)
+        if p_cross is None:
+            p_cross = window_end
+        delay, p_max = reference_max_on(f, max(prog, 0.0), min(p_cross, wcet))
+        if delay >= q - q * min_progress_fraction:
+            return math.inf, False, len(steps), steps
+        p_next = prog + q - delay
+        total += delay
+        steps.append(WindowStep(iteration, prog, p_cross, p_max, delay, p_next))
+    preemptions = len(steps)
+    if max_preemptions is not None and max_preemptions < len(steps):
+        total = sum(sorted((s.delay for s in steps), reverse=True)[:max_preemptions])
+        preemptions = max_preemptions
+    return total, True, preemptions, steps
+
+
+def step_bits(s: WindowStep) -> tuple:
+    return (s.index, *(bits(v) for v in (s.prog, s.p_cross, s.p_max, s.delay, s.p_next)))
+
+
+# ----------------------------------------------------------------------
+# Properties
+# ----------------------------------------------------------------------
+
+#: Ordinates that pass every check, with ties, zeros of both signs and
+#: values whose sums overflow (the tuple check then looks piece by piece).
+valid_values = st.sampled_from([0.0, -0.0, 1.0, -2.5, 7.0, 1e308, -1e308])
+#: Values that fail a check wherever they land.
+invalid_values = st.sampled_from([math.inf, -math.inf, math.nan])
+#: Gaps between pieces around the contiguity tolerance, one ulp either side.
+gaps = st.sampled_from(
+    [
+        0.0,
+        math.nextafter(TOLERANCE, 0.0),
+        TOLERANCE,
+        math.nextafter(TOLERANCE, math.inf),
+        -math.nextafter(TOLERANCE, 0.0),
+        -TOLERANCE,
+        -math.nextafter(TOLERANCE, math.inf),
+        2 * TOLERANCE,
+    ]
+)
+
+
+@st.composite
+def coordinate_tuples(draw):
+    """``(x0, x1, y0, y1)`` lists: contiguous pieces up to the gaps, with
+    zero or more coordinates then replaced by zero widths, NaN or
+    infinities."""
+    pieces = draw(
+        st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), gaps),
+                st.sampled_from([1.0, 0.25, 3e-10, 1e-9]),
+                valid_values,
+                valid_values,
+            ),
+            max_size=6,
+        )
+    )
+    x0, x1, y0, y1 = [], [], [], []
+    x = draw(st.sampled_from([0.0, -0.0, 5.0, -1e308]))
+    for gap, width, ya, yb in pieces:
+        start = x + gap if x0 else x
+        x0.append(start)
+        x1.append(start + width)
+        y0.append(ya)
+        y1.append(yb)
+        x = start + width
+    coordinates = [x0, x1, y0, y1]
+    if x0:
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            k = draw(st.integers(min_value=0, max_value=len(x0) - 1))
+            column = draw(st.integers(min_value=0, max_value=3))
+            if draw(st.booleans()):
+                coordinates[column][k] = draw(invalid_values)
+            else:  # a zero or negative width
+                coordinates[1][k] = x0[k] - draw(st.sampled_from([0.0, 0.5]))
+    return coordinates
+
+
+@st.composite
+def functions_on(draw, lo: float, hi: float, values):
+    """A step or continuous piecewise-linear function on ``[lo, hi]``
+    with ordinates drawn from ``values``."""
+    cuts = draw(st.lists(st.floats(0.0, 1.0), max_size=6))
+    knots = sorted({k for k in (lo + t * (hi - lo) for t in cuts) if lo < k < hi})
+    xs = [lo, *knots, hi]
+    if draw(st.booleans()):
+        return step(xs, draw(st.lists(values, min_size=len(xs) - 1, max_size=len(xs) - 1)))
+    ys = draw(st.lists(values, min_size=len(xs), max_size=len(xs)))
+    return PiecewiseFunction(Segment(a, b, ya, yb) for (a, b), (ya, yb) in zip(pairwise(xs), pairwise(ys)))
+
+
+class TestTupleStorageOracles:
+    @given(coordinate_tuples())
+    def test_tuple_constructor_matches_segments(self, coordinates):
+        assert built(lambda: PiecewiseFunction._from_coordinates(*coordinates)) == built(
+            lambda: reference_function([Segment(*piece) for piece in zip(*coordinates)])
+        )
+
+    @given(st.data())
+    def test_combine_and_envelopes_match_segments(self, data):
+        lo = data.draw(st.sampled_from([0.0, -0.0, -3.0]))
+        hi = data.draw(st.sampled_from([1.0, 10.0, 1e-9]))
+        values = st.one_of(tie_values, st.floats(-50.0, 50.0), st.sampled_from([1e308, -1e308]))
+        f = data.draw(functions_on(lo, hi, values))
+        g = data.draw(functions_on(lo, hi, values))
+        for op in (operator.add, operator.sub, operator.mul):
+            assert built(lambda: combine(f, g, op)) == built(lambda: reference_combine(f, g, op))
+        assert built(lambda: max_envelope(f, g)) == built(
+            lambda: reference_envelope(f, g, take_max=True)
+        )
+        assert built(lambda: min_envelope(f, g)) == built(
+            lambda: reference_envelope(f, g, take_max=False)
+        )
+
+    @given(
+        st.data(),
+        st.floats(min_value=0.5, max_value=60.0),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+    )
+    def test_algorithm1_windows_match_segments(self, data, q, cap):
+        wcet = data.draw(st.sampled_from([7.0, 50.0, 100.0, 333.3]))
+        values = st.one_of(st.sampled_from([0.0, 1.0, 2.5, 7.0]), st.floats(0.0, 40.0))
+        f = data.draw(functions_on(0.0, wcet, values))
+        bound = floating_npr_delay_bound(PreemptionDelayFunction(f), q, max_preemptions=cap)
+        total, converged, preemptions, steps = reference_algorithm1(f, q, cap)
+        assert (bits(bound.total_delay), bound.converged, bound.preemptions) == (
+            bits(total),
+            converged,
+            preemptions,
+        )
+        assert [step_bits(s) for s in bound.steps] == [step_bits(s) for s in steps]
+
+    def test_errors_keep_piece_order_across_cells(self):
+        # The first cell's crossing value overflows (a bad piece); in the
+        # second, t rounds to 1 and 1.11 + (3.22 - 1.11) lands one ulp
+        # past 3.22, outside the cell.  The bad piece must raise first.
+        f = PiecewiseFunction([Segment(0.0, 1.11, 1e308, -1e308), Segment(1.11, 3.22, 1.0, 0.0)])
+        g = PiecewiseFunction([Segment(0.0, 1.11, 6e307, -4e307), Segment(1.11, 3.22, 0.0, 1e-300)])
+        outcome = built(lambda: max_envelope(f, g))
+        assert outcome == built(lambda: reference_envelope(f, g, take_max=True))
+        assert outcome[1].startswith("segment coordinates must be finite")
+        tail_f, tail_g = f.restricted(1.11, 3.22), g.restricted(1.11, 3.22)
+        assert built(lambda: max_envelope(tail_f, tail_g)) == (
+            "raised",
+            "3.2200000000000006 outside segment [1.11, 3.22]",
+        )

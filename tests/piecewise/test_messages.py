@@ -23,8 +23,19 @@ from repro.engine import (
     evaluate_bound_scenario,
     evaluate_study_scenario,
 )
+from repro.core import PreemptionDelayFunction
+from repro.engine.context import (
+    TASK_SET,
+    TASKSET_ARTIFACTS,
+    build_context,
+    taskset_context_key,
+)
 from repro.engine.sweeps import benchmark_function
-from repro.piecewise import PiecewiseFunction, Segment, clear_segment_index_cache, step
+from repro.npr.assignment import apply_npr_lengths, assign_npr_lengths
+from repro.piecewise import PiecewiseFunction, Segment, add, constant, step
+from repro.sched.crpd_rta import delay_aware_rta
+from repro.sched.rta import response_time
+from repro.tasks import Task, TaskSet
 from repro.utils.checks import require_non_negative, require_positive
 
 TOLERANCE = 1e-9
@@ -218,6 +229,98 @@ class TestFunctionMessages:
             )
 
 
+class TestPerScenarioCheckMessages:
+    """Checks that run for every scenario build their message only when
+    they fail; the text is the one they always had."""
+
+    def test_builder_and_operation_messages(self):
+        cases = [
+            (lambda: constant(1.0, 2.0, 2.0), "domain must have positive width, got [2.0, 2.0]"),
+            (
+                lambda: add(constant(1.0, 0.0, 1.0), constant(1.0, 0.0, 2.0)),
+                "domains differ: (0.0, 1.0) vs (0.0, 2.0)",
+            ),
+            (
+                lambda: PreemptionDelayFunction(constant(1.0, 0.5, 2.0)),
+                "f_i must be defined from progression 0, domain is (0.5, 2.0)",
+            ),
+        ]
+        for call, text in cases:
+            with pytest.raises(ValueError) as excinfo:
+                call()
+            assert message(excinfo) == text
+
+    @pytest.mark.parametrize(
+        "fields, text",
+        [
+            ({"wcet": 0.0}, "t1.wcet must be a finite positive number, got 0.0"),
+            ({"period": math.nan}, "t1.period must be a finite positive number, got nan"),
+            ({"deadline": -1.0}, "t1.deadline must be a finite positive number, got -1.0"),
+            ({"npr_length": math.inf}, "t1.npr_length must be a finite positive number, got inf"),
+            (
+                {"delay_function": PreemptionDelayFunction(constant(1.0, 0.0, 3.0))},
+                "t1: delay function domain [0, 3.0] must match wcet 2.0",
+            ),
+        ],
+    )
+    def test_task_messages(self, fields, text):
+        with pytest.raises(ValueError) as excinfo:
+            Task(**{"name": "t1", "wcet": 2.0, "period": 10.0, **fields})
+        assert message(excinfo) == text
+
+    def test_schedulability_messages(self):
+        tasks = TaskSet([Task("a", 1.0, 10.0), Task("b", 2.0, 20.0)])
+        cases = [
+            (
+                lambda: response_time(tasks[0], [], execution_time=0.0),
+                "a: execution time must be > 0",
+            ),
+            (
+                lambda: apply_npr_lengths(tasks, {"a": 1.0, "b": 1.0}, 1.5),
+                "fraction must lie in (0, 1], got 1.5",
+            ),
+            (
+                lambda: apply_npr_lengths(tasks, {"a": 1.0, "b": 0.0}, 0.5),
+                "task b admits no positive NPR length (Q_max = 0.0)",
+            ),
+            (lambda: assign_npr_lengths(tasks, "rm"), "unknown policy 'rm'"),
+            (
+                lambda: assign_npr_lengths(tasks, "edf", 0.0),
+                "fraction must lie in (0, 1], got 0.0",
+            ),
+            (
+                lambda: delay_aware_rta(tasks, "magic"),
+                "unknown method 'magic'; pick from "
+                "('oblivious', 'busquets', 'petters', 'eq4', 'algorithm1')",
+            ),
+        ]
+        for call, text in cases:
+            with pytest.raises(ValueError) as excinfo:
+                call()
+            assert message(excinfo) == text
+
+    def test_context_messages(self):
+        key = taskset_context_key(3, 0.5, 7, 0.05)
+        full = build_context(key, TASKSET_ARTIFACTS)
+        bare = build_context(key, (TASK_SET,))
+        cases = [
+            (lambda: full.prepared_task_set("rm", 0.5), "unknown policy 'rm'"),
+            (
+                lambda: full.prepared_task_set("fp", 1.25),
+                "q_fraction must lie in (0, 1], got 1.25",
+            ),
+            (
+                lambda: bare.prepared_task_set("edf", 0.5),
+                "context 'taskset' was built without 'task-set'/'edf-curves'; "
+                "declare them in the family's artifacts",
+            ),
+        ]
+        for call, text in cases:
+            with pytest.raises(ValueError) as excinfo:
+                call()
+            assert message(excinfo) == text
+
+
 class TestCheckHelperMessages:
     @pytest.mark.parametrize("value", [0, -1.5, math.nan, math.inf, "3"])
     def test_require_positive(self, value):
@@ -240,35 +343,47 @@ class TestCheckHelperMessages:
 
 
 class TestNoEagerFormatting:
-    """The success path must not build a single error message."""
+    """The success path must not build a single error message.
+
+    Functions on the hot path are built from coordinate tuples, so the
+    precondition is that the tuple constructor validated real functions,
+    and the guard is that no :class:`Segment` (whose checks format their
+    own ``repr`` on failure) was built or formatted at all.
+    """
 
     @pytest.fixture
-    def repr_calls(self, monkeypatch):
-        calls = []
-        built = []
+    def counters(self, monkeypatch):
+        reprs, segments, validated = [], [], []
         original_repr = Segment.__repr__
         original_init = Segment.__post_init__
+        original_from = PiecewiseFunction._from_coordinates.__func__
 
         def counting_repr(self):
-            calls.append(self)
+            reprs.append(None)
             return original_repr(self)
 
         def counting_init(self):
-            built.append(None)
+            segments.append(None)
             original_init(self)
+
+        def counting_from(cls, *coordinates):
+            f = original_from(cls, *coordinates)
+            validated.append(len(f))
+            return f
 
         monkeypatch.setattr(Segment, "__repr__", counting_repr)
         monkeypatch.setattr(Segment, "__post_init__", counting_init)
+        monkeypatch.setattr(
+            PiecewiseFunction, "_from_coordinates", classmethod(counting_from)
+        )
         clear_context_cache()
-        clear_segment_index_cache()
         benchmark_function.cache_clear()
-        yield calls, built
+        yield reprs, segments, validated
         clear_context_cache()
-        clear_segment_index_cache()
         benchmark_function.cache_clear()
 
-    def test_study_scenario(self, repr_calls):
-        calls, built = repr_calls
+    def test_study_scenario(self, counters):
+        reprs, segments, validated = counters
         result = evaluate_study_scenario(
             StudyScenario(
                 utilization=0.6,
@@ -280,18 +395,21 @@ class TestNoEagerFormatting:
             )
         )
         assert result.admitted
-        assert built, "the scenario built no segments: the guard tests nothing"
-        assert calls == []
+        assert len(validated) >= 5, "the scenario validated no functions: the guard tests nothing"
+        assert segments == []
+        assert reprs == []
 
-    def test_bound_scenario_at_1024_knots(self, repr_calls):
-        calls, built = repr_calls
+    def test_bound_scenario_at_1024_knots(self, counters):
+        reprs, segments, validated = counters
         result = evaluate_bound_scenario(BoundScenario("gaussian1", 120.0, knots=1024))
         assert result.algorithm1 > 0
-        assert len(built) >= 1024
-        assert calls == []
+        assert max(validated, default=0) >= 1024
+        assert segments == []
+        assert reprs == []
 
-    def test_the_guard_sees_a_formatted_message(self, repr_calls):
-        calls, _ = repr_calls
+    def test_the_guard_sees_a_formatted_message(self, counters):
+        reprs, segments, _ = counters
         with pytest.raises(ValueError):
             Segment(0.0, 0.0, 0.0, 0.0)
-        assert len(calls) == 1
+        assert len(segments) == 1
+        assert len(reprs) == 1

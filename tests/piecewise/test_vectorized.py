@@ -7,7 +7,6 @@ import pytest
 from repro.piecewise import (
     PiecewiseFunction,
     Segment,
-    clear_segment_index_cache,
     evaluate_many,
     evaluate_sorted,
     from_points,
@@ -103,10 +102,16 @@ class TestValidation:
         assert evaluate_sorted(f, []) == []
 
 
-class TestSegmentIndexCache:
-    def test_index_is_memoised_per_function(self):
+class TestSegmentIndex:
+    def test_index_shares_the_functions_tuples(self):
         f = from_points([0.0, 1.0, 3.0], [0.0, 2.0, 1.0])
-        assert segment_index(f) is segment_index(f)
+        index = segment_index(f)
+        assert all(
+            mine is theirs
+            for mine, theirs in zip((index.x0, index.x1, index.y0, index.y1), f.coordinates)
+        )
+        assert index.starts is index.x0
+        assert segment_index(f) == index
 
     def test_index_mirrors_segments(self):
         f = PiecewiseFunction(
@@ -117,10 +122,3 @@ class TestSegmentIndexCache:
         assert index.starts == (0.0, 1.0)
         assert index.x1 == (1.0, 4.0)
         assert (index.lo, index.hi) == (0.0, 4.0)
-
-    def test_cache_clear(self):
-        f = from_points([0.0, 1.0], [0.0, 1.0])
-        first = segment_index(f)
-        clear_segment_index_cache()
-        assert segment_index(f) is not first
-        assert segment_index(f) == first

@@ -1,7 +1,7 @@
 """The shared ``REPRO_CACHE_SIZE`` knob and the SwappableLRU memo.
 
-One environment variable sizes every per-process memo (SegmentIndex
-arrays, AnalysisContext objects, batched kernel grids); these tests
+One environment variable sizes every per-process memo (AnalysisContext
+objects, batched kernel grids); these tests
 lock in the parsing rules, the lru-compatible memo behaviour, and the
 wiring — each engine memo is a :class:`SwappableLRU` that picks the
 override up on ``resize()``.
@@ -157,13 +157,12 @@ class TestThreadPinnedLRU:
 
 class TestEngineMemoWiring:
     def test_every_engine_memo_follows_the_knob(self, monkeypatch):
-        # The one-knob contract: SegmentIndex, AnalysisContext and
-        # BatchedGrid memos all resize through REPRO_CACHE_SIZE.
+        # The one-knob contract: the AnalysisContext and BatchedGrid
+        # memos both resize through REPRO_CACHE_SIZE.
         from repro.engine.context import get_context
         from repro.piecewise.backends import batched_grid
-        from repro.piecewise.vectorized import segment_index
 
-        memos = (get_context, segment_index, batched_grid)
+        memos = (get_context, batched_grid)
         for memo in memos:
             assert isinstance(memo, SwappableLRU)
         monkeypatch.setenv(CACHE_SIZE_ENV, "11")

@@ -86,6 +86,14 @@ class TestJobCommands:
         assert versions == MATRIX_VERSIONS
         assert "python -m pytest -x -q" in _steps_commands(job)
 
+    def test_test_job_runs_the_perfbench_smoke_tests(self, workflow):
+        # Every perfbench workload runs on tiny inputs and its output
+        # digests are checked against perfbench/reference.json, so a
+        # change to any record's bytes fails the tier-1 job.
+        commands = _steps_commands(workflow["jobs"]["test"])
+        assert "python -m pytest perfbench/smoke_check.py -q" in commands
+        assert (REPO_ROOT / "perfbench" / "smoke_check.py").is_file()
+
     def test_lint_job_runs_ruff(self, workflow):
         commands = _steps_commands(workflow["jobs"]["lint"])
         assert "ruff check" in commands
