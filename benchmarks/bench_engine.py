@@ -22,12 +22,10 @@ benchmark run instead of silently shipping:
    (the pre-context worker); the grouped path resolves them once per
    :class:`repro.engine.context.ContextKey`.  Must be ≥2x faster and
    bit-identical.
-4. **The ``numpy`` kernel backend vs the default vectorized path** on
-   the same grouped grid: the struct-of-arrays batch entry point
-   (``backend="numpy"`` + the family's ``batch_worker``) must deliver
-   ≥1.2x, bit-identical, and its absolute µs per scenario must stay
-   within 3x of ``benchmarks/BASELINE.json`` (skips when numpy is not
-   importable).
+4. **Algorithm 1's kernel on a grouped bound grid**: the per-scenario
+   path over warmed benchmark functions must be bit-identical to the
+   ungrouped run, and its absolute µs per scenario must stay within
+   3x of ``benchmarks/BASELINE.json``.
 5. **Vectorized piecewise kernel vs the scalar ``f.value`` loop** on a
    large sample grid.
 
@@ -46,7 +44,6 @@ from __future__ import annotations
 
 import time
 
-import pytest
 from conftest import (
     MAX_BASELINE_REGRESSION,
     baseline_drift,
@@ -99,13 +96,6 @@ GRID_SEEDS = scaled(5, 3)
 GRID_Q_FRACTIONS = scaled(6, 4)
 #: The context layer must at least halve the grid's wall clock.
 MIN_GROUPED_SPEEDUP = 2.0
-
-#: Floor for the struct-of-arrays numpy kernel over the default
-#: per-scenario vectorized path on the grouped grid: about half the
-#: measured smoke ratio (median 2.4x, range 1.3-3.3x, on a 2-CPU Xeon),
-#: the margin the gate has always kept.  The absolute numpy µs per
-#: scenario is gated against ``BASELINE.json`` as well.
-MIN_NUMPY_SPEEDUP = 1.2
 
 
 def _best_of(reps, fn, *, before=None):
@@ -356,103 +346,69 @@ def test_grouped_context_beats_ungrouped_rebuild(artifacts_dir):
     )
 
 
-def test_numpy_backend_beats_vectorized_on_grouped_grid(artifacts_dir):
-    """``--backend numpy`` must deliver ≥1.2x over the default
-    per-scenario vectorized path on a large grouped grid, bit-identical,
-    and stay within 3x of its committed absolute µs per scenario.
+def test_kernel_on_grouped_grid_within_baseline(artifacts_dir):
+    """The default per-scenario path on a large grouped bound grid must
+    be bit-identical to the ungrouped run and stay within 3x of its
+    committed absolute µs per scenario.
 
-    Both paths run the same grouped chunk plan over warmed benchmark
-    functions, so the timings isolate exactly what the backend axis
-    changes: per-scenario window walks vs one struct-of-arrays lockstep
-    kernel call per chunk (the batched grid build is charged to the
-    numpy side)."""
-    pytest.importorskip("numpy")
-    from repro.engine import evaluate_bound_batch
+    Every context group is warmed first, so the timing is Algorithm 1
+    and Eq. 4 per scenario, not function construction."""
     from repro.engine.sweeps import bound_context_key
-    from repro.piecewise import clear_batched_grid_cache
 
     qs = default_q_grid(q_min=Q_MIN, points=N_POINTS)
     scenarios = q_sweep_scenarios(qs, knots=KNOTS)
     assert len(scenarios) >= MIN_SCENARIOS
 
-    # Warm every context group (function construction is identical on
-    # both sides and not what the backend changes).
     run_batch(
         evaluate_bound_scenario,
         q_sweep_scenarios(qs[:1], knots=KNOTS),
         group_by=bound_context_key,
     )
-
-    t_vectorized, baseline = _best_of(
+    t_kernel, grouped = _best_of(
         TIMING_REPS,
         lambda: run_batch(
             evaluate_bound_scenario, scenarios, group_by=bound_context_key
         ),
     )
-    t_numpy, batched = _best_of(
-        TIMING_REPS,
-        lambda: run_batch(
-            evaluate_bound_scenario,
-            scenarios,
-            group_by=bound_context_key,
-            backend="numpy",
-            batch_worker=evaluate_bound_batch,
-        ),
-        before=clear_batched_grid_cache,
-    )
 
-    assert batched == baseline  # bit-identical records
-    speedup = t_vectorized / t_numpy
-    numpy_us = t_numpy / len(scenarios) * 1e6
+    assert grouped == run_batch(evaluate_bound_scenario, scenarios)
+    kernel_us = t_kernel / len(scenarios) * 1e6
     drift, gated = baseline_drift(
-        "engine.numpy_backend", "numpy_us_per_scenario", numpy_us
+        "engine.kernel", "kernel_us_per_scenario", kernel_us
     )
 
     table = render_table(
         ["path", "seconds", "scenarios/s"],
         [
             [
-                "vectorized (per-scenario)",
-                f"{t_vectorized:.2f}",
-                f"{len(scenarios) / t_vectorized:.0f}",
+                "per-scenario kernel (grouped)",
+                f"{t_kernel:.2f}",
+                f"{len(scenarios) / t_kernel:.0f}",
             ],
-            [
-                "numpy (struct-of-arrays batch)",
-                f"{t_numpy:.2f}",
-                f"{len(scenarios) / t_numpy:.0f}",
-            ],
-            ["speedup", f"{speedup:.1f}x", ""],
-            ["numpy µs/scenario", f"{numpy_us:.0f}", ""],
+            ["µs/scenario", f"{kernel_us:.0f}", ""],
             ["vs BASELINE.json", f"{drift:.2f}x", "gated" if gated else "reported"],
         ],
     )
-    save_text(artifacts_dir, "bench_engine_numpy.txt", table)
+    save_text(artifacts_dir, "bench_engine_kernel.txt", table)
     update_bench_json(
         artifacts_dir,
         "engine",
         {
-            "numpy_backend": {
+            "kernel": {
                 "scenarios": len(scenarios),
-                "vectorized_s": round(t_vectorized, 4),
-                "numpy_s": round(t_numpy, 4),
-                "numpy_ops_per_s": round(len(scenarios) / t_numpy, 1),
-                "numpy_us_per_scenario": round(numpy_us, 1),
+                "kernel_s": round(t_kernel, 4),
+                "kernel_ops_per_s": round(len(scenarios) / t_kernel, 1),
+                "kernel_us_per_scenario": round(kernel_us, 1),
                 "baseline_drift": round(drift, 3),
-                "speedup": round(speedup, 2),
             }
         },
     )
     print()
     print(table)
 
-    assert speedup >= MIN_NUMPY_SPEEDUP, (
-        f"numpy backend ({t_numpy:.2f}s) is only {speedup:.2f}x faster "
-        f"than the vectorized path ({t_vectorized:.2f}s); the batch "
-        f"kernel must deliver >= {MIN_NUMPY_SPEEDUP}x"
-    )
     if gated:
         assert drift <= MAX_BASELINE_REGRESSION, (
-            f"numpy backend takes {numpy_us:.0f} µs/scenario, {drift:.2f}x "
+            f"the kernel takes {kernel_us:.0f} µs/scenario, {drift:.2f}x "
             f"its BASELINE.json figure (limit {MAX_BASELINE_REGRESSION}x)"
         )
 

@@ -8,9 +8,11 @@ submitted twice:
 2. **warm** — identical resubmission: the server replays the finished
    job (or serves every scenario from the store), computing nothing.
 
-Asserted claims: the warm submission computes zero scenarios, is at
-least ``MIN_SPEEDUP``× faster end-to-end (connect → last byte), and
-its stream is byte-identical to the cold one.  This is the service
+Asserted claims: the warm submission computes zero scenarios, its
+absolute µs per record (connect → last byte) stays within
+``MAX_BASELINE_REGRESSION``× of ``benchmarks/BASELINE.json`` (smoke
+mode, same host), it is at least ``MIN_SPEEDUP``× faster end-to-end
+than the cold one, and its stream is byte-identical to the cold one.  This is the service
 analogue of ``benchmarks/bench_store.py``'s warm-resweep gate: the
 network and protocol layers are allowed to cost something, but never
 a recompute.
@@ -27,7 +29,13 @@ from __future__ import annotations
 
 import time
 
-from conftest import save_text, scaled, update_bench_json
+from conftest import (
+    MAX_BASELINE_REGRESSION,
+    baseline_drift,
+    save_text,
+    scaled,
+    update_bench_json,
+)
 
 from repro.api import RunRequest
 from repro.experiments import render_table
@@ -36,9 +44,12 @@ from repro.serve import ServeClient, ServeConfig, start_server
 #: Sweep shape (scenarios = 3x the point count).
 N_POINTS = scaled(60, 12)
 KNOTS = scaled(512, 256)
-#: A warm duplicate pays connection + replay only; anything under this
-#: factor means the dedup path has regressed into recomputation.
-MIN_SPEEDUP = 5.0
+#: A warm duplicate pays connection + replay only.  Its absolute µs per
+#: record is gated against ``BASELINE.json``; this floor on the
+#: cold/warm ratio is about half the measured smoke median (27x, range
+#: 21-59x over 7 runs on a 2-CPU Xeon).  The ratio divides compute time
+#: by replay time, so a faster kernel shrinks it.
+MIN_SPEEDUP = 12.0
 
 
 def _timed_submit(host: str, port: int, request: RunRequest):
@@ -74,6 +85,10 @@ def test_warm_duplicate_submission_beats_cold(artifacts_dir, tmp_path):
 
     speedup = t_cold / t_warm
     records = len(cold_lines)
+    warm_us = t_warm / records * 1e6
+    drift, gated = baseline_drift(
+        "serve.warm_duplicate", "warm_us_per_record", warm_us
+    )
     table = render_table(
         ["path", "seconds", "records/s"],
         [
@@ -88,6 +103,8 @@ def test_warm_duplicate_submission_beats_cold(artifacts_dir, tmp_path):
                 f"{records / t_warm:.0f}",
             ],
             ["speedup", f"{speedup:.1f}x", ""],
+            ["warm µs/record", f"{warm_us:.0f}", ""],
+            ["vs BASELINE.json", f"{drift:.2f}x", "gated" if gated else "reported"],
         ],
     )
     save_text(artifacts_dir, "bench_serve.txt", table)
@@ -99,6 +116,8 @@ def test_warm_duplicate_submission_beats_cold(artifacts_dir, tmp_path):
                 "records": records,
                 "cold_s": round(t_cold, 4),
                 "warm_s": round(t_warm, 4),
+                "warm_us_per_record": round(warm_us, 1),
+                "baseline_drift": round(drift, 3),
                 "speedup": round(speedup, 2),
             }
         },
@@ -106,6 +125,11 @@ def test_warm_duplicate_submission_beats_cold(artifacts_dir, tmp_path):
     print()
     print(table)
 
+    if gated:
+        assert drift <= MAX_BASELINE_REGRESSION, (
+            f"warm duplicate takes {warm_us:.0f} µs/record, {drift:.2f}x "
+            f"its BASELINE.json figure (limit {MAX_BASELINE_REGRESSION}x)"
+        )
     assert speedup >= MIN_SPEEDUP, (
         f"warm duplicate only {speedup:.1f}x faster than cold "
         f"(need >= {MIN_SPEEDUP}x)"

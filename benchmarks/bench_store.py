@@ -9,11 +9,14 @@ One delay-bound sweep is evaluated twice through
 2. **warm** — same sweep again, every scenario served from disk.
 
 Asserted claims (regressions fail the run instead of silently rotting):
-the warm pass recomputes nothing, is at least ``MIN_SPEEDUP``× faster
-than the cold pass, and both its decoded results *and* its emitted
-JSONL bytes are identical to the cold pass's.
+the warm pass recomputes nothing, its absolute µs per scenario stays
+within ``MAX_BASELINE_REGRESSION``× of ``benchmarks/BASELINE.json``
+(smoke mode, same host), it is at least ``MIN_SPEEDUP``× faster than
+the cold pass, and both its decoded results *and* its emitted JSONL
+bytes are identical to the cold pass's.
 
-Artifact: ``results/bench_store.txt`` with the timing table.
+Artifacts: ``results/bench_store.txt`` with the timing table and a
+section in ``results/BENCH_store.json``.
 
 Run with::
 
@@ -24,7 +27,13 @@ from __future__ import annotations
 
 import time
 
-from conftest import save_text, scaled
+from conftest import (
+    MAX_BASELINE_REGRESSION,
+    baseline_drift,
+    save_text,
+    scaled,
+    update_bench_json,
+)
 
 from repro.engine import (
     JsonlSink,
@@ -41,9 +50,12 @@ N_POINTS = scaled(150, 50)
 KNOTS = scaled(512, 256)
 #: Keep Q above the heavy near-divergence regime so the run stays short.
 Q_MIN = 40.0
-#: A warm re-sweep only pays store lookups + decoding; anything under
-#: this factor means the cache path has regressed badly.
-MIN_SPEEDUP = 5.0
+#: A warm re-sweep only pays store lookups + decoding.  Its absolute
+#: µs per scenario is gated against ``BASELINE.json``; this floor on
+#: the cold/warm ratio is about half the measured smoke median (4.7x,
+#: range 3.2-6.7x over 7 runs on a 2-CPU Xeon).  The ratio divides
+#: compute time by store-read time, so a faster kernel shrinks it.
+MIN_SPEEDUP = 2.0
 
 
 def test_warm_resweep_beats_cold_and_is_identical(artifacts_dir, tmp_path):
@@ -87,6 +99,8 @@ def test_warm_resweep_beats_cold_and_is_identical(artifacts_dir, tmp_path):
     assert warm_bytes == cold_bytes
 
     speedup = t_cold / t_warm
+    warm_us = t_warm / len(scenarios) * 1e6
+    drift, gated = baseline_drift("store.warm", "warm_us_per_scenario", warm_us)
     table = render_table(
         ["path", "seconds", "scenarios/s"],
         [
@@ -101,13 +115,34 @@ def test_warm_resweep_beats_cold_and_is_identical(artifacts_dir, tmp_path):
                 f"{len(scenarios) / t_warm:.0f}",
             ],
             ["speedup", f"{speedup:.1f}x", ""],
+            ["warm µs/scenario", f"{warm_us:.0f}", ""],
+            ["vs BASELINE.json", f"{drift:.2f}x", "gated" if gated else "reported"],
         ],
     )
     save_text(artifacts_dir, "bench_store.txt", table)
+    update_bench_json(
+        artifacts_dir,
+        "store",
+        {
+            "warm_resweep": {
+                "scenarios": len(scenarios),
+                "cold_s": round(t_cold, 4),
+                "warm_s": round(t_warm, 4),
+                "warm_us_per_scenario": round(warm_us, 1),
+                "baseline_drift": round(drift, 3),
+                "speedup": round(speedup, 2),
+            }
+        },
+    )
     print()
     print(table)
 
     store.close()
+    if gated:
+        assert drift <= MAX_BASELINE_REGRESSION, (
+            f"warm re-sweep takes {warm_us:.0f} µs/scenario, {drift:.2f}x "
+            f"its BASELINE.json figure (limit {MAX_BASELINE_REGRESSION}x)"
+        )
     assert speedup >= MIN_SPEEDUP, (
         f"warm re-sweep only {speedup:.1f}x faster than cold "
         f"(need >= {MIN_SPEEDUP}x)"

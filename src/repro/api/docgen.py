@@ -1,10 +1,10 @@
 """Generate the registry-driven sections of ``docs/api.md``.
 
-The scenario-family axis tables, the workload table, the kernel-
-backend table and the static-checker table in the public API reference
-are *generated* from the live registries rather than hand-maintained:
+The scenario-family axis tables, the workload table and the
+static-checker table in the public API reference are *generated* from
+the live registries rather than hand-maintained:
 ``tests/api/test_docgen.py`` regenerates them and asserts the
-committed markdown matches, so adding a family, a workload, a backend
+committed markdown matches, so adding a family, a workload, a checker
 or an axis without regenerating the docs fails the suite.
 
 Regenerate with::
@@ -42,38 +42,6 @@ def workload_table() -> str:
         rows.append([f"`{name}`", workload.summary, flag_groups])
     return _markdown_table(
         ["Workload", "What it runs", "Shared flag groups"], rows
-    )
-
-
-def backend_table() -> str:
-    """One markdown table naming every registered kernel backend.
-
-    Deliberately environment-*independent*: it lists each backend's
-    requirement (the module that must be importable) rather than live
-    availability, so the committed docs don't depend on which optional
-    dependencies the regenerating machine happens to have.  Live
-    availability is what ``python -m repro backends`` shows.
-    """
-    from repro.piecewise.backends import backend_names, get_backend
-
-    rows = []
-    for name in backend_names():
-        backend = get_backend(name)
-        requires = (
-            "stdlib" if backend.requires is None else f"`{backend.requires}`"
-        )
-        batch = "yes" if backend.batch_capable else "no"
-        rows.append(
-            [
-                f"`{name}`",
-                requires,
-                backend.exactness,
-                batch,
-                backend.description,
-            ]
-        )
-    return _markdown_table(
-        ["Backend", "Requires", "Exactness", "Batch", "Description"], rows
     )
 
 
@@ -128,17 +96,6 @@ def generated_block() -> str:
             "## Workloads",
             "",
             workload_table(),
-            "",
-            "## Kernel backends",
-            "",
-            "Generated from the kernel-backend registry "
-            "(`repro.piecewise.backends`); select one per run with the "
-            "uniform `--backend` flag (wire field `backend`).  The "
-            "table lists *declared* capabilities — live availability "
-            "in the current process is what `python -m repro backends` "
-            "reports.",
-            "",
-            backend_table(),
             "",
             "## Static checkers",
             "",

@@ -28,6 +28,7 @@ from repro.api.options import ExecutionOptions, SinkSpec
 from repro.engine.cached import Decoder, run_cached_batch
 from repro.engine.engine import run_batch
 from repro.engine.sinks import CsvSink, JsonlSink, ResultSink
+from repro.utils.checks import require
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,7 @@ def execute_scenarios(
     decode: Decoder | None = None,
     collect: bool = True,
     sink: ResultSink | None = None,
-    batch_worker: Callable[..., list[Any]] | None = None,
+    batch_worker: None = None,
     cancel: Callable[[], bool] | None = None,
 ) -> ScenarioRun:
     """Evaluate a scenario grid under one set of execution options.
@@ -187,10 +188,11 @@ def execute_scenarios(
             fresh results come back as the same types.
         collect: ``False`` streams to ``sink`` only (constant memory).
         sink: Optional final-output sink, written in scenario order.
-        batch_worker: Optional family batch entry point
-            ``(scenarios, *, backend) -> list[result]``; engaged when
-            ``options.backend`` names a batch-capable kernel backend
-            (see :meth:`repro.engine.BatchEngine.map`).
+        batch_worker: Must be ``None``.  Kept only because the repo
+            benchmark (``perfbench/workloads.py``) still passes
+            :attr:`ScenarioPlan.batch_worker
+            <repro.api.plan.ScenarioPlan.batch_worker>`; every family
+            evaluates per scenario.
         cancel: Optional cancellation predicate, forwarded to
             :func:`repro.engine.run_cached_batch` (store-backed runs
             only — a run with nowhere to checkpoint has nothing to
@@ -199,6 +201,10 @@ def execute_scenarios(
     Returns:
         The :class:`ScenarioRun` with results and cache statistics.
     """
+    require(
+        batch_worker is None,
+        "batch_worker must be None: every family evaluates per scenario",
+    )
     if options is None:
         options = ExecutionOptions()
     pair = options.shard_pair
@@ -222,15 +228,6 @@ def execute_scenarios(
                 if manifest is not None:
                     store.set_manifest(dict(manifest))
                 store.set_shard(options.shard_scope)
-                from repro.piecewise.backends import (
-                    DEFAULT_BACKEND,
-                    get_backend,
-                )
-
-                effective = options.backend or DEFAULT_BACKEND
-                store.set_backend_info(
-                    effective, get_backend(effective).exactness
-                )
             run = run_cached_batch(
                 worker,
                 sliced,
@@ -243,8 +240,6 @@ def execute_scenarios(
                 on_result=on_result,
                 group_by=group_by,
                 cancel=cancel,
-                backend=options.backend,
-                batch_worker=batch_worker,
             )
             return ScenarioRun(
                 scenarios=sliced,
@@ -261,8 +256,6 @@ def execute_scenarios(
         sink=sink,
         collect=collect,
         group_by=group_by,
-        backend=options.backend,
-        batch_worker=batch_worker,
     )
     return ScenarioRun(
         scenarios=sliced,

@@ -140,16 +140,9 @@ class ExecutionOptions:
         fail_after: Test seam — deterministically simulate a mid-run
             kill by raising :class:`KeyboardInterrupt` after N freshly
             checkpointed results (store-backed runs only).
-        backend: Kernel backend evaluating the piecewise hot path
-            (``None`` = the default ``vectorized`` per-scenario path).
-            Validated against the :mod:`repro.piecewise.backends`
-            registry at construction — an unknown name fails loudly
-            with the available list.  Purely an execution knob: for
-            bit-identical backends results, stores and job ids are
-            unchanged.
         workers: Concurrent job slots a :mod:`repro.serve` server may
             use for this request (``None`` = server default).  Like
-            ``jobs``/``backend`` this is purely an execution knob:
+            ``jobs`` this is purely an execution knob:
             results are bit-identical for every setting and the field
             is excluded from :func:`repro.serve.job_id_for` (servers
             drop it on submission).  Local runs ignore it.
@@ -164,7 +157,6 @@ class ExecutionOptions:
     format: str = "jsonl"
     results_dir: str | Path | None = None
     fail_after: int | None = None
-    backend: str | None = None
     workers: int | None = None
 
     def __post_init__(self) -> None:
@@ -184,11 +176,6 @@ class ExecutionOptions:
         object.__setattr__(self, "sinks", sinks)
         if self.shard is not None:
             parse_shard(self.shard)  # fail early on malformed specs
-        if self.backend is not None:
-            # Late import: options is a leaf module the CLI loads early.
-            from repro.piecewise.backends import resolve_backend
-
-            resolve_backend(self.backend)  # unknown/unavailable: fail now
 
     @property
     def shard_pair(self) -> tuple[int, int] | None:

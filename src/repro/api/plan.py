@@ -44,9 +44,9 @@ class ScenarioPlan:
         decode: Record decoder for store-served results.
         sink_name: Default artifact stem (``results/<sink_name>.<fmt>``).
         extra: Rendering details (campaign/family names).
-        batch_worker: The family's optional batch entry point
-            ``(scenarios, *, backend) -> list[result]``; ``None`` for
-            families without a struct-of-arrays kernel path.
+        batch_worker: Always ``None``.  Kept only because the repo
+            benchmark (``perfbench/workloads.py``) still passes it to
+            :func:`repro.api.execute_scenarios`.
     """
 
     workload: str
@@ -57,13 +57,12 @@ class ScenarioPlan:
     decode: Callable[[Mapping[str, Any]], Any] | None
     sink_name: str
     extra: dict[str, Any] = field(default_factory=dict)
-    batch_worker: Callable[..., list[Any]] | None = None
+    batch_worker: None = None
 
 
 def _plan_sweep(params: Mapping[str, Any]) -> ScenarioPlan:
     from repro.engine import (
         bound_result_from_record,
-        evaluate_bound_batch,
         evaluate_bound_scenario,
         q_sweep_scenarios,
     )
@@ -80,7 +79,6 @@ def _plan_sweep(params: Mapping[str, Any]) -> ScenarioPlan:
         group_by=bound_context_key,
         decode=bound_result_from_record,
         sink_name="sweep",
-        batch_worker=evaluate_bound_batch,
     )
 
 
@@ -102,7 +100,6 @@ def _plan_campaign(params: Mapping[str, Any]) -> ScenarioPlan:
             "campaign": compiled.name,
             "family": compiled.family.name,
         },
-        batch_worker=compiled.family.batch_worker,
     )
 
 

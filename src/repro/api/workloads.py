@@ -6,15 +6,14 @@ fuzz (``validate``), the acceptance study (``study``), the engine Q
 sweep (``sweep``), declarative campaigns over any registered scenario
 family (``campaign``), shard-store merging (``merge``), the static
 analysis pass (``check``, :mod:`repro.checks`) and the registry
-listings themselves (``families``, ``backends``).  Each entry declares:
+listing itself (``families``).  Each entry declares:
 
 * its **parameters** (name, type, default, help) — what the CLI turns
   into flags and :class:`~repro.api.request.RunRequest` validates;
 * which **shared execution flag groups** apply (``engine`` =
   ``--jobs/--chunk``, ``store`` = ``--store/--resume``, ``shard`` =
-  ``--shard``, ``sink`` = ``--format/--out``, ``backend`` =
-  ``--backend``), so every sweep-shaped command exposes the same
-  caching/resume/shard/kernel surface;
+  ``--shard``, ``sink`` = ``--format/--out``), so every sweep-shaped
+  command exposes the same caching/resume/shard surface;
 * a **runner** evaluating a request into a typed
   :class:`~repro.api.result.RunResult` (grid workloads route through
   :func:`repro.api.execution.execute_scenarios` — the one pipeline);
@@ -114,8 +113,7 @@ class Workload:
         render: ``RunResult -> str`` — the CLI's stdout.
         exit_code: ``RunResult -> int`` (default: 0 iff ``result.ok``).
         flags: Shared execution-flag groups that apply: any of
-            ``"engine"``, ``"store"``, ``"shard"``, ``"sink"``,
-            ``"backend"``.
+            ``"engine"``, ``"store"``, ``"shard"``, ``"sink"``.
     """
 
     name: str
@@ -347,7 +345,6 @@ def _render_fig4(result: RunResult) -> str:
 def _run_fig5(request: RunRequest, params: dict[str, Any]) -> RunResult:
     from repro.engine import (
         bound_result_from_record,
-        evaluate_bound_batch,
         evaluate_bound_scenario,
         q_sweep_scenarios,
     )
@@ -371,7 +368,6 @@ def _run_fig5(request: RunRequest, params: dict[str, Any]) -> RunResult:
         manifest=manifest,
         group_by=bound_context_key,
         decode=bound_result_from_record,
-        batch_worker=evaluate_bound_batch,
     )
     if options.shard is not None:
         return _shard_result(request, run, manifest)
@@ -576,7 +572,6 @@ def _run_sweep(request: RunRequest, params: dict[str, Any]) -> RunResult:
             group_by=plan.group_by,
             collect=False,
             sink=counter,
-            batch_worker=plan.batch_worker,
         )
     return RunResult(
         request=request,
@@ -661,7 +656,6 @@ def _run_campaign(request: RunRequest, params: dict[str, Any]) -> RunResult:
             decode=plan.decode,
             collect=collect,
             sink=sink,
-            batch_worker=plan.batch_worker,
         )
     finally:
         if sink is not None:
@@ -927,41 +921,6 @@ def _render_families(result: RunResult) -> str:
 
 
 # ----------------------------------------------------------------------
-# backends
-# ----------------------------------------------------------------------
-
-
-def _run_backends(request: RunRequest, params: dict[str, Any]) -> RunResult:
-    from repro.piecewise.backends import backend_names, get_backend
-
-    listing = tuple(get_backend(name) for name in backend_names())
-    return RunResult(request=request, payload=listing)
-
-
-def _render_backends(result: RunResult) -> str:
-    from repro.experiments import render_table
-
-    rows = []
-    for backend in result.payload:
-        if backend.available:
-            available = "yes"
-        else:
-            available = f"no ({backend.requires} not importable)"
-        rows.append(
-            [
-                backend.name,
-                available,
-                backend.exactness,
-                "yes" if backend.supports_batch else "no",
-                backend.description,
-            ]
-        )
-    return render_table(
-        ["backend", "available", "exactness", "batch", "description"], rows
-    )
-
-
-# ----------------------------------------------------------------------
 # registration
 # ----------------------------------------------------------------------
 
@@ -980,7 +939,7 @@ def _register_builtins() -> None:
             ),
             runner=_run_fig4,
             render=_render_fig4,
-            flags=frozenset({"store", "backend"}),
+            flags=frozenset({"store"}),
         )
     )
     register_workload(
@@ -996,7 +955,7 @@ def _register_builtins() -> None:
             ),
             runner=_run_fig5,
             render=_render_fig5,
-            flags=frozenset({"engine", "store", "shard", "backend"}),
+            flags=frozenset({"engine", "store", "shard"}),
         )
     )
     register_workload(
@@ -1008,7 +967,6 @@ def _register_builtins() -> None:
             ),
             runner=_run_fig2,
             render=_render_fig2,
-            flags=frozenset({"backend"}),
         )
     )
     register_workload(
@@ -1028,7 +986,6 @@ def _register_builtins() -> None:
             ),
             runner=_run_validate,
             render=_render_validate,
-            flags=frozenset({"backend"}),
         )
     )
     register_workload(
@@ -1043,7 +1000,7 @@ def _register_builtins() -> None:
             ),
             runner=_run_study,
             render=_render_study,
-            flags=frozenset({"engine", "store", "shard", "backend"}),
+            flags=frozenset({"engine", "store", "shard"}),
         )
     )
     register_workload(
@@ -1059,7 +1016,7 @@ def _register_builtins() -> None:
             ),
             runner=_run_sweep,
             render=_render_sweep,
-            flags=frozenset({"engine", "store", "shard", "sink", "backend"}),
+            flags=frozenset({"engine", "store", "shard", "sink"}),
         )
     )
     register_workload(
@@ -1091,7 +1048,7 @@ def _register_builtins() -> None:
             ),
             runner=_run_campaign,
             render=_render_campaign,
-            flags=frozenset({"engine", "store", "shard", "sink", "backend"}),
+            flags=frozenset({"engine", "store", "shard", "sink"}),
         )
     )
     register_workload(
@@ -1120,7 +1077,6 @@ def _register_builtins() -> None:
             ),
             runner=_run_merge,
             render=_render_merge,
-            flags=frozenset({"backend"}),
         )
     )
     register_workload(
@@ -1165,7 +1121,7 @@ def _register_builtins() -> None:
             ),
             runner=_run_serve,
             render=_render_serve,
-            flags=frozenset({"engine", "store", "backend"}),
+            flags=frozenset({"engine", "store"}),
         )
     )
     register_workload(
@@ -1215,7 +1171,6 @@ def _register_builtins() -> None:
             ),
             runner=_run_check,
             render=_render_check,
-            flags=frozenset({"backend"}),
         )
     )
     register_workload(
@@ -1225,18 +1180,6 @@ def _register_builtins() -> None:
             parameters=(),
             runner=_run_families,
             render=_render_families,
-            flags=frozenset({"backend"}),
-        )
-    )
-    register_workload(
-        Workload(
-            name="backends",
-            summary="list the registered kernel backends (availability, "
-            "exactness, batch support)",
-            parameters=(),
-            runner=_run_backends,
-            render=_render_backends,
-            flags=frozenset({"backend"}),
         )
     )
 

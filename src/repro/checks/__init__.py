@@ -2,7 +2,7 @@
 
 The repo's load-bearing promises — content-addressed store keys two
 machines agree on, byte-identical resumed/sharded streams,
-bit-identical kernel backends, process-pool workers that pickle, an
+process-pool workers that pickle, an
 event loop that never stalls — are easy to break with one innocent
 line.  This package turns those invariants into registered, named
 checkers over a parsed source tree, the live registries, and an
@@ -21,8 +21,9 @@ interprocedural call graph (:mod:`repro.checks.callgraph`):
   blocking while holding a lock, ``await`` under a sync lock;
 * ``fork-safety`` (``FS001``–``FS002``) — loop/thread state or global
   mutation reachable from subprocess entry points;
-* ``contracts`` (``RC001``–``RC005``) — registry/wire declarations
-  that must not drift from the code they describe.
+* ``contracts`` (``RC001``, ``RC002``, ``RC004``, ``RC005``) —
+  registry/wire declarations that must not drift from the code they
+  describe.
 
 Run it as ``python -m repro check`` (see :mod:`repro.api.workloads`),
 or programmatically via :func:`run_repo_checks`.  False positives are

@@ -3,8 +3,7 @@
 The facade's registries promise more than "a name resolves": the
 engine groups work by each family's *declared* shared-artifact context,
 the docs/CLI render each family's axes from its *declared* field help,
-the store records each backend's *declared* exactness, and the serve
-protocol round-trips requests through the *declared* wire field set.
+and the serve protocol round-trips requests through the *declared* wire field set.
 Each of those declarations can silently drift from the code it
 describes; these rules re-derive both sides and fail on disagreement:
 
@@ -13,10 +12,6 @@ describes; these rules re-derive both sides and fail on disagreement:
 * ``RC002`` — a family's ``field_help`` drifts from its scenario
   dataclass (an undocumented axis, or help for a field that no longer
   exists);
-* ``RC003`` — a kernel backend's declarations are inconsistent
-  (no exactness class, ``requires``/``available`` disagreement, a
-  batch kernel on a backend not declared batch-capable, kernels on an
-  unavailable backend);
 * ``RC004`` — the wire option/request field sets
   (:mod:`repro.api.wire`) drift from the
   :class:`~repro.api.options.ExecutionOptions` /
@@ -42,21 +37,13 @@ from repro.checks.model import Checker, Finding, register_check
 from repro.checks.source import SourceTree
 
 #: The shared execution-flag groups a workload may enable.
-KNOWN_FLAG_GROUPS = frozenset(
-    {"engine", "store", "shard", "sink", "backend"}
-)
+KNOWN_FLAG_GROUPS = frozenset({"engine", "store", "shard", "sink"})
 
 
 def _registered_families() -> list[Any]:
     from repro.engine.registry import family_names, get_family
 
     return [get_family(name) for name in family_names()]
-
-
-def _registered_backends() -> list[Any]:
-    from repro.piecewise.backends import backend_names, get_backend
-
-    return [get_backend(name) for name in backend_names()]
 
 
 def _registered_workloads() -> list[Any]:
@@ -136,53 +123,6 @@ def check_family_axes(
                     f"family {family.name!r} documents axis {stale!r} "
                     "which its scenario dataclass no longer has"
                 ),
-            )
-
-
-# ----------------------------------------------------------------------
-# RC003 — kernel-backend declarations
-# ----------------------------------------------------------------------
-
-
-def check_backend_declarations(
-    tree: SourceTree, backends: Iterable[Any] | None = None
-) -> Iterator[Finding]:
-    """``RC003``: backend registry entries are internally consistent."""
-    for backend in backends if backends is not None else _registered_backends():
-        file, line = tree.locate(type(backend))
-        problems: list[str] = []
-        if not backend.exactness:
-            problems.append(
-                "declares no exactness class (the store records it "
-                "with every backend-evaluated run)"
-            )
-        if backend.requires is None and not backend.available:
-            problems.append(
-                "needs no third-party module yet registers unavailable"
-            )
-        if backend.available and backend.evaluate_many is None:
-            problems.append(
-                "registers available without a point-evaluation kernel"
-            )
-        if not backend.available and (
-            backend.evaluate_many is not None
-            or backend.bound_batch is not None
-        ):
-            problems.append(
-                "registers unavailable but still carries kernels"
-            )
-        if backend.bound_batch is not None and not backend.batch_capable:
-            problems.append(
-                "ships a batch bound kernel without declaring "
-                "batch_capable (the docs table would lie)"
-            )
-        for problem in problems:
-            yield Finding(
-                code="RC003",
-                file=file,
-                line=line,
-                severity="error",
-                message=f"backend {backend.name!r} {problem}",
             )
 
 
@@ -368,16 +308,6 @@ def _register() -> None:
             summary="family field_help drifted from its scenario "
             "dataclass",
             run=check_family_axes,
-        )
-    )
-    register_check(
-        Checker(
-            code="RC003",
-            group="contracts",
-            severity="error",
-            summary="kernel backend declarations inconsistent "
-            "(exactness/availability/batch)",
-            run=check_backend_declarations,
         )
     )
     register_check(

@@ -2,8 +2,8 @@
 
 Everything this reproduction promises about caching and distribution —
 content-addressed store keys that two machines agree on, resumed and
-sharded streams byte-identical to uninterrupted runs, kernel backends
-bit-identical to the scalar reference, single-flight dedup in
+sharded streams byte-identical to uninterrupted runs, single-flight
+dedup in
 ``repro.serve`` — is a determinism claim.  These rules flag the source
 patterns that silently break it:
 

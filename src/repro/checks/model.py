@@ -10,7 +10,7 @@ committed baseline, and returns a :class:`CheckReport` the CLI renders
 as text or JSON.
 
 The registry mirrors the repo's other registries (scenario families,
-kernel backends, workloads): checkers register at import time under a
+workloads): checkers register at import time under a
 stable code, duplicates fail loudly, and frontends enumerate
 :func:`check_codes` rather than hard-coding the rule set — which is
 also what keeps the generated checker table in ``docs/api.md`` honest.

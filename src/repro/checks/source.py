@@ -125,7 +125,7 @@ class SourceTree:
         """Best-effort ``(rel_path, line)`` of a live object.
 
         Introspection-based checkers anchor findings about registered
-        objects (scenario dataclasses, worker functions, backend
+        objects (scenario dataclasses, worker functions, workload
         entries) on the object's definition site.  Objects defined
         outside the tree (REPLs, test fabrications) fall back to the
         object's module name at line 1 so the finding still renders.

@@ -25,8 +25,6 @@ Commands (see ``python -m repro --help``):
   (:mod:`repro.checks`): determinism, worker purity, async hygiene and
   registry/wire contracts; non-zero exit on any live finding.
 * ``families``  — list the registered scenario families and their axes.
-* ``backends``  — list the registered kernel backends (availability,
-  exactness class, batch support); select one with ``--backend``.
 
 Every sweep-shaped command (``fig5``, ``study``, ``sweep``,
 ``campaign``) accepts ``--store`` (checkpoint into a persistent
@@ -114,17 +112,6 @@ _EXECUTION_FLAGS: dict[str, list[tuple[str, dict]]] = {
             ),
         ),
     ],
-    "backend": [
-        (
-            "--backend",
-            dict(
-                default=None,
-                help="kernel backend for the piecewise hot path (see "
-                "'repro backends'; default: vectorized; results are "
-                "bit-identical for bit-identical backends)",
-            ),
-        ),
-    ],
 }
 
 
@@ -183,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         for param in workload.parameters:
             if not param.hidden:
                 _add_parameter(command, param)
-        for group in ("engine", "sink", "store", "shard", "backend"):
+        for group in ("engine", "sink", "store", "shard"):
             if group in workload.flags:
                 for flag, kwargs in _EXECUTION_FLAGS[group]:
                     command.add_argument(flag, **dict(kwargs))
@@ -211,7 +198,6 @@ def _options_from_args(args: argparse.Namespace):
         sinks=(SinkSpec(out, fmt),) if out is not None else (),
         format=fmt,
         fail_after=getattr(args, "fail_after", None),
-        backend=getattr(args, "backend", None),
     )
 
 

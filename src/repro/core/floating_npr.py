@@ -11,6 +11,18 @@ meets the descending line ``D(x) = (prog + Q_i) - x``: a preemption beyond
 ``p∩`` would leave that point reachable in a later window, so it is
 deferred to the next iteration (paper, Fig. 3 and Theorem 1).
 
+Each window is one forward walk over ``f_i``'s coordinate tuples: one
+bisect finds the first piece, every piece below the line adds to the
+running maximum, and the first piece that meets the line fixes ``p∩``
+and closes the maximum on ``[prog, p∩]``.  The arithmetic is that of
+:meth:`~repro.piecewise.PiecewiseFunction.first_meeting_with_descending_line`
+followed by :meth:`~repro.piecewise.PiecewiseFunction.max_on`, so the
+result is the two-scan result bit for bit; a function whose pieces meet
+only within the contiguity tolerance closes its maximum with ``max_on``
+itself.  The walk records its trace as five float columns, and
+:attr:`FloatingNPRBound.steps` builds :class:`WindowStep` objects only
+when it is read.
+
 Extensions implemented beyond the paper's pseudo-code:
 
 * a divergence guard — when ``delay_max >= Q_i`` the analysis cannot
@@ -32,10 +44,13 @@ Extensions implemented beyond the paper's pseudo-code:
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.core.delay_function import PreemptionDelayFunction
+from repro.piecewise.function import _value_on
 from repro.utils.checks import require, require_positive
 
 #: Default hard cap on iterations; Algorithm 1 performs at most
@@ -83,8 +98,9 @@ class FloatingNPRBound:
         q: The NPR length ``Q_i`` used.
         converged: ``False`` when ``delay_max >= Q`` stalled the analysis.
         preemptions: Number of windows in which a delay was charged.
-        steps: Per-iteration trace (useful for plots and for regenerating
-            the paper's Figure 3 walkthrough).
+        trace: The per-window trace as five index-aligned columns
+            ``(prog, p_cross, p_max, delay, p_next)``; :attr:`steps`
+            reads it as :class:`WindowStep` objects.
     """
 
     total_delay: float
@@ -92,7 +108,13 @@ class FloatingNPRBound:
     q: float
     converged: bool
     preemptions: int
-    steps: tuple[WindowStep, ...] = field(repr=False)
+    trace: tuple[tuple[float, ...], ...] = field(repr=False)
+
+    @property
+    def steps(self) -> tuple[WindowStep, ...]:
+        """Per-iteration trace (useful for plots and for regenerating the
+        paper's Figure 3 walkthrough), built on every read."""
+        return tuple(map(WindowStep, itertools.count(1), *self.trace))
 
     @property
     def inflated_wcet(self) -> float:
@@ -129,10 +151,18 @@ def floating_npr_delay_bound(
     if max_preemptions is not None:
         require(max_preemptions >= 0, f"max_preemptions must be >= 0, got {max_preemptions}")
 
+    x0s, x1s, y0s, y1s = f.function.coordinates
+    # With every piece starting exactly where the previous one ends, the
+    # pieces before the meeting piece end at or before p∩ and at most one
+    # piece starts at p∩, so the walk can close the maximum itself.
+    exact = x1s[:-1] == x0s[1:]
+    pieces = len(x0s)
     wcet = f.wcet
-    steps: list[WindowStep] = []
+    floor = q - q * _MIN_PROGRESS_FRACTION
+    # The trace, one list per WindowStep field after ``index``.
+    columns: tuple[list[float], ...] = ([], [], [], [], [])
+    progs, crosses, argmaxes, delays, nexts = columns
     total_delay = 0.0
-    prog = 0.0
     p_next = q  # no preemption can occur during the first Q units (line 4)
 
     iteration = 0
@@ -144,41 +174,90 @@ def floating_npr_delay_bound(
                 f"(C={wcet}, Q={q}); the bound is close to divergence"
             )
         prog = p_next
-        window_end = min(prog + q, wcet)
-        # p∩: first point where f meets D(x) = (prog + q) - x (lines 7-10).
-        p_cross = f.first_meeting_with_descending_line(prog, window_end, prog + q)
+        c = prog + q
+        hi = min(c, wcet)
+        # One walk over the pieces meeting [prog, hi]: lines 7-10 find
+        # p∩, the first point where f meets D(x) = c - x, and each piece
+        # passed on the way adds to the maximum of f on [prog, p∩].
+        first = bisect_right(x0s, prog) - 2
+        if first < 0:
+            first = 0
+        last = bisect_right(x0s, hi) - 1
+        if last < first:
+            last = first
+        best_v = -math.inf
+        best_x = prog
+        p_cross = None
+        for k in range(first, last + 1):
+            a, b, ya, yb = x0s[k], x1s[k], y0s[k], y1s[k]
+            if prog < a and b < hi and ya - (c - a) < 0 and yb - (c - b) < 0:
+                # Strictly inside the window and below the line.
+                if yb > ya:
+                    v, x = yb, b
+                else:
+                    v, x = ya, a
+            else:
+                s_lo = a if a > prog else prog
+                s_hi = b if b < hi else hi
+                if s_lo > s_hi:
+                    continue
+                v_lo = _value_on(a, b, ya, yb, s_lo)
+                g_lo = v_lo - (c - s_lo)
+                if g_lo >= 0:
+                    p_cross = s_lo
+                    break
+                v_hi = _value_on(a, b, ya, yb, s_hi)
+                g_hi = v_hi - (c - s_hi)
+                if not (g_hi < 0 or g_hi == g_lo):
+                    root = s_lo + (s_hi - s_lo) * (0.0 - g_lo) / (g_hi - g_lo)
+                    p_cross = min(max(root, s_lo), s_hi)
+                    break
+                if v_hi > v_lo:
+                    v, x = v_hi, s_hi
+                else:
+                    v, x = v_lo, s_lo
+            if v > best_v or (v == best_v and x < best_x):
+                best_v, best_x = v, x
         if p_cross is None:
-            p_cross = window_end
-        delay, p_max = f.max_on(prog, p_cross)
-        if delay >= q - q * _MIN_PROGRESS_FRACTION:
+            p_cross = hi
+        elif exact:
+            # The meeting piece on [s_lo, p∩], then the single point of
+            # the next piece when p∩ falls on its start (a jump).
+            v_hi = v_lo if p_cross == s_lo else _value_on(a, b, ya, yb, p_cross)
+            if v_hi > v_lo:
+                v, x = v_hi, p_cross
+            else:
+                v, x = v_lo, s_lo
+            if v > best_v or (v == best_v and x < best_x):
+                best_v, best_x = v, x
+            k += 1
+            if k < pieces and x0s[k] == p_cross and y0s[k] > best_v:
+                best_v, best_x = y0s[k], x0s[k]
+        else:
+            best_v, best_x = f.max_on(prog, p_cross)
+        if best_v >= floor:
             # No forward progress can be guaranteed: the bound diverges.
             return FloatingNPRBound(
                 total_delay=math.inf,
                 wcet=wcet,
                 q=q,
                 converged=False,
-                preemptions=len(steps),
-                steps=tuple(steps),
+                preemptions=len(delays),
+                trace=tuple(map(tuple, columns)),
             )
-        p_next = prog + q - delay
-        total_delay += delay
-        steps.append(
-            WindowStep(
-                index=iteration,
-                prog=prog,
-                p_cross=p_cross,
-                p_max=p_max,
-                delay=delay,
-                p_next=p_next,
-            )
-        )
+        p_next = c - best_v
+        total_delay += best_v
+        progs.append(prog)
+        crosses.append(p_cross)
+        argmaxes.append(best_x)
+        delays.append(best_v)
+        nexts.append(p_next)
 
-    preemptions = len(steps)
-    if max_preemptions is not None and max_preemptions < len(steps):
+    preemptions = len(delays)
+    if max_preemptions is not None and max_preemptions < preemptions:
         # Release-pattern cap: the adversary gets to pick which windows
         # its (at most) k preemptions land in, so charge the k largest.
-        largest = sorted((s.delay for s in steps), reverse=True)
-        total_delay = sum(largest[:max_preemptions])
+        total_delay = sum(sorted(delays, reverse=True)[:max_preemptions])
         preemptions = max_preemptions
     return FloatingNPRBound(
         total_delay=total_delay,
@@ -186,5 +265,5 @@ def floating_npr_delay_bound(
         q=q,
         converged=True,
         preemptions=preemptions,
-        steps=tuple(steps),
+        trace=tuple(map(tuple, columns)),
     )

@@ -102,9 +102,7 @@ from repro.engine.sweeps import (
     StudyScenario,
     benchmark_function,
     bound_result_from_record,
-    evaluate_bound_batch,
     evaluate_bound_scenario,
-    evaluate_study_batch,
     evaluate_study_scenario,
     prepared_task_set,
     q_sweep_scenarios,
@@ -145,9 +143,7 @@ __all__ = [
     "StudyResult",
     "benchmark_function",
     "bound_result_from_record",
-    "evaluate_bound_batch",
     "evaluate_bound_scenario",
-    "evaluate_study_batch",
     "evaluate_study_scenario",
     "prepared_task_set",
     "q_sweep_scenarios",

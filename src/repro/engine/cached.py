@@ -169,8 +169,6 @@ def run_cached_batch(
     on_result: Callable[[int], None] | None = None,
     group_by: Callable[[S], Hashable] | None = None,
     cancel: Callable[[], bool] | None = None,
-    backend: str | None = None,
-    batch_worker: Callable[..., list[R]] | None = None,
 ) -> CachedRun:
     """Evaluate ``scenarios``, serving and checkpointing via ``store``.
 
@@ -201,13 +199,6 @@ def run_cached_batch(
             group-wise, so a warm store never forces a context rebuild
             for a group whose remaining scenarios are all cached, and a
             half-warm group is still evaluated against one context.
-        backend: Optional kernel backend name, forwarded to
-            :func:`repro.engine.run_batch` for the cache-miss subset
-            (see :meth:`repro.engine.BatchEngine.map`).  Store keys and
-            records are backend-independent, so a store warmed by one
-            backend serves every other bit-identical backend.
-        batch_worker: Optional family batch entry point, forwarded with
-            ``backend``.
 
     Returns:
         A :class:`CachedRun` with results and cache statistics.
@@ -235,8 +226,6 @@ def run_cached_batch(
                 ),
                 collect=False,
                 group_by=group_by,
-                backend=backend,
-                batch_worker=batch_worker,
             )
         except WorkerError as exc:
             # run_batch saw only the uncached subset; re-pin the index

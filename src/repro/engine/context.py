@@ -33,14 +33,13 @@ reproduce the context-free ones float for float.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.delay_function import PreemptionDelayFunction
 from repro.npr.assignment import apply_npr_lengths
 from repro.npr.qmax_edf import edf_max_npr_lengths
 from repro.npr.qmax_fp import fp_blocking_tolerances, fp_max_npr_lengths
-from repro.piecewise.vectorized import SegmentIndex, segment_index
 from repro.tasks.generation import gaussian_delay_factory, generate_task_set
 from repro.tasks.task import TaskSet
 from repro.utils.caching import ThreadPinnedLRU
@@ -60,10 +59,7 @@ DELAY_MAXIMA = "delay-maxima"
 FP_CURVES = "fp-curves"
 #: The EDF (Bertogna & Baruah slack) safe-Q vector.
 EDF_CURVES = "edf-curves"
-#: :class:`SegmentIndex` view per task delay function (O(1) to build:
-#: it shares the function's own coordinate tuples).
-SEGMENT_INDICES = "segment-indices"
-#: One Figure 4 benchmark delay function (+ its max and index).
+#: One Figure 4 benchmark delay function (+ its max).
 BENCHMARK_FUNCTION = "benchmark-function"
 
 #: Artifacts a task-set-shaped context can carry.
@@ -72,7 +68,6 @@ TASKSET_ARTIFACTS = (
     DELAY_MAXIMA,
     FP_CURVES,
     EDF_CURVES,
-    SEGMENT_INDICES,
 )
 #: Artifacts a benchmark-function context can carry.
 BENCHMARK_ARTIFACTS = (BENCHMARK_FUNCTION,)
@@ -178,12 +173,9 @@ class AnalysisContext:
             negative — the set admits no assignment.
         safe_q_edf: Maximal safe EDF NPR lengths (:data:`EDF_CURVES`);
             ``None`` when the set has negative slack.
-        segment_indices: Per-task function views
-            (:data:`SEGMENT_INDICES`).
         function: The benchmark delay function
             (:data:`BENCHMARK_FUNCTION`).
         function_max: Its precomputed global maximum.
-        function_index: Its :class:`SegmentIndex` view.
     """
 
     key: ContextKey
@@ -193,12 +185,8 @@ class AnalysisContext:
     beta_fp: dict[str, float] | None = None
     safe_q_fp: dict[str, float] | None = None
     safe_q_edf: dict[str, float] | None = None
-    segment_indices: dict[str, SegmentIndex] | None = field(
-        default=None, repr=False
-    )
     function: PreemptionDelayFunction | None = None
     function_max: float | None = None
-    function_index: SegmentIndex | None = field(default=None, repr=False)
 
     def prepared_task_set(
         self, policy: str, q_fraction: float
@@ -278,14 +266,6 @@ def _build_taskset_context(
         except ValueError:
             safe_q_edf = None  # negative slack: no assignment exists
 
-    segment_indices = None
-    if SEGMENT_INDICES in artifacts:
-        segment_indices = {
-            task.name: segment_index(task.delay_function.function)
-            for task in base
-            if task.delay_function is not None
-        }
-
     return AnalysisContext(
         key=key,
         artifacts=artifacts,
@@ -294,7 +274,6 @@ def _build_taskset_context(
         beta_fp=beta_fp,
         safe_q_fp=safe_q_fp,
         safe_q_edf=safe_q_edf,
-        segment_indices=segment_indices,
     )
 
 
@@ -313,7 +292,6 @@ def _build_benchmark_context(
         artifacts=artifacts,
         function=f,
         function_max=f.max_value(),
-        function_index=segment_index(f.function),
     )
 
 

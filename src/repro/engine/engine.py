@@ -26,7 +26,6 @@ randomised analyses stay reproducible under any parallelism.
 
 from __future__ import annotations
 
-import functools
 import os
 from collections.abc import Callable, Hashable, Sequence
 from concurrent.futures import (
@@ -190,59 +189,6 @@ def _run_chunk_indexed(
     return results
 
 
-def _run_chunk_batched(
-    batch: Callable[[Sequence[S]], list[R]],
-    scenarios: Sequence[S],
-    indices: Sequence[int],
-) -> list[R]:
-    """Evaluate one index chunk through a family batch entry point.
-
-    The whole chunk goes into ``batch`` as one call (one array operation
-    for the struct-of-arrays kernels); a failure therefore cannot be
-    pinned to a single scenario, so the :class:`WorkerError` carries the
-    chunk's first stream index and scenario.
-    """
-    try:
-        results = list(batch(scenarios))
-    except WorkerError:
-        raise
-    except Exception as exc:
-        raise _worker_error(indices[0], scenarios[0], exc) from exc
-    if len(results) != len(scenarios):
-        raise _worker_error(
-            indices[0],
-            scenarios[0],
-            ValueError(
-                f"batch worker returned {len(results)} results for "
-                f"{len(scenarios)} scenarios"
-            ),
-        )
-    return results
-
-
-def _resolve_batch(
-    backend: str | None,
-    batch_worker: Callable[..., list[R]] | None,
-) -> Callable[[Sequence[S]], list[R]] | None:
-    """The chunk-batch callable, or ``None`` for the per-scenario path.
-
-    Batching engages only when *both* a backend name and a family batch
-    worker are supplied **and** the resolved backend declares batch
-    support; backends without a batch kernel (``scalar``,
-    ``vectorized``) silently keep the per-scenario path, which is the
-    documented fallback.  An unknown or unavailable backend name fails
-    loudly here (before any pool is spawned).  The returned callable is
-    a partial over a module-level worker, hence picklable.
-    """
-    if backend is None or batch_worker is None:
-        return None
-    from repro.piecewise.backends import resolve_backend
-
-    if not resolve_backend(backend).supports_batch:
-        return None
-    return functools.partial(batch_worker, backend=backend)
-
-
 class BatchEngine:
     """Evaluates scenario batches according to an :class:`EngineConfig`."""
 
@@ -256,8 +202,6 @@ class BatchEngine:
         sink: ResultSink | None = None,
         collect: bool = True,
         group_by: Callable[[S], Hashable] | None = None,
-        backend: str | None = None,
-        batch_worker: Callable[..., list[R]] | None = None,
     ) -> list[R] | None:
         """Evaluate ``worker`` over ``scenarios``; results in input order.
 
@@ -286,17 +230,6 @@ class BatchEngine:
                 :func:`~repro.engine.chunking.grouped_chunk_plan`), so
                 the ordered flush buffers at most the in-flight chunks
                 even when groups interleave.
-            backend: Optional kernel backend name (see
-                :mod:`repro.piecewise.backends`).  When the named
-                backend supports batch evaluation *and* ``batch_worker``
-                is provided, each chunk is evaluated through one batch
-                call instead of per-scenario ``worker`` calls; otherwise
-                the per-scenario path runs unchanged.  Unknown or
-                unavailable names raise ``ValueError`` up front.
-            batch_worker: Optional module-level callable
-                ``(scenarios, *, backend) -> list[result]`` — the
-                family's batch entry point, required for ``backend`` to
-                take effect.
 
         Returns:
             One result per scenario, ordered like ``scenarios``; ``None``
@@ -304,12 +237,7 @@ class BatchEngine:
         """
         if not collect:
             require(sink is not None, "collect=False requires a sink")
-        batch = _resolve_batch(backend, batch_worker)
         if not self.config.parallel:
-            if batch is not None:
-                return self._map_inline_batched(
-                    batch, scenarios, sink, collect, group_by
-                )
             results: list[R] | None = [] if collect else None
             for index, scenario in enumerate(scenarios):
                 try:
@@ -325,56 +253,9 @@ class BatchEngine:
             return results
         if group_by is not None:
             return self._map_pooled_grouped(
-                worker, scenarios, sink, collect, group_by, batch
+                worker, scenarios, sink, collect, group_by
             )
-        return self._map_pooled(worker, scenarios, sink, collect, batch)
-
-    def _map_inline_batched(
-        self,
-        batch: Callable[[Sequence[S]], list[R]],
-        scenarios: Sequence[S],
-        sink: ResultSink | None,
-        collect: bool,
-        group_by: Callable[[S], Hashable] | None,
-    ) -> list[R] | None:
-        """Inline evaluation through a batch entry point, chunk by chunk.
-
-        Unlike the per-scenario inline path, batching pays off only on
-        whole chunks, so the stream is decomposed exactly like the
-        pooled paths (group-respecting plan when ``group_by`` is set,
-        contiguous chunks otherwise) and results are scattered back and
-        flushed in scenario order.  Results are bit-identical to the
-        per-scenario path whenever the backend declares bit-identical
-        exactness — the parity tests assert this.
-        """
-        chunk_size = self.config.chunk_size or default_chunk_size(
-            len(scenarios), 1
-        )
-        if group_by is not None:
-            keys = [group_by(scenario) for scenario in scenarios]
-            plan = grouped_chunk_plan(keys, chunk_size)
-        else:
-            plan = [
-                list(range(start, stop))
-                for start, stop in chunk_bounds(len(scenarios), chunk_size)
-            ]
-        buffer: dict[int, R] = {}
-        ordered: list[R] | None = [] if collect else None
-        next_index = 0
-        for indices in plan:
-            chunk_results = _run_chunk_batched(
-                batch, [scenarios[i] for i in indices], indices
-            )
-            for index, result in zip(indices, chunk_results):
-                buffer[index] = result
-            while next_index in buffer:
-                result = buffer.pop(next_index)
-                if sink is not None:
-                    sink.write(as_record(result))
-                if ordered is not None:
-                    ordered.append(result)
-                next_index += 1
-        return ordered
+        return self._map_pooled(worker, scenarios, sink, collect)
 
     def _map_pooled(
         self,
@@ -382,7 +263,6 @@ class BatchEngine:
         scenarios: Sequence[S],
         sink: ResultSink | None,
         collect: bool,
-        batch: Callable[[Sequence[S]], list[R]] | None = None,
     ) -> list[R] | None:
         workers = resolve_workers(self.config.max_workers)
         chunk_size = self.config.chunk_size or default_chunk_size(
@@ -411,20 +291,9 @@ class BatchEngine:
                     and len(pending) + len(done_chunks) < max_inflight
                 ):
                     start, stop = chunks[submit_cursor]
-                    if batch is not None:
-                        future = pool.submit(
-                            _run_chunk_batched,
-                            batch,
-                            list(scenarios[start:stop]),
-                            range(start, stop),
-                        )
-                    else:
-                        future = pool.submit(
-                            _run_chunk,
-                            worker,
-                            list(scenarios[start:stop]),
-                            start,
-                        )
+                    future = pool.submit(
+                        _run_chunk, worker, list(scenarios[start:stop]), start
+                    )
                     pending[future] = submit_cursor
                     submit_cursor += 1
                 finished, _ = wait(pending, return_when=FIRST_COMPLETED)
@@ -447,7 +316,6 @@ class BatchEngine:
         sink: ResultSink | None,
         collect: bool,
         group_by: Callable[[S], Hashable],
-        batch: Callable[[Sequence[S]], list[R]] | None = None,
     ) -> list[R] | None:
         """Pooled evaluation over a group-respecting chunk plan.
 
@@ -485,20 +353,12 @@ class BatchEngine:
                     and len(pending) < max_inflight
                 ):
                     indices = plan[submit_cursor]
-                    if batch is not None:
-                        future = pool.submit(
-                            _run_chunk_batched,
-                            batch,
-                            [scenarios[i] for i in indices],
-                            indices,
-                        )
-                    else:
-                        future = pool.submit(
-                            _run_chunk_indexed,
-                            worker,
-                            [scenarios[i] for i in indices],
-                            indices,
-                        )
+                    future = pool.submit(
+                        _run_chunk_indexed,
+                        worker,
+                        [scenarios[i] for i in indices],
+                        indices,
+                    )
                     pending[future] = submit_cursor
                     submit_cursor += 1
                 finished, _ = wait(pending, return_when=FIRST_COMPLETED)
@@ -526,8 +386,6 @@ def run_batch(
     sink: ResultSink | None = None,
     collect: bool = True,
     group_by: Callable[[S], Hashable] | None = None,
-    backend: str | None = None,
-    batch_worker: Callable[..., list[R]] | None = None,
 ) -> list[R] | None:
     """One-call batch evaluation (the functional face of the engine).
 
@@ -547,11 +405,6 @@ def run_batch(
             :class:`repro.engine.context.AnalysisContext` once.  Purely
             a locality knob: results stay bit-identical and in scenario
             order.
-        backend: Optional kernel backend name; with a ``batch_worker``
-            and a batch-capable backend, chunks are evaluated as single
-            batch calls (see :meth:`BatchEngine.map`).
-        batch_worker: Optional family batch entry point
-            ``(scenarios, *, backend) -> list[result]``.
 
     Returns:
         One result per scenario, in scenario order — identical for every
@@ -567,6 +420,4 @@ def run_batch(
         sink=sink,
         collect=collect,
         group_by=group_by,
-        backend=backend,
-        batch_worker=batch_worker,
     )

@@ -99,13 +99,6 @@ class ScenarioFamily:
             the scenario dataclass's fields; surfaced through
             :meth:`axes` to the CLI, docs generator and campaign
             error messages.
-        batch_worker: Optional module-level batch entry point
-            ``(scenarios, *, backend) -> list[result]`` evaluating a
-            whole chunk through a kernel backend's struct-of-arrays
-            path (see :mod:`repro.piecewise.backends`).  ``None`` means
-            the family always evaluates per scenario — a ``--backend``
-            request then falls back silently, which is the documented
-            contract.
     """
 
     name: str
@@ -116,7 +109,6 @@ class ScenarioFamily:
     context_key: Callable[[Any], Any] | None = None
     artifacts: tuple[str, ...] = ()
     field_help: tuple[tuple[str, str], ...] = ()
-    batch_worker: Callable[..., list[Any]] | None = None
 
     def axes(self) -> tuple[AxisSpec, ...]:
         """The family's sweepable axes, in scenario-field order.
@@ -205,7 +197,6 @@ def _register_builtins() -> None:
             "grids (the Figure 5 shape)",
             context_key=sweeps.bound_context_key,
             artifacts=sweeps.BOUND_ARTIFACTS,
-            batch_worker=sweeps.evaluate_bound_batch,
             field_help=(
                 ("function", "benchmark delay-function name "
                  "(gaussian1, gaussian2, bimodal)"),
@@ -225,7 +216,6 @@ def _register_builtins() -> None:
             "generated task sets (the EXT-D shape)",
             context_key=sweeps.study_context_key,
             artifacts=sweeps.STUDY_ARTIFACTS,
-            batch_worker=sweeps.evaluate_study_batch,
             field_help=(
                 ("utilization", "target total utilization of the "
                  "generated set"),

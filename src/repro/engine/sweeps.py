@@ -31,7 +31,7 @@ results between ``max_workers=1`` and ``N``.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -146,78 +146,6 @@ def evaluate_bound_scenario(scenario: BoundScenario) -> BoundResult:
         converged=comparison.algorithm1.converged,
         preemptions=comparison.algorithm1.preemptions,
     )
-
-
-def evaluate_bound_batch(
-    scenarios: Sequence[BoundScenario], *, backend: str = "numpy"
-) -> list[BoundResult]:
-    """Engine batch entry point: one kernel call per shared context.
-
-    The struct-of-arrays counterpart of
-    :func:`evaluate_bound_scenario`: scenarios are partitioned by
-    :func:`bound_context_key` (the engine's grouped chunk plan already
-    sends single-group chunks, so the partition is usually trivial), the
-    group's :class:`~repro.piecewise.backends.BatchedGrid` is resolved
-    once through the per-process memo, and Algorithm 1 runs over the
-    whole q lane-array in lockstep through the named backend's batch
-    kernel.  The cheap O(1)-per-iteration Eq. 4 recurrence stays scalar
-    per lane — it shares no per-q work to amortise.
-
-    Results are bit-identical to the per-scenario worker for backends
-    declaring bit-identical exactness (the parity tests assert this),
-    and are returned in input order.
-
-    Args:
-        scenarios: The chunk; may mix context groups.
-        backend: A batch-capable backend name (see
-            :mod:`repro.piecewise.backends`).
-
-    Raises:
-        ValueError: for unknown/unavailable backends or one without a
-            batch kernel.
-    """
-    from repro.core.floating_npr import (
-        _MIN_PROGRESS_FRACTION,
-        DEFAULT_MAX_ITERATIONS,
-    )
-    from repro.core.state_of_the_art import state_of_the_art_delay_bound
-    from repro.piecewise.backends import batched_grid, resolve_backend
-
-    kernel = resolve_backend(backend)
-    require(
-        kernel.bound_batch is not None,
-        f"backend {backend!r} does not support batch bound evaluation",
-    )
-    groups: dict[ContextKey, list[int]] = {}
-    for index, scenario in enumerate(scenarios):
-        groups.setdefault(bound_context_key(scenario), []).append(index)
-    results: list[BoundResult | None] = [None] * len(scenarios)
-    for key, indices in groups.items():
-        context = get_context(key, BOUND_ARTIFACTS)
-        grid = batched_grid(context.function_index)
-        qs = [scenarios[i].q for i in indices]
-        totals, converged, preemptions = kernel.bound_batch(
-            grid,
-            qs,
-            wcet=context.function.wcet,
-            min_progress_fraction=_MIN_PROGRESS_FRACTION,
-            max_iterations=DEFAULT_MAX_ITERATIONS,
-        )
-        for lane, index in enumerate(indices):
-            scenario = scenarios[index]
-            results[index] = BoundResult(
-                function=scenario.function,
-                q=scenario.q,
-                algorithm1=totals[lane],
-                state_of_the_art=state_of_the_art_delay_bound(
-                    context.function,
-                    scenario.q,
-                    f_max=context.function_max,
-                ).total_delay,
-                converged=converged[lane],
-                preemptions=preemptions[lane],
-            )
-    return [result for result in results if result is not None]
 
 
 def _record_float(value: object) -> float:
@@ -442,138 +370,3 @@ def evaluate_study_scenario(scenario: StudyScenario) -> StudyResult:
             for method in scenario.methods
         ),
     )
-
-
-def evaluate_study_batch(
-    scenarios: Sequence[StudyScenario], *, backend: str = "numpy"
-) -> list[StudyResult]:
-    """Engine batch entry point for the acceptance study.
-
-    The struct-of-arrays counterpart of
-    :func:`evaluate_study_scenario`, mirroring
-    :func:`evaluate_bound_batch`'s shape.  The study's per-scenario
-    hot spot is the ``algorithm1`` method: one Algorithm 1 bound *per
-    task* per scenario.  Scenarios are partitioned by
-    :func:`study_context_key` (one generated set per group); within a
-    group each task's delay function is fixed and only its assigned
-    ``Q_i`` varies with ``q_fraction`` — exactly the lane shape
-    :meth:`repro.piecewise.backends.KernelBackend.bound_batch` wants.
-    So per task name one kernel call computes every scenario's
-    cumulative bound, and ``C'_i = C_i + total`` (Eq. 5) feeds plain
-    RTA.  The O(n²) event-accounting methods and the admission check
-    stay scalar — they share no per-``q_fraction`` work to amortise.
-
-    Results are bit-identical to the per-scenario worker for backends
-    declaring bit-identical exactness (the parity tests assert this),
-    and are returned in input order.
-
-    Args:
-        scenarios: The chunk; may mix context groups.
-        backend: A batch-capable backend name (see
-            :mod:`repro.piecewise.backends`).
-
-    Raises:
-        ValueError: for unknown/unavailable backends or one without a
-            batch kernel.
-    """
-    from repro.core.floating_npr import (
-        _MIN_PROGRESS_FRACTION,
-        DEFAULT_MAX_ITERATIONS,
-    )
-    from repro.piecewise.backends import batched_grid_for, resolve_backend
-    from repro.sched.rta import rta_fixed_priority
-
-    kernel = resolve_backend(backend)
-    require(
-        kernel.bound_batch is not None,
-        f"backend {backend!r} does not support batch bound evaluation",
-    )
-    groups: dict[ContextKey, list[int]] = {}
-    for index, scenario in enumerate(scenarios):
-        groups.setdefault(study_context_key(scenario), []).append(index)
-    results: list[StudyResult | None] = [None] * len(scenarios)
-    for key, indices in groups.items():
-        context = get_context(key, STUDY_ARTIFACTS)
-        prepared: dict[int, TaskSet] = {}
-        for index in indices:
-            task_set = context.prepared_task_set(
-                "fp", scenarios[index].q_fraction
-            )
-            if task_set is None:
-                scenario = scenarios[index]
-                results[index] = StudyResult(
-                    utilization=scenario.utilization,
-                    seed=scenario.seed,
-                    admitted=False,
-                    accepted=tuple(False for _ in scenario.methods),
-                )
-            else:
-                prepared[index] = task_set
-
-        # One kernel call per task name: the group's generated set has
-        # one ``f_i`` per task, and each admitted scenario assigns it a
-        # different ``Q_i``.  Lanes only exist where algorithm1 will
-        # actually read the bound.
-        inflated: dict[tuple[int, str], float] = {}
-        by_name: dict[str, list[int]] = {}
-        for index in sorted(prepared):
-            if "algorithm1" not in scenarios[index].methods:
-                continue
-            for task in prepared[index]:
-                if task.delay_function is None or task.npr_length is None:
-                    continue
-                by_name.setdefault(task.name, []).append(index)
-        for name, lanes in by_name.items():
-            per_task = {
-                index: next(
-                    t for t in prepared[index] if t.name == name
-                )
-                for index in lanes
-            }
-            f = per_task[lanes[0]].delay_function
-            if f is None:  # pragma: no cover - filtered above
-                continue
-            totals, _converged, _ = kernel.bound_batch(
-                batched_grid_for(f.function),
-                [per_task[index].npr_length for index in lanes],
-                wcet=f.wcet,
-                min_progress_fraction=_MIN_PROGRESS_FRACTION,
-                max_iterations=DEFAULT_MAX_ITERATIONS,
-            )
-            for lane, index in enumerate(lanes):
-                # Eq. 5 exactly as FloatingNPRBound.inflated_wcet
-                # computes it: same two float operands, same addition.
-                inflated[(index, name)] = f.wcet + totals[lane]
-
-        for index in sorted(prepared):
-            scenario = scenarios[index]
-            task_set = prepared[index]
-            accepted = []
-            for method in scenario.methods:
-                if method == "algorithm1":
-                    accepted.append(
-                        rta_fixed_priority(
-                            task_set,
-                            execution_times={
-                                t.name: inflated.get(
-                                    (index, t.name), t.wcet
-                                )
-                                for t in task_set
-                            },
-                        ).schedulable
-                    )
-                else:
-                    accepted.append(
-                        delay_aware_rta(
-                            task_set,
-                            method,
-                            delay_maxima=context.delay_maxima,
-                        ).schedulable
-                    )
-            results[index] = StudyResult(
-                utilization=scenario.utilization,
-                seed=scenario.seed,
-                admitted=True,
-                accepted=tuple(accepted),
-            )
-    return [result for result in results if result is not None]

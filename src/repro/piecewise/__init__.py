@@ -18,20 +18,6 @@ merge walk over a :class:`SegmentIndex`, an O(1) view of the same
 tuples.
 """
 
-from repro.piecewise.backends import (
-    DEFAULT_BACKEND,
-    EXACT_BIT_IDENTICAL,
-    BatchedGrid,
-    KernelBackend,
-    available_backends,
-    backend_names,
-    batched_grid,
-    batched_grid_for,
-    clear_batched_grid_cache,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
 from repro.piecewise.builders import (
     constant,
     from_points,
@@ -72,16 +58,4 @@ __all__ = [
     "segment_index",
     "evaluate_many",
     "evaluate_sorted",
-    "DEFAULT_BACKEND",
-    "EXACT_BIT_IDENTICAL",
-    "BatchedGrid",
-    "KernelBackend",
-    "available_backends",
-    "backend_names",
-    "batched_grid",
-    "batched_grid_for",
-    "clear_batched_grid_cache",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
 ]

@@ -163,13 +163,11 @@ def _evaluate_shard(spec: dict[str, Any]) -> dict[str, Any]:
             options=ExecutionOptions(
                 store=spec["store"],
                 shard=spec["shard"],
-                backend=spec["backend"],
                 fail_after=spec["fail_after"],
             ),
             manifest=plan.manifest,
             group_by=plan.group_by,
             collect=False,
-            batch_worker=plan.batch_worker,
             cancel=cancel_path.exists,
         )
         return {
@@ -495,8 +493,6 @@ class AnalysisServer:
                         group_by=plan.group_by,
                         on_result=on_result,
                         cancel=job.cancel_event.is_set,
-                        backend=job.request.options.backend,
-                        batch_worker=plan.batch_worker,
                     )
             # Count scenarios *before* the job turns terminal: the end
             # frame releases subscribers, and a client that saw it must
@@ -595,7 +591,6 @@ class AnalysisServer:
                         "params": dict(job.request.params_dict()),
                         "store": str(shard_paths[index]),
                         "shard": format_shard(index, k),
-                        "backend": job.request.options.backend,
                         # Deterministic under fan-out: the fault seam
                         # injects into exactly one shard.
                         "fail_after": fail_after if index == 1 else None,
@@ -794,18 +789,12 @@ class AnalysisServer:
         Execution policy (store, pool width, sinks) is the *server's*;
         client-supplied options are discarded except
 
-        * ``backend`` — the kernel backend is a *client* execution
-          option: every registered backend produces bit-identical
-          records, so honoring it changes how the job computes, never
-          what it computes — which is also why it must not (and,
-          :func:`~repro.serve.jobs.job_id_for` deriving the id from
-          workload + params + fingerprint alone, structurally cannot)
-          enter the job id;
         * ``workers`` — an optional *cap* on the job's intra-job shard
-          fan-out (the server never exceeds its own free slots); like
-          ``backend`` it is excluded from the job id by construction,
-          so the same grid submitted with different ``workers`` is
-          still one job;
+          fan-out (the server never exceeds its own free slots); it
+          is excluded from the job id by construction
+          (:func:`~repro.serve.jobs.job_id_for` derives the id from
+          workload + params + fingerprint alone), so the same grid
+          submitted with different ``workers`` is still one job;
         * the ``fail_after`` fault seam, and that only when the config
           opts in.
         """
@@ -817,7 +806,6 @@ class AnalysisServer:
             params=request.params,
             options=ExecutionOptions(
                 fail_after=fail_after,
-                backend=request.options.backend,
                 workers=request.options.workers,
             ),
         )

@@ -37,12 +37,6 @@ from repro.utils.jsonsafe import json_safe
 #: Default number of puts between commits (checkpoint granularity).
 DEFAULT_COMMIT_EVERY = 64
 
-#: The exactness class under which backend recordings are
-#: interchangeable (mirrors
-#: :data:`repro.piecewise.backends.EXACT_BIT_IDENTICAL`; kept as a
-#: literal so the store layer stays import-independent of the kernels).
-_BIT_IDENTICAL = "bit-identical"
-
 #: How long a writer waits on a locked database before erroring (s).
 #: Concurrent writers (shard runs into one store, the serve job
 #: executor next to a reader) serialize on SQLite's write lock; a
@@ -213,46 +207,6 @@ class ResultStore:
         )
         if existing is None:
             self._set_meta("shard", scope)
-
-    @property
-    def backend_info(self) -> dict[str, str] | None:
-        """The kernel backend this store's records were computed with:
-        ``{"name": ..., "exactness": ...}``, or ``None`` when none has
-        been recorded (pre-backend stores)."""
-        raw = self._get_meta("backend")
-        return None if raw is None else json.loads(raw)
-
-    def set_backend_info(self, name: str, exactness: str) -> None:
-        """Record the kernel backend (and its declared exactness class)
-        that computed this store's records.
-
-        Bit-identical backends are interchangeable by definition, so a
-        store first recorded under one of them may be extended (resume,
-        shard merge) under another — the first recording is kept, since
-        the bytes cannot differ.  Any mix involving a *tolerance-class*
-        backend would silently blend records computed under different
-        numerics, so it fails loudly instead.
-        """
-        require(bool(name), "backend name must be non-empty")
-        require(bool(exactness), "backend exactness must be non-empty")
-        existing = self.backend_info
-        new = {"name": name, "exactness": exactness}
-        if existing is not None and existing != new:
-            require(
-                existing["exactness"] == _BIT_IDENTICAL
-                and exactness == _BIT_IDENTICAL,
-                f"store {self.path} records backend "
-                f"{existing['name']!r} ({existing['exactness']}), but "
-                f"this run uses backend {name!r} ({exactness}); mixing "
-                "non-bit-identical backends would blend records "
-                "computed under different numerics — rerun with the "
-                "recorded backend or use a fresh store",
-            )
-            return
-        if existing is None:
-            self._set_meta(
-                "backend", json.dumps(new, sort_keys=True, allow_nan=False)
-            )
 
     # ------------------------------------------------------------------
     # job manifests
@@ -439,18 +393,12 @@ def merge_stores(
 
     Manifests must agree wherever present: the target adopts the first
     manifest it sees, and later sources with a *different* manifest are
-    rejected (they describe a different sweep).  Backend recordings
-    propagate the same way, under :meth:`ResultStore.set_backend_info`'s
-    compatibility rule (bit-identical backends merge freely; tolerance
-    classes must match exactly).
+    rejected (they describe a different sweep).
     """
     added = 0
     for source in sources:
         manifest = source.manifest
         if manifest is not None:
             target.set_manifest(manifest)
-        backend = source.backend_info
-        if backend is not None:
-            target.set_backend_info(backend["name"], backend["exactness"])
         added += target.merge_from(source)
     return added

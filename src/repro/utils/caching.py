@@ -1,13 +1,10 @@
 """Shared sizing knob for the per-process memo caches.
 
-The engine keeps two per-process LRU memos (shared-artifact
-``AnalysisContext`` objects and batched kernel grids).  Historically each had its own hard-coded
-default and no runtime control, so a campaign whose working set
-exceeded one of the defaults would silently thrash that cache while
-the others sat oversized.  This module provides the one surface that
-sizes them all:
+The engine keeps one per-process LRU memo: the shared-artifact
+``AnalysisContext`` objects of :func:`repro.engine.context.get_context`.
+This module provides the surface that sizes it:
 
-* ``REPRO_CACHE_SIZE`` — environment variable overriding every memo's
+* ``REPRO_CACHE_SIZE`` — environment variable overriding the memo's
   default capacity (one positive integer);
 * :class:`SwappableLRU` — an ``functools.lru_cache`` wrapper whose
   capacity can be rebuilt at runtime (``resize()``), used instead of

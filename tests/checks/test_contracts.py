@@ -1,4 +1,5 @@
-"""Registry/wire contract checkers (RC001-005), drift demos included."""
+"""Registry/wire contract checkers (RC001, RC002, RC004, RC005), drift
+demos included."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ from types import SimpleNamespace
 from repro.api.options import ExecutionOptions
 from repro.api.request import RunRequest
 from repro.checks.contracts import (
-    check_backend_declarations,
     check_family_axes,
     check_family_context,
     check_wire_contract,
@@ -29,20 +29,6 @@ def family(**kw):
         context_key=lambda s: s.knots,
         artifacts=("functions",),
         field_help=(("q", "NPR length"), ("knots", "resolution")),
-    )
-    base.update(kw)
-    return SimpleNamespace(**base)
-
-
-def backend(**kw):
-    base = dict(
-        name="fab",
-        exactness="bit-identical",
-        requires=None,
-        available=True,
-        batch_capable=False,
-        evaluate_many=lambda f, xs: list(xs),
-        bound_batch=None,
     )
     base.update(kw)
     return SimpleNamespace(**base)
@@ -101,49 +87,6 @@ class TestRc002Axes:
         )
         assert [f.code for f in findings] == ["RC002"]
         assert "'gone'" in findings[0].message
-
-
-class TestRc003Backends:
-    def test_consistent_backend_passes(self, make_tree):
-        tree = make_tree({"m.py": "x = 1\n"})
-        assert list(check_backend_declarations(tree, [backend()])) == []
-
-    def test_empty_exactness_is_flagged(self, make_tree):
-        tree = make_tree({"m.py": "x = 1\n"})
-        findings = list(
-            check_backend_declarations(tree, [backend(exactness="")])
-        )
-        assert [f.code for f in findings] == ["RC003"]
-
-    def test_stdlib_backend_cannot_be_unavailable(self, make_tree):
-        tree = make_tree({"m.py": "x = 1\n"})
-        findings = list(
-            check_backend_declarations(
-                tree,
-                [backend(available=False, evaluate_many=None)],
-            )
-        )
-        assert [f.code for f in findings] == ["RC003"]
-
-    def test_batch_kernel_requires_batch_capable(self, make_tree):
-        tree = make_tree({"m.py": "x = 1\n"})
-        findings = list(
-            check_backend_declarations(
-                tree,
-                [backend(bound_batch=lambda s: s, batch_capable=False)],
-            )
-        )
-        assert [f.code for f in findings] == ["RC003"]
-
-    def test_unavailable_backend_must_drop_kernels(self, make_tree):
-        tree = make_tree({"m.py": "x = 1\n"})
-        findings = list(
-            check_backend_declarations(
-                tree,
-                [backend(requires="numpy", available=False)],
-            )
-        )
-        assert [f.code for f in findings] == ["RC003"]
 
 
 class TestRc004WireDrift:

@@ -110,14 +110,12 @@ class TestCheckCli:
         )
         assert main(["check", "--root", str(tmp_path)]) == 1
 
-    def test_check_workload_declares_only_the_uniform_backend_group(self):
-        # Every workload carries the uniform --backend flag
-        # (tests/test_cli_backends.py), but check must NOT enable the
-        # sink group: its --format text|json parameter would collide
-        # with the sink --format jsonl|csv flag.
+    def test_check_workload_declares_no_flag_group(self):
+        # check must NOT enable the sink group: its --format text|json
+        # parameter would collide with the sink --format jsonl|csv flag.
         from repro.api.workloads import get_workload
 
-        assert get_workload("check").flags == frozenset({"backend"})
+        assert get_workload("check").flags == frozenset()
 
 
 class TestCommittedBaseline:

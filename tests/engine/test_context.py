@@ -52,6 +52,7 @@ from repro.engine.families import (
     sim_context_key,
 )
 from repro.engine.sweeps import (
+    benchmark_function,
     bound_context_key,
     prepared_task_set,
     study_context_key,
@@ -61,7 +62,6 @@ from repro.npr import (
     fp_blocking_tolerances,
     fp_max_npr_lengths,
 )
-from repro.piecewise import segment_index
 from repro.sched import delay_aware_rta
 from repro.sched.edf_delay_aware import EDF_METHODS, edf_delay_aware_verdicts
 from repro.tasks import gaussian_delay_factory, generate_task_set
@@ -137,9 +137,6 @@ class TestTasksetContextArtifacts:
         assert context.beta_fp == fp_blocking_tolerances(base)
         assert context.safe_q_fp == fp_max_npr_lengths(base)
         assert context.safe_q_edf == edf_max_npr_lengths(base)
-        assert context.segment_indices == {
-            t.name: segment_index(t.delay_function.function) for t in base
-        }
 
     def test_context_is_picklable(self):
         context = build_context(self.KEY, TASKSET_ARTIFACTS)
@@ -154,7 +151,6 @@ class TestTasksetContextArtifacts:
         assert context.delay_maxima is None
         assert context.beta_fp is None
         assert context.safe_q_edf is None
-        assert context.segment_indices is None
 
     def test_wrong_kind_artifact_rejected(self):
         with pytest.raises(ValueError, match="unknown artifact"):
@@ -188,13 +184,19 @@ class TestTasksetContextArtifacts:
 
 class TestBenchmarkContextArtifacts:
     def test_function_max_and_index_precomputed(self):
+        # The kernel bisects the function's own coordinate tuples, so
+        # the memoised function is the segment index: a rebuilt context
+        # shares those tuples instead of recomputing them.
         key = benchmark_context_key("bimodal", "literal", 128)
         context = build_context(key, (BENCHMARK_FUNCTION,))
-        assert context.function is not None
+        assert context.function is benchmark_function("bimodal", "literal", 128)
         assert context.function_max == context.function.max_value()
-        assert context.function_index == segment_index(
-            context.function.function
-        )
+        rebuilt = build_context(key, (BENCHMARK_FUNCTION,))
+        for ours, theirs in zip(
+            context.function.function.coordinates,
+            rebuilt.function.function.coordinates,
+        ):
+            assert ours is theirs
 
 
 class TestWorkersMatchUncontextedRecipes:

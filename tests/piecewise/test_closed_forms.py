@@ -15,17 +15,22 @@ replace.
   :func:`max_envelope` and every window of Algorithm 1 must match
   frozen copies of the :class:`Segment`-based code: the same function
   or the same first error, and the same :class:`WindowStep` trace.
+* Algorithm 1 runs each window as one forward walk that finds ``p∩``
+  and the window's maximum together, and records its trace as float
+  columns.  Every window must match the two-scan loop below (``p∩``,
+  then ``max_on``), and ``.steps`` must read as the eager trace did.
 """
 
 import bisect
 import math
 import operator
+import pickle
 
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.core import PreemptionDelayFunction, floating_npr_delay_bound
-from repro.core.floating_npr import WindowStep
+from repro.core.floating_npr import FloatingNPRBound, WindowStep
 from repro.piecewise import (
     PiecewiseFunction,
     Segment,
@@ -401,7 +406,9 @@ def reference_envelope(f, g, take_max):
     return reference_function(segments)
 
 
-def reference_algorithm1(f, q, max_preemptions, min_progress_fraction=1e-12):
+def reference_algorithm1(
+    f, q, max_preemptions, min_progress_fraction=1e-12, max_iterations=1_000_000
+):
     """Algorithm 1's loop over the Segment-based queries above:
     ``(total, converged, preemptions, steps)``."""
     wcet = f.domain_end
@@ -411,6 +418,11 @@ def reference_algorithm1(f, q, max_preemptions, min_progress_fraction=1e-12):
     iteration = 0
     while p_next < wcet:
         iteration += 1
+        if iteration > max_iterations:
+            raise ValueError(
+                f"Algorithm 1 exceeded {max_iterations} iterations "
+                f"(C={wcet}, Q={q}); the bound is close to divergence"
+            )
         prog = p_next
         window_end = min(prog + q, wcet)
         lo, hi = max(prog, 0.0), min(window_end, wcet)
@@ -563,3 +575,128 @@ class TestTupleStorageOracles:
             "raised",
             "3.2200000000000006 outside segment [1.11, 3.22]",
         )
+
+
+# ----------------------------------------------------------------------
+# The single-pass Algorithm 1 kernel
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def grid_functions(draw):
+    """Functions on an integer grid with integer ordinates, so the line
+    ``D(x) = prog + Q - x`` meets pieces exactly at their ends and on
+    jumps; some pieces start up to 1e-9 off the previous piece's end."""
+    wcet = draw(st.sampled_from([20.0, 30.0, 47.0]))
+    knots = draw(st.lists(st.integers(1, int(wcet) - 1), max_size=10, unique=True))
+    xs = [0.0, *sorted(map(float, knots)), wcet]
+    pieces = len(xs) - 1
+    values = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 5.0, 6.0, 9.0, 12.0])
+    y0 = draw(st.lists(values, min_size=pieces, max_size=pieces))
+    y1 = draw(st.lists(values, min_size=pieces, max_size=pieces))
+    if draw(st.booleans()):
+        y1 = y0  # a step function
+    shift = st.sampled_from([0.0, 0.0, 0.0, 5e-10, -5e-10, 9e-10, -9e-10])
+    shifts = [0.0, *draw(st.lists(shift, min_size=pieces - 1, max_size=pieces - 1))]
+    return PiecewiseFunction(
+        Segment(xs[k] + shifts[k], xs[k + 1], y0[k], y1[k]) for k in range(pieces)
+    )
+
+
+def kernel_outcome(f, q, cap=None, max_iterations=1_000_000):
+    """``floating_npr_delay_bound`` as comparable bits, or its message."""
+    try:
+        bound = floating_npr_delay_bound(
+            PreemptionDelayFunction(f), q, max_preemptions=cap, max_iterations=max_iterations
+        )
+    except ValueError as error:
+        return ("raised", str(error))
+    return (
+        bits(bound.total_delay),
+        bound.converged,
+        bound.preemptions,
+        [step_bits(s) for s in bound.steps],
+    )
+
+
+def reference_outcome(f, q, cap=None, max_iterations=1_000_000):
+    """The two-scan loop's result in :func:`kernel_outcome`'s shape."""
+    try:
+        total, converged, preemptions, steps = reference_algorithm1(
+            f, q, cap, max_iterations=max_iterations
+        )
+    except ValueError as error:
+        return ("raised", str(error))
+    return (bits(total), converged, preemptions, [step_bits(s) for s in steps])
+
+
+class TestSinglePassKernel:
+    @given(
+        grid_functions(),
+        st.one_of(st.integers(1, 15).map(float), st.floats(0.5, 15.0)),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+        st.sampled_from([1_000_000, 1, 3, 8]),
+    )
+    def test_every_window_matches_the_two_scan_loop(self, f, q, cap, max_iterations):
+        assert kernel_outcome(f, q, cap, max_iterations) == reference_outcome(
+            f, q, cap, max_iterations
+        )
+
+    def test_p_cross_on_a_jump_counts_the_next_pieces_point(self):
+        # Window 1: prog = 10 and D(x) = 20 - x.  The piece on [12, 14]
+        # (value 6) meets the line exactly at its end, so p∩ = 14, where
+        # the next piece starts with value 9: that single point is the
+        # window's maximum.
+        f = step([0.0, 12.0, 14.0, 30.0], [1.0, 6.0, 9.0])
+        assert kernel_outcome(f, 10.0) == reference_outcome(f, 10.0)
+        bound = floating_npr_delay_bound(PreemptionDelayFunction(f), 10.0)
+        assert bound.steps[0] == WindowStep(1, 10.0, 14.0, 14.0, 9.0, 11.0)
+
+    def test_pieces_contiguous_only_within_the_tolerance(self):
+        # The same shape with each jump moved off the previous piece's
+        # end by less than the tolerance, both ways.
+        for gap in (5e-10, -5e-10, 9e-10, -9e-10):
+            f = PiecewiseFunction(
+                [
+                    Segment(0.0, 12.0, 1.0, 1.0),
+                    Segment(12.0 + gap, 14.0, 6.0, 6.0),
+                    Segment(14.0 + gap, 30.0, 9.0, 9.0),
+                ]
+            )
+            for q in (10.0, 9.5, 11.0):
+                for cap in (None, 1):
+                    assert kernel_outcome(f, q, cap) == reference_outcome(f, q, cap)
+
+    def test_divergence_at_the_first_window(self):
+        f = step([0.0, 30.0], [10.0])
+        assert kernel_outcome(f, 10.0) == reference_outcome(f, 10.0)
+        bound = floating_npr_delay_bound(PreemptionDelayFunction(f), 10.0)
+        assert (bound.total_delay, bound.converged, bound.preemptions) == (math.inf, False, 0)
+        assert bound.steps == ()
+
+    def test_iteration_cap_message(self):
+        f = step([0.0, 100.0], [1.0])
+        message = (
+            "Algorithm 1 exceeded 5 iterations (C=100.0, Q=2.0); "
+            "the bound is close to divergence"
+        )
+        assert kernel_outcome(f, 2.0, max_iterations=5) == ("raised", message)
+        assert reference_outcome(f, 2.0, max_iterations=5) == ("raised", message)
+
+    def test_bound_pickles_and_reads_its_trace_as_the_eager_steps(self):
+        f = step([0.0, 12.0, 14.0, 30.0], [1.0, 6.0, 9.0])
+        for cap in (None, 2):
+            bound = floating_npr_delay_bound(PreemptionDelayFunction(f), 10.0, cap)
+            copy = pickle.loads(pickle.dumps(bound))
+            assert copy == bound
+            assert hash(copy) == hash(bound)
+            assert repr(copy) == repr(bound)
+            assert copy.preemptions == bound.preemptions
+            assert copy.inflated_wcet == bound.inflated_wcet
+            assert isinstance(bound, FloatingNPRBound)
+            assert "trace" not in repr(bound)
+            _, _, _, eager = reference_algorithm1(f, 10.0, cap)
+            assert isinstance(bound.steps, tuple)
+            assert all(type(s) is WindowStep for s in bound.steps)
+            assert [step_bits(s) for s in copy.steps] == [step_bits(s) for s in eager]
+            assert bound.steps == tuple(eager)

@@ -202,71 +202,87 @@ class TestSweepWorkload:
 
 
 class TestBackendOption:
-    """The ``backend`` execution option over the wire: honored as a
-    client-side *how*, never part of the job's *what*."""
+    """The kernel-backend option is gone: a wire ``backend`` field is a
+    ``bad-request``, and a store an older build stamped with a backend
+    still serves byte-identical streams."""
 
-    def _with_backend(self, request: RunRequest, name: str) -> RunRequest:
-        from repro.api.options import ExecutionOptions
-
-        return RunRequest(
-            workload=request.workload,
-            params=request.params,
-            options=ExecutionOptions(backend=name),
-        )
-
-    def test_backend_never_enters_the_job_id(
-        self, serve_factory
-    ) -> None:
-        # The same grid with and without a backend option is one job:
-        # job_id_for derives the id from workload + params +
-        # fingerprint, so the second submission replays the first.
-        handle = serve_factory()
-        with ServeClient(handle.host, handle.port) as client:
-            plain = client.submit(GRID_A)
-            plain_lines = plain.lines()
-            with_backend = client.submit(
-                self._with_backend(GRID_A, "vectorized")
-            )
-            assert with_backend.job == plain.job
-            assert with_backend.lines() == plain_lines
-
-    def test_unknown_backend_is_rejected_before_enqueue(
-        self, serve_factory
-    ) -> None:
-        # A client-side ExecutionOptions would already refuse the name,
-        # so craft the wire frame by hand: the server must also reject
-        # it (bad-request, no job) rather than crash the executor.
-        # "numba" was a backend once and is now just an unknown name.
+    def test_backend_never_enters_the_job_id(self, serve_factory) -> None:
+        # A backend option is refused outright, so it can neither split
+        # a grid into a second job nor disturb the first: the plain
+        # grid resubmitted after the refusal replays the same job.
         from repro.api.wire import request_to_wire
         from repro.serve.protocol import encode_frame
 
         handle = serve_factory()
         with ServeClient(handle.host, handle.port) as client:
-            for name in ("bogus", "numba"):
+            plain = client.submit(GRID_A)
+            plain_lines = plain.lines()
+            wire = request_to_wire(GRID_A)
+            wire["options"] = {"backend": "vectorized"}
+            frame = client.send_raw(
+                encode_frame({"op": "submit", "request": wire})
+            )
+            assert frame["code"] == "bad-request"
+            again = client.submit(GRID_A)
+            assert again.job == plain.job
+            assert again.lines() == plain_lines
+            assert client.status()["jobs"]["done"] == 1
+
+    def test_unknown_backend_is_rejected_before_enqueue(
+        self, serve_factory
+    ) -> None:
+        # A client-side ExecutionOptions has no backend field any more,
+        # so craft the wire frame by hand: the server must reject it
+        # (bad-request, no job) rather than crash the executor — for
+        # the formerly registered names as much as for a bogus one.
+        from repro.api.wire import request_to_wire
+        from repro.serve.protocol import encode_frame
+
+        handle = serve_factory()
+        with ServeClient(handle.host, handle.port) as client:
+            for name in ("bogus", "numba", "numpy", "vectorized", "scalar"):
                 wire = request_to_wire(GRID_A)
                 wire["options"] = {"backend": name}
                 frame = client.send_raw(
                     encode_frame({"op": "submit", "request": wire})
                 )
                 assert frame["code"] == "bad-request"
-                assert f"unknown backend {name!r}" in frame["message"]
-                assert frame["message"].endswith(
-                    "registered backends: scalar, vectorized, numpy"
+                assert frame["message"] == (
+                    "wire options carry unknown field(s): backend"
                 )
             status = client.status()
             assert status["jobs"]["done"] == 0
+            assert status["submitted"] == 0
 
     def test_numpy_backend_stream_matches_solo(
-        self, serve_factory, solo_lines
+        self, serve_factory, solo_lines, tmp_path
     ) -> None:
-        import pytest
+        # A store an older build stamped "numpy" serves the solo
+        # stream, and its stamp is left as it was.
+        import json
+        import sqlite3
 
-        pytest.importorskip("numpy")
-        handle = serve_factory()
-        lines = _serve_lines(
-            handle, self._with_backend(GRID_A, "numpy")
+        store = tmp_path / "stamped.sqlite"
+        ResultStore(store).close()
+        recorded = json.dumps(
+            {"exactness": "bit-identical", "name": "numpy"}, sort_keys=True
         )
-        assert lines == solo_lines(GRID_A, tag="solo-numpy")
+        connection = sqlite3.connect(store)
+        with connection:
+            connection.execute(
+                "INSERT INTO meta (key, value) VALUES ('backend', ?)",
+                (recorded,),
+            )
+        connection.close()
+        handle = serve_factory(store=str(store))
+        assert _serve_lines(handle, GRID_A) == solo_lines(GRID_A)
+        handle.stop()
+        connection = sqlite3.connect(store)
+        row = connection.execute(
+            "SELECT value FROM meta WHERE key = 'backend'"
+        ).fetchone()
+        connection.close()
+        assert row == (recorded,)
 
 
 #: A 4-way-shardable grid: 8 scenarios → plan_fanout picks k=4 on an

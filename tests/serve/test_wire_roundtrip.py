@@ -199,10 +199,6 @@ def execution_options(draw) -> ExecutionOptions:
             max_size=2,
         )
     )
-    # Only *available* backends: ExecutionOptions validates the name
-    # against the live registry at construction time.
-    from repro.piecewise.backends import available_backends
-
     return ExecutionOptions(
         jobs=draw(st.one_of(st.none(), st.integers(1, 8))),
         chunk=draw(st.one_of(st.none(), st.integers(1, 64))),
@@ -212,9 +208,6 @@ def execution_options(draw) -> ExecutionOptions:
         sinks=tuple(sinks),
         format=draw(st.sampled_from(["jsonl", "csv"])),
         fail_after=draw(st.one_of(st.none(), st.integers(1, 100))),
-        backend=draw(
-            st.one_of(st.none(), st.sampled_from(available_backends()))
-        ),
     )
 
 
@@ -229,7 +222,6 @@ class TestOptionsRoundTrip:
         rebuilt = options_from_wire(wire)
         for name in (
             "jobs", "chunk", "resume", "shard", "format", "fail_after",
-            "backend",
         ):
             assert getattr(rebuilt, name) == getattr(options, name)
         assert rebuilt.store == (
@@ -285,6 +277,17 @@ class TestWireValidation:
     def test_malformed_payloads_raise_value_error(self, payload) -> None:
         with pytest.raises(ValueError):
             request_from_wire(payload)
+
+    @pytest.mark.parametrize("name", ["numpy", "vectorized"])
+    def test_removed_backend_option_is_an_unknown_field(self, name) -> None:
+        with pytest.raises(ValueError, match="unknown field\\(s\\): backend"):
+            request_from_wire(
+                {
+                    "version": WIRE_VERSION,
+                    "workload": "sweep",
+                    "options": {"backend": name},
+                }
+            )
 
     def test_loads_rejects_non_json(self) -> None:
         with pytest.raises(ValueError, match="not valid JSON"):

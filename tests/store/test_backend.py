@@ -232,67 +232,3 @@ class TestAdoptRows:
         ) as src, _store(tmp_path, "b.sqlite", fingerprint="fp-b") as dst:
             with pytest.raises(ValueError, match="fingerprint"):
                 dst.adopt_rows(src, ["k"])
-
-
-class TestBackendInfo:
-    """Which kernel backend computed a store's records, and when two
-    recordings may coexist: bit-identical backends are interchangeable
-    by definition, anything else must not silently blend."""
-
-    def test_unrecorded_store_has_no_backend_info(self, tmp_path):
-        with _store(tmp_path) as store:
-            assert store.backend_info is None
-
-    def test_roundtrip_and_persistence(self, tmp_path):
-        with _store(tmp_path) as store:
-            store.set_backend_info("numpy", "bit-identical")
-        with _store(tmp_path) as store:
-            assert store.backend_info == {
-                "name": "numpy",
-                "exactness": "bit-identical",
-            }
-
-    def test_identical_re_record_is_idempotent(self, tmp_path):
-        with _store(tmp_path) as store:
-            store.set_backend_info("vectorized", "bit-identical")
-            store.set_backend_info("vectorized", "bit-identical")
-            assert store.backend_info["name"] == "vectorized"
-
-    def test_bit_identical_backends_are_interchangeable(self, tmp_path):
-        # Resuming a vectorized store under numpy is fine — the bytes
-        # cannot differ — and the first recording is kept.
-        with _store(tmp_path) as store:
-            store.set_backend_info("vectorized", "bit-identical")
-            store.set_backend_info("numpy", "bit-identical")
-            assert store.backend_info["name"] == "vectorized"
-
-    def test_tolerance_class_mix_fails_loudly(self, tmp_path):
-        with _store(tmp_path) as store:
-            store.set_backend_info("vectorized", "bit-identical")
-            with pytest.raises(ValueError, match="mixing"):
-                store.set_backend_info("approx", "rel-1e-9")
-
-    def test_tolerance_first_then_exact_also_fails(self, tmp_path):
-        with _store(tmp_path) as store:
-            store.set_backend_info("approx", "rel-1e-9")
-            with pytest.raises(ValueError, match="mixing"):
-                store.set_backend_info("numpy", "bit-identical")
-
-    def test_empty_fields_rejected(self, tmp_path):
-        with _store(tmp_path) as store:
-            with pytest.raises(ValueError):
-                store.set_backend_info("", "bit-identical")
-            with pytest.raises(ValueError):
-                store.set_backend_info("numpy", "")
-
-    def test_merge_stores_propagates_backend_info(self, tmp_path):
-        with _store(tmp_path, "t.sqlite", fingerprint="fp") as target:
-            source = _store(tmp_path, "s.sqlite", fingerprint="fp")
-            source.set_backend_info("numpy", "bit-identical")
-            source.put("k", {"v": 1})
-            assert merge_stores(target, [source]) == 1
-            assert target.backend_info == {
-                "name": "numpy",
-                "exactness": "bit-identical",
-            }
-            source.close()

@@ -1,10 +1,9 @@
 """The shared ``REPRO_CACHE_SIZE`` knob and the SwappableLRU memo.
 
-One environment variable sizes every per-process memo (AnalysisContext
-objects, batched kernel grids); these tests
-lock in the parsing rules, the lru-compatible memo behaviour, and the
-wiring — each engine memo is a :class:`SwappableLRU` that picks the
-override up on ``resize()``.
+One environment variable sizes the per-process AnalysisContext memo;
+these tests lock in the parsing rules, the lru-compatible memo
+behaviour, and the wiring — the engine memo is a :class:`SwappableLRU`
+that picks the override up on ``resize()``.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -157,12 +156,11 @@ class TestThreadPinnedLRU:
 
 class TestEngineMemoWiring:
     def test_every_engine_memo_follows_the_knob(self, monkeypatch):
-        # The one-knob contract: the AnalysisContext and BatchedGrid
-        # memos both resize through REPRO_CACHE_SIZE.
+        # The one-knob contract: the AnalysisContext memo resizes
+        # through REPRO_CACHE_SIZE.
         from repro.engine.context import get_context
-        from repro.piecewise.backends import batched_grid
 
-        memos = (get_context, batched_grid)
+        memos = (get_context,)
         for memo in memos:
             assert isinstance(memo, SwappableLRU)
         monkeypatch.setenv(CACHE_SIZE_ENV, "11")

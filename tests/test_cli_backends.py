@@ -1,26 +1,22 @@
-"""The uniform ``--backend`` axis end-to-end through the CLI.
+"""Removed kernel-backend values, end to end through the CLI.
 
-The acceptance surface of the backend redesign: every workload accepts
-``--backend``; an unknown name fails loudly listing the registry; the
-``numpy`` backend is **byte-identical** to the default across all four
-scenario families — including ``--jobs`` fan-out, kill-and-resume and
-shard-and-merge; and a ``--store`` run records which backend computed
-it.
+Algorithm 1 has one exact kernel, so the kernel-backend registry, the
+``backends`` command and the ``--backend`` flag are gone.  Stores that
+older builds stamped with a backend (``numba``, ``numpy``,
+``vectorized``, ``scalar``) must still run, resume and merge
+byte-identically across every scenario family, with their ``backend``
+meta row left as it was, and ``--backend`` must be refused.
 """
+
+import json
+import sqlite3
 
 import pytest
 
+from repro.api import ExecutionOptions
 from repro.api.workloads import get_workload, workload_names
 from repro.cli import main
-from repro.piecewise import available_backends
-from repro.piecewise import backends as backends_module
-from repro.piecewise.backends import EXACT_BIT_IDENTICAL, KernelBackend
 from repro.store import ResultStore
-
-HAS_NUMPY = "numpy" in available_backends()
-needs_numpy = pytest.mark.skipif(
-    not HAS_NUMPY, reason="numpy backend not available"
-)
 
 _SWEEP = ["sweep", "--points", "5", "--knots", "64"]
 
@@ -52,185 +48,153 @@ def _run(tmp_path, monkeypatch, argv):
     return main(argv)
 
 
-class TestBackendsCommand:
-    def test_lists_the_whole_registry(self, capsys):
-        assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        for name in ("scalar", "vectorized", "numpy"):
-            assert name in out
-        assert "bit-identical" in out
-
-    def test_reports_live_availability(self, capsys):
-        main(["backends"])
-        out = capsys.readouterr().out
-        vectorized_row = next(
-            line for line in out.splitlines() if "vectorized" in line
+def _stamp(path, name):
+    """A store as an older build left it: empty, with a backend row."""
+    recorded = json.dumps(
+        {"exactness": "bit-identical", "name": name}, sort_keys=True
+    )
+    ResultStore(path).close()
+    connection = sqlite3.connect(path)
+    with connection:
+        connection.execute(
+            "INSERT INTO meta (key, value) VALUES ('backend', ?)", (recorded,)
         )
-        assert "yes" in vectorized_row
+    connection.close()
+    return recorded
+
+
+def _backend_row(path):
+    connection = sqlite3.connect(path)
+    try:
+        row = connection.execute(
+            "SELECT value FROM meta WHERE key = 'backend'"
+        ).fetchone()
+    finally:
+        connection.close()
+    return None if row is None else row[0]
+
+
+def _plain(tmp_path, monkeypatch, argv=_SWEEP):
+    plain = tmp_path / "plain.jsonl"
+    assert _run(tmp_path, monkeypatch, [*argv, "--out", str(plain)]) == 0
+    return plain
+
+
+def _run_stamped(tmp_path, monkeypatch, argv, name="numpy"):
+    """Run ``argv`` on a store stamped ``name``; output bytes must equal
+    a storeless run's and the stamp must survive."""
+    plain = _plain(tmp_path, monkeypatch, argv)
+    store = tmp_path / f"{name}.sqlite"
+    recorded = _stamp(store, name)
+    out = tmp_path / "stamped.jsonl"
+    code = _run(
+        tmp_path, monkeypatch, [*argv, "--out", str(out), "--store", str(store)]
+    )
+    assert code == 0
+    assert out.read_bytes() == plain.read_bytes()
+    assert _backend_row(store) == recorded
+
+
+def _resume_stamped(tmp_path, monkeypatch, name):
+    plain = _plain(tmp_path, monkeypatch)
+    store = tmp_path / f"{name}.sqlite"
+    recorded = _stamp(store, name)
+    out = tmp_path / "resumed.jsonl"
+    argv = [*_SWEEP, "--out", str(out), "--store", str(store)]
+    assert _run(tmp_path, monkeypatch, [*argv, "--fail-after", "2"]) == 130
+    assert _run(tmp_path, monkeypatch, [*argv, "--resume"]) == 0
+    assert out.read_bytes() == plain.read_bytes()
+    assert _backend_row(store) == recorded
+
+
+def _refused(tmp_path, monkeypatch, capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        _run(tmp_path, monkeypatch, argv)
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
 class TestUniformFlag:
+    """``--backend`` was once accepted by every workload; now none
+    declares it, and argparse refuses it everywhere."""
+
     def test_every_workload_declares_the_backend_group(self):
         for name in workload_names():
-            assert "backend" in get_workload(name).flags, name
+            assert "backend" not in get_workload(name).flags, name
 
     def test_unknown_backend_exits_2_listing_the_registry(
         self, tmp_path, monkeypatch, capsys
     ):
-        # "numba" was a backend once; stores it wrote still resume
-        # (TestStoreRecording), but the flag now names nothing.
         for name in ("bogus", "numba"):
-            code = _run(tmp_path, monkeypatch, [*_SWEEP, "--backend", name])
-            err = capsys.readouterr().err
-            assert code == 2
-            assert f"unknown backend {name!r}" in err
-            assert "registered backends: scalar, vectorized, numpy\n" in err
+            _refused(tmp_path, monkeypatch, capsys, [*_SWEEP, "--backend", name])
 
-    def test_unavailable_backend_exits_2(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        # A registered backend whose module is missing, on every host.
-        monkeypatch.setitem(
-            backends_module._BACKENDS,
-            "fake-unavailable",
-            KernelBackend(
-                name="fake-unavailable",
-                description="registered by a test; never left behind",
-                exactness=EXACT_BIT_IDENTICAL,
-                requires="no_such_module",
-                available=False,
-                batch_capable=False,
-                evaluate_many=None,
-                bound_batch=None,
-            ),
-        )
-        code = _run(
-            tmp_path, monkeypatch, [*_SWEEP, "--backend", "fake-unavailable"]
-        )
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "not available" in err
-        assert "requires the 'no_such_module' module" in err
+    def test_unavailable_backend_exits_2(self, tmp_path, monkeypatch, capsys):
+        # The formerly registered names are refused like any other, on
+        # the plain sweep and on campaigns alike.
+        for argv in (_SWEEP, _FAMILY_CAMPAIGNS["bound"]):
+            for name in ("numpy", "vectorized"):
+                _refused(
+                    tmp_path, monkeypatch, capsys, [*argv, "--backend", name]
+                )
 
     def test_non_engine_workloads_accept_the_flag(
         self, tmp_path, monkeypatch, capsys
     ):
-        # Workloads outside the engine hot path still parse and
-        # validate --backend (uniform surface; documented no-op).
-        code = _run(
-            tmp_path, monkeypatch, ["fig2", "--backend", "vectorized"]
-        )
-        assert code == 0
+        # Workloads outside the engine hot path run as before, but no
+        # longer take --backend either.
+        assert _run(tmp_path, monkeypatch, ["fig2"]) == 0
         assert "naive violated" in capsys.readouterr().out
+        _refused(
+            tmp_path, monkeypatch, capsys, ["fig2", "--backend", "vectorized"]
+        )
 
 
-@needs_numpy
 class TestNumpyParity:
-    """`--backend numpy` output bytes equal the default's, everywhere."""
-
-    def _baseline(self, tmp_path, monkeypatch, argv, name="plain"):
-        out = tmp_path / f"{name}.jsonl"
-        assert _run(tmp_path, monkeypatch, [*argv, "--out", str(out)]) == 0
-        return out
+    """A store an older build stamped ``numpy`` serves output bytes equal
+    to a storeless run's, everywhere."""
 
     def test_sweep_is_byte_identical(self, tmp_path, monkeypatch):
-        plain = self._baseline(tmp_path, monkeypatch, _SWEEP)
-        out = tmp_path / "numpy.jsonl"
-        code = _run(
-            tmp_path,
-            monkeypatch,
-            [*_SWEEP, "--backend", "numpy", "--out", str(out)],
-        )
-        assert code == 0
-        assert out.read_bytes() == plain.read_bytes()
+        _run_stamped(tmp_path, monkeypatch, _SWEEP)
 
     def test_sweep_with_jobs_is_byte_identical(self, tmp_path, monkeypatch):
-        plain = self._baseline(tmp_path, monkeypatch, _SWEEP)
-        out = tmp_path / "numpy-jobs.jsonl"
-        code = _run(
-            tmp_path,
-            monkeypatch,
-            [
-                *_SWEEP,
-                "--backend", "numpy",
-                "--jobs", "2",
-                "--out", str(out),
-            ],
-        )
-        assert code == 0
-        assert out.read_bytes() == plain.read_bytes()
+        _run_stamped(tmp_path, monkeypatch, [*_SWEEP, "--jobs", "2"])
 
-    @pytest.mark.parametrize(
-        "family", ["study", "sim", "edf-study"]
-    )
+    @pytest.mark.parametrize("family", ["study", "sim", "edf-study"])
     def test_other_families_are_byte_identical(
         self, tmp_path, monkeypatch, family
     ):
-        argv = _FAMILY_CAMPAIGNS[family]
-        plain = self._baseline(tmp_path, monkeypatch, argv, name="plain")
-        out = tmp_path / "numpy.jsonl"
-        code = _run(
-            tmp_path,
-            monkeypatch,
-            [*argv, "--backend", "numpy", "--out", str(out)],
-        )
-        assert code == 0
-        assert out.read_bytes() == plain.read_bytes()
+        _run_stamped(tmp_path, monkeypatch, _FAMILY_CAMPAIGNS[family])
 
     def test_bound_campaign_is_byte_identical(self, tmp_path, monkeypatch):
-        argv = _FAMILY_CAMPAIGNS["bound"]
-        plain = self._baseline(tmp_path, monkeypatch, argv)
-        out = tmp_path / "numpy.jsonl"
-        code = _run(
-            tmp_path,
-            monkeypatch,
-            [*argv, "--backend", "numpy", "--out", str(out)],
-        )
-        assert code == 0
-        assert out.read_bytes() == plain.read_bytes()
+        _run_stamped(tmp_path, monkeypatch, _FAMILY_CAMPAIGNS["bound"])
 
     def test_killed_numpy_sweep_resumes_byte_identical(
         self, tmp_path, monkeypatch
     ):
-        plain = self._baseline(tmp_path, monkeypatch, _SWEEP)
-        out = tmp_path / "resumed.jsonl"
-        store = tmp_path / "sweep.sqlite"
-        argv = [*_SWEEP, "--backend", "numpy", "--out", str(out),
-                "--store", str(store)]
-        assert _run(
-            tmp_path, monkeypatch, [*argv, "--fail-after", "4"]
-        ) == 130
-        assert _run(tmp_path, monkeypatch, [*argv, "--resume"]) == 0
-        assert out.read_bytes() == plain.read_bytes()
+        _resume_stamped(tmp_path, monkeypatch, "numpy")
 
     def test_sharded_numpy_runs_merge_byte_identical(
         self, tmp_path, monkeypatch
     ):
-        plain = self._baseline(tmp_path, monkeypatch, _SWEEP)
+        # Shards stamped by different removed backends merge as one.
+        plain = _plain(tmp_path, monkeypatch)
         shards = []
-        for i in (1, 2):
+        for i, name in ((1, "numpy"), (2, "vectorized")):
             store = tmp_path / f"shard{i}.sqlite"
-            shards.append(str(store))
+            recorded = _stamp(store, name)
             code = _run(
                 tmp_path,
                 monkeypatch,
-                [
-                    *_SWEEP,
-                    "--backend", "numpy",
-                    "--out", str(tmp_path / f"shard{i}.jsonl"),
-                    "--store", str(store),
-                    "--shard", f"{i}/2",
-                ],
+                [*_SWEEP, "--store", str(store), "--shard", f"{i}/2"],
             )
             assert code == 0
+            assert _backend_row(store) == recorded
+            shards.append(str(store))
         merged = tmp_path / "merged.jsonl"
         code = _run(
             tmp_path,
             monkeypatch,
-            [
-                "merge", str(tmp_path / "merged.sqlite"), *shards,
-                "--out", str(merged),
-            ],
+            ["merge", str(tmp_path / "merged.sqlite"), *shards, "--out", str(merged)],
         )
         assert code == 0
         assert merged.read_bytes() == plain.read_bytes()
@@ -238,58 +202,43 @@ class TestNumpyParity:
 
 class TestStoreRecording:
     def test_store_records_the_default_backend(self, tmp_path, monkeypatch):
+        # There is no backend to record any more: new stores carry no
+        # backend meta row.
         store = tmp_path / "sweep.sqlite"
-        code = _run(
-            tmp_path,
-            monkeypatch,
-            [*_SWEEP, "--out", str(tmp_path / "o.jsonl"),
-             "--store", str(store)],
-        )
-        assert code == 0
-        with ResultStore(store) as opened:
-            assert opened.backend_info == {
-                "name": "vectorized",
-                "exactness": "bit-identical",
-            }
+        argv = [*_SWEEP, "--out", str(tmp_path / "o.jsonl"), "--store", str(store)]
+        assert _run(tmp_path, monkeypatch, argv) == 0
+        assert _backend_row(store) is None
 
-    @needs_numpy
-    def test_store_records_the_selected_backend(
-        self, tmp_path, monkeypatch
-    ):
+    def test_store_records_the_selected_backend(self, tmp_path, monkeypatch):
+        # The backend an older build selected stays recorded, byte for
+        # byte, through a run and a resume.
         store = tmp_path / "sweep.sqlite"
-        argv = [*_SWEEP, "--out", str(tmp_path / "o.jsonl"),
-                "--store", str(store)]
-        assert _run(
-            tmp_path, monkeypatch, [*argv, "--backend", "numpy"]
-        ) == 0
-        with ResultStore(store) as opened:
-            assert opened.backend_info["name"] == "numpy"
-        # Bit-identical backends are interchangeable: resuming the
-        # numpy-recorded store under the default succeeds and keeps
-        # the first recording.
+        recorded = _stamp(store, "numpy")
+        argv = [*_SWEEP, "--out", str(tmp_path / "o.jsonl"), "--store", str(store)]
+        assert _run(tmp_path, monkeypatch, argv) == 0
+        assert _backend_row(store) == recorded
         assert _run(tmp_path, monkeypatch, [*argv, "--resume"]) == 0
-        with ResultStore(store) as opened:
-            assert opened.backend_info["name"] == "numpy"
+        assert _backend_row(store) == recorded
 
     def test_store_recorded_under_numba_resumes_byte_identical(
         self, tmp_path, monkeypatch
     ):
-        # Stores written by the removed numba backend record it as
-        # bit-identical, so they resume under the default unchanged.
-        plain = tmp_path / "plain.jsonl"
-        assert _run(
-            tmp_path, monkeypatch, [*_SWEEP, "--out", str(plain)]
-        ) == 0
-        store = tmp_path / "numba.sqlite"
-        recorded = {"name": "numba", "exactness": "bit-identical"}
-        with ResultStore(store) as opened:
-            opened.set_backend_info(**recorded)
-        out = tmp_path / "resumed.jsonl"
-        argv = [*_SWEEP, "--out", str(out), "--store", str(store)]
-        assert _run(
-            tmp_path, monkeypatch, [*argv, "--fail-after", "2"]
-        ) == 130
-        assert _run(tmp_path, monkeypatch, [*argv, "--resume"]) == 0
-        assert out.read_bytes() == plain.read_bytes()
-        with ResultStore(store) as opened:
-            assert opened.backend_info == recorded
+        _resume_stamped(tmp_path, monkeypatch, "numba")
+
+    @pytest.mark.parametrize("name", ["numpy", "vectorized", "scalar"])
+    def test_store_recorded_under_a_removed_backend_resumes_byte_identical(
+        self, tmp_path, monkeypatch, name
+    ):
+        _resume_stamped(tmp_path, monkeypatch, name)
+
+
+class TestRemovedFlag:
+    def test_backends_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["backends"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'backends'" in capsys.readouterr().err
+
+    def test_execution_options_have_no_backend(self):
+        with pytest.raises(TypeError):
+            ExecutionOptions(backend="numpy")
