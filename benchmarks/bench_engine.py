@@ -21,7 +21,8 @@ benchmark run instead of silently shipping:
    set, its Lehoczky/safe-Q curves and delay maxima for every scenario
    (the pre-context worker); the grouped path resolves them once per
    :class:`repro.engine.context.ContextKey`.  Must be ≥2x faster and
-   bit-identical.
+   bit-identical, and its absolute µs per scenario must stay within
+   3x of ``benchmarks/BASELINE.json``.
 4. **Algorithm 1's kernel on a grouped bound grid**: the per-scenario
    path over warmed benchmark functions must be bit-identical to the
    ungrouped run, and its absolute µs per scenario must stay within
@@ -268,7 +269,8 @@ def _uncontexted_study(scenario: StudyScenario) -> StudyResult:
 
 def test_grouped_context_beats_ungrouped_rebuild(artifacts_dir):
     """Shared-artifact contexts must give ≥2x on a multi-q-per-task-set
-    grid, with bit-identical results."""
+    grid, with bit-identical results, and stay within 3x of the
+    committed absolute µs per scenario."""
     # Fraction-major stream: all task sets at fraction[0], then
     # fraction[1], ... — the fig5 shape, where group members interleave.
     fractions = [
@@ -302,6 +304,10 @@ def test_grouped_context_beats_ungrouped_rebuild(artifacts_dir):
 
     assert grouped == ungrouped  # bit-identical verdicts
     speedup = t_ungrouped / t_grouped
+    grouped_us = t_grouped / len(scenarios) * 1e6
+    drift, gated = baseline_drift(
+        "engine.grouped_context", "grouped_us_per_scenario", grouped_us
+    )
 
     table = render_table(
         ["path", "seconds", "scenarios/s"],
@@ -319,6 +325,8 @@ def test_grouped_context_beats_ungrouped_rebuild(artifacts_dir):
             ["speedup", f"{speedup:.1f}x", ""],
             ["task-set groups", groups, ""],
             ["scenarios per group", len(scenarios) // groups, ""],
+            ["grouped µs/scenario", f"{grouped_us:.0f}", ""],
+            ["vs BASELINE.json", f"{drift:.2f}x", "gated" if gated else "reported"],
         ],
     )
     save_text(artifacts_dir, "bench_engine_grouped.txt", table)
@@ -332,6 +340,8 @@ def test_grouped_context_beats_ungrouped_rebuild(artifacts_dir):
                 "ungrouped_s": round(t_ungrouped, 4),
                 "grouped_s": round(t_grouped, 4),
                 "grouped_ops_per_s": round(len(scenarios) / t_grouped, 1),
+                "grouped_us_per_scenario": round(grouped_us, 1),
+                "baseline_drift": round(drift, 3),
                 "speedup": round(speedup, 2),
             }
         },
@@ -339,6 +349,12 @@ def test_grouped_context_beats_ungrouped_rebuild(artifacts_dir):
     print()
     print(table)
 
+    if gated:
+        assert drift <= MAX_BASELINE_REGRESSION, (
+            f"grouped evaluation takes {grouped_us:.0f} µs/scenario, "
+            f"{drift:.2f}x its BASELINE.json figure "
+            f"(limit {MAX_BASELINE_REGRESSION}x)"
+        )
     assert speedup >= MIN_GROUPED_SPEEDUP, (
         f"grouped evaluation ({t_grouped:.2f}s) is only {speedup:.2f}x "
         f"faster than per-scenario rebuild ({t_ungrouped:.2f}s); "

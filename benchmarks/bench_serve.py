@@ -17,8 +17,13 @@ analogue of ``benchmarks/bench_store.py``'s warm-resweep gate: the
 network and protocol layers are allowed to cost something, but never
 a recompute.
 
-Artifact: ``results/bench_serve.txt`` plus a section in
-``results/BENCH_serve.json``.
+A second section times one cold job on a server whose engine pool is
+``jobs=4`` against an inline one (``jobs=None``): the streams must be
+byte-identical and resumable from an offset on every host, and the
+pooled job ``MIN_POOL_SPEEDUP``× faster on hosts with at least 4 CPUs.
+
+Artifacts: ``results/bench_serve.txt``, ``results/bench_serve_pool.txt``
+and sections in ``results/BENCH_serve.json``.
 
 Run with::
 
@@ -137,16 +142,17 @@ def test_warm_duplicate_submission_beats_cold(artifacts_dir, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# BENCH-SERVE-POOL: intra-job shard fan-out across the worker pool
+# BENCH-SERVE-POOL: one job's fresh scenarios on the engine pool (--jobs)
 # ----------------------------------------------------------------------
 
-#: 4-way-shardable bound grid: enough scenarios per shard that the
+#: One-group bound grid: enough scenarios per worker that the
 #: per-process context build amortises, heavy enough knots that the
 #: kernel work (not protocol overhead) is what the pool parallelises.
 POOL_POINTS = scaled(32, 16)
 POOL_KNOTS = 8192
-#: Pool width under test, and the wall-clock factor a fanned-out cold
-#: submit must beat solo ``--workers 1`` by when the host can deliver.
+#: Engine pool width under test (``ServeConfig.jobs``), and the
+#: wall-clock factor a pooled cold submit must beat an inline one
+#: (``jobs=None``) by when the host can deliver.
 POOL_WORKERS = 4
 MIN_POOL_SPEEDUP = 2.0
 
@@ -159,9 +165,7 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def test_fanned_out_job_beats_solo_worker(artifacts_dir, tmp_path):
-    from repro.api.options import plan_fanout
-
+def test_engine_pool_job_beats_inline_job(artifacts_dir, tmp_path):
     request = RunRequest.family(
         "bound",
         axes={
@@ -177,15 +181,13 @@ def test_fanned_out_job_beats_solo_worker(artifacts_dir, tmp_path):
     )
 
     # Two fresh servers over two fresh stores: identical cold work,
-    # only the pool width differs — so the ratio is pure fan-out.
+    # only the engine pool differs — so the ratio is pure pooling.
     timings = {}
     lines = {}
-    for workers in (1, POOL_WORKERS):
+    for jobs in (None, POOL_WORKERS):
         handle = start_server(
             ServeConfig(
-                store=str(tmp_path / f"pool{workers}.sqlite"),
-                port=0,
-                workers=workers,
+                store=str(tmp_path / f"pool{jobs}.sqlite"), port=0, jobs=jobs
             )
         )
         try:
@@ -195,36 +197,34 @@ def test_fanned_out_job_beats_solo_worker(artifacts_dir, tmp_path):
             assert stream.dedup == "new"
             assert stream.end is not None
             assert stream.end["computed"] == POOL_POINTS
-            job_id = stream.job
-            if workers == POOL_WORKERS:
+            if jobs == POOL_WORKERS:
                 # Reconnect/resume leg: a fresh connection resuming at
                 # an offset gets exactly the remaining bytes.
                 with ServeClient(handle.host, handle.port) as client:
-                    tail = client.resume(job_id, last_record=3).lines()
+                    tail = client.resume(stream.job, last_record=3).lines()
                 assert got[:3] + tail == got
         finally:
             handle.stop()
-        timings[workers] = elapsed
-        lines[workers] = got
+        timings[jobs] = elapsed
+        lines[jobs] = got
 
-    # Byte-identity is unconditional: fan-out must never change the
+    # Byte-identity is unconditional: the pool must never change the
     # stream, whatever it does to the clock.
-    assert lines[POOL_WORKERS] == lines[1]
+    assert lines[POOL_WORKERS] == lines[None]
 
     cpus = _available_cpus()
-    shards = plan_fanout(POOL_POINTS, POOL_WORKERS)
-    speedup = timings[1] / timings[POOL_WORKERS]
+    speedup = timings[None] / timings[POOL_WORKERS]
     gate = cpus >= POOL_WORKERS
     table = render_table(
         ["path", "seconds", "records/s"],
         [
             [
-                "solo (--workers 1)",
-                f"{timings[1]:.2f}",
-                f"{POOL_POINTS / timings[1]:.0f}",
+                "inline (jobs=None)",
+                f"{timings[None]:.2f}",
+                f"{POOL_POINTS / timings[None]:.0f}",
             ],
             [
-                f"pool (--workers {POOL_WORKERS}, {shards} shards)",
+                f"engine pool (--jobs {POOL_WORKERS})",
                 f"{timings[POOL_WORKERS]:.2f}",
                 f"{POOL_POINTS / timings[POOL_WORKERS]:.0f}",
             ],
@@ -239,10 +239,9 @@ def test_fanned_out_job_beats_solo_worker(artifacts_dir, tmp_path):
             "multi_worker": {
                 "records": POOL_POINTS,
                 "knots": POOL_KNOTS,
-                "workers": POOL_WORKERS,
-                "shards": shards,
+                "jobs": POOL_WORKERS,
                 "cpus": cpus,
-                "solo_s": round(timings[1], 4),
+                "solo_s": round(timings[None], 4),
                 "pool_s": round(timings[POOL_WORKERS], 4),
                 "speedup": round(speedup, 2),
                 "gate": "enforced" if gate else f"skipped ({cpus} cpu)",
@@ -254,7 +253,7 @@ def test_fanned_out_job_beats_solo_worker(artifacts_dir, tmp_path):
 
     if gate:
         assert speedup >= MIN_POOL_SPEEDUP, (
-            f"fanned-out job only {speedup:.1f}x faster than solo "
+            f"pooled job only {speedup:.1f}x faster than inline "
             f"(need >= {MIN_POOL_SPEEDUP}x on {cpus} cpus)"
         )
     else:

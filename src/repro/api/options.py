@@ -60,27 +60,6 @@ def format_shard(index: int, count: int) -> str:
     return f"{index}/{count}"
 
 
-def plan_fanout(
-    n_scenarios: int, slots: int, min_per_shard: int = 2
-) -> int:
-    """How many shard sub-runs to split a grid across ``slots`` slots.
-
-    Returns ``k`` such that ``1/k`` … ``k/k`` shard scopes partition
-    the grid with at least ``min_per_shard`` scenarios per shard —
-    splitting a tiny grid buys nothing and would change observable
-    cache counters for no speedup.  ``k == 1`` means "run unsharded".
-
-    Args:
-        n_scenarios: Grid size.
-        slots: Available execution slots (including the caller's own).
-        min_per_shard: Smallest worthwhile shard.
-    """
-    require(min_per_shard >= 1, "min_per_shard must be >= 1")
-    if slots <= 1 or n_scenarios < 2 * min_per_shard:
-        return 1
-    return max(1, min(slots, n_scenarios // min_per_shard))
-
-
 @dataclass(frozen=True)
 class SinkSpec:
     """One final-output file of a run.
@@ -140,12 +119,6 @@ class ExecutionOptions:
         fail_after: Test seam — deterministically simulate a mid-run
             kill by raising :class:`KeyboardInterrupt` after N freshly
             checkpointed results (store-backed runs only).
-        workers: Concurrent job slots a :mod:`repro.serve` server may
-            use for this request (``None`` = server default).  Like
-            ``jobs`` this is purely an execution knob:
-            results are bit-identical for every setting and the field
-            is excluded from :func:`repro.serve.job_id_for` (servers
-            drop it on submission).  Local runs ignore it.
     """
 
     jobs: int | None = None
@@ -157,13 +130,8 @@ class ExecutionOptions:
     format: str = "jsonl"
     results_dir: str | Path | None = None
     fail_after: int | None = None
-    workers: int | None = None
 
     def __post_init__(self) -> None:
-        require(
-            self.workers is None or self.workers >= 1,
-            f"workers must be >= 1, got {self.workers!r}",
-        )
         require(
             self.format in SINK_FORMATS,
             f"unknown sink format {self.format!r}; expected one of "

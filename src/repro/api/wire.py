@@ -50,7 +50,6 @@ _SCALAR_OPTION_FIELDS = (
     "shard",
     "format",
     "fail_after",
-    "workers",
 )
 
 #: ExecutionOptions fields with bespoke wire encodings below.  Together

@@ -1093,8 +1093,8 @@ def _register_builtins() -> None:
                 Parameter(
                     "workers", int, None,
                     "concurrent job slots; independent jobs run in "
-                    "parallel and a large job fans out over idle slots "
-                    "via shard sub-runs (default: cpu-count, capped)",
+                    "parallel, one slot each, and --jobs parallelizes "
+                    "inside a job (default: cpu-count, capped)",
                 ),
                 Parameter(
                     "queue", int, 16,

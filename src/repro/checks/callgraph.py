@@ -1,11 +1,11 @@
 """The interprocedural core: a call graph over the parsed source tree.
 
 PR 8's checkers were strictly file-local AST walks, but the bugs that
-actually threaten the serve layer's thread-pool + fork fan-out are
-*interprocedural*: a helper three calls deep that blocks while a lock
-is held, touches the asyncio loop after fork, or reads wall-clock
-inside a record-producing path.  This module resolves module-level
-names, imports and attribute calls across the whole
+actually threaten the serve layer's thread pool and the engine's fork
+pools are *interprocedural*: a helper three calls deep that blocks
+while a lock is held, touches the asyncio loop after fork, or reads
+wall-clock inside a record-producing path.  This module resolves
+module-level names, imports and attribute calls across the whole
 :class:`~repro.checks.source.SourceTree` into one :class:`CallGraph`
 that every transitive checker (``LK``, ``FS``, ``ASY002``, ``DET006``)
 queries instead of re-deriving resolution per rule.
@@ -339,17 +339,16 @@ class CallGraph:
                             entries[(target, site)] = None
         return tuple(entries)
 
-    def worker_entries(self) -> tuple[tuple[str, CallSite, str], ...]:
-        """Registered scenario-family callables, with declaration
-        sites.
+    def worker_entries(self) -> tuple[tuple[str, CallSite], ...]:
+        """Registered scenario-family workers, with declaration sites.
 
         Purely syntactic — ``register_family(Something(...,
-        worker=f, batch_worker=g))`` call shapes — so fixture packages
-        are covered without importing anything, and the real registry
-        modules are covered by the same rule.  Yields ``(node_id,
-        declaration site, role)``.
+        worker=f))`` call shapes — so fixture packages are covered
+        without importing anything, and the real registry modules are
+        covered by the same rule.  Yields ``(node_id, declaration
+        site)``.
         """
-        entries: list[tuple[str, CallSite, str]] = []
+        entries: list[tuple[str, CallSite]] = []
         for info in self._functions.values():
             entries.extend(self._worker_entries_in(info))
         for rel, mod in sorted(
@@ -368,7 +367,7 @@ class CallGraph:
 
     def _worker_entries_in(
         self, info: FunctionInfo
-    ) -> list[tuple[str, CallSite, str]]:
+    ) -> list[tuple[str, CallSite]]:
         resolver = self._resolvers.get(info.node_id)
         if resolver is None:
             return []
@@ -381,8 +380,8 @@ class CallGraph:
         resolver: Callable[[str], tuple[str | None, str | None]],
         rel: str,
         scope: ast.AST,
-    ) -> list[tuple[str, CallSite, str]]:
-        found: list[tuple[str, CallSite, str]] = []
+    ) -> list[tuple[str, CallSite]]:
+        found: list[tuple[str, CallSite]] = []
         for node in _scoped_walk(scope):
             if not isinstance(node, ast.Call):
                 continue
@@ -393,25 +392,17 @@ class CallGraph:
                 if not isinstance(payload, ast.Call):
                     continue
                 for keyword in payload.keywords:
-                    if keyword.arg not in ("worker", "batch_worker"):
+                    if keyword.arg != "worker":
                         continue
                     value = dotted_name(keyword.value)
                     if value is None:
                         continue
                     target, _external = resolver(value)
                     if target is not None:
-                        found.append(
-                            (
-                                target,
-                                CallSite(
-                                    file=rel,
-                                    line=node.lineno,
-                                    raw=value,
-                                    target=target,
-                                ),
-                                keyword.arg,
-                            )
+                        site = CallSite(
+                            file=rel, line=node.lineno, raw=value, target=target
                         )
+                        found.append((target, site))
         return found
 
     def _resolve_value(
@@ -452,16 +443,45 @@ def _scoped_walk(scope: ast.AST) -> Iterator[ast.AST]:
 
 
 def _process_pool_names(scope: ast.AST) -> set[str]:
-    """Names bound from a ``ProcessPoolExecutor(...)`` call in scope."""
+    """Names bound to a process pool in scope.
 
-    def is_pool_call(value: ast.AST) -> bool:
-        if not isinstance(value, ast.Call):
-            return False
-        name = dotted_name(value.func)
+    A pool is a ``ProcessPoolExecutor(...)`` call, or a call of a local
+    name bound to that class — directly or as one branch of a
+    conditional, the engine's ``cls = ProcessPoolExecutor if … else
+    ThreadPoolExecutor`` executor switch.
+    """
+
+    def names_process_pool(value: ast.AST) -> bool:
+        if isinstance(value, ast.IfExp):
+            return names_process_pool(value.body) or names_process_pool(
+                value.orelse
+            )
+        name = dotted_name(value)
         return (
             name is not None
             and name.split(".")[-1] == "ProcessPoolExecutor"
         )
+
+    factories: set[str] = set()
+    for node in _scoped_walk(scope):
+        if isinstance(node, ast.Assign) and names_process_pool(node.value):
+            targets = node.targets
+        elif (
+            isinstance(node, ast.AnnAssign)
+            and node.value is not None
+            and names_process_pool(node.value)
+        ):
+            targets = [node.target]
+        else:
+            continue
+        factories.update(t.id for t in targets if isinstance(t, ast.Name))
+
+    def is_pool_call(value: ast.AST) -> bool:
+        if not isinstance(value, ast.Call):
+            return False
+        if isinstance(value.func, ast.Name) and value.func.id in factories:
+            return True
+        return names_process_pool(value.func)
 
     names: set[str] = set()
     for node in _scoped_walk(scope):

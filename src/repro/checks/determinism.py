@@ -263,10 +263,7 @@ def _det006(tree: SourceTree) -> Iterator[Finding]:
     """``DET006``: entropy reachable from registered family workers."""
     graph = tree.callgraph()
     covered = {file.rel for file in tree.files}
-    roles: dict[str, str] = {}
-    for node_id, _site, role in graph.worker_entries():
-        roles.setdefault(node_id, role)
-    for node_id, role in sorted(roles.items()):
+    for node_id in sorted({node_id for node_id, _site in graph.worker_entries()}):
         info = graph.function(node_id)
         if info.file not in covered:
             continue
@@ -283,7 +280,7 @@ def _det006(tree: SourceTree) -> Iterator[Finding]:
                 line=first.line,
                 severity="error",
                 message=(
-                    f"scenario-family {role} {info.qual} reaches "
+                    f"scenario-family worker {info.qual} reaches "
                     f"nondeterministic {label}() through "
                     f"{format_path(graph, path, label)}; worker results "
                     "must depend on the scenario alone (thread "

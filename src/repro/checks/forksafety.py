@@ -1,14 +1,15 @@
 """Fork/subprocess-safety checkers (``FS``): what child workers touch.
 
-``repro.serve``'s shard fan-out and the engine's process pools both
-ship work to child processes: a module-level function is pickled (or
-re-imported) and executed in a fresh interpreter whose inherited
-state is a trap.  An asyncio event loop does not survive a fork;
-threads do not exist in the child; a lock captured mid-acquisition
-deadlocks forever.  These rules walk everything reachable from a
-*subprocess entry point* — a function passed to
-``ProcessPoolExecutor.submit`` or ``multiprocessing.Process(target=…)``
-— and flag the state it must not touch:
+The engine's process pools ship work to child processes (the serve
+layer reaches them through ``run_cached_batch``): a module-level
+function is pickled (or re-imported) and executed in a fresh
+interpreter whose inherited state is a trap.  An asyncio event loop
+does not survive a fork; threads do not exist in the child; a lock
+captured mid-acquisition deadlocks forever.  These rules walk
+everything reachable from a *subprocess entry point* — a function
+passed to ``ProcessPoolExecutor.submit`` or
+``multiprocessing.Process(target=…)`` — and flag the state it must
+not touch:
 
 * ``FS001`` — event-loop or thread machinery reachable from the entry
   point: any ``asyncio.*`` call, ``threading.Thread``/

@@ -42,7 +42,7 @@ def _registered_families() -> list[Any]:
 
 
 def _family_callables(family: Any) -> Iterator[tuple[str, Callable]]:
-    for role in ("worker", "batch_worker", "decoder", "context_key"):
+    for role in ("worker", "decoder", "context_key"):
         func = getattr(family, role, None)
         if func is not None:
             yield role, func
@@ -117,33 +117,30 @@ def check_worker_globals(
 ) -> Iterator[Finding]:
     """``WP003``: registered worker bodies must not rebind outer state."""
     for family in families if families is not None else _registered_families():
-        for role in ("worker", "batch_worker"):
-            func = getattr(family, role, None)
-            if func is None:
-                continue
-            file, line = tree.locate(func)
-            covered = tree.file(file)
-            if covered is None:
-                continue  # defined outside the tree (tests)
-            definition = _function_at(covered.tree, func.__name__, line)
-            if definition is None:
-                continue
-            for node in ast.walk(definition):
-                if isinstance(node, (ast.Global, ast.Nonlocal)):
-                    names = ", ".join(node.names)
-                    yield Finding(
-                        code="WP003",
-                        file=file,
-                        line=node.lineno,
-                        severity="error",
-                        message=(
-                            f"{role} {func.__name__!r} of family "
-                            f"{family.name!r} rebinds outer state "
-                            f"({names}); workers must be pure — shared "
-                            "state breaks run-order and pool-placement "
-                            "independence"
-                        ),
-                    )
+        func = family.worker
+        file, line = tree.locate(func)
+        covered = tree.file(file)
+        if covered is None:
+            continue  # defined outside the tree (tests)
+        definition = _function_at(covered.tree, func.__name__, line)
+        if definition is None:
+            continue
+        for node in ast.walk(definition):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                names = ", ".join(node.names)
+                yield Finding(
+                    code="WP003",
+                    file=file,
+                    line=node.lineno,
+                    severity="error",
+                    message=(
+                        f"worker {func.__name__!r} of family "
+                        f"{family.name!r} rebinds outer state "
+                        f"({names}); workers must be pure — shared "
+                        "state breaks run-order and pool-placement "
+                        "independence"
+                    ),
+                )
 
 
 def _function_at(

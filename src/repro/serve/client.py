@@ -226,8 +226,8 @@ class ServeClient:
         """The server's counters snapshot (``status`` frame).
 
         Includes the worker-pool gauges ``workers`` (slot count) and
-        ``busy_slots`` (slots currently held by jobs and their shard
-        fan-outs) alongside the dedup/backpressure counters.
+        ``busy_slots`` (slots currently held by running jobs) alongside
+        the dedup/backpressure counters.
         """
         self._send({"op": "status"})
         frame = self._recv()

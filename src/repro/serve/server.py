@@ -13,16 +13,13 @@ One :class:`AnalysisServer` owns four cooperating pieces:
   pool slot; submissions beyond that are rejected with a ``busy``
   error frame (the backpressure contract);
 * a **job-executor pool** of ``workers`` slots.  Independent jobs run
-  concurrently, one slot each, and a single large job additionally
-  *fans out* across the idle slots: the server plans ``k`` shard
-  sub-runs (``1/k`` … ``k/k`` of the grid, ``k`` from
-  :func:`repro.api.options.plan_fanout`), evaluates each in a worker
-  process through :func:`repro.api.execution.execute_scenarios` into a
-  scratch per-shard store, merges the shards back into the shared
-  store and emits the final records from it — byte-identical to a solo
-  :meth:`repro.api.Workbench.run` by construction, because emission
-  always happens from the merged store in scenario order
-  (:func:`repro.engine.emit_from_store`).
+  concurrently, one slot each.  A slot evaluates its job through
+  :func:`repro.engine.run_cached_batch` against the shared store, on
+  the engine's own process pool when ``jobs`` is set — the only
+  intra-job parallelism.  Emission always happens from the store in
+  scenario order (:func:`repro.engine.emit_from_store`), so a served
+  stream is byte-identical to a solo :meth:`repro.api.Workbench.run`
+  by construction.
 
 Dedup happens at three levels: identical requests collapse to one job
 (single-flight), concurrently *running* jobs that overlap claim their
@@ -45,17 +42,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.api.execution import execute_scenarios
-from repro.api.options import ExecutionOptions, format_shard, plan_fanout
+from repro.api.options import ExecutionOptions
 from repro.api.plan import PLANNABLE_WORKLOADS, plan_scenarios
 from repro.api.request import RunRequest
 from repro.api.wire import request_from_wire
 from repro.api.workloads import get_workload
 from repro.engine import (
-    CachedRun,
     JobCancelled,
     WorkerError,
-    emit_from_store,
     record_line,
     resolve_workers,
     run_cached_batch,
@@ -77,8 +71,8 @@ from repro.store.keys import package_fingerprint, scenario_key
 _READER_SLACK = 1024
 
 #: Upper bound of the default pool width: serving is I/O-light and the
-#: engine already parallelizes inside a shard, so past a handful of
-#: slots more concurrency only buys scheduler churn.
+#: engine already parallelizes inside a job (``jobs``), so past a
+#: handful of slots more concurrency only buys scheduler churn.
 _DEFAULT_WORKER_CAP = 8
 
 
@@ -100,9 +94,8 @@ class ServeConfig:
         chunk: Engine chunk size (``None`` auto).
         workers: Concurrent job slots (``None`` =
             :func:`default_workers`, i.e. the usable CPUs, capped).
-            Independent jobs each take one slot; a large job fans out
-            over the idle ones via shard sub-runs.  ``1`` reproduces
-            the strictly serialized pre-pool behavior.
+            Every job runs on exactly one slot; parallelism inside a
+            job is ``jobs``.  ``1`` serializes jobs strictly.
         max_queued: Queued-job bound; submissions beyond it get
             ``busy`` error frames instead of unbounded queueing.
         line_limit: Per-frame byte budget for client lines.
@@ -142,61 +135,8 @@ class _JobSink(ResultSink):
 
 
 def _evaluate_shard(spec: dict[str, Any]) -> dict[str, Any]:
-    """Evaluate one shard sub-run (entry point of a worker process).
-
-    Re-plans the job's grid from its wire-shaped params, then
-    evaluates only the ``i/N`` slice through
-    :func:`repro.api.execution.execute_scenarios` into the shard's own
-    scratch store.  Never raises: every outcome — success, client
-    cancellation (the coordinator's cancel file), fault injection, a
-    failing scenario — crosses the process boundary as a plain dict,
-    so the coordinator can always tell *which* shard stopped and why.
-    """
-    try:
-        workload = get_workload(spec["workload"])
-        params = workload.resolve_params(spec["params"])
-        plan = plan_scenarios(spec["workload"], params)
-        cancel_path = Path(spec["cancel_path"])
-        run = execute_scenarios(
-            plan.worker,
-            plan.scenarios,
-            options=ExecutionOptions(
-                store=spec["store"],
-                shard=spec["shard"],
-                fail_after=spec["fail_after"],
-            ),
-            manifest=plan.manifest,
-            group_by=plan.group_by,
-            collect=False,
-            cancel=cancel_path.exists,
-        )
-        return {
-            "ok": True,
-            "total": run.total,
-            "cached": run.cached,
-            "computed": run.computed,
-        }
-    except JobCancelled as exc:
-        return {"ok": False, "kind": "cancelled", "message": str(exc)}
-    except KeyboardInterrupt as exc:
-        # execute_scenarios' fail_after seam raises a bare interrupt;
-        # keep the frame informative either way.
-        message = str(exc) or "fail_after fault injected"
-        return {"ok": False, "kind": "killed", "message": message}
-    except WorkerError as exc:
-        return {
-            "ok": False,
-            "kind": "worker-error",
-            "index": exc.index,
-            "scenario_repr": exc.scenario_repr,
-            "cause_repr": exc.cause_repr,
-        }
-    except Exception as exc:
-        return {
-            "ok": False,
-            "kind": "error",
-            "message": f"{type(exc).__name__}: {exc}",
-        }
+    """Placeholder read only by ``perfbench/tracing.py``; never called."""
+    raise RuntimeError("serve jobs are no longer split into shard sub-runs")
 
 
 class AnalysisServer:
@@ -223,8 +163,8 @@ class AnalysisServer:
         self._workers = config.workers or default_workers()
         self._stopping = False
         # Pool accounting: a plain lock, usable from the loop *and* the
-        # executor threads (a fanned-out job reserves extra slots from
-        # its own thread, never through the loop).
+        # executor threads (a finished job adds its scenario counts
+        # from its own thread).
         self._pending: deque[Job] = deque()
         self._slot_lock = threading.Lock()
         self._slots_busy = 0
@@ -280,8 +220,8 @@ class AnalysisServer:
             self._server.close()
             await self._server.wait_closed()
         self._pending.clear()
-        # A running job stops at its next record checkpoint (shard
-        # sub-runs poll the job's cancel file); the work already
+        # A running job stops at its next record checkpoint (the
+        # engine polls the job's cancel event); the work already
         # computed is committed, so a restart resumes it.
         for job in self._registry.jobs.values():
             if not job.terminal:
@@ -360,40 +300,9 @@ class AnalysisServer:
         except ValueError:
             pass
 
-    def _wake_dispatcher(self) -> None:
-        """Re-run :meth:`_dispatch` on the loop (thread-safe)."""
-        loop = self._loop
-        if loop is None:
-            return
-        try:
-            loop.call_soon_threadsafe(self._dispatch)
-        except RuntimeError:
-            pass  # loop already closed (shutdown)
-
     # ------------------------------------------------------------------
-    # slot + claim accounting (any thread)
+    # claim accounting (any thread)
     # ------------------------------------------------------------------
-
-    def _reserve_extra_slots(self, n_scenarios: int, cap: int | None) -> int:
-        """Grab idle pool slots for intra-job fan-out; returns extras.
-
-        Only *idle* capacity is taken: every already-dispatched job was
-        charged its slot before this job started computing, so
-        concurrent clients are never starved — at worst a large job
-        runs narrower than the pool.
-        """
-        with self._slot_lock:
-            slots = 1 + self._workers - self._slots_busy
-            if cap is not None:
-                slots = min(slots, cap)
-            extra = plan_fanout(n_scenarios, slots) - 1
-            self._slots_busy += extra
-        return extra
-
-    def _release_slots(self, count: int) -> None:
-        with self._slot_lock:
-            self._slots_busy -= count
-        self._wake_dispatcher()
 
     def _acquire_claims(self, job: Job, keys: list[str]) -> bool:
         """Claim every scenario key for ``job``; ``False`` on cancel.
@@ -437,7 +346,6 @@ class AnalysisServer:
         """Evaluate one job on its pool slot (executor thread)."""
         keys: list[str] = []
         claimed = False
-        extra = 0
         try:
             workload = get_workload(job.request.workload)
             params = workload.resolve_params(job.request.params_dict())
@@ -450,6 +358,16 @@ class AnalysisServer:
                 raise JobCancelled(
                     "job cancelled while waiting on overlapping scenarios"
                 )
+            on_result: Callable[[int], None] | None = None
+            fail_after = job.request.options.fail_after
+            if fail_after is not None:
+
+                def on_result(count: int, _limit: int = fail_after) -> None:
+                    if count >= _limit:
+                        raise KeyboardInterrupt(
+                            f"fail_after={_limit} fault injected"
+                        )
+
             # Per-run store handle: sqlite connections are thread-bound
             # and pool slots are many, so each run opens (and closes)
             # its own; WAL mode makes the concurrent access safe.
@@ -457,43 +375,18 @@ class AnalysisServer:
                 self._config.store, fingerprint=self._fingerprint
             ) as store:
                 store.set_job_manifest(job.id, plan.manifest)
-                fail_after = job.request.options.fail_after
-                k = 1
-                if job.request.options.shard is None:
-                    # An explicit shard request is already a slice;
-                    # never split it further.
-                    extra = self._reserve_extra_slots(
-                        len(plan.scenarios), job.request.options.workers
-                    )
-                    k = 1 + extra
-                if k > 1:
-                    run = self._run_sharded(
-                        job, plan, store, keys, k, fail_after
-                    )
-                else:
-                    on_result: Callable[[int], None] | None = None
-                    if fail_after is not None:
-
-                        def on_result(
-                            count: int, _limit: int = fail_after
-                        ) -> None:
-                            if count >= _limit:
-                                raise KeyboardInterrupt(
-                                    f"fail_after={_limit} fault injected"
-                                )
-
-                    run = run_cached_batch(
-                        plan.worker,
-                        plan.scenarios,
-                        store,
-                        sink=_JobSink(job),
-                        collect=False,
-                        max_workers=self._config.jobs,
-                        chunk_size=self._config.chunk,
-                        group_by=plan.group_by,
-                        on_result=on_result,
-                        cancel=job.cancel_event.is_set,
-                    )
+                run = run_cached_batch(
+                    plan.worker,
+                    plan.scenarios,
+                    store,
+                    sink=_JobSink(job),
+                    collect=False,
+                    max_workers=self._config.jobs,
+                    chunk_size=self._config.chunk,
+                    group_by=plan.group_by,
+                    on_result=on_result,
+                    cancel=job.cancel_event.is_set,
+                )
             # Count scenarios *before* the job turns terminal: the end
             # frame releases subscribers, and a client that saw it must
             # find these totals already reflected in ``status``.
@@ -517,167 +410,12 @@ class AnalysisServer:
         except Exception as exc:  # pragma: no cover - defensive
             job.fail("job-failed", f"{type(exc).__name__}: {exc}")
         finally:
-            if extra:
-                self._release_slots(extra)
             if claimed:
                 self._release_claims(job, keys)
 
-    def _run_sharded(
-        self,
-        job: Job,
-        plan: Any,
-        store: ResultStore,
-        keys: list[str],
-        k: int,
-        fail_after: int | None,
-    ) -> CachedRun:
-        """Fan one job out over ``k`` shard sub-runs in processes.
-
-        Worker *processes*, not threads: family workers are pure
-        Python, so thread fan-out would serialize on the GIL.  The
-        stream stays byte-identical because nothing is emitted until
-        every shard finished and merged — record frames then flow from
-        the shared store in scenario order, exactly like a solo run.
-
-        Shard stores are scratch: pre-seeded with their slice's cached
-        rows (so shards skip what a solo run would skip), salvaged
-        back into the shared store after the attempt — *whatever*
-        happened, so a killed shard's checkpointed prefix survives —
-        and deleted, so a restart with a different ``k`` can never
-        trip over a stale shard scope.
-        """
-        import multiprocessing
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
-        from concurrent.futures import wait as wait_futures
-
-        store_path = Path(self._config.store)
-        shards_dir = store_path.parent / f"{store_path.name}.shards"
-        shards_dir.mkdir(parents=True, exist_ok=True)
-        tag = f"{job.id[:12]}-a{job.attempt}"
-        cancel_path = shards_dir / f"{tag}.cancel"
-        cancel_path.unlink(missing_ok=True)
-        shard_paths: dict[int, Path] = {}
-        for index in range(1, k + 1):
-            shard_path = shards_dir / f"{tag}-{index}of{k}.sqlite"
-            for name in (
-                shard_path.name,
-                shard_path.name + "-wal",
-                shard_path.name + "-shm",
-            ):
-                # A crashed *server* can leave scratch stores behind;
-                # their recorded shard scope may not match this run's.
-                (shards_dir / name).unlink(missing_ok=True)
-            with ResultStore(
-                shard_path, fingerprint=self._fingerprint
-            ) as shard_store:
-                shard_store.adopt_rows(store, keys[index - 1 :: k])
-            shard_paths[index] = shard_path
-        # Fork where available: the children inherit the warm
-        # interpreter, keeping fan-out latency negligible.  Elsewhere
-        # the platform default (spawn) is merely slower, not wrong.
-        methods = multiprocessing.get_all_start_methods()
-        mp_context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-        outcomes: dict[int, dict[str, Any]] = {}
-        try:
-            with ProcessPoolExecutor(
-                max_workers=k, mp_context=mp_context
-            ) as pool:
-                futures = {}
-                for index in range(1, k + 1):
-                    spec = {
-                        "workload": job.request.workload,
-                        "params": dict(job.request.params_dict()),
-                        "store": str(shard_paths[index]),
-                        "shard": format_shard(index, k),
-                        # Deterministic under fan-out: the fault seam
-                        # injects into exactly one shard.
-                        "fail_after": fail_after if index == 1 else None,
-                        "cancel_path": str(cancel_path),
-                    }
-                    futures[pool.submit(_evaluate_shard, spec)] = index
-                pending = set(futures)
-                while pending:
-                    done, pending = wait_futures(
-                        pending, timeout=0.05, return_when=FIRST_COMPLETED
-                    )
-                    for future in sorted(done, key=futures.__getitem__):
-                        index = futures[future]
-                        try:
-                            outcomes[index] = future.result()
-                        except Exception as exc:  # BrokenProcessPool …
-                            outcomes[index] = {
-                                "ok": False,
-                                "kind": "crashed",
-                                "message": (
-                                    f"shard worker process died: {exc}"
-                                ),
-                            }
-                    # One dying shard (or a client cancel) tears down
-                    # every sibling at its next checkpoint.
-                    abort = job.cancel_event.is_set() or any(
-                        not outcome["ok"]
-                        for outcome in outcomes.values()
-                    )
-                    if abort and not cancel_path.exists():
-                        cancel_path.touch()
-        finally:
-            for index in sorted(shard_paths):
-                shard_path = shard_paths[index]
-                if shard_path.exists():
-                    try:
-                        with ResultStore(
-                            shard_path, fingerprint=self._fingerprint
-                        ) as shard_store:
-                            store.merge_from(shard_store)
-                    except ValueError:  # pragma: no cover - defensive
-                        pass  # unreadable scratch store: nothing to save
-                for name in (
-                    shard_path.name,
-                    shard_path.name + "-wal",
-                    shard_path.name + "-shm",
-                ):
-                    (shards_dir / name).unlink(missing_ok=True)
-            cancel_path.unlink(missing_ok=True)
-        failures = [
-            (index, outcomes[index])
-            for index in sorted(outcomes)
-            if not outcomes[index]["ok"]
-        ]
-        for index, outcome in failures:
-            if outcome["kind"] == "killed":
-                raise KeyboardInterrupt(
-                    f"shard {index}/{k}: {outcome['message']}"
-                )
-        for index, outcome in failures:
-            if outcome["kind"] == "worker-error":
-                # Shard i of k holds scenarios i-1, i-1+k, i-1+2k, …:
-                # re-pin the shard-local index into the job's grid.
-                raise WorkerError(
-                    (index - 1) + outcome["index"] * k,
-                    outcome["scenario_repr"],
-                    outcome["cause_repr"],
-                )
-        for index, outcome in failures:
-            if outcome["kind"] in ("crashed", "error"):
-                raise RuntimeError(
-                    f"shard {index}/{k}: {outcome['message']}"
-                )
-        if failures:  # all remaining failures are cancellations
-            raise JobCancelled(
-                "job cancelled; every shard stopped at its last "
-                "checkpoint"
-            )
-        emit_from_store(
-            store, plan.scenarios, sink=_JobSink(job), collect=False
-        )
-        return CachedRun(
-            results=None,
-            total=len(plan.scenarios),
-            cached=sum(outcomes[i]["cached"] for i in sorted(outcomes)),
-            computed=sum(outcomes[i]["computed"] for i in sorted(outcomes)),
-        )
+    def _run_sharded(self, *args: Any) -> Any:
+        """Placeholder read only by ``perfbench/tracing.py``; never called."""
+        raise RuntimeError("serve jobs are no longer split into shard sub-runs")
 
     # ------------------------------------------------------------------
     # connection handling (event loop)
@@ -787,16 +525,8 @@ class AnalysisServer:
         """The request the server actually evaluates.
 
         Execution policy (store, pool width, sinks) is the *server's*;
-        client-supplied options are discarded except
-
-        * ``workers`` — an optional *cap* on the job's intra-job shard
-          fan-out (the server never exceeds its own free slots); it
-          is excluded from the job id by construction
-          (:func:`~repro.serve.jobs.job_id_for` derives the id from
-          workload + params + fingerprint alone), so the same grid
-          submitted with different ``workers`` is still one job;
-        * the ``fail_after`` fault seam, and that only when the config
-          opts in.
+        client-supplied options are discarded except the ``fail_after``
+        fault seam, and that only when the config opts in.
         """
         fail_after = None
         if self._config.allow_fail_after:
@@ -804,10 +534,7 @@ class AnalysisServer:
         return RunRequest(
             workload=request.workload,
             params=request.params,
-            options=ExecutionOptions(
-                fail_after=fail_after,
-                workers=request.options.workers,
-            ),
+            options=ExecutionOptions(fail_after=fail_after),
         )
 
     async def _op_submit(

@@ -325,44 +325,6 @@ class ResultStore:
         self.commit()
         return len(self) - before
 
-    def adopt_rows(
-        self, other: "ResultStore", keys: Iterable[str]
-    ) -> int:
-        """Copy ``other``'s records for ``keys`` into this store.
-
-        The selective counterpart of :meth:`merge_from`: a shard store
-        pre-seeded from a shared serve store should carry *only* its
-        shard's rows, not the whole memo table (which holds unrelated
-        grids).  First writer wins; missing keys are simply skipped —
-        the shard run computes them.  Returns the number of new rows.
-        """
-        require(
-            other.fingerprint == self.fingerprint,
-            f"cannot adopt rows from {other.path} (fingerprint "
-            f"{other.fingerprint[:12]}…) into {self.path} "
-            f"({self.fingerprint[:12]}…): stores were computed under "
-            "different code",
-        )
-        conn = self._connection()
-        before = len(self)
-        wanted = list(keys)
-        # Chunk the IN(...) selects: SQLite caps bound parameters.
-        chunk = 500
-        for start in range(0, len(wanted), chunk):
-            batch = wanted[start:start + chunk]
-            marks = ",".join("?" for _ in batch)
-            rows = other._connection().execute(
-                f"SELECT key, record FROM results WHERE key IN ({marks})",
-                batch,
-            )
-            conn.executemany(
-                "INSERT OR IGNORE INTO results (key, record) "
-                "VALUES (?, ?)",
-                rows,
-            )
-        self.commit()
-        return len(self) - before
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------

@@ -2,10 +2,9 @@
 
 
 class ScenarioFamily:
-    def __init__(self, name, worker, batch_worker=None):
+    def __init__(self, name, worker):
         self.name = name
         self.worker = worker
-        self.batch_worker = batch_worker
 
 
 def register_family(family):

@@ -302,41 +302,65 @@ class TestEntryPoints:
         )
         assert graph.fork_entries() == ()
 
-    def test_worker_entries_cover_both_roles(self, make_tree):
+    def test_fork_entries_see_a_conditional_executor_class(self, make_tree):
+        # The engine's executor switch: a name bound to
+        # ProcessPoolExecutor on one branch is a process pool.
+        graph = _graph(
+            make_tree,
+            {
+                "a.py": (
+                    "from concurrent.futures import (\n"
+                    "    ProcessPoolExecutor, ThreadPoolExecutor,\n"
+                    ")\n"
+                    "\n"
+                    "def work(x):\n"
+                    "    return x\n"
+                    "\n"
+                    "def fan_out(process):\n"
+                    "    cls: type = (\n"
+                    "        ProcessPoolExecutor if process else ThreadPoolExecutor\n"
+                    "    )\n"
+                    "    with cls(max_workers=2) as pool:\n"
+                    "        pool.submit(work, 1)\n"
+                ),
+            },
+        )
+        entries = {
+            (target, site.line) for target, site in graph.fork_entries()
+        }
+        assert entries == {("repro.a:work", 13)}
+
+    def test_worker_entries_cover_the_worker_role(self, make_tree):
         graph = _graph(
             make_tree,
             {
                 "reg.py": (
-                    "from repro.work import batch, single\n"
+                    "from repro.work import decode, single\n"
                     "\n"
                     "def register_family(family):\n"
                     "    return family\n"
                     "\n"
                     "class Family:\n"
-                    "    def __init__(self, worker=None, batch_worker=None):\n"
+                    "    def __init__(self, worker=None, decoder=None):\n"
                     "        self.worker = worker\n"
                     "\n"
                     "register_family(\n"
-                    "    Family(worker=single, batch_worker=batch)\n"
+                    "    Family(worker=single, decoder=decode)\n"
                     ")\n"
                 ),
                 "work.py": (
                     "def single(s):\n"
                     "    return s\n"
                     "\n"
-                    "def batch(rows):\n"
-                    "    return rows\n"
+                    "def decode(record):\n"
+                    "    return record\n"
                 ),
             },
         )
-        roles = {
-            (target, role)
-            for target, _site, role in graph.worker_entries()
-        }
-        assert roles == {
-            ("repro.work:single", "worker"),
-            ("repro.work:batch", "batch_worker"),
-        }
+        entries = [
+            (target, site.line) for target, site in graph.worker_entries()
+        ]
+        assert entries == [("repro.work:single", 10)]
 
 
 def test_format_path(make_tree):

@@ -32,7 +32,6 @@ def family(scenario_type=FrozenScenario, worker=top_level_worker, **kw):
         name="fab",
         scenario_type=scenario_type,
         worker=worker,
-        batch_worker=None,
         decoder=None,
         context_key=None,
     )

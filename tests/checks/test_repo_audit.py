@@ -4,11 +4,11 @@ The PR-10 audit of ``repro.serve.server`` and the engine found zero
 live violations — but "zero findings" is only meaningful if the
 analysis can be shown to *see* the audited code.  These tests pin
 both halves: the call graph and lock analysis resolve the real
-``_slot_lock``/``_claims_cond`` regions, the real fork fan-out, and
-the real registered workers (so the rules cannot go silently inert on
-the code they were built for), and those surfaces then produce no
-findings (so a regression in serve/engine fails here with a call
-path, not in production).
+``_slot_lock``/``_claims_cond`` regions, the engine's real process
+pools, and the real registered workers (so the rules cannot go
+silently inert on the code they were built for), and those surfaces
+then produce no findings (so a regression in serve/engine fails here
+with a call path, not in production).
 """
 
 from __future__ import annotations
@@ -32,16 +32,14 @@ class TestAnalysisSeesTheServeLayer:
         } <= set(analysis.locks)
 
     def test_slot_lock_held_regions_are_tracked(self):
-        # _reserve_extra_slots calls the fan-out planner while holding
-        # _slot_lock; the audit verdict "that's fine" is only sound
-        # because the analysis sees the held call and clears its
-        # closure of blocking operations.
+        # The dispatcher and the completion callback take _slot_lock to
+        # account pool slots; LK001's lock-order verdict over the serve
+        # layer is only sound because the analysis sees those regions.
         analysis = _analysis(_tree())
-        facts = analysis.facts[
-            "repro.serve.server:AnalysisServer._reserve_extra_slots"
-        ]
-        held_labels = {site.label for _held, site in facts.held_calls}
-        assert "plan_fanout" in held_labels
+        slot_lock = "repro.serve.server:AnalysisServer._slot_lock"
+        for method in ("_dispatch", "_job_finished"):
+            facts = analysis.facts[f"repro.serve.server:AnalysisServer.{method}"]
+            assert slot_lock in facts.acquires, method
 
     def test_condition_wait_exemption_applies_to_acquire_claims(self):
         # _acquire_claims blocks on _claims_cond.wait() *by design*;
@@ -59,13 +57,18 @@ class TestAnalysisSeesTheServeLayer:
         assert waits, "cond.wait under the condition went unseen"
 
     def test_shard_fork_entry_is_discovered(self):
+        # Jobs reach child processes only through the engine's pools,
+        # whose executor class is chosen at run time.
         graph = _tree().callgraph()
         entries = {target for target, _site in graph.fork_entries()}
-        assert "repro.serve.server:_evaluate_shard" in entries
+        assert {
+            "repro.engine.engine:_run_chunk",
+            "repro.engine.engine:_run_chunk_indexed",
+        } <= entries
 
     def test_registered_workers_are_discovered(self):
         graph = _tree().callgraph()
-        workers = {target for target, _site, _role in graph.worker_entries()}
+        workers = {target for target, _site in graph.worker_entries()}
         assert any("repro.engine" in w for w in workers), workers
 
 

@@ -99,10 +99,10 @@ class TestMidJobKill:
 
 
 class TestShardFanOut:
-    """Faults inside an intra-job shard fan-out (pool of 4 slots).
+    """Faults on a 4-slot pool and on the engine pool (``jobs=2``).
 
-    ``SLOW`` has 8 scenarios, so an idle 4-slot pool splits it into
-    four 2-scenario shard sub-runs.
+    A job runs on one slot however many are idle; a kill or cancel
+    still leaves its checkpointed scenarios for a byte-exact restart.
     """
 
     def test_killed_shard_fails_the_job_and_restart_resumes(
@@ -117,20 +117,16 @@ class TestShardFanOut:
         with ServeClient(handle.host, handle.port) as client:
             with pytest.raises(ServeError) as info:
                 client.run(wounded)
-            # The dying shard is pinned in the frame, and the message
-            # still carries the resume contract.
+            # The message carries the resume contract.
             assert info.value.code == "job-failed"
-            assert "shard 1/" in str(info.value)
             assert "checkpointed" in str(info.value)
-            # Sibling shards were torn down and every slot handed back
-            # (the error frame can race the executor's cleanup by a
-            # few milliseconds, hence the wait).
+            # The slot was handed back (the error frame can race the
+            # executor's cleanup by a few milliseconds, hence the wait).
             _wait_for(lambda: _status(handle)["busy_slots"] == 0)
             assert client.status()["jobs"]["failed"] == 1
 
-        # The killed shard checkpointed its prefix and the salvage pass
-        # merged every sibling's committed rows, so the restart serves
-        # at least one scenario from cache and is byte-exact.
+        # The killed job checkpointed its prefix, so the restart
+        # serves at least one scenario from cache and is byte-exact.
         with ServeClient(handle.host, handle.port) as client:
             stream = client.submit(SLOW)
             assert stream.dedup == "restart"
@@ -146,28 +142,41 @@ class TestShardFanOut:
     def test_cancel_tears_down_every_in_flight_shard(
         self, serve_factory, solo_lines
     ) -> None:
-        handle = serve_factory(workers=4)
-        with ThreadPoolExecutor(max_workers=1) as pool:
+        _cancel_slow_then_restart(serve_factory(workers=4), solo_lines)
 
-            def run_slow():
-                with ServeClient(handle.host, handle.port) as client:
-                    return client.run(SLOW)
+    def test_engine_pool_cancel_restarts_byte_exact(
+        self, serve_factory, solo_lines
+    ) -> None:
+        # The cancel reaches a job whose scenarios run on the engine's
+        # process pool.
+        _cancel_slow_then_restart(serve_factory(jobs=2), solo_lines)
 
-            victim = pool.submit(run_slow)
-            _wait_for(lambda: _status(handle)["jobs"]["running"] == 1)
+
+def _cancel_slow_then_restart(handle, solo_lines) -> None:
+    """Cancel a running ``SLOW`` job, then check that its slot comes
+    back and that a restart from its checkpoint is byte-exact."""
+    # Computed before the job starts (see TestCancellation): the
+    # fingerprint read can outlast a job computing in-process.
+    job_id = _expected_job_id(SLOW)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+
+        def run_slow():
             with ServeClient(handle.host, handle.port) as client:
-                client.cancel(_expected_job_id(SLOW))
-            with pytest.raises(ServeError) as info:
-                victim.result()
-            assert info.value.code == "job-cancelled"
+                return client.run(SLOW)
 
-        # All shard slots were reclaimed and the checkpointed work
-        # survives into a byte-exact restart.
-        _wait_for(lambda: _status(handle)["busy_slots"] == 0)
+        victim = pool.submit(run_slow)
+        _wait_for(lambda: _status(handle)["jobs"]["running"] == 1)
         with ServeClient(handle.host, handle.port) as client:
-            stream = client.submit(SLOW)
-            assert stream.dedup == "restart"
-            assert stream.lines() == solo_lines(SLOW, tag="solo-slow")
+            client.cancel(job_id)
+        with pytest.raises(ServeError) as info:
+            victim.result()
+        assert info.value.code == "job-cancelled"
+
+    _wait_for(lambda: _status(handle)["busy_slots"] == 0)
+    with ServeClient(handle.host, handle.port) as client:
+        stream = client.submit(SLOW)
+        assert stream.dedup == "restart"
+        assert stream.lines() == solo_lines(SLOW, tag="solo-slow")
 
 
 class TestDisconnects:
@@ -265,8 +274,6 @@ class TestCancellation:
     def test_cancelling_a_running_job_stops_it_between_records(
         self, serve_factory, solo_lines
     ) -> None:
-        # workers=1 keeps the slow job unsplit, so the cancel reliably
-        # lands while records are still being produced.
         handle = serve_factory(workers=1)
         # Computed before the job starts: the package fingerprint reads
         # every source file, and with a CPU-bound job holding the GIL

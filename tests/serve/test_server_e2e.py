@@ -285,8 +285,8 @@ class TestBackendOption:
         assert row == (recorded,)
 
 
-#: A 4-way-shardable grid: 8 scenarios → plan_fanout picks k=4 on an
-#: otherwise-idle 4-slot pool (2 scenarios per shard).
+#: An 8-scenario grid: wider than a 4-slot pool, and split into chunks
+#: by the engine pool of a ``jobs=2`` server.
 GRID_WIDE = RunRequest.family(
     "bound",
     axes={
@@ -319,7 +319,8 @@ class TestDefaultWorkers:
 
 
 class TestWorkerPool:
-    """Intra-job shard fan-out: same bytes, idle slots put to work."""
+    """A job runs on one slot, in-process or on the engine pool that
+    ``jobs`` sizes: the same bytes either way."""
 
     def test_fanned_out_job_streams_byte_identical_to_solo(
         self, serve_factory, solo_lines
@@ -336,9 +337,9 @@ class TestWorkerPool:
             assert stream.end["cached"] == 0
             assert client.status()["workers"] == 4
         assert lines == solo_lines(GRID_WIDE, tag="solo-wide")
-        # Every slot is handed back once the fan-out finishes; the end
-        # frame can beat the executor's cleanup by a few milliseconds,
-        # so the gauge is polled, not read once.
+        # The slot is handed back once the job finishes; the end frame
+        # can beat the executor's cleanup by a few milliseconds, so the
+        # gauge is polled, not read once.
         deadline = time.monotonic() + 15.0
         while time.monotonic() < deadline:
             with ServeClient(handle.host, handle.port) as client:
@@ -364,38 +365,50 @@ class TestWorkerPool:
     def test_workers_option_never_enters_the_job_id(
         self, serve_factory
     ) -> None:
-        from repro.api.options import ExecutionOptions
+        # The per-request workers cap is gone, like ``backend``: a wire
+        # ``workers`` field is a bad-request that neither starts a job
+        # nor disturbs the plain one, which still replays.
+        from repro.api.wire import request_to_wire
+        from repro.serve.protocol import encode_frame
 
-        # Like ``backend``: a pure execution knob.  The same grid with
-        # a different workers cap is the same job — the second
-        # submission replays the first instead of recomputing.
         handle = serve_factory(workers=4)
         with ServeClient(handle.host, handle.port) as client:
-            first = client.submit(
-                RunRequest(
-                    workload=GRID_WIDE.workload,
-                    params=GRID_WIDE.params,
-                    options=ExecutionOptions(workers=1),
-                )
-            )
+            first = client.submit(GRID_WIDE)
             first_lines = first.lines()
-            second = client.submit(
-                RunRequest(
-                    workload=GRID_WIDE.workload,
-                    params=GRID_WIDE.params,
-                    options=ExecutionOptions(workers=4),
-                )
+            wire = request_to_wire(GRID_WIDE)
+            wire["options"] = {"workers": 4}
+            frame = client.send_raw(
+                encode_frame({"op": "submit", "request": wire})
             )
+            assert frame["code"] == "bad-request"
+            assert frame["message"] == (
+                "wire options carry unknown field(s): workers"
+            )
+            second = client.submit(GRID_WIDE)
             assert second.job == first.job
             assert second.dedup == "replay"
             assert second.lines() == first_lines
+            assert client.status()["submitted"] == 2
+
+    def test_engine_pool_job_streams_byte_identical_to_solo(
+        self, serve_factory, solo_lines
+    ) -> None:
+        # jobs=2: the job's fresh scenarios run on the engine's process
+        # pool, the one intra-job parallelism the server has.
+        handle = serve_factory(jobs=2)
+        with ServeClient(handle.host, handle.port) as client:
+            stream = client.submit(GRID_WIDE)
+            lines = stream.lines()
+            assert stream.end is not None
+            assert stream.end["computed"] == 8
+        assert lines == solo_lines(GRID_WIDE, tag="solo-wide")
 
     def test_client_shard_requests_pass_through_unsplit(
         self, serve_factory, solo_lines
     ) -> None:
         # Submitted shard options are server policy to drop (a serve
-        # job always addresses its full grid) — the full stream, not a
-        # slice, and never a double-sharded one.
+        # job always addresses its full grid): the full stream, not a
+        # slice.
         from repro.api.options import ExecutionOptions
 
         handle = serve_factory(workers=4)

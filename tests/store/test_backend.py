@@ -187,48 +187,3 @@ class TestMerge:
             for source in sources:
                 source.close()
 
-
-class TestAdoptRows:
-    """Selective row adoption — how shard scratch stores are pre-seeded
-    from the shared serve store without copying everything."""
-
-    def test_adopts_only_the_requested_keys(self, tmp_path):
-        with _store(tmp_path, "a.sqlite", fingerprint="fp") as src, _store(
-            tmp_path, "b.sqlite", fingerprint="fp"
-        ) as dst:
-            for key in ("k1", "k2", "k3"):
-                src.put(key, {"k": key})
-            assert dst.adopt_rows(src, ["k1", "k3"]) == 2
-            assert dst.get("k1") == {"k": "k1"}
-            assert dst.get("k3") == {"k": "k3"}
-            assert "k2" not in dst
-
-    def test_missing_and_duplicate_keys_are_harmless(self, tmp_path):
-        with _store(tmp_path, "a.sqlite", fingerprint="fp") as src, _store(
-            tmp_path, "b.sqlite", fingerprint="fp"
-        ) as dst:
-            src.put("k1", {"v": 1})
-            dst.put("k1", {"v": "kept"})
-            # Absent source keys adopt nothing; present target keys are
-            # never overwritten (first writer wins, like merge_from).
-            assert dst.adopt_rows(src, ["k1", "ghost"]) == 0
-            assert dst.get("k1") == {"v": "kept"}
-
-    def test_adopt_spans_the_chunked_select(self, tmp_path):
-        # More keys than one IN(...) chunk (500), so the chunk loop is
-        # actually exercised.
-        keys = [f"k{i:04d}" for i in range(1203)]
-        with _store(tmp_path, "a.sqlite", fingerprint="fp") as src, _store(
-            tmp_path, "b.sqlite", fingerprint="fp"
-        ) as dst:
-            for key in keys:
-                src.put(key, {"k": key})
-            assert dst.adopt_rows(src, keys) == len(keys)
-            assert len(dst) == len(keys)
-
-    def test_adopt_rejects_fingerprint_mismatch(self, tmp_path):
-        with _store(
-            tmp_path, "a.sqlite", fingerprint="fp-a"
-        ) as src, _store(tmp_path, "b.sqlite", fingerprint="fp-b") as dst:
-            with pytest.raises(ValueError, match="fingerprint"):
-                dst.adopt_rows(src, ["k"])
