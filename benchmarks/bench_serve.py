@@ -17,13 +17,22 @@ analogue of ``benchmarks/bench_store.py``'s warm-resweep gate: the
 network and protocol layers are allowed to cost something, but never
 a recompute.
 
-A second section times one cold job on a server whose engine pool is
+A second section times closed-loop pairs of half-overlapping cold
+jobs on a two-slot server (the shape of ``perfbench``'s
+``serve-overlap`` workload): each job computes half its scenarios and
+reads half from the store, so per-job fixed cost — store connection,
+commits, key hashing, claims — is a large share of its µs per record.
+That figure is gated against ``BASELINE.json`` like the warm
+duplicate's, so fixed cost per job cannot creep back unnoticed.
+
+A third section times one cold job on a server whose engine pool is
 ``jobs=4`` against an inline one (``jobs=None``): the streams must be
 byte-identical and resumable from an offset on every host, and the
 pooled job ``MIN_POOL_SPEEDUP``× faster on hosts with at least 4 CPUs.
 
-Artifacts: ``results/bench_serve.txt``, ``results/bench_serve_pool.txt``
-and sections in ``results/BENCH_serve.json``.
+Artifacts: ``results/bench_serve.txt``, ``results/bench_serve_overlap.txt``,
+``results/bench_serve_pool.txt`` and sections in
+``results/BENCH_serve.json``.
 
 Run with::
 
@@ -33,6 +42,7 @@ Run with::
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from conftest import (
     MAX_BASELINE_REGRESSION,
@@ -139,6 +149,105 @@ def test_warm_duplicate_submission_beats_cold(artifacts_dir, tmp_path):
         f"warm duplicate only {speedup:.1f}x faster than cold "
         f"(need >= {MIN_SPEEDUP}x)"
     )
+
+
+# ----------------------------------------------------------------------
+# BENCH-SERVE-OVERLAP: closed-loop pairs of half-overlapping cold jobs
+# ----------------------------------------------------------------------
+
+#: Fresh Q values per job (a job asks for ``2 * OVERLAP_HALF``, half of
+#: them shared with the job before it), rounds of two concurrent jobs,
+#: and a low knot count so per-job fixed cost is not drowned out by
+#: kernel time.
+OVERLAP_HALF = 4
+OVERLAP_ROUNDS = scaled(40, 15)
+OVERLAP_KNOTS = 256
+
+
+def _overlap_request(qs: list[float], i: int) -> RunRequest:
+    """Job ``i``: Q window ``[iH, iH + 2H)``, half shared with job i-1."""
+    h = OVERLAP_HALF
+    return RunRequest.family(
+        "bound",
+        axes={"q": {"grid": qs[i * h : i * h + 2 * h]}},
+        defaults={"function": "gaussian1", "knots": OVERLAP_KNOTS},
+    )
+
+
+def test_cold_overlapping_pairs_per_record_cost(artifacts_dir, tmp_path):
+    jobs = 2 * OVERLAP_ROUNDS
+    qs = [50.0 + 0.5 * n for n in range((jobs + 1) * OVERLAP_HALF)]
+    handle = start_server(
+        ServeConfig(store=str(tmp_path / "overlap.sqlite"), port=0, workers=2)
+    )
+    try:
+        clients = [ServeClient(handle.host, handle.port) for _ in range(2)]
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                started = time.perf_counter()
+                streams = []
+                for first in range(0, jobs, 2):
+                    # Closed loop: the next pair starts once both ended.
+                    pair = [_overlap_request(qs, first + n) for n in (0, 1)]
+                    streams += pool.map(
+                        lambda client, request: client.run(request),
+                        clients,
+                        pair,
+                    )
+                elapsed = time.perf_counter() - started
+        finally:
+            for client in clients:
+                client.close()
+    finally:
+        stats = handle.stop()
+
+    records = sum(len(lines) for lines in streams)
+    assert [len(lines) for lines in streams] == [2 * OVERLAP_HALF] * jobs
+    # Every distinct scenario computed exactly once across the pool.
+    assert stats["scenarios_computed"] == len(qs)
+    assert stats["scenarios_cached"] == records - len(qs)
+
+    us_per_record = elapsed / records * 1e6
+    drift, gated = baseline_drift(
+        "serve.cold_overlap", "us_per_record", us_per_record
+    )
+    table = render_table(
+        ["path", "value"],
+        [
+            ["jobs (2 per round, half-overlapping)", f"{jobs}"],
+            ["records", f"{records}"],
+            ["seconds", f"{elapsed:.2f}"],
+            ["µs/record", f"{us_per_record:.0f}"],
+            [
+                "vs BASELINE.json",
+                f"{drift:.2f}x ({'gated' if gated else 'reported'})",
+            ],
+        ],
+    )
+    save_text(artifacts_dir, "bench_serve_overlap.txt", table)
+    update_bench_json(
+        artifacts_dir,
+        "serve",
+        {
+            "cold_overlap": {
+                "jobs": jobs,
+                "records": records,
+                "knots": OVERLAP_KNOTS,
+                "seconds": round(elapsed, 4),
+                "us_per_record": round(us_per_record, 1),
+                "baseline_drift": round(drift, 3),
+            }
+        },
+    )
+    print()
+    print(table)
+
+    if gated:
+        assert drift <= MAX_BASELINE_REGRESSION, (
+            f"cold overlapping jobs take {us_per_record:.0f} µs/record, "
+            f"{drift:.2f}x their BASELINE.json figure "
+            f"(limit {MAX_BASELINE_REGRESSION}x)"
+        )
 
 
 # ----------------------------------------------------------------------

@@ -9,10 +9,12 @@ persistent memory (:class:`repro.store.ResultStore`):
 2. scenarios whose key is already stored are *skipped* — their records
    are served from disk;
 3. the rest are evaluated by the ordinary engine and **checkpointed**
-   into the store as they stream out (commit-batched, so an interrupted
-   run keeps all but the last partial batch);
+   into the store as they stream out, in one commit when the run ends
+   — however it ends (a long run also commits every
+   ``commit_every`` puts, so a hard kill keeps all but the last
+   partial batch);
 4. finally the sink/return values are emitted **from the store** in
-   scenario order.
+   scenario order, under the keys of step 1.
 
 Step 4 is what makes resume exact: fresh results take the same
 ``record → strict JSON → record`` round trip as cached ones, so an
@@ -100,8 +102,8 @@ class _CheckpointSink(ResultSink):
             self._on_result(self._cursor)
         if self._cancel is not None and self._cancel():
             # After the put: the record that triggered the check is
-            # already checkpointed, so cancellation never loses work.
-            self._store.commit()
+            # already stored, and the run's closing commit makes it
+            # durable, so cancellation never loses work.
             raise JobCancelled(
                 f"batch cancelled after {self._cursor} fresh record(s); "
                 "completed work is checkpointed"
@@ -122,6 +124,10 @@ def emit_from_store(
     (an unfinished shard, wrong parameters) fails with a count rather
     than emitting a silently truncated result set.
 
+    This entry point hashes each scenario's key itself (the ``merge``
+    path, which has no keys yet); :func:`run_cached_batch` emits under
+    the keys it already computed for its cache decision instead.
+
     Args:
         store: The store holding every scenario's record.
         scenarios: Scenario grid defining the emission order.
@@ -135,6 +141,17 @@ def emit_from_store(
     """
     effective = store.fingerprint if fingerprint is None else fingerprint
     keys = [scenario_key(s, effective) for s in scenarios]
+    return _emit_keys(store, keys, sink, decode, collect)
+
+
+def _emit_keys(
+    store: ResultStore,
+    keys: Sequence[str],
+    sink: ResultSink | None,
+    decode: Decoder | None,
+    collect: bool,
+) -> list[Any] | None:
+    """:func:`emit_from_store` over precomputed keys, in their order."""
     results: list[Any] | None = [] if collect else None
     for key in keys:
         record = store.get(key)
@@ -169,6 +186,7 @@ def run_cached_batch(
     on_result: Callable[[int], None] | None = None,
     group_by: Callable[[S], Hashable] | None = None,
     cancel: Callable[[], bool] | None = None,
+    keys: Sequence[str] | None = None,
 ) -> CachedRun:
     """Evaluate ``scenarios``, serving and checkpointing via ``store``.
 
@@ -192,6 +210,12 @@ def run_cached_batch(
         cancel: Optional predicate polled before evaluation starts and
             after every fresh checkpoint; returning ``True`` raises
             :class:`JobCancelled` with all completed work committed.
+        keys: The scenarios' store keys under ``store.fingerprint``,
+            when the caller already hashed them (the serve layer claims
+            them before the run).  Without it they are computed here.
+            Either way each key is hashed once per run: the cache
+            decision, the checkpoints and the final emission all reuse
+            the same list.
         group_by: Optional shared-artifact grouping key, forwarded to
             :func:`repro.engine.run_batch` for the cache-miss subset.
             Store keys stay strictly per-scenario — resume and shard
@@ -202,19 +226,31 @@ def run_cached_batch(
 
     Returns:
         A :class:`CachedRun` with results and cache statistics.
+
+    The run issues exactly one :meth:`ResultStore.commit` of its own —
+    on success, cancellation, a raising ``on_result`` hook or a worker
+    failure alike — so whatever completed is durable, together with
+    anything the caller wrote beforehand in the same transaction (a
+    served job's manifest).
     """
-    keys = [scenario_key(s, store.fingerprint) for s in scenarios]
+    if keys is None:
+        keys = [scenario_key(s, store.fingerprint) for s in scenarios]
+    else:
+        require(
+            len(keys) == len(scenarios),
+            f"got {len(keys)} keys for {len(scenarios)} scenarios",
+        )
     pending: dict[str, int] = {}
     for index, key in enumerate(keys):
         if key not in pending and key not in store:
             pending[key] = index
     missing = sorted(pending.values())
-    if missing:
-        if cancel is not None and cancel():
-            raise JobCancelled(
-                "batch cancelled before evaluation started"
-            )
-        try:
+    try:
+        if missing:
+            if cancel is not None and cancel():
+                raise JobCancelled(
+                    "batch cancelled before evaluation started"
+                )
             run_batch(
                 worker,
                 [scenarios[i] for i in missing],
@@ -227,17 +263,16 @@ def run_cached_batch(
                 collect=False,
                 group_by=group_by,
             )
-        except WorkerError as exc:
-            # run_batch saw only the uncached subset; re-pin the index
-            # to the caller's scenario list so "scenario 60 failed"
-            # still means scenario 60 after a resume skipped 0..59.
-            raise WorkerError(
-                missing[exc.index], exc.scenario_repr, exc.cause_repr
-            ) from exc
+    except WorkerError as exc:
+        # run_batch saw only the uncached subset; re-pin the index
+        # to the caller's scenario list so "scenario 60 failed"
+        # still means scenario 60 after a resume skipped 0..59.
+        raise WorkerError(
+            missing[exc.index], exc.scenario_repr, exc.cause_repr
+        ) from exc
+    finally:
         store.commit()
-    results = emit_from_store(
-        store, scenarios, sink=sink, decode=decode, collect=collect
-    )
+    results = _emit_keys(store, keys, sink, decode, collect)
     return CachedRun(
         results=results,
         total=len(scenarios),

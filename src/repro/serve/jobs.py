@@ -9,9 +9,8 @@ re-attach later by job id and replay the stream from an offset — which
 is what makes streams resumable across disconnects.
 
 Thread topology: jobs are *created and observed* on the server's event
-loop, but *evaluated* on a job-executor pool thread (one slot per job;
-a fanned-out job additionally drives shard subprocesses from its
-slot's thread).  The executor thread
+loop, but *evaluated* on a pool slot's thread (one slot per job).  The
+slot thread
 appends lines and flips states directly (atomic under the GIL) and
 wakes loop-side subscribers through
 :meth:`Job.pulse` → ``loop.call_soon_threadsafe``; subscribers follow

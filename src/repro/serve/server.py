@@ -12,14 +12,16 @@ One :class:`AnalysisServer` owns four cooperating pieces:
 * a **bounded job queue** — at most ``max_queued`` jobs wait for a
   pool slot; submissions beyond that are rejected with a ``busy``
   error frame (the backpressure contract);
-* a **job-executor pool** of ``workers`` slots.  Independent jobs run
-  concurrently, one slot each.  A slot evaluates its job through
-  :func:`repro.engine.run_cached_batch` against the shared store, on
-  the engine's own process pool when ``jobs`` is set — the only
-  intra-job parallelism.  Emission always happens from the store in
-  scenario order (:func:`repro.engine.emit_from_store`), so a served
-  stream is byte-identical to a solo :meth:`repro.api.Workbench.run`
-  by construction.
+* a **job-executor pool** of ``workers`` slots, one thread each.
+  Independent jobs run concurrently, one slot each.  A slot evaluates
+  its job through :func:`repro.engine.run_cached_batch` against the
+  shared store, on the engine's own process pool when ``jobs`` is set
+  — the only intra-job parallelism — through one store connection it
+  opens on its first job and keeps until the server stops.  Emission
+  always happens from the store in scenario order
+  (:func:`repro.engine.emit_from_store`), so a served stream is
+  byte-identical to a solo :meth:`repro.api.Workbench.run` by
+  construction.
 
 Dedup happens at three levels: identical requests collapse to one job
 (single-flight), concurrently *running* jobs that overlap claim their
@@ -35,6 +37,8 @@ workload), and :func:`start_server` (background thread returning a
 from __future__ import annotations
 
 import asyncio
+import queue
+import sqlite3
 import threading
 from collections import deque
 from collections.abc import Callable
@@ -88,8 +92,8 @@ class ServeConfig:
     Attributes:
         host: Bind address (default loopback).
         port: Bind port; ``0`` picks a free one (tests).
-        store: Path of the shared result store (opened per job run;
-            must be a path, never an open store).
+        store: Path of the shared result store (each pool slot opens
+            its own connection; must be a path, never an open store).
         jobs: Engine pool width for fresh scenarios (``None`` inline).
         chunk: Engine chunk size (``None`` auto).
         workers: Concurrent job slots (``None`` =
@@ -134,6 +138,38 @@ class _JobSink(ResultSink):
         self._job.append_line(record_line(record))
 
 
+class _Slot:
+    """One pool slot's store connection: opened lazily, then kept.
+
+    sqlite connections are bound to the thread that opened them, so
+    every slot thread owns one.  Its first job opens it — start-up
+    does no store work — every later job on the slot reuses it (no
+    per-job connect, schema check or WAL checkpoint on close), and the
+    slot thread closes it when the server stops.
+    """
+
+    def __init__(self, path: str, fingerprint: str) -> None:
+        self._path = path
+        self._fingerprint = fingerprint
+        self._store: ResultStore | None = None
+
+    def store(self) -> ResultStore:
+        if self._store is None:
+            self._store = ResultStore(
+                self._path, fingerprint=self._fingerprint
+            )
+        return self._store
+
+    def close(self) -> None:
+        """Close and forget the connection; the next job reopens it."""
+        store, self._store = self._store, None
+        if store is not None:
+            try:
+                store.close()
+            except sqlite3.Error:
+                pass  # ResultStore.close releases the handle regardless
+
+
 def _evaluate_shard(spec: dict[str, Any]) -> dict[str, Any]:
     """Placeholder read only by ``perfbench/tracing.py``; never called."""
     raise RuntimeError("serve jobs are no longer split into shard sub-runs")
@@ -159,12 +195,22 @@ class AnalysisServer:
         self._fingerprint = package_fingerprint("repro")
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
-        self._executor: Any = None
         self._workers = config.workers or default_workers()
         self._stopping = False
+        # The pool: one thread per slot, fed jobs (``None`` = exit)
+        # by the dispatcher.
+        self._slot_threads: list[threading.Thread] = []
+        self._slot_queue: queue.SimpleQueue[Job | None] = (
+            queue.SimpleQueue()
+        )
+        # Slots close their connections one at a time at stop: SQLite
+        # folds the WAL back only when the closing connection finds no
+        # other one open, and two slots closing at once can each still
+        # see the other and both leave the ``-wal`` file behind.
+        self._close_lock = threading.Lock()
         # Pool accounting: a plain lock, usable from the loop *and* the
-        # executor threads (a finished job adds its scenario counts
-        # from its own thread).
+        # slot threads (a finished job adds its scenario counts from
+        # its own thread).
         self._pending: deque[Job] = deque()
         self._slot_lock = threading.Lock()
         self._slots_busy = 0
@@ -189,12 +235,7 @@ class AnalysisServer:
 
     async def start(self) -> None:
         """Bind, start the job pool, and (optionally) report ready."""
-        from concurrent.futures import ThreadPoolExecutor
-
         self._loop = asyncio.get_running_loop()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self._workers, thread_name_prefix="repro-serve-job"
-        )
         self._server = await asyncio.start_server(
             self._handle_client,
             self._config.host,
@@ -203,6 +244,16 @@ class AnalysisServer:
         )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
+        self._slot_threads = [
+            threading.Thread(
+                target=self._slot_main,
+                name=f"repro-serve-job-{n}",
+                daemon=True,
+            )
+            for n in range(self._workers)
+        ]
+        for thread in self._slot_threads:
+            thread.start()
         if self._config.ready_file:
             ready = Path(self._config.ready_file)
             banner = f"{self.host} {self.port}\n"
@@ -226,11 +277,18 @@ class AnalysisServer:
         for job in self._registry.jobs.values():
             if not job.terminal:
                 job.cancel_event.set()
-        if self._executor is not None:
-            executor, self._executor = self._executor, None
-            # Off-loop shutdown: job-completion callbacks and claim
-            # wakeups need the loop responsive while the pool drains.
-            await asyncio.to_thread(executor.shutdown)
+        threads, self._slot_threads = self._slot_threads, []
+        for _ in threads:
+            self._slot_queue.put(None)
+
+        def drain() -> None:
+            for thread in threads:
+                thread.join()
+
+        # Off-loop join: job-completion callbacks and claim wakeups
+        # need the loop responsive while the pool drains.  Each slot
+        # thread closes its store connection on the way out.
+        await asyncio.to_thread(drain)
 
     def stats(self) -> dict[str, Any]:
         """Counters snapshot (also the ``status`` frame payload)."""
@@ -260,7 +318,7 @@ class AnalysisServer:
 
     def _dispatch(self) -> None:
         """Start queued jobs while pool slots are free (loop side)."""
-        if self._stopping or self._executor is None or self._loop is None:
+        if self._stopping or not self._slot_threads:
             return
         while self._pending:
             with self._slot_lock:
@@ -275,16 +333,11 @@ class AnalysisServer:
                 continue
             job.state = "running"
             job.pulse()
-            future = self._loop.run_in_executor(
-                self._executor, self._run_job, job
-            )
-            future.add_done_callback(self._job_finished)
+            self._slot_queue.put(job)
 
-    def _job_finished(self, future: asyncio.Future) -> None:
+    def _job_finished(self) -> None:
         with self._slot_lock:
             self._slots_busy -= 1
-        if not future.cancelled():
-            future.exception()  # _run_job never raises; never warn
         self._dispatch()
 
     def _discard_pending(self, job: Job) -> None:
@@ -339,11 +392,23 @@ class AnalysisServer:
             self._claims_cond.notify_all()
 
     # ------------------------------------------------------------------
-    # job execution (executor threads)
+    # job execution (slot threads)
     # ------------------------------------------------------------------
 
-    def _run_job(self, job: Job) -> None:
-        """Evaluate one job on its pool slot (executor thread)."""
+    def _slot_main(self) -> None:
+        """One pool slot: run dispatched jobs until told to exit."""
+        assert self._loop is not None
+        slot = _Slot(self._config.store, self._fingerprint)
+        try:
+            while (job := self._slot_queue.get()) is not None:
+                self._run_job(job, slot)
+                self._loop.call_soon_threadsafe(self._job_finished)
+        finally:
+            with self._close_lock:
+                slot.close()
+
+    def _run_job(self, job: Job, slot: _Slot) -> None:
+        """Evaluate one job on its pool slot (slot thread)."""
         keys: list[str] = []
         claimed = False
         try:
@@ -368,25 +433,25 @@ class AnalysisServer:
                             f"fail_after={_limit} fault injected"
                         )
 
-            # Per-run store handle: sqlite connections are thread-bound
-            # and pool slots are many, so each run opens (and closes)
-            # its own; WAL mode makes the concurrent access safe.
-            with ResultStore(
-                self._config.store, fingerprint=self._fingerprint
-            ) as store:
-                store.set_job_manifest(job.id, plan.manifest)
-                run = run_cached_batch(
-                    plan.worker,
-                    plan.scenarios,
-                    store,
-                    sink=_JobSink(job),
-                    collect=False,
-                    max_workers=self._config.jobs,
-                    chunk_size=self._config.chunk,
-                    group_by=plan.group_by,
-                    on_result=on_result,
-                    cancel=job.cancel_event.is_set,
-                )
+            # The slot's long-lived connection (WAL mode makes the
+            # slots' concurrent access safe).  The manifest row joins
+            # the run's one checkpoint commit, which lands however the
+            # run ends — so a killed job keeps its manifest and prefix.
+            store = slot.store()
+            store.set_job_manifest(job.id, plan.manifest)
+            run = run_cached_batch(
+                plan.worker,
+                plan.scenarios,
+                store,
+                sink=_JobSink(job),
+                collect=False,
+                max_workers=self._config.jobs,
+                chunk_size=self._config.chunk,
+                group_by=plan.group_by,
+                on_result=on_result,
+                cancel=job.cancel_event.is_set,
+                keys=keys,
+            )
             # Count scenarios *before* the job turns terminal: the end
             # frame releases subscribers, and a client that saw it must
             # find these totals already reflected in ``status``.
@@ -407,8 +472,11 @@ class AnalysisServer:
         except ValueError as exc:
             # Plan-time rejection: bad campaign spec, unknown family …
             job.fail("bad-request", str(exc))
-        except Exception as exc:  # pragma: no cover - defensive
+        except Exception as exc:
             job.fail("job-failed", f"{type(exc).__name__}: {exc}")
+            # Whatever broke may have left the connection mid-
+            # transaction or unusable: the next job reopens it.
+            slot.close()
         finally:
             if claimed:
                 self._release_claims(job, keys)
@@ -668,6 +736,12 @@ class AnalysisServer:
         try:
             while True:
                 changed = job.change_event()
+                # Read the state *before* draining: the job appends its
+                # last line before it turns terminal, so a drain after
+                # seeing it terminal cannot miss a line — whereas checking
+                # after the drain could see a line land and the job
+                # finish in between, and end the stream one short.
+                finished = job.terminal
                 while cursor < len(job.lines):
                     line = job.lines[cursor]
                     cursor += 1
@@ -681,7 +755,7 @@ class AnalysisServer:
                             "line": line,
                         },
                     )
-                if job.terminal:
+                if finished:
                     break
                 waiter = asyncio.create_task(changed.wait())
                 done, _ = await asyncio.wait(

@@ -148,13 +148,15 @@ class ResultStore:
         ).fetchone()
         return None if row is None else row[0]
 
-    def _set_meta(self, key: str, value: str) -> None:
-        conn = self._connection()
-        conn.execute(
+    def _write_meta(self, key: str, value: str) -> None:
+        self._connection().execute(
             "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
             (key, value),
         )
-        conn.commit()
+
+    def _set_meta(self, key: str, value: str) -> None:
+        self._write_meta(key, value)
+        self._connection().commit()
 
     @property
     def manifest(self) -> dict[str, Any] | None:
@@ -226,6 +228,10 @@ class ResultStore:
         content-addressed id.  Job ids are pure functions of the
         manifest, so re-recording must be identical — a mismatch means
         a hash collision or corrupted meta and fails loudly.
+
+        The row joins the open transaction instead of committing on its
+        own: it becomes durable with the next :meth:`commit`, which for
+        a served job is the checkpoint commit of its results.
         """
         require(bool(job_id), "job id must be non-empty")
         key = self._JOB_PREFIX + job_id
@@ -237,7 +243,7 @@ class ResultStore:
             f"for job {job_id}; refusing to overwrite",
         )
         if existing is None:
-            self._set_meta(key, new)
+            self._write_meta(key, new)
 
     def job_manifest(self, job_id: str) -> dict[str, Any] | None:
         """The manifest recorded for ``job_id``, or ``None``."""
@@ -335,11 +341,18 @@ class ResultStore:
         self._uncommitted = 0
 
     def close(self) -> None:
-        """Commit and release the connection; idempotent."""
-        if self._conn is not None:
-            self._conn.commit()
-            self._conn.close()
-            self._conn = None
+        """Commit and release the connection; idempotent.
+
+        The connection is released even when the final commit fails
+        (the error still propagates), so a broken store never leaks an
+        open handle.
+        """
+        conn, self._conn = self._conn, None
+        if conn is not None:
+            try:
+                conn.commit()
+            finally:
+                conn.close()
 
     def __enter__(self) -> "ResultStore":
         return self

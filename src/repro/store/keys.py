@@ -24,6 +24,7 @@ import dataclasses
 import hashlib
 import inspect
 import math
+import os
 from importlib import import_module
 from pathlib import Path
 from types import ModuleType
@@ -163,12 +164,29 @@ def package_fingerprint(package: str | ModuleType = "repro") -> str:
         path is not None and Path(path).name == "__init__.py",
         f"{module.__name__!r} is not a package with a source directory",
     )
-    root = Path(path).parent
-    sources = {
-        str(source.relative_to(root)): source.read_bytes()
-        for source in sorted(root.rglob("*.py"))
-    }
+    sources: dict[str, bytes] = {}
+    _collect_sources(Path(path).parent, "", sources)
     return _digest_sources(sources)
+
+
+def _collect_sources(
+    directory: str | Path, prefix: str, sources: dict[str, bytes]
+) -> None:
+    """Add every ``*.py`` file under ``directory`` to ``sources``.
+
+    One ``os.scandir`` walk keyed by relative POSIX name — the same map
+    ``sorted(root.rglob("*.py"))`` yields, without building a ``Path``
+    per entry: subdirectories are entered unless they are symlinks, and
+    ``_digest_sources`` sorts the names, so walk order is irrelevant.
+    """
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            name = prefix + entry.name
+            if entry.is_dir(follow_symlinks=False):
+                _collect_sources(entry.path, name + "/", sources)
+            elif entry.name.endswith(".py"):
+                with open(entry.path, "rb") as handle:
+                    sources[name] = handle.read()
 
 
 def _digest_sources(sources: dict[str, bytes]) -> str:

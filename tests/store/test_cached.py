@@ -8,7 +8,8 @@ from repro.engine import (
     run_batch,
     run_cached_batch,
 )
-from repro.store import ResultStore
+from repro.engine import JobCancelled, WorkerError
+from repro.store import ResultStore, scenario_key
 
 CALLS = []
 
@@ -161,3 +162,108 @@ class TestEmitFromStore:
             run_cached_batch(_tag, [1], store)
             with pytest.raises(ValueError, match="missing 2 of 3"):
                 emit_from_store(store, [1, 2, 3])
+
+
+def _count_commits(store: ResultStore) -> list[int]:
+    """Count ``store.commit`` calls on this one store object."""
+    calls = [0]
+    commit = store.commit
+
+    def counted() -> None:
+        calls[0] += 1
+        commit()
+
+    store.commit = counted  # type: ignore[method-assign]
+    return calls
+
+
+def _abort_at_two(count: int) -> None:
+    if count >= 2:
+        raise KeyboardInterrupt
+
+
+class TestOneCommitPerRun:
+    """A run commits once, however it ends, and that commit carries
+    what the caller wrote before the run (a served job's manifest)."""
+
+    @pytest.mark.parametrize(
+        ("outcome", "worker", "kwargs", "raises", "stored"),
+        [
+            ("success", _tag, {}, None, 4),
+            ("kill", _tag, {"on_result": _abort_at_two}, KeyboardInterrupt, 2),
+            (
+                "cancel",
+                _tag,
+                {"cancel": lambda: len(CALLS) >= 3},
+                JobCancelled,
+                3,
+            ),
+            ("worker-error", _boom_on_four, {}, WorkerError, 3),
+        ],
+    )
+    def test_one_commit_makes_the_prefix_and_manifest_durable(
+        self, tmp_path, outcome, worker, kwargs, raises, stored
+    ):
+        store = _store(tmp_path)
+        try:
+            commits = _count_commits(store)
+            store.set_job_manifest("job", {"outcome": outcome})
+            if raises is None:
+                run_cached_batch(worker, [1, 2, 3, 4], store, **kwargs)
+            else:
+                with pytest.raises(raises):
+                    run_cached_batch(worker, [1, 2, 3, 4], store, **kwargs)
+            assert commits == [1]
+            # Durable before any close: a second connection sees it all.
+            with _store(tmp_path) as other:
+                assert other.job_manifest("job") == {"outcome": outcome}
+                assert len(other) == stored
+        finally:
+            store.close()
+
+    def test_an_all_cached_run_commits_once_too(self, tmp_path):
+        with _store(tmp_path) as store:
+            run_cached_batch(_tag, [1, 2], store)
+            commits = _count_commits(store)
+            run = run_cached_batch(_tag, [2, 1], store)
+            assert (run.cached, commits) == (2, [1])
+
+
+class TestKeysHashedOncePerRun:
+    def test_each_scenario_key_is_hashed_once(self, tmp_path, monkeypatch):
+        import repro.engine.cached as cached
+
+        hashed = []
+
+        def counting_key(scenario, fingerprint=""):
+            hashed.append(scenario)
+            return scenario_key(scenario, fingerprint)
+
+        monkeypatch.setattr(cached, "scenario_key", counting_key)
+        with _store(tmp_path) as store:
+            run = run_cached_batch(_tag, [1, 2, 3], store)
+        assert sorted(hashed) == [1, 2, 3]
+        assert [r["x"] for r in run.results] == [1, 2, 3]
+
+    def test_precomputed_keys_are_used_as_given(self, tmp_path, monkeypatch):
+        import repro.engine.cached as cached
+
+        with _store(tmp_path) as store:
+            keys = [scenario_key(x, store.fingerprint) for x in (3, 1)]
+
+            def no_hashing(*args, **kwargs):
+                raise AssertionError("keys were passed in; none to hash")
+
+            monkeypatch.setattr(cached, "scenario_key", no_hashing)
+            run = run_cached_batch(_tag, [3, 1], store, keys=keys)
+            monkeypatch.undo()
+            assert [r["x"] for r in run.results] == [3, 1]
+            # Rows landed under exactly those keys: a plain run reads them.
+            CALLS.clear()
+            again = run_cached_batch(_tag, [1, 3], store)
+            assert (again.cached, CALLS) == (2, [])
+
+    def test_a_key_count_mismatch_is_refused(self, tmp_path):
+        with _store(tmp_path) as store:
+            with pytest.raises(ValueError, match="2 keys for 3 scenarios"):
+                run_cached_batch(_tag, [1, 2, 3], store, keys=["a", "b"])

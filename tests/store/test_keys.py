@@ -2,6 +2,8 @@
 practice, fingerprint scoping."""
 
 import math
+from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -12,6 +14,7 @@ from repro.store import (
     package_fingerprint,
     scenario_key,
 )
+from repro.store.keys import _digest_sources
 
 
 class TestCanonicalBytes:
@@ -119,3 +122,51 @@ class TestFingerprints:
 
         with pytest.raises(ValueError):
             package_fingerprint(sweeps)
+
+
+def _rglob_fingerprint(package: ModuleType) -> str:
+    """The ``pathlib.rglob`` expression the scandir walk replaced,
+    kept as the oracle its digest must equal."""
+    root = Path(package.__file__).parent
+    return _digest_sources(
+        {
+            str(source.relative_to(root)): source.read_bytes()
+            for source in sorted(root.rglob("*.py"))
+        }
+    )
+
+
+class TestPackageFingerprintWalk:
+    def test_matches_the_rglob_digest_on_the_real_package(self):
+        import repro
+
+        assert package_fingerprint(repro) == _rglob_fingerprint(repro)
+
+    def test_matches_the_rglob_digest_on_a_nested_tree(self, tmp_path):
+        root = tmp_path / "pkg"
+        files = {
+            "__init__.py": b"",
+            "core.py": b"X = 1\n",
+            "sub/__init__.py": b"",
+            "sub/leaf.py": b"Y = 2\n",
+            "sub/deeper/__init__.py": b"# deeper\n",
+            "sub/deeper/z.py": b"Z = 3\n",
+            # Not sources: compiled bytecode and data files stay out.
+            "__pycache__/core.cpython-311.pyc": b"\x00bytecode",
+            "sub/__pycache__/leaf.cpython-311.pyc": b"\x00bytecode",
+            "data.json": b"{}",
+            "sub/notes.txt": b"not python",
+        }
+        for name, content in files.items():
+            path = root / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(content)
+        package = ModuleType("pkg")
+        package.__file__ = str(root / "__init__.py")
+
+        digest = package_fingerprint(package)
+        assert digest == _rglob_fingerprint(package)
+        # Every .py file counts — nested ones included.
+        (root / "sub" / "deeper" / "z.py").write_bytes(b"Z = 4\n")
+        assert package_fingerprint(package) != digest
+        assert package_fingerprint(package) == _rglob_fingerprint(package)
