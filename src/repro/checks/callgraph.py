@@ -171,7 +171,6 @@ class CallGraph:
         self._modules: dict[str, _ModuleInfo] = {}
         self._edges: dict[str, tuple[CallSite, ...]] = {}
         self._children: dict[str, dict[str, str]] = {}
-        self._module_imports: dict[str, set[str]] = {}
 
     # ------------------------------------------------------------------
     # lookup
@@ -255,38 +254,6 @@ class CallGraph:
                     continue
                 seen.add(target)
                 queue.append((*path, target))
-
-    def file_closure(self, rel: str) -> frozenset[str]:
-        """Files this file's findings may depend on.
-
-        The union of (a) files containing any function reachable from
-        a function defined in ``rel`` and (b) files of modules ``rel``
-        imports.
-        """
-        starts = [
-            info.node_id
-            for info in self._functions.values()
-            if info.file == rel
-        ]
-        closure: set[str] = set()
-        seen: set[str] = set(starts)
-        queue = list(starts)
-        while queue:
-            node_id = queue.pop(0)
-            for site in self.callees(node_id):
-                target = site.target
-                if target is None or target in seen:
-                    continue
-                seen.add(target)
-                closure.add(self._functions[target].file)
-                queue.append(target)
-        module = module_name(rel)
-        for imported in self._module_imports.get(module, set()):
-            info = self._modules.get(imported)
-            if info is not None:
-                closure.add(info.file)
-        closure.discard(rel)
-        return frozenset(closure)
 
     # ------------------------------------------------------------------
     # entry-point discovery
@@ -618,16 +585,12 @@ def build_graph(tree) -> CallGraph:
             if "." in module
             else ""
         )
-        imported: set[str] = set()
         for node in ast.walk(file.tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                _is_module_scope(node, file.tree)
+            ):
                 for alias, target in _import_aliases(node, package):
-                    imported.add(target.split(":")[0])
-                    if _is_module_scope(node, file.tree):
-                        mod.imports.setdefault(alias, target)
-        graph._module_imports[module] = {
-            t for t in imported if not t.startswith(".")
-        }
+                    mod.imports.setdefault(alias, target)
         _register_functions(graph, mod, file.rel, file.tree)
 
     # Pass 2: resolve every call expression into edges.

@@ -10,9 +10,9 @@ through module globals (results must be identical whether a scenario
 runs first, last, in-process or in a fresh pool worker).
 
 * ``WP001`` — a registered family's scenario dataclass is not frozen;
-* ``WP002`` — a registered family callable (worker, batch worker,
-  decoder, context key) is not importable by its qualified name, so it
-  cannot pickle into a process pool;
+* ``WP002`` — a registered family callable (worker, decoder, context
+  key) is not importable by its qualified name, so it cannot pickle
+  into a process pool;
 * ``WP003`` — a registered worker's body uses ``global``/``nonlocal``,
   i.e. mutates state that outlives one scenario evaluation.
 

@@ -2,11 +2,14 @@
 
 The experiment layer's sweeps — Figure 5's Q grid, the acceptance
 study's utilization × seed matrix, and anything larger — are expressed
-as flat scenario lists and evaluated by :func:`run_batch`:
-deterministically chunked, optionally fanned out over a
-``concurrent.futures`` worker pool, and streamed to JSONL/CSV sinks —
-with ``collect=False`` nothing is accumulated, so 10^5+-scenario sweeps
-run in constant memory.  The inline path
+as flat scenario lists and evaluated by :func:`run_batch`, the one
+entry point: deterministically chunked, optionally fanned out over a
+``concurrent.futures`` worker pool, and streamed to JSONL/CSV sinks in
+scenario order.  Past ``max_workers × 4`` chunks submitted but not
+yet flushed, the pool admits only the chunk that starts at the next
+index to flush, so a slow chunk cannot grow the out-of-order buffer;
+with ``collect=False`` nothing is accumulated, so
+10^5+-scenario sweeps run in constant memory.  The inline path
 (``max_workers=None``) is the reference: every parallel configuration
 reproduces it bit-identically, because chunking is a pure function of
 the input and every randomised scenario carries its own derived seed.
@@ -48,7 +51,6 @@ from repro.engine.cached import (
     run_cached_batch,
 )
 from repro.engine.chunking import (
-    chunk_bounds,
     default_chunk_size,
     derive_seed,
     grouped_chunk_plan,
@@ -64,8 +66,6 @@ from repro.engine.context import (
 )
 from repro.engine.engine import (
     EXECUTORS,
-    BatchEngine,
-    EngineConfig,
     WorkerError,
     resolve_workers,
     run_batch,
@@ -110,7 +110,6 @@ from repro.engine.sweeps import (
 )
 
 __all__ = [
-    "chunk_bounds",
     "default_chunk_size",
     "derive_seed",
     "grouped_chunk_plan",
@@ -121,8 +120,6 @@ __all__ = [
     "clear_context_cache",
     "get_context",
     "taskset_context_key",
-    "EngineConfig",
-    "BatchEngine",
     "run_batch",
     "resolve_workers",
     "EXECUTORS",

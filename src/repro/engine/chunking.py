@@ -4,13 +4,13 @@ All primitives are pure functions of their inputs so a sweep's
 decomposition — and therefore its results — never depends on worker
 count, executor kind or scheduling order:
 
-* :func:`chunk_bounds` splits ``n`` scenarios into contiguous
-  ``[start, stop)`` index ranges;
 * :func:`grouped_chunk_plan` splits a scenario stream into index chunks
   that never span two shared-artifact groups (the
   :class:`repro.engine.context.ContextKey` partition), so each pool
   worker builds a group's context once and evaluates its whole slice —
-  while the engine still emits results in original scenario order;
+  while the engine still emits results in original scenario order.
+  With one key for every scenario the chunks are the contiguous
+  ``chunk_size`` slices of the stream;
 * :func:`derive_seed` maps ``(base_seed, scenario_index)`` to an
   independent 63-bit stream seed with a SplitMix64 finalizer, so every
   scenario owns its randomness no matter which worker executes it.
@@ -23,25 +23,6 @@ from collections.abc import Hashable, Sequence
 from repro.utils.checks import require
 
 _MASK64 = (1 << 64) - 1
-
-
-def chunk_bounds(total: int, chunk_size: int) -> list[tuple[int, int]]:
-    """Contiguous ``[start, stop)`` chunks covering ``range(total)``.
-
-    Args:
-        total: Number of scenarios (>= 0).
-        chunk_size: Maximum scenarios per chunk (> 0); a chunk size
-            larger than ``total`` yields a single chunk.
-
-    Returns:
-        Chunks in index order; empty list when ``total == 0``.
-    """
-    require(total >= 0, f"total must be >= 0, got {total}")
-    require(chunk_size > 0, f"chunk_size must be > 0, got {chunk_size}")
-    return [
-        (start, min(start + chunk_size, total))
-        for start in range(0, total, chunk_size)
-    ]
 
 
 def default_chunk_size(total: int, workers: int) -> int:
@@ -72,9 +53,9 @@ def grouped_chunk_plan(
     Chunks are ordered by their smallest contained index: when groups
     interleave, the chunks covering the front of the stream are
     submitted (and typically finished) first, so the engine's ordered
-    flush holds at most the in-flight chunks' results instead of
-    buffering whole trailing groups — streaming stays bounded-memory
-    even for fully interleaved grids.  Per-worker context builds are
+    flush holds its bounded window of chunks instead of buffering whole
+    trailing groups — streaming stays bounded-memory even for fully
+    interleaved grids.  Per-worker context builds are
     unaffected: the per-process memo serves every later chunk of an
     already-seen group.
 

@@ -79,9 +79,6 @@ BENCHMARK_KIND = "benchmark"
 #: Distinct contexts kept per process.  Grids interleave only a handful
 #: of groups at a time (a q-major fig5 grid cycles through its three
 #: functions), so a small memo already guarantees one build per worker.
-#: ``REPRO_CACHE_SIZE`` overrides this default (see
-#: :mod:`repro.utils.caching`), sizing it together with the batched-grid
-#: memo.
 CONTEXT_CACHE_SIZE = 32
 
 
@@ -335,9 +332,9 @@ def _get_context(
     (:func:`repro.engine.chunking.grouped_chunk_plan`) each worker
     builds each context exactly once and serves its whole slice from
     the memo.  Exposed as :data:`get_context`, a
-    :class:`~repro.utils.caching.ThreadPinnedLRU` so the capacity follows
-    ``REPRO_CACHE_SIZE``, can be resized at runtime, and a thread worker
-    keeps its chunk's context even when other threads evict it.
+    :class:`~repro.utils.caching.ThreadPinnedLRU` of
+    :data:`CONTEXT_CACHE_SIZE` entries, so a thread worker keeps its
+    chunk's context even when other threads evict it.
     """
     return build_context(key, artifacts)
 

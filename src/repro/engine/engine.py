@@ -1,22 +1,23 @@
 """The batch-analysis engine core.
 
-:func:`run_batch` (and the class-shaped :class:`BatchEngine`) evaluates a
-worker function over many scenarios with:
+:func:`run_batch` evaluates a worker function over many scenarios with:
 
-* **deterministic decomposition** — scenarios are split into contiguous
-  index chunks (:func:`repro.engine.chunking.chunk_bounds`) and results
+* **deterministic decomposition** — scenarios are split into index
+  chunks (:func:`repro.engine.chunking.grouped_chunk_plan`; without a
+  ``group_by`` key that is contiguous ``chunk_size`` slices) and results
   are re-assembled in scenario order, so the output is a pure function
-  of ``(worker, scenarios)`` regardless of worker count, executor kind
-  or completion order;
+  of ``(worker, scenarios)`` regardless of worker count, executor kind,
+  grouping or completion order;
 * **a `concurrent.futures` worker pool** — ``ProcessPoolExecutor`` for
   CPU-bound analyses (the default) or ``ThreadPoolExecutor`` where
   fork/pickle overhead is not worth it; ``max_workers`` of ``None``/``1``
   runs inline with zero pool overhead;
-* **streaming emission** — completed chunks are flushed to an optional
+* **streaming emission** — completed results are flushed to an optional
   :class:`~repro.engine.sinks.ResultSink` *in scenario order* as soon as
   their predecessors have been flushed; with ``collect=False`` results
-  are *only* streamed (never accumulated), so sweeps of 10^5+ scenarios
-  hold at most the bounded out-of-order chunk buffer in memory.
+  are *only* streamed (never accumulated), and chunk submission is
+  gated on the chunks submitted but not yet flushed, so sweeps of 10^5+
+  scenarios hold at most a bounded window of chunks in memory.
 
 Workers must be module-level callables (picklable for the process pool)
 taking one scenario and returning one result.  Scenarios should carry
@@ -26,6 +27,7 @@ randomised analyses stay reproducible under any parallelism.
 
 from __future__ import annotations
 
+import heapq
 import os
 from collections.abc import Callable, Hashable, Sequence
 from concurrent.futures import (
@@ -36,14 +38,9 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
-from dataclasses import dataclass
 from typing import TypeVar
 
-from repro.engine.chunking import (
-    chunk_bounds,
-    default_chunk_size,
-    grouped_chunk_plan,
-)
+from repro.engine.chunking import default_chunk_size, grouped_chunk_plan
 from repro.engine.sinks import ResultSink, as_record
 from repro.utils.checks import require
 
@@ -53,50 +50,10 @@ R = TypeVar("R")
 #: Supported executor kinds.
 EXECUTORS = ("process", "thread")
 
-#: Upper bound on chunks enqueued beyond the pool width, limiting both
-#: the futures backlog and the out-of-order buffer the ordered flush may
-#: have to hold.
+#: Chunks per pool worker that may be submitted but not yet flushed,
+#: bounding both the futures backlog and the out-of-order buffer the
+#: ordered flush may have to hold.
 _MAX_INFLIGHT_FACTOR = 4
-
-
-@dataclass(frozen=True, slots=True)
-class EngineConfig:
-    """Tuning knobs for a :class:`BatchEngine`.
-
-    Attributes:
-        max_workers: Pool width.  ``None``, ``0`` or ``1`` evaluates
-            inline in the calling process (the reference path every
-            parallel configuration must reproduce bit-identically).
-        chunk_size: Scenarios per chunk; ``None`` picks
-            :func:`~repro.engine.chunking.default_chunk_size`.
-        executor: ``"process"`` (default; true parallelism for the
-            CPU-bound analyses) or ``"thread"``.
-    """
-
-    max_workers: int | None = None
-    chunk_size: int | None = None
-    executor: str = "process"
-
-    def __post_init__(self) -> None:
-        require(
-            self.executor in EXECUTORS,
-            f"executor must be one of {EXECUTORS}, got {self.executor!r}",
-        )
-        if self.max_workers is not None:
-            require(
-                self.max_workers >= 0,
-                f"max_workers must be >= 0, got {self.max_workers}",
-            )
-        if self.chunk_size is not None:
-            require(
-                self.chunk_size > 0,
-                f"chunk_size must be > 0, got {self.chunk_size}",
-            )
-
-    @property
-    def parallel(self) -> bool:
-        """Whether a worker pool (rather than the inline path) is used."""
-        return self.max_workers is not None and self.max_workers > 1
 
 
 def resolve_workers(requested: int | None = None) -> int:
@@ -152,31 +109,15 @@ def _worker_error(
     return WorkerError(index, scenario_repr, repr(exc))
 
 
-def _run_chunk(
-    worker: Callable[[S], R], scenarios: Sequence[S], start: int
-) -> list[R]:
-    """Evaluate one chunk sequentially (executed inside a pool worker)."""
-    results: list[R] = []
-    for offset, scenario in enumerate(scenarios):
-        try:
-            results.append(worker(scenario))
-        except WorkerError:
-            raise
-        except Exception as exc:
-            raise _worker_error(start + offset, scenario, exc) from exc
-    return results
-
-
 def _run_chunk_indexed(
     worker: Callable[[S], R],
     scenarios: Sequence[S],
     indices: Sequence[int],
 ) -> list[R]:
-    """Evaluate one (possibly non-contiguous) index chunk sequentially.
+    """Evaluate one index chunk sequentially (inside a pool worker).
 
-    The grouped counterpart of :func:`_run_chunk`: scenario ``k`` of the
-    chunk carries original stream index ``indices[k]``, which is what a
-    :class:`WorkerError` must pin.
+    Scenario ``k`` of the chunk carries stream index ``indices[k]``,
+    which is what a :class:`WorkerError` must pin.
     """
     results: list[R] = []
     for offset, scenario in enumerate(scenarios):
@@ -187,193 +128,6 @@ def _run_chunk_indexed(
         except Exception as exc:
             raise _worker_error(indices[offset], scenario, exc) from exc
     return results
-
-
-class BatchEngine:
-    """Evaluates scenario batches according to an :class:`EngineConfig`."""
-
-    def __init__(self, config: EngineConfig | None = None) -> None:
-        self.config = config or EngineConfig()
-
-    def map(
-        self,
-        worker: Callable[[S], R],
-        scenarios: Sequence[S],
-        sink: ResultSink | None = None,
-        collect: bool = True,
-        group_by: Callable[[S], Hashable] | None = None,
-    ) -> list[R] | None:
-        """Evaluate ``worker`` over ``scenarios``; results in input order.
-
-        Args:
-            worker: Module-level callable ``scenario -> result``
-                (picklable when the process executor is used).
-            scenarios: The batch; may be empty.
-            sink: Optional streaming sink; receives
-                :func:`~repro.engine.sinks.as_record` of every result in
-                scenario order, as chunks complete.
-            collect: When ``False`` (requires a ``sink``), results are
-                *only* streamed and never accumulated — the constant-
-                memory mode for 10^5+-scenario sweeps.
-            group_by: Optional ``scenario -> hashable key`` naming the
-                shared-artifact group (typically a family's
-                ``context_key``).  On the pooled path, chunks then
-                respect group boundaries
-                (:func:`~repro.engine.chunking.grouped_chunk_plan`) so
-                each worker process builds every context once; results
-                are still emitted in scenario order and are bit-identical
-                to the ungrouped decomposition.  The inline path keeps
-                plain scenario order — the per-process context memo
-                already amortises there — so grouping never changes the
-                reference results.  Chunks are planned in stream-front
-                order (see
-                :func:`~repro.engine.chunking.grouped_chunk_plan`), so
-                the ordered flush buffers at most the in-flight chunks
-                even when groups interleave.
-
-        Returns:
-            One result per scenario, ordered like ``scenarios``; ``None``
-            when ``collect`` is ``False``.
-        """
-        if not collect:
-            require(sink is not None, "collect=False requires a sink")
-        if not self.config.parallel:
-            results: list[R] | None = [] if collect else None
-            for index, scenario in enumerate(scenarios):
-                try:
-                    result = worker(scenario)
-                except WorkerError:
-                    raise
-                except Exception as exc:
-                    raise _worker_error(index, scenario, exc) from exc
-                if sink is not None:
-                    sink.write(as_record(result))
-                if results is not None:
-                    results.append(result)
-            return results
-        if group_by is not None:
-            return self._map_pooled_grouped(
-                worker, scenarios, sink, collect, group_by
-            )
-        return self._map_pooled(worker, scenarios, sink, collect)
-
-    def _map_pooled(
-        self,
-        worker: Callable[[S], R],
-        scenarios: Sequence[S],
-        sink: ResultSink | None,
-        collect: bool,
-    ) -> list[R] | None:
-        workers = resolve_workers(self.config.max_workers)
-        chunk_size = self.config.chunk_size or default_chunk_size(
-            len(scenarios), workers
-        )
-        chunks = chunk_bounds(len(scenarios), chunk_size)
-        if not chunks:
-            return [] if collect else None
-        executor_cls: type[Executor] = (
-            ProcessPoolExecutor
-            if self.config.executor == "process"
-            else ThreadPoolExecutor
-        )
-        done_chunks: dict[int, list[R]] = {}
-        ordered: list[R] | None = [] if collect else None
-        next_chunk = 0  # next chunk index to flush
-        max_inflight = workers * _MAX_INFLIGHT_FACTOR
-        with executor_cls(max_workers=workers) as pool:
-            pending: dict[Future[list[R]], int] = {}
-            submit_cursor = 0
-            while submit_cursor < len(chunks) or pending:
-                # Gate on pending + done-but-unflushed so a slow early
-                # chunk cannot grow the out-of-order buffer unboundedly.
-                while (
-                    submit_cursor < len(chunks)
-                    and len(pending) + len(done_chunks) < max_inflight
-                ):
-                    start, stop = chunks[submit_cursor]
-                    future = pool.submit(
-                        _run_chunk, worker, list(scenarios[start:stop]), start
-                    )
-                    pending[future] = submit_cursor
-                    submit_cursor += 1
-                finished, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    done_chunks[pending.pop(future)] = future.result()
-                while next_chunk in done_chunks:
-                    chunk_results = done_chunks.pop(next_chunk)
-                    if sink is not None:
-                        for result in chunk_results:
-                            sink.write(as_record(result))
-                    if ordered is not None:
-                        ordered.extend(chunk_results)
-                    next_chunk += 1
-        return ordered
-
-    def _map_pooled_grouped(
-        self,
-        worker: Callable[[S], R],
-        scenarios: Sequence[S],
-        sink: ResultSink | None,
-        collect: bool,
-        group_by: Callable[[S], Hashable],
-    ) -> list[R] | None:
-        """Pooled evaluation over a group-respecting chunk plan.
-
-        Chunks are single-group slices (possibly non-contiguous in the
-        stream), so results are scattered back index by index and
-        flushed in scenario order.  Submission is gated on the futures
-        backlog; because the plan is ordered by smallest contained
-        index, the chunk holding the next index to flush is always the
-        oldest unfinished one, so the out-of-order buffer never exceeds
-        the in-flight window of results.
-        """
-        workers = resolve_workers(self.config.max_workers)
-        chunk_size = self.config.chunk_size or default_chunk_size(
-            len(scenarios), workers
-        )
-        keys = [group_by(scenario) for scenario in scenarios]
-        plan = grouped_chunk_plan(keys, chunk_size)
-        if not plan:
-            return [] if collect else None
-        executor_cls: type[Executor] = (
-            ProcessPoolExecutor
-            if self.config.executor == "process"
-            else ThreadPoolExecutor
-        )
-        buffer: dict[int, R] = {}  # completed, not yet flushed, by index
-        ordered: list[R] | None = [] if collect else None
-        next_index = 0  # next scenario index to flush
-        max_inflight = workers * _MAX_INFLIGHT_FACTOR
-        with executor_cls(max_workers=workers) as pool:
-            pending: dict[Future[list[R]], int] = {}
-            submit_cursor = 0
-            while submit_cursor < len(plan) or pending:
-                while (
-                    submit_cursor < len(plan)
-                    and len(pending) < max_inflight
-                ):
-                    indices = plan[submit_cursor]
-                    future = pool.submit(
-                        _run_chunk_indexed,
-                        worker,
-                        [scenarios[i] for i in indices],
-                        indices,
-                    )
-                    pending[future] = submit_cursor
-                    submit_cursor += 1
-                finished, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    chunk = plan[pending.pop(future)]
-                    for index, result in zip(chunk, future.result()):
-                        buffer[index] = result
-                while next_index in buffer:
-                    result = buffer.pop(next_index)
-                    if sink is not None:
-                        sink.write(as_record(result))
-                    if ordered is not None:
-                        ordered.append(result)
-                    next_index += 1
-        return ordered
 
 
 def run_batch(
@@ -387,37 +141,123 @@ def run_batch(
     collect: bool = True,
     group_by: Callable[[S], Hashable] | None = None,
 ) -> list[R] | None:
-    """One-call batch evaluation (the functional face of the engine).
+    """Evaluate ``worker`` over ``scenarios``; results in input order.
 
     Args:
-        worker: Module-level callable ``scenario -> result``.
+        worker: Module-level callable ``scenario -> result`` (picklable
+            when the process executor is used).
         scenarios: The batch; may be empty.
-        max_workers: ``None``/``0``/``1`` for the inline reference path,
-            ``N > 1`` for a pool of ``N`` workers.
-        chunk_size: Scenarios per chunk (default: auto).
-        executor: ``"process"`` or ``"thread"``.
-        sink: Optional streaming sink (records in scenario order).
-        collect: ``False`` (with a ``sink``) streams without
-            accumulating — constant memory for arbitrarily large sweeps.
-        group_by: Optional shared-artifact grouping key (a family's
-            ``context_key``); pooled chunks then respect group
-            boundaries so each worker builds every
-            :class:`repro.engine.context.AnalysisContext` once.  Purely
-            a locality knob: results stay bit-identical and in scenario
-            order.
+        max_workers: ``None``/``0``/``1`` evaluates inline in the
+            calling process (the reference path every parallel
+            configuration must reproduce bit-identically); ``N > 1``
+            uses a pool of ``N`` workers.
+        chunk_size: Scenarios per chunk; ``None`` picks
+            :func:`~repro.engine.chunking.default_chunk_size`.
+        executor: ``"process"`` (default; true parallelism for the
+            CPU-bound analyses) or ``"thread"``.
+        sink: Optional streaming sink; receives
+            :func:`~repro.engine.sinks.as_record` of every result in
+            scenario order, as chunks complete.
+        collect: When ``False`` (requires a ``sink``), results are
+            *only* streamed and never accumulated — the constant-memory
+            mode for 10^5+-scenario sweeps.
+        group_by: Optional ``scenario -> hashable key`` naming the
+            shared-artifact group (typically a family's
+            ``context_key``).  Pooled chunks then never span two groups
+            (:func:`~repro.engine.chunking.grouped_chunk_plan`), so each
+            worker builds every
+            :class:`repro.engine.context.AnalysisContext` once.  The
+            inline path keeps plain scenario order — the per-process
+            context memo already amortises there.  Purely a locality
+            knob: results stay bit-identical and in scenario order.
 
     Returns:
         One result per scenario, in scenario order — identical for every
         ``(max_workers, chunk_size, executor, group_by)`` configuration —
         or ``None`` when ``collect`` is ``False``.
+
+    On the pooled path a chunk is submitted only while fewer than
+    ``max_workers × 4`` chunks are submitted but not yet flushed (in
+    flight, or finished with results still waiting for an earlier
+    index), or when it starts at the next index to flush — always
+    admitted, so interleaved groups cannot stall.  A slow chunk
+    therefore holds back the submission of later ones instead of
+    growing the out-of-order buffer.
     """
-    config = EngineConfig(
-        max_workers=max_workers, chunk_size=chunk_size, executor=executor
+    require(
+        executor in EXECUTORS,
+        f"executor must be one of {EXECUTORS}, got {executor!r}",
     )
-    return BatchEngine(config).map(
-        worker,
-        scenarios,
-        sink=sink,
-        collect=collect,
-        group_by=group_by,
+    if max_workers is not None:
+        require(max_workers >= 0, f"max_workers must be >= 0, got {max_workers}")
+    if chunk_size is not None:
+        require(chunk_size > 0, f"chunk_size must be > 0, got {chunk_size}")
+    if not collect:
+        require(sink is not None, "collect=False requires a sink")
+    ordered: list[R] | None = [] if collect else None
+    if max_workers is None or max_workers <= 1:
+        for index, scenario in enumerate(scenarios):
+            try:
+                result = worker(scenario)
+            except WorkerError:
+                raise
+            except Exception as exc:
+                raise _worker_error(index, scenario, exc) from exc
+            if sink is not None:
+                sink.write(as_record(result))
+            if ordered is not None:
+                ordered.append(result)
+        return ordered
+
+    chunk_size = chunk_size or default_chunk_size(len(scenarios), max_workers)
+    if group_by is None:
+        keys: list[Hashable] = [None] * len(scenarios)
+    else:
+        keys = [group_by(scenario) for scenario in scenarios]
+    plan = grouped_chunk_plan(keys, chunk_size)
+    if not plan:
+        return ordered
+    executor_cls: type[Executor] = (
+        ProcessPoolExecutor if executor == "process" else ThreadPoolExecutor
     )
+    buffer: dict[int, R] = {}  # finished, not yet flushed, by index
+    held: list[int] = []  # last index of each finished, unflushed chunk
+    next_index = 0  # next scenario index to flush
+    max_inflight = max_workers * _MAX_INFLIGHT_FACTOR
+    with executor_cls(max_workers=max_workers) as pool:
+        pending: dict[Future[list[R]], int] = {}
+        submit_cursor = 0
+        while submit_cursor < len(plan) or pending:
+            # The plan is ordered by first index, so a chunk holding the
+            # next index to flush that is not yet submitted starts with
+            # it and is next in the plan; admitting it past a full
+            # window is what keeps interleaved groups from stalling.
+            while submit_cursor < len(plan) and (
+                len(pending) + len(held) < max_inflight
+                or plan[submit_cursor][0] == next_index
+            ):
+                indices = plan[submit_cursor]
+                future = pool.submit(
+                    _run_chunk_indexed,
+                    worker,
+                    [scenarios[i] for i in indices],
+                    indices,
+                )
+                pending[future] = submit_cursor
+                submit_cursor += 1
+            finished, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in finished:
+                chunk = plan[pending.pop(future)]
+                for index, result in zip(chunk, future.result()):
+                    buffer[index] = result
+                heapq.heappush(held, chunk[-1])
+            while next_index in buffer:
+                result = buffer.pop(next_index)
+                if sink is not None:
+                    sink.write(as_record(result))
+                if ordered is not None:
+                    ordered.append(result)
+                next_index += 1
+            while held and held[0] < next_index:
+                heapq.heappop(held)
+    return ordered

@@ -238,24 +238,6 @@ class TestReachability:
         # mid is *seen* as a callee but never descended into.
         assert targets == {"repro.b:mid"}
 
-    def test_file_closure_spans_calls_and_imports(self, make_tree):
-        graph = _graph(
-            make_tree,
-            {
-                "a.py": "from repro.b import mid\n\ndef go():\n    return mid()\n",
-                "b.py": (
-                    "import repro.c\n\ndef mid():\n"
-                    "    return repro.c.leaf()\n"
-                ),
-                "c.py": "def leaf():\n    return 1\n",
-                "d.py": "def unrelated():\n    return 0\n",
-            },
-        )
-        closure = graph.file_closure("src/repro/a.py")
-        assert closure == frozenset(
-            {"src/repro/b.py", "src/repro/c.py"}
-        )
-
 
 class TestEntryPoints:
     def test_fork_entries_sees_pool_submit_and_process_target(

@@ -2,34 +2,50 @@
 
 import pytest
 
-from repro.engine.chunking import chunk_bounds, default_chunk_size, derive_seed
+from repro.engine.chunking import (
+    default_chunk_size,
+    derive_seed,
+    grouped_chunk_plan,
+)
+
+
+def _single_key_plan(total: int, chunk_size: int) -> list[list[int]]:
+    return grouped_chunk_plan([None] * total, chunk_size)
 
 
 class TestChunkBounds:
+    """With one key for every scenario (``run_batch`` without
+    ``group_by``), the grouped plan is contiguous ``chunk_size``
+    slices of the stream."""
+
     def test_empty_input_yields_no_chunks(self):
-        assert chunk_bounds(0, 5) == []
+        assert _single_key_plan(0, 5) == []
 
     def test_chunk_larger_than_input(self):
-        assert chunk_bounds(3, 10) == [(0, 3)]
+        assert _single_key_plan(3, 10) == [[0, 1, 2]]
 
     def test_exact_multiple(self):
-        assert chunk_bounds(6, 3) == [(0, 3), (3, 6)]
+        assert _single_key_plan(6, 3) == [[0, 1, 2], [3, 4, 5]]
 
     def test_ragged_tail(self):
-        assert chunk_bounds(7, 3) == [(0, 3), (3, 6), (6, 7)]
+        assert _single_key_plan(7, 3) == [[0, 1, 2], [3, 4, 5], [6]]
 
     def test_chunks_partition_the_range(self):
         for total in (1, 2, 5, 17, 100):
             for size in (1, 2, 3, 7, 200):
-                chunks = chunk_bounds(total, size)
-                covered = [i for a, b in chunks for i in range(a, b)]
-                assert covered == list(range(total))
+                chunks = _single_key_plan(total, size)
+                assert [i for chunk in chunks for i in chunk] == list(
+                    range(total)
+                )
+                assert all(
+                    chunk == list(range(chunk[0], chunk[-1] + 1))
+                    for chunk in chunks
+                )
+                assert all(len(chunk) == size for chunk in chunks[:-1])
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            chunk_bounds(-1, 3)
-        with pytest.raises(ValueError):
-            chunk_bounds(5, 0)
+            _single_key_plan(5, 0)
 
 
 class TestDefaultChunkSize:

@@ -489,7 +489,7 @@ class TestContextCacheThrash:
         self, monkeypatch
     ):
         from repro.engine import context as context_module
-        from repro.engine.context import get_context
+        from repro.utils.caching import ThreadPinnedLRU
 
         knots_grid = [16, 20, 24, 28, 32, 36, 40, 44]  # 8 context groups
         scenarios = [
@@ -508,20 +508,20 @@ class TestContextCacheThrash:
             return real_build(key, artifacts)
 
         monkeypatch.setattr(context_module, "build_context", counting_build)
-        clear_context_cache()
         # Half the group count: an order-respecting run never notices,
         # a group-interleaved one would evict and rebuild constantly.
-        get_context.resize(len(knots_grid) // 2)
-        try:
-            results = run_batch(
-                evaluate_bound_scenario,
-                scenarios,
-                max_workers=2,
-                executor="thread",
-                group_by=bound_context_key,
-            )
-        finally:
-            get_context.resize()
-            clear_context_cache()
+        monkeypatch.setattr(
+            "repro.engine.sweeps.get_context",
+            ThreadPinnedLRU(
+                context_module._get_context, len(knots_grid) // 2
+            ),
+        )
+        results = run_batch(
+            evaluate_bound_scenario,
+            scenarios,
+            max_workers=2,
+            executor="thread",
+            group_by=bound_context_key,
+        )
         assert results == expected
         assert len(builds) == len(knots_grid)

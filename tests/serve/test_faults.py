@@ -55,6 +55,11 @@ def _status(handle) -> dict:
         return client.status()
 
 
+def _run_slow(handle) -> list[str]:
+    with ServeClient(handle.host, handle.port) as client:
+        return client.run(SLOW)
+
+
 class TestMidJobKill:
     def test_fail_after_kills_the_job_and_restart_completes_it(
         self, serve_factory, solo_lines
@@ -187,9 +192,7 @@ class TestDisconnects:
         # slow one, whatever the host's core count.
         handle = serve_factory(workers=1)
         with ThreadPoolExecutor(max_workers=1) as pool:
-            slow = pool.submit(
-                lambda: ServeClient(handle.host, handle.port).run(SLOW)
-            )
+            slow = pool.submit(_run_slow, handle)
             _wait_for(lambda: _status(handle)["jobs"]["running"] == 1)
 
             deserter = ServeClient(handle.host, handle.port)
@@ -215,9 +218,7 @@ class TestDisconnects:
         # would be rejected with ``busy`` if teardown leaked it.
         handle = serve_factory(workers=1, max_queued=1)
         with ThreadPoolExecutor(max_workers=1) as pool:
-            slow = pool.submit(
-                lambda: ServeClient(handle.host, handle.port).run(SLOW)
-            )
+            slow = pool.submit(_run_slow, handle)
             _wait_for(lambda: _status(handle)["jobs"]["running"] == 1)
 
             deserter = ServeClient(handle.host, handle.port)
