@@ -1,6 +1,6 @@
 """BENCH-ENGINE: batched engine throughput vs the sequential baselines.
 
-Five comparisons with the claims *asserted* so a regression fails the
+Six comparisons with the claims *asserted* so a regression fails the
 benchmark run instead of silently shipping:
 
 1. **Engine vs the single-shot API path** on a ≥1000-scenario
@@ -27,7 +27,11 @@ benchmark run instead of silently shipping:
    path over warmed benchmark functions must be bit-identical to the
    ungrouped run, and its absolute µs per scenario must stay within
    3x of ``benchmarks/BASELINE.json``.
-5. **Vectorized piecewise kernel vs the scalar ``f.value`` loop** on a
+5. **Context build**: the absolute µs to build one ``study`` task-set
+   context (6 tasks, 256-knot delay functions, blocking tolerances and
+   delay maxima) and one 1024-knot two-bell Figure 4 context must stay
+   within 3x of ``benchmarks/BASELINE.json``.
+6. **Vectorized piecewise kernel vs the scalar ``f.value`` loop** on a
    large sample grid.
 
 All comparisons also assert bit-identical results.
@@ -62,14 +66,21 @@ from repro.engine import (
     q_sweep_scenarios,
     run_batch,
 )
+from repro.engine.context import (
+    benchmark_context_key,
+    build_context,
+    taskset_context_key,
+)
 from repro.engine.sweeps import (
+    BOUND_ARTIFACTS,
+    STUDY_ARTIFACTS,
     StudyResult,
     benchmark_function,
     prepared_task_set,
     study_context_key,
 )
 from repro.experiments import default_q_grid, render_table
-from repro.experiments.functions_fig4 import fig4_delay_function
+from repro.experiments.functions_fig4 import FIG4_MAX, fig4_delay_function
 from repro.piecewise import evaluate_sorted
 from repro.sched.crpd_rta import METHODS, delay_aware_rta
 
@@ -97,6 +108,13 @@ GRID_SEEDS = scaled(5, 3)
 GRID_Q_FRACTIONS = scaled(6, 4)
 #: The context layer must at least halve the grid's wall clock.
 MIN_GROUPED_SPEEDUP = 2.0
+
+#: Task-set contexts timed per rep: the built-in study's shape (6 tasks
+#: of 256-knot bell-shaped f_i), ``CONTEXT_SEEDS`` sets per utilization.
+CONTEXT_UTILIZATIONS = (0.3, 0.5, 0.65, 0.8, 0.9)
+CONTEXT_SEEDS = scaled(15, 5)
+#: Best-of reps of every context timing.
+CONTEXT_REPS = scaled(5, 3)
 
 
 def _best_of(reps, fn, *, before=None):
@@ -427,6 +445,69 @@ def test_kernel_on_grouped_grid_within_baseline(artifacts_dir):
             f"the kernel takes {kernel_us:.0f} µs/scenario, {drift:.2f}x "
             f"its BASELINE.json figure (limit {MAX_BASELINE_REGRESSION}x)"
         )
+
+
+def test_context_build_within_baseline(artifacts_dir):
+    """One ``study`` task-set context and one 1024-knot two-bell Figure 4
+    context, built from scratch, must each stay within 3x of their
+    committed absolute µs per context."""
+    keys = [
+        taskset_context_key(6, utilization, 2012 + seed, 0.05)
+        for utilization in CONTEXT_UTILIZATIONS
+        for seed in range(CONTEXT_SEEDS)
+    ]
+    t_study, contexts = _best_of(
+        CONTEXT_REPS, lambda: [build_context(k, STUDY_ARTIFACTS) for k in keys]
+    )
+    bimodal = benchmark_context_key("bimodal", "literal", 1024)
+    t_bimodal, context = _best_of(
+        CONTEXT_REPS,
+        lambda: build_context(bimodal, BOUND_ARTIFACTS),
+        before=benchmark_function.cache_clear,  # the context builds through it
+    )
+
+    assert all(c.task_set is not None and c.beta_fp for c in contexts)
+    assert context.function_max == FIG4_MAX
+    study_us = t_study / len(keys) * 1e6
+    bimodal_us = t_bimodal * 1e6
+    section = "engine.context_build"
+    study_drift, gated = baseline_drift(section, "study_us_per_context", study_us)
+    bimodal_drift, _ = baseline_drift(section, "bimodal_us_per_context", bimodal_us)
+
+    table = render_table(
+        ["context", "µs/context", "vs BASELINE.json"],
+        [
+            ["study task set (6 x 256 knots)", f"{study_us:.0f}", f"{study_drift:.2f}x"],
+            ["bimodal, 1024 knots", f"{bimodal_us:.0f}", f"{bimodal_drift:.2f}x"],
+            ["baseline", "", "gated" if gated else "reported"],
+        ],
+    )
+    save_text(artifacts_dir, "bench_engine_context.txt", table)
+    update_bench_json(
+        artifacts_dir,
+        "engine",
+        {
+            "context_build": {
+                "study_contexts": len(keys),
+                "study_us_per_context": round(study_us, 1),
+                "bimodal_us_per_context": round(bimodal_us, 1),
+                "study_baseline_drift": round(study_drift, 3),
+                "bimodal_baseline_drift": round(bimodal_drift, 3),
+            }
+        },
+    )
+    print()
+    print(table)
+
+    if gated:
+        for name, measured, drift in (
+            ("a study task-set context", study_us, study_drift),
+            ("the bimodal context", bimodal_us, bimodal_drift),
+        ):
+            assert drift <= MAX_BASELINE_REGRESSION, (
+                f"{name} takes {measured:.0f} µs to build, {drift:.2f}x its "
+                f"BASELINE.json figure (limit {MAX_BASELINE_REGRESSION}x)"
+            )
 
 
 def test_vectorized_kernel_beats_scalar_loop(artifacts_dir):

@@ -158,7 +158,7 @@ def _emit_keys(
         if record is None:
             # Count the damage only on the failure path; the happy path
             # stays one query per scenario.
-            missing = sum(1 for k in keys if k not in store)
+            missing = sum(1 for _ in store.missing_indices(keys))
             require(
                 False,
                 f"store {store.path} is missing {missing} of "
@@ -240,11 +240,13 @@ def run_cached_batch(
             len(keys) == len(scenarios),
             f"got {len(keys)} keys for {len(scenarios)} scenarios",
         )
+    # The cache decision is one batched membership query per chunk of
+    # keys; emission below then reads each record once.  A key repeated
+    # in the grid is computed once, at its first position.
     pending: dict[str, int] = {}
-    for index, key in enumerate(keys):
-        if key not in pending and key not in store:
-            pending[key] = index
-    missing = sorted(pending.values())
+    for index in store.missing_indices(keys):
+        pending.setdefault(keys[index], index)
+    missing = list(pending.values())  # ascending, as the indices came
     try:
         if missing:
             if cancel is not None and cancel():

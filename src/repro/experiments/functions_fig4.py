@@ -19,7 +19,7 @@ the other readings as explicit ablation interpretations:
 * ``"offset10"``  — Gaussian 1 given a high floor, rescaled to max 10.
 
 All functions are built as *exact piecewise-constant upper bounds* of the
-closed forms (:func:`repro.piecewise.unimodal_upper_step`), so every
+closed forms (:func:`repro.piecewise.gaussian_upper_step`), so every
 bound computed from them is safe with respect to the true curves.
 """
 
@@ -29,7 +29,7 @@ import math
 from collections.abc import Callable
 
 from repro.core.delay_function import PreemptionDelayFunction
-from repro.piecewise import max_envelope, unimodal_upper_step
+from repro.piecewise import gaussian_upper_step, max_envelope
 from repro.utils.checks import require
 
 #: The paper's common parameters (Section VI).
@@ -61,9 +61,11 @@ def _bell_function(
     knots: int,
     wcet: float,
 ) -> PreemptionDelayFunction:
-    fn = gaussian(mu, sigma2, amplitude, offset)
+    require(sigma2 > 0, f"sigma^2 must be positive, got {sigma2}")
     return PreemptionDelayFunction(
-        unimodal_upper_step(fn, peak=mu, lo=0.0, hi=wcet, knots=knots)
+        gaussian_upper_step(
+            mu, sigma2, amplitude, lo=0.0, hi=wcet, knots=knots, offset=offset
+        )
     )
 
 

@@ -19,6 +19,7 @@ safe NPR length is::
 from __future__ import annotations
 
 import math
+import operator
 
 from repro.tasks.task import TaskSet
 from repro.utils.checks import require
@@ -31,27 +32,6 @@ from repro.utils.checks import require
 _REL_TOL = 1e-9
 
 
-def _released_jobs(t: float, period: float) -> int:
-    """``ceil(t / T_j)`` with a relative tolerance.
-
-    At a testing point that is (mathematically) an exact multiple of
-    ``period``, float rounding can push ``t / period`` infinitesimally
-    above the integer (``2.1 / 0.7 -> 3.0000000000000004``), making a
-    plain ``ceil`` charge one spurious whole job.  Nudging the ratio
-    down by a relative epsilon keeps genuinely fractional ratios intact
-    but snaps within-tolerance ratios back to the intended integer.
-    """
-    return math.ceil((t / period) * (1.0 - _REL_TOL))
-
-
-def _level_i_workload(tasks: list, i: int, t: float) -> float:
-    """``W_i(t)``: task i's WCET plus higher-priority interference."""
-    total = tasks[i].wcet
-    for j in range(i):
-        total += _released_jobs(t, tasks[j].period) * tasks[j].wcet
-    return total
-
-
 def _testing_set(tasks: list, i: int) -> list[float]:
     """Lehoczky points for level i: ``k * T_j <= D_i`` plus ``D_i``.
 
@@ -61,13 +41,14 @@ def _testing_set(tasks: list, i: int) -> list[float]:
     ever exceeds ``D_i``.
     """
     deadline = tasks[i].deadline
+    limit = deadline * (1.0 + _REL_TOL)
     points = {deadline}
     for j in range(i):
         period = tasks[j].period
-        limit = deadline * (1.0 + _REL_TOL)
         k = 1
-        while k * period <= limit:
-            points.add(min(k * period, deadline))
+        while (point := k * period) <= limit:
+            # min(point, deadline), inlined: the first of equal values.
+            points.add(deadline if deadline < point else point)
             k += 1
     return sorted(points)
 
@@ -84,13 +65,24 @@ def fp_blocking_tolerances(tasks: TaskSet) -> dict[str, float]:
         misses its deadline even without blocking.
     """
     ordered = list(tasks.sorted_by_priority())
+    shrink = 1.0 - _REL_TOL
+    ceil = math.ceil
     result: dict[str, float] = {}
     for i, task in enumerate(ordered):
-        best = -math.inf
-        for t in _testing_set(ordered, i):
-            slack = t - _level_i_workload(ordered, i, t)
-            best = max(best, slack)
-        result[task.name] = best
+        points = _testing_set(ordered, i)
+        # W_i(t) = C_i + sum_{j<i} ceil(t / T_j) C_j at every point, the
+        # terms added in priority order.  Each ratio is nudged down by a
+        # relative epsilon: at a multiple of T_j that float rounding puts
+        # one ulp above the integer (2.1 / 0.7 -> 3.0000000000000004) a
+        # plain ceil would charge a spurious job.
+        workloads = [task.wcet] * len(points)
+        for higher in ordered[:i]:
+            period, wcet = higher.period, higher.wcet
+            workloads = [
+                w + ceil((t / period) * shrink) * wcet
+                for w, t in zip(workloads, points)
+            ]
+        result[task.name] = max(map(operator.sub, points, workloads))
     return result
 
 

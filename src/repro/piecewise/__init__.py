@@ -21,6 +21,7 @@ tuples.
 from repro.piecewise.builders import (
     constant,
     from_points,
+    gaussian_upper_step,
     step,
     unimodal_upper_step,
     upper_step_from_callable,
@@ -47,6 +48,7 @@ __all__ = [
     "constant",
     "from_points",
     "step",
+    "gaussian_upper_step",
     "unimodal_upper_step",
     "upper_step_from_callable",
     "add",

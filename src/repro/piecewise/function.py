@@ -24,6 +24,7 @@ import bisect
 import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 
 from repro.piecewise.segments import Segment
 from repro.utils.checks import require
@@ -120,7 +121,7 @@ class PiecewiseFunction:
             and _all_finite(x0)
             and _all_finite(x1)
             and _all_finite(y0)
-            and _all_finite(y1)
+            and (y1 is y0 or _all_finite(y1))
             and all(map(operator.lt, x0, x1))
             and _contiguous(x0, x1)
         ):
@@ -303,8 +304,27 @@ class PiecewiseFunction:
         return best_v, best_x
 
     def max_value(self) -> float:
-        """Maximum of ``f`` over its whole domain."""
-        return self.max_on(*self.domain)[0]
+        """Maximum of ``f`` over its whole domain: ``max_on(*domain)[0]``.
+
+        When each piece starts exactly where the previous one ends
+        (``x1[:-1] == x0[1:]``), ``max_on`` visits every piece once, in
+        order, reading ``y0[k]`` then ``y1[k]`` and keeping the first of
+        equal values (no argmax tie can favour a later piece), so the
+        result is the built-in ``max`` over ``y0[0], y1[0], y0[1], …``,
+        read at C speed: a signed zero or an ``int`` tied with a
+        ``float`` comes out as the walk returns it.  Equal columns (a
+        step function) first reach their maximum at the same ``k``, where
+        ``y0[k]`` comes first, so ``max(y0)`` alone is that value.  A
+        function whose pieces meet only within the contiguity tolerance
+        takes the walk: a piece may reach back before its predecessor's
+        end, and ``max_on`` skips one whose start repeats.
+        """
+        x0s, x1s, y0s, y1s = self._x0, self._x1, self._y0, self._y1
+        if x1s[:-1] == x0s[1:]:
+            if y0s == y1s:
+                return max(y0s)
+            return max(chain.from_iterable(zip(y0s, y1s)))
+        return self.max_on(x0s[0], x1s[-1])[0]
 
     def first_meeting_with_descending_line(
         self, lo: float, hi: float, c: float
@@ -401,4 +421,5 @@ class PiecewiseFunction:
 
     def is_non_negative(self) -> bool:
         """Whether ``f(x) >= 0`` everywhere on the domain."""
-        return min(self._y0) >= 0 and min(self._y1) >= 0
+        y0s, y1s = self._y0, self._y1
+        return min(y0s) >= 0 and (y1s is y0s or min(y1s) >= 0)

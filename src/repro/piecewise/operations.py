@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from collections.abc import Callable
+from itertools import repeat
 
 from repro.piecewise.function import PiecewiseFunction, _value_on
 from repro.piecewise.segments import Segment
@@ -102,12 +104,67 @@ def subtract(f: PiecewiseFunction, g: PiecewiseFunction) -> PiecewiseFunction:
     return combine(f, g, lambda a, b: a - b)
 
 
+def _shared_grid_cells(
+    f: PiecewiseFunction, g: PiecewiseFunction
+) -> tuple[list[float], list[float], list[float], list[float], list[float]] | None:
+    """``(grid, f0, f1, g0, g1)`` when ``f`` and ``g`` share one grid, else
+    ``None``: the merged grid and what :func:`_segment_on_cell` returns
+    on each of its cells, read from the coordinate tuples.
+
+    The grid is shared when both functions have the same abscissa tuples,
+    each piece starts exactly where the previous one ends and every piece
+    is wider than the merge tolerance, so :func:`_merged_grid` keeps
+    every breakpoint (``f``'s, as the set union keeps the first of equal
+    keys).  Cell ``k`` is then piece ``k``, whose end values are stored,
+    except where the midpoint ``0.5 * (a + b)`` of a one-ulp cell rounds
+    onto ``b`` (a cell that survives the merge above 8192): the search
+    then lands on piece ``k + 1``, which reads ``y0[k + 1]`` at both
+    ends.  A domain whose doubled ends overflow keeps the per-cell search
+    (the midpoint leaves the cell).
+    """
+    x0s, x1s, fy0, fy1 = f.coordinates
+    if not (
+        x0s == g.coordinates[0]
+        and x1s == g.coordinates[1]
+        and x1s[:-1] == x0s[1:]
+        and min(map(operator.sub, x1s, x0s)) > _MERGE_TOLERANCE
+        and math.isfinite(2.0 * x0s[0])
+        and math.isfinite(2.0 * x1s[-1])
+    ):
+        return None
+    gy0, gy1 = g.coordinates[2:]
+    grid = [x0s[0], *x1s]
+    f0, f1, g0, g1 = list(fy0), list(fy1), list(gy0), list(gy1)
+    ends = grid[1:]
+    mids = map(operator.mul, repeat(0.5), map(operator.add, grid, ends))
+    if any(map(operator.eq, mids, ends)):
+        for k in range(len(x0s) - 1):
+            if 0.5 * (grid[k] + grid[k + 1]) == grid[k + 1]:
+                f0[k] = f1[k] = fy0[k + 1]
+                g0[k] = g1[k] = gy0[k + 1]
+    return grid, f0, f1, g0, g1
+
+
 def _envelope(
     f: PiecewiseFunction, g: PiecewiseFunction, take_max: bool
 ) -> PiecewiseFunction:
-    """Exact pointwise max (or min) envelope, splitting cells at crossings."""
-    grid = _merged_grid(f, g)
+    """Exact pointwise max (or min) envelope, splitting cells at crossings.
+
+    On a grid both functions share (see :func:`_shared_grid_cells`) with
+    no crossing inside any cell — two step functions on one grid never
+    cross — the envelope is picked column-wise at C speed.
+    """
     pick = max if take_max else min
+    cells = _shared_grid_cells(f, g)
+    if cells is not None:
+        grid, f0s, f1s, g0s, g1s = cells
+        d0s = map(operator.sub, f0s, g0s)
+        d1s = map(operator.sub, f1s, g1s)
+        if not any(map(operator.lt, map(operator.mul, d0s, d1s), repeat(0.0))):
+            return PiecewiseFunction._from_coordinates(
+                grid[:-1], grid[1:], map(pick, f0s, g0s), map(pick, f1s, g1s)
+            )
+    grid = _merged_grid(f, g)
     x0s: list[float] = []
     x1s: list[float] = []
     y0s: list[float] = []
@@ -146,7 +203,12 @@ def _envelope(
 
 
 def max_envelope(f: PiecewiseFunction, g: PiecewiseFunction) -> PiecewiseFunction:
-    """Exact pointwise maximum ``max(f, g)``."""
+    """Exact pointwise maximum ``max(f, g)``.
+
+    Two functions on one grid (the Figure 4 two-bell function: two step
+    functions of the same knots) take a column-wise path with no per-cell
+    search; it returns what the per-cell loop returns, cell for cell.
+    """
     return _envelope(f, g, take_max=True)
 
 

@@ -27,12 +27,16 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from pathlib import Path
 from typing import Any
 
 from repro.utils.checks import require
 from repro.utils.jsonsafe import json_safe
+
+#: Keys per membership query of :meth:`ResultStore.missing_indices`,
+#: under SQLite's historical limit of 999 bound parameters.
+_MEMBERSHIP_CHUNK = 500
 
 #: Default number of puts between commits (checkpoint granularity).
 DEFAULT_COMMIT_EVERY = 64
@@ -279,6 +283,27 @@ class ResultStore:
             "SELECT record FROM results WHERE key = ?", (key,)
         ).fetchone()
         return None if row is None else json.loads(row[0])
+
+    def missing_indices(self, keys: Sequence[str]) -> Iterator[int]:
+        """Positions in ``keys`` whose key has no record, in order.
+
+        One ``SELECT … WHERE key IN (…)`` per :data:`_MEMBERSHIP_CHUNK`
+        keys instead of one query per key; only one chunk's found keys
+        are held at a time.
+        """
+        conn = self._connection()
+        for start in range(0, len(keys), _MEMBERSHIP_CHUNK):
+            chunk = keys[start : start + _MEMBERSHIP_CHUNK]
+            marks = ", ".join("?" * len(chunk))
+            found = {
+                key
+                for (key,) in conn.execute(
+                    f"SELECT key FROM results WHERE key IN ({marks})", chunk
+                )
+            }
+            for offset, key in enumerate(chunk):
+                if key not in found:
+                    yield start + offset
 
     def __contains__(self, key: str) -> bool:
         return (

@@ -13,6 +13,7 @@ import random
 from collections.abc import Callable
 
 from repro.core.delay_function import PreemptionDelayFunction
+from repro.piecewise import gaussian_upper_step
 from repro.tasks.task import Task, TaskSet
 from repro.utils.checks import require, require_positive
 
@@ -142,15 +143,10 @@ def gaussian_delay_factory(
         c = task.wcet
         mu = c * min(max(rng.gauss(peak_fraction, 0.1), 0.05), 0.95)
         sigma = relative_width * c
-        height = relative_height * c
-
-        def bell(t: float) -> float:
-            return height * math.exp(-((t - mu) ** 2) / (2.0 * sigma**2))
-
-        from repro.piecewise import unimodal_upper_step
-
         return PreemptionDelayFunction(
-            unimodal_upper_step(bell, peak=mu, lo=0.0, hi=c, knots=knots)
+            gaussian_upper_step(
+                mu, sigma**2, relative_height * c, lo=0.0, hi=c, knots=knots
+            )
         )
 
     return factory

@@ -50,13 +50,28 @@ class Task:
         require_positive(self.deadline, "deadline", owner=self.name)
         if self.npr_length is not None:
             require_positive(self.npr_length, "npr_length", owner=self.name)
-        if self.delay_function is not None and not (
-            abs(self.delay_function.wcet - self.wcet) < 1e-9
-        ):
+        if self.delay_function is not None:
+            self._check_delay_function(self.delay_function)
+
+    def _check_delay_function(self, f: PreemptionDelayFunction) -> None:
+        if not abs(f.wcet - self.wcet) < 1e-9:
             raise ValueError(
                 f"{self.name}: delay function domain "
-                f"[0, {self.delay_function.wcet}] must match wcet {self.wcet}"
+                f"[0, {f.wcet}] must match wcet {self.wcet}"
             )
+
+    def _with(self, name: str, value: object) -> "Task":
+        """A copy with one field changed, the caller having validated it.
+
+        ``dataclasses.replace`` would run ``__post_init__`` again over
+        every field; the unchanged ones were validated when ``self`` was
+        built and a frozen task cannot change them since.
+        """
+        task = object.__new__(type(self))
+        fields = task.__dict__
+        fields.update(self.__dict__)
+        fields[name] = value
+        return task
 
     @property
     def utilization(self) -> float:
@@ -70,15 +85,19 @@ class Task:
 
     def with_npr_length(self, q: float) -> "Task":
         """A copy with the floating-NPR length set."""
-        return replace(self, npr_length=q)
+        if q is not None:
+            require_positive(q, "npr_length", owner=self.name)
+        return self._with("npr_length", q)
 
     def with_delay_function(self, f: PreemptionDelayFunction) -> "Task":
         """A copy with the preemption-delay function attached."""
-        return replace(self, delay_function=f)
+        if f is not None:
+            self._check_delay_function(f)
+        return self._with("delay_function", f)
 
     def with_priority(self, priority: int) -> "Task":
         """A copy with a fixed priority assigned."""
-        return replace(self, priority=priority)
+        return self._with("priority", priority)
 
     def with_wcet(self, wcet: float) -> "Task":
         """A copy with a different WCET (drops a mismatched ``f_i``)."""

@@ -157,16 +157,14 @@ class TestLehoczkyFloatRobustness:
         assert max(points) <= 0.3  # clamped, never beyond D_i
 
     def test_workload_does_not_overcount_at_exact_multiple(self):
-        from repro.npr.qmax_fp import _level_i_workload
-
-        ordered = list(
-            TaskSet([Task("hp", 0.2, 0.7), Task("lo", 0.5, 2.1)])
-            .rate_monotonic()
-            .sorted_by_priority()
-        )
+        ts = TaskSet(
+            [Task("hp", 0.2, 0.7), Task("lo", 0.5, 2.1)]
+        ).rate_monotonic()
         # 2.1 / 0.7 float-rounds to 3.0000000000000004; a plain ceil
-        # charged 4 jobs of hp (W = 1.3) instead of 3 (W = 1.1).
-        assert _level_i_workload(ordered, 1, 2.1) == pytest.approx(1.1)
+        # charged 4 jobs of hp (W = 1.3) instead of 3 (W = 1.1) at
+        # t = 2.1, the point of the largest slack 2.1 - 1.1 (the others,
+        # 0.7 and 1.4, leave 0.0 and 0.5).
+        assert fp_blocking_tolerances(ts)["lo"] == pytest.approx(1.0)
 
     def test_blocking_tolerance_not_understated_by_rounding(self):
         ts = TaskSet(

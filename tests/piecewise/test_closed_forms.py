@@ -19,27 +19,45 @@ replace.
   and the window's maximum together, and records its trace as float
   columns.  Every window must match the two-scan loop below (``p∩``,
   then ``max_on``), and ``.steps`` must read as the eager trace did.
+* A study context is built from one comprehension of bell values per
+  task (:func:`gaussian_upper_step`), one validation per :class:`Task`,
+  a ``max_value`` read from the ordinate tuples and a blocking-tolerance
+  loop with its workload inlined.  The generated task sets, their delay
+  functions, maxima and tolerances must equal frozen copies of the
+  closure-per-knot factory, the ``replace``-based task copies, the
+  ``max_on`` walk and the ``_level_i_workload`` loop, bit for bit.
+* :func:`max_envelope` of two functions on one grid reads each cell's
+  values from the coordinate tuples; it must return what the frozen
+  per-cell ``_segment_on_cell`` loop returns, including a one-ulp cell
+  whose midpoint rounds onto its right end.
 """
 
 import bisect
+import dataclasses
 import math
 import operator
 import pickle
+import random
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import PreemptionDelayFunction, floating_npr_delay_bound
 from repro.core.floating_npr import FloatingNPRBound, WindowStep
+from repro.experiments.functions_fig4 import FIG4_NAMES, INTERPRETATIONS, fig4_delay_function
+from repro.npr import fp_blocking_tolerances
 from repro.piecewise import (
     PiecewiseFunction,
     Segment,
     combine,
+    gaussian_upper_step,
     max_envelope,
     min_envelope,
     step,
     unimodal_upper_step,
 )
+from repro.tasks import Task, TaskSet, gaussian_delay_factory, generate_task_set
+from repro.tasks.generation import uunifast_discard, log_uniform_period
 from repro.utils.seq import pairwise
 
 #: Ordinates rich in ties: equal values, and zeros of both signs.
@@ -634,6 +652,10 @@ def reference_outcome(f, q, cap=None, max_iterations=1_000_000):
 
 
 class TestSinglePassKernel:
+    # No deadline: a draw with Q just above a constant f (Q = 2.00001
+    # over f = 2 on C = 20) runs both loops into the 1,000,000-iteration
+    # cap, about 20 s.
+    @settings(deadline=None)
     @given(
         grid_functions(),
         st.one_of(st.integers(1, 15).map(float), st.floats(0.5, 15.0)),
@@ -703,3 +725,463 @@ class TestSinglePassKernel:
             assert all(type(s) is WindowStep for s in bound.steps)
             assert [step_bits(s) for s in copy.steps] == [step_bits(s) for s in eager]
             assert bound.steps == tuple(eager)
+
+
+# ----------------------------------------------------------------------
+# Frozen context-build code
+# ----------------------------------------------------------------------
+
+REL_TOL = 1e-9
+
+
+def reference_step_coordinates(fn, peak, lo, hi, knots) -> tuple:
+    """``unimodal_upper_step`` as it was, with ``fn`` a closure called per
+    knot and ``map(max, …)`` over neighbouring knots: the coordinates of
+    the step function it built."""
+    width = (hi - lo) / knots
+    bounds = [lo + k * width for k in range(knots)] + [hi]
+    ys = [fn(x) for x in bounds]
+    values = list(map(max, ys, ys[1:]))
+    first = max(bisect.bisect_left(bounds, peak) - 1, 0)
+    last = min(bisect.bisect_right(bounds, peak), knots)
+    y_peak = None
+    for k in range(first, last):
+        if bounds[k] <= peak <= bounds[k + 1]:
+            if y_peak is None:
+                y_peak = fn(peak)
+            values[k] = max(ys[k], ys[k + 1], y_peak)
+    return tuple(bounds[:-1]), tuple(bounds[1:]), tuple(values), tuple(values)
+
+
+def reference_delay_factory(relative_height, knots=256, peak_fraction=0.5, relative_width=0.1):
+    """``gaussian_delay_factory`` as it was: one ``bell`` closure per task."""
+
+    def factory(task, rng):
+        c = task.wcet
+        mu = c * min(max(rng.gauss(peak_fraction, 0.1), 0.05), 0.95)
+        sigma = relative_width * c
+        height = relative_height * c
+
+        def bell(t):
+            return height * math.exp(-((t - mu) ** 2) / (2.0 * sigma**2))
+
+        return reference_step_coordinates(bell, mu, 0.0, c, knots)
+
+    return factory
+
+
+def reference_task_set(n, utilization, seed, relative_height, knots) -> list[tuple]:
+    """``generate_task_set(…).rate_monotonic()`` as it was, every task copy
+    made by ``dataclasses.replace``: each task's fields and the
+    coordinates of its delay function."""
+    rng = random.Random(seed)
+    factory = reference_delay_factory(relative_height, knots)
+    tasks = []
+    for i, u in enumerate(uunifast_discard(n, utilization, rng)):
+        period = log_uniform_period(rng, 10.0, 1000.0)
+        wcet = max(u * period, 1e-6)
+        task = Task(name=f"tau{i + 1}", wcet=wcet, period=period, deadline=period)
+        coordinates = factory(task, rng)
+        f = PreemptionDelayFunction(PiecewiseFunction._from_coordinates(*coordinates))
+        tasks.append(dataclasses.replace(task, delay_function=f))
+    ordered = sorted(tasks, key=lambda t: (t.period, t.name))
+    return [task_bits(dataclasses.replace(t, priority=i + 1)) for i, t in enumerate(ordered)]
+
+
+def task_bits(task: Task) -> tuple:
+    f = task.delay_function
+    return (
+        task.name,
+        bits(task.wcet),
+        bits(task.period),
+        bits(task.deadline),
+        bits(task.npr_length),
+        task.priority,
+        None if f is None else function_bits(f.function),
+    )
+
+
+def reference_testing_set(tasks, i):
+    deadline = tasks[i].deadline
+    points = {deadline}
+    for j in range(i):
+        period = tasks[j].period
+        limit = deadline * (1.0 + REL_TOL)
+        k = 1
+        while k * period <= limit:
+            points.add(min(k * period, deadline))
+            k += 1
+    return sorted(points)
+
+
+def reference_level_i_workload(tasks, i, t):
+    total = tasks[i].wcet
+    for j in range(i):
+        total += math.ceil((t / tasks[j].period) * (1.0 - REL_TOL)) * tasks[j].wcet
+    return total
+
+
+def reference_blocking_tolerances(tasks) -> dict:
+    """``fp_blocking_tolerances`` as it was: two calls per testing point."""
+    ordered = list(tasks.sorted_by_priority())
+    result = {}
+    for i, task in enumerate(ordered):
+        best = -math.inf
+        for t in reference_testing_set(ordered, i):
+            best = max(best, t - reference_level_i_workload(ordered, i, t))
+        result[task.name] = best
+    return result
+
+
+def reference_value_on(x0, x1, y0, y1, x):
+    if x == x0:
+        return y0
+    if x == x1:
+        return y1
+    ratio = (x - x0) / (x1 - x0)
+    return y0 + ratio * (y1 - y0)
+
+
+def reference_cell(fn, a, b):
+    """``_segment_on_cell`` as it was: the piece holding the cell's
+    midpoint, found by binary search."""
+    x0s, x1s, y0s, y1s = fn.coordinates
+    mid = 0.5 * (a + b)
+    idx = max(bisect.bisect_right(x0s, mid) - 1, 0)
+    x0, x1, y0, y1 = x0s[idx], x1s[idx], y0s[idx], y1s[idx]
+    assert x0 <= mid <= x1
+    v0 = reference_value_on(x0, x1, y0, y1, max(a, x0))
+    v1 = reference_value_on(x0, x1, y0, y1, min(b, x1))
+    if not math.isfinite(v0 + v1):
+        Segment(a, b, v0, v1)
+    return v0, v1
+
+
+def reference_cell_envelope(f, g, take_max):
+    """``max_envelope`` / ``min_envelope`` as they were: a search per cell."""
+    grid = reference_merged_grid(f, g)
+    pick = max if take_max else min
+    x0s, x1s, y0s, y1s = [], [], [], []
+
+    def check_pieces():
+        for piece in zip(x0s, x1s, y0s, y1s):
+            Segment(*piece)
+
+    for a, b in zip(grid, grid[1:]):
+        try:
+            f0, f1 = reference_cell(f, a, b)
+            g0, g1 = reference_cell(g, a, b)
+        except ValueError:
+            check_pieces()
+            raise
+        d0 = f0 - g0
+        d1 = f1 - g1
+        if d0 * d1 < 0:
+            t = d0 / (d0 - d1)
+            x_cross = a + t * (b - a)
+            if not a <= x_cross <= b:
+                check_pieces()
+                raise ValueError(f"{x_cross} outside segment [{a}, {b}]")
+            y_a, y_b = (f0, f1) if abs(d0) < abs(d1) else (g0, g1)
+            y_cross = reference_value_on(a, b, y_a, y_b, x_cross)
+            if x_cross - a > MERGE_TOLERANCE and b - x_cross > MERGE_TOLERANCE:
+                x0s += (a, x_cross)
+                x1s += (x_cross, b)
+                y0s += (pick(f0, g0), y_cross)
+                y1s += (y_cross, pick(f1, g1))
+                continue
+        x0s.append(a)
+        x1s.append(b)
+        y0s.append(pick(f0, g0))
+        y1s.append(pick(f1, g1))
+    return PiecewiseFunction._from_coordinates(x0s, x1s, y0s, y1s)
+
+
+def reference_step(bounds, values):
+    """``step`` as it was: the grid check before the constructor's."""
+    if not len(bounds) == len(values) + 1:
+        raise ValueError("need len(bounds) == len(values) + 1")
+    if not len(values) >= 1:
+        raise ValueError("need at least one interval")
+    if not all(map(operator.lt, bounds, bounds[1:])):
+        raise ValueError("bounds must be strictly increasing")
+    values = tuple(values)
+    return PiecewiseFunction._from_coordinates(bounds[:-1], bounds[1:], values, values)
+
+
+def reference_fig4(name, interpretation, knots):
+    """``fig4_delay_function`` as it was: closures through the per-knot
+    loop, and the two-bell function through the per-cell envelope."""
+    wcet, top = 4000.0, 10.0
+    mid = wcet / 2.0
+    s1, s2 = (300.0**2, 3000.0**2) if interpretation == "sigma" else (300.0, 3000.0)
+
+    def bell(mu, sigma2, amplitude, offset):
+        def fn(t):
+            return offset + amplitude * math.exp(-((t - mu) ** 2) / (2.0 * sigma2))
+
+        return PiecewiseFunction._from_coordinates(
+            *reference_step_coordinates(fn, mu, 0.0, wcet, knots)
+        )
+
+    if name == "gaussian1":
+        if interpretation == "offset10":
+            return bell(mid, s1, top / 2, top / 2)
+        return bell(mid, s1, top, 0.0)
+    if name == "gaussian2":
+        return bell(mid, s2, top, 0.0)
+    left = bell(0.3 * wcet, s2, top, 0.0)
+    right = bell(0.7 * wcet, s2, 0.8 * top, 0.0)
+    return reference_cell_envelope(left, right, take_max=True)
+
+
+# ----------------------------------------------------------------------
+# Properties of the context build
+# ----------------------------------------------------------------------
+
+
+def one_ulp_cells(x: float, count: int) -> list[float]:
+    """``count`` consecutive one-ulp cells from ``x`` on."""
+    points = [x]
+    for _ in range(count):
+        points.append(math.nextafter(points[-1], math.inf))
+    return points
+
+
+@st.composite
+def shared_grids(draw):
+    """A strictly increasing grid: plain cells, cells around the merge
+    tolerance, and runs of one-ulp cells above 8192 (wide enough to
+    survive the merge; every other one has its midpoint round onto its
+    right end) or below it (merged away)."""
+    start = draw(st.sampled_from([0.0, -0.0, -3.0, 8192.0, 10000.0, 4500.0]))
+    points = [start]
+    for _ in range(draw(st.integers(min_value=1, max_value=7))):
+        kind = draw(st.sampled_from(["plain", "plain", "tolerance", "ulp"]))
+        x = points[-1]
+        if kind == "plain":
+            points.append(x + draw(st.sampled_from([0.5, 1.0, 2.5])))
+        elif kind == "tolerance":
+            points.append(x + draw(st.sampled_from([5e-13, 1e-12, 2e-12])))
+        else:
+            points.extend(one_ulp_cells(x, draw(st.integers(1, 3)))[1:])
+    grid = [p for k, p in enumerate(points) if k == 0 or p > points[k - 1]]
+    assume(len(grid) >= 2)  # a step below one ulp leaves the grid a point
+    return grid
+
+
+@st.composite
+def functions_on_grid(draw, grid, shifts):
+    """A step or continuous function on ``grid``, its pieces moved off
+    the previous piece's end by ``shifts``, with tie-rich ordinates."""
+    pieces = len(grid) - 1
+    values = st.one_of(tie_values, st.floats(-5.0, 5.0))
+    y0 = draw(st.lists(values, min_size=pieces, max_size=pieces))
+    y1 = y0 if draw(st.booleans()) else draw(st.lists(values, min_size=pieces, max_size=pieces))
+    x0 = [grid[k] + shifts[k] for k in range(pieces)]
+    try:
+        return PiecewiseFunction._from_coordinates(x0, grid[1:], y0, y1)
+    except ValueError:  # a shift past a narrow piece's end
+        assume(False)
+
+
+class TestContextBuildOracles:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        utilization=st.sampled_from([0.1, 0.3, 0.65, 0.9, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**32),
+        height=st.sampled_from([0.01, 0.05, 0.3]),
+        knots=st.sampled_from([1, 2, 7, 64, 256]),
+    )
+    def test_generated_task_sets_match(self, n, utilization, seed, height, knots):
+        factory = gaussian_delay_factory(relative_height=height, knots=knots)
+        tasks = generate_task_set(n, utilization, seed=seed, delay_function_factory=factory)
+        built_set = tasks.rate_monotonic()
+        assert [task_bits(t) for t in built_set] == reference_task_set(
+            n, utilization, seed, height, knots
+        )
+        for task in built_set:
+            f = task.delay_function.function
+            assert bits(task.delay_function.max_value()) == bits(f.max_on(*f.domain)[0])
+        assert fp_blocking_tolerances(built_set) == reference_blocking_tolerances(built_set)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.1, 0.2, 0.25, 0.7, 1.4, 2.1, 3.0, 7.0, 10.0, 33.3]),
+                st.sampled_from([0.01, 0.05, 0.2, 0.5, 1.1]),
+                st.sampled_from([None, 0.3, 0.9, 2.1]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.booleans(),
+    )
+    def test_blocking_tolerances_match(self, specs, deadline_monotonic):
+        tasks = []
+        for k, (period, wcet, deadline) in enumerate(specs):
+            deadline = period if deadline is None else min(deadline, period)
+            tasks.append(Task(f"t{k}", wcet * period, period, deadline))
+        ts = TaskSet(tasks)
+        ts = ts.deadline_monotonic() if deadline_monotonic else ts.rate_monotonic()
+        assert {k: bits(v) for k, v in fp_blocking_tolerances(ts).items()} == {
+            k: bits(v) for k, v in reference_blocking_tolerances(ts).items()
+        }
+
+    def test_blocking_tolerance_snaps_a_multiple_one_ulp_above(self):
+        # 2.1 / 0.7 rounds to 3.0000000000000004: the relative tolerance
+        # must snap it to 3 in the inlined loop as in the old one.
+        ts = TaskSet([Task("hp", 0.25, 0.7), Task("lo", 0.5, 2.1)]).rate_monotonic()
+        assert fp_blocking_tolerances(ts) == reference_blocking_tolerances(ts)
+        assert fp_blocking_tolerances(ts)["lo"] == 2.1 - (0.5 + 3 * 0.25)
+
+    def test_task_copies_validate_the_changed_field(self):
+        f = PreemptionDelayFunction(step([0.0, 1.0, 2.0], [1.0, 0.5]))
+        task = Task("t", 2.0, 10.0)
+        for copy, reference in [
+            (task.with_delay_function(f), dataclasses.replace(task, delay_function=f)),
+            (task.with_priority(3), dataclasses.replace(task, priority=3)),
+            (task.with_npr_length(1.5), dataclasses.replace(task, npr_length=1.5)),
+            (task.with_npr_length(None), dataclasses.replace(task, npr_length=None)),
+        ]:
+            assert task_bits(copy) == task_bits(reference)
+            assert copy == reference and hash(copy) == hash(reference)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            assert outcome(lambda: task.with_npr_length(bad)) == outcome(
+                lambda: dataclasses.replace(task, npr_length=bad)
+            )
+        short = PreemptionDelayFunction(step([0.0, 1.0], [1.0]))
+        assert outcome(lambda: task.with_delay_function(short)) == outcome(
+            lambda: dataclasses.replace(task, delay_function=short)
+        )
+
+    @settings(deadline=None)
+    @given(
+        mu=st.floats(min_value=-50.0, max_value=150.0),
+        sigma2=st.sampled_from([1e-3, 0.5, 30.0, 3000.0]),
+        amplitude=st.sampled_from([0.0, 1e-300, 0.8, 10.0]),
+        offset=st.sampled_from([0.0, -0.0, 5.0]),
+        knots=st.integers(min_value=1, max_value=40),
+    )
+    def test_gaussian_upper_step_matches_the_closure(self, mu, sigma2, amplitude, offset, knots):
+        def fn(t):
+            return offset + amplitude * math.exp(-((t - mu) ** 2) / (2.0 * sigma2))
+
+        assert function_bits(
+            gaussian_upper_step(mu, sigma2, amplitude, 0.0, 100.0, knots, offset=offset)
+        ) == function_bits(
+            PiecewiseFunction._from_coordinates(
+                *reference_step_coordinates(fn, mu, 0.0, 100.0, knots)
+            )
+        )
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0]), min_size=2, max_size=12), st.data())
+    def test_unimodal_upper_step_keeps_the_first_of_equal_knot_values(self, table, data):
+        # Knot values of equal size but other bits (0.0 and -0.0), away
+        # from the peak as well as around it.
+        knots = len(table) - 1
+        peak = data.draw(st.sampled_from([-1.0, 0.5, 2.0, float(knots) + 1.0]))
+
+        def fn(x):
+            return table[min(max(int(x), 0), knots)]
+
+        assert function_bits(unimodal_upper_step(fn, peak, 0.0, float(knots), knots)) == (
+            function_bits(
+                PiecewiseFunction._from_coordinates(
+                    *reference_step_coordinates(fn, peak, 0.0, float(knots), knots)
+                )
+            )
+        )
+
+    def test_figure4_functions_match(self):
+        for name in FIG4_NAMES:
+            for interpretation in INTERPRETATIONS:
+                for knots in (1, 7, 64, 1024):
+                    f = fig4_delay_function(name, interpretation, knots).function
+                    assert function_bits(f) == function_bits(
+                        reference_fig4(name, interpretation, knots)
+                    )
+
+    @given(
+        st.lists(st.one_of(tie_values, st.integers(-2, 2)), min_size=1, max_size=10),
+        st.lists(st.one_of(tie_values, st.integers(-2, 2)), min_size=1, max_size=10),
+        st.booleans(),
+    )
+    def test_max_value_reads_ties_as_the_walk(self, y0, y1, shared):
+        # Equal values of different bits (0.0 and -0.0, 1 and 1.0): the
+        # first the walk meets must win, in y0[k], y1[k], y0[k + 1] order.
+        pieces = min(len(y0), len(y1))
+        y0 = tuple(y0[:pieces])
+        y1 = y0 if shared else tuple(y1[:pieces])
+        xs = [float(k) for k in range(pieces + 1)]
+        f = PiecewiseFunction._from_coordinates(xs[:-1], xs[1:], y0, y1)
+        value = f.max_value()
+        assert (type(value), bits(value)) == (
+            type(reference_max_on(f, *f.domain)[0]),
+            bits(reference_max_on(f, *f.domain)[0]),
+        )
+
+    def test_signed_zero_maxima(self):
+        for y0, y1 in [
+            ((-0.0, 0.0), (0.0, -0.0)),
+            ((0.0, -0.0), (-0.0, 0.0)),
+            ((-0.0, -1.0), (0.0, -0.0)),
+            ((-1.0, 0.0), (-0.0, -0.0)),
+        ]:
+            for f in (
+                PiecewiseFunction._from_coordinates((0.0, 1.0), (1.0, 2.0), y0, y1),
+                PiecewiseFunction._from_coordinates((0.0, 1.0), (1.0, 2.0), y0, y0),
+            ):
+                assert bits(f.max_value()) == bits(reference_max_on(f, *f.domain)[0])
+
+    @given(st.data())
+    def test_max_value_of_pieces_contiguous_within_the_tolerance(self, data):
+        xs = [0.0, 1.0, 2.0, 3.0]
+        within = gaps.filter(lambda gap: abs(gap) <= TOLERANCE)
+        shifts = data.draw(st.lists(within, min_size=2, max_size=2))
+        ys = data.draw(st.lists(tie_values, min_size=3, max_size=3))
+        try:
+            f = PiecewiseFunction._from_coordinates(
+                [0.0, 1.0 + shifts[0], 2.0 + shifts[1]], xs[1:], ys, ys
+            )
+        except ValueError:  # the sum rounded past the tolerance
+            assume(False)
+        assert bits(f.max_value()) == bits(reference_max_on(f, *f.domain)[0])
+
+    @given(st.lists(st.sampled_from([0.0, 1.0, 1.0, 2.0, -1.0, math.nan, math.inf, 3]), max_size=5),
+           st.lists(st.sampled_from([0.0, -0.0, 1.0, math.nan, -math.inf, 2]), max_size=4))
+    def test_step_checks_in_the_same_order(self, bounds, values):
+        assert built(lambda: step(bounds, values)) == built(lambda: reference_step(bounds, values))
+
+    @given(coordinate_tuples())
+    def test_shared_ordinate_tuple_constructor_matches_segments(self, coordinates):
+        x0, x1, y0, _ = coordinates
+        y0 = tuple(y0)
+        assert built(lambda: PiecewiseFunction._from_coordinates(x0, x1, y0, y0)) == built(
+            lambda: reference_function([Segment(*piece) for piece in zip(x0, x1, y0, y0)])
+        )
+
+    @given(shared_grids(), st.data())
+    def test_shared_grid_envelopes_match_the_cell_loop(self, grid, data):
+        pieces = len(grid) - 1
+        shift = st.sampled_from([0.0, 0.0, 0.0, 4e-10, -4e-10])
+        shifts = [0.0, *data.draw(st.lists(shift, min_size=pieces - 1, max_size=pieces - 1))]
+        f = data.draw(functions_on_grid(grid, shifts))
+        g = data.draw(functions_on_grid(grid, shifts))
+        for take_max, envelope in ((True, max_envelope), (False, min_envelope)):
+            expected = built(lambda: reference_cell_envelope(f, g, take_max))
+            assert built(lambda: envelope(f, g)) == expected
+            assert expected == built(lambda: reference_envelope(f, g, take_max))
+
+    def test_one_ulp_cell_reads_the_next_piece(self):
+        # From 10000 + 1 ulp (an odd mantissa) a one-ulp cell's midpoint
+        # rounds onto its right end: the search lands on the next piece.
+        grid = [0.0, *one_ulp_cells(math.nextafter(10000.0, math.inf), 3), 10001.0]
+        assert 0.5 * (grid[1] + grid[2]) == grid[2]
+        f = step(grid, [1.0, 2.0, 3.0, 4.0, 5.0])
+        g = step(grid, [5.0, 4.0, -0.0, 0.0, 1.0])
+        for envelope, take_max in ((max_envelope, True), (min_envelope, False)):
+            result = envelope(f, g)
+            assert function_bits(result) == function_bits(reference_cell_envelope(f, g, take_max))
+        assert max_envelope(f, g).coordinates[2][1] == 3.0  # cell 1 reads piece 2

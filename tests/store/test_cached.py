@@ -267,3 +267,52 @@ class TestKeysHashedOncePerRun:
         with _store(tmp_path) as store:
             with pytest.raises(ValueError, match="2 keys for 3 scenarios"):
                 run_cached_batch(_tag, [1, 2, 3], store, keys=["a", "b"])
+
+
+class TestOneStoreReadPerScenario:
+    """The cache decision is a batched membership query: each scenario
+    costs one ``get`` (its emission) and no ``key in store``."""
+
+    def _count_reads(self, monkeypatch) -> dict[str, int]:
+        reads = {"get": 0, "contains": 0}
+        get, contains = ResultStore.get, ResultStore.__contains__
+
+        def counted_get(self, key):
+            reads["get"] += 1
+            return get(self, key)
+
+        def counted_contains(self, key):
+            reads["contains"] += 1
+            return contains(self, key)
+
+        monkeypatch.setattr(ResultStore, "get", counted_get)
+        monkeypatch.setattr(ResultStore, "__contains__", counted_contains)
+        return reads
+
+    def test_a_half_warm_run_reads_each_record_once(self, tmp_path, monkeypatch):
+        xs = list(range(12))
+        with _store(tmp_path) as store:
+            run_cached_batch(_tag, xs[::2], store)
+            CALLS.clear()
+            reads = self._count_reads(monkeypatch)
+            sink = MemorySink()
+            run = run_cached_batch(_tag, xs, store, sink=sink)
+        assert (run.cached, run.computed) == (6, 6)
+        assert CALLS == xs[1::2]
+        assert reads == {"get": len(xs), "contains": 0}
+        assert [r["x"] for r in sink.records] == xs
+
+    def test_membership_spans_query_chunks(self, tmp_path, monkeypatch):
+        import repro.store.backend as backend
+
+        monkeypatch.setattr(backend, "_MEMBERSHIP_CHUNK", 4)
+        xs = list(range(11))
+        with _store(tmp_path) as store:
+            run_cached_batch(_tag, [1, 4, 5, 10], store)
+            keys = [scenario_key(x, store.fingerprint) for x in xs]
+            absent = list(store.missing_indices(keys))
+            assert absent == [0, 2, 3, 6, 7, 8, 9]
+            CALLS.clear()
+            run = run_cached_batch(_tag, [*xs, 3, 1], store)
+        assert CALLS == absent
+        assert [r["x"] for r in run.results] == [*xs, 3, 1]
