@@ -6,15 +6,18 @@ Artifacts: ``results/fig4.csv`` (sampled curves) and
 
 from conftest import save_text, scaled
 
-from repro.experiments import generate_fig4, line_plot, write_fig4_csv
+from repro.api import RunRequest, Workbench
+from repro.experiments import line_plot
 from repro.experiments.io import RESULTS_DIR_ENV
 
 
 def test_fig4_generate(benchmark, artifacts_dir, monkeypatch):
     monkeypatch.setenv(RESULTS_DIR_ENV, str(artifacts_dir))
-    data = benchmark(generate_fig4, samples=scaled(401, 101), knots=scaled(2048, 256))
+    request = RunRequest.make(
+        "fig4", samples=scaled(401, 101), knots=scaled(2048, 256)
+    )
+    data = benchmark(Workbench().run, request).payload
 
-    write_fig4_csv(data)
     series = {
         name: list(zip(data.ts, values))
         for name, values in data.series.items()

@@ -7,23 +7,18 @@ plot) and ``results/fig5_summary.txt`` (median improvement factors).
 
 from conftest import save_text, scaled
 
-from repro.experiments import (
-    generate_fig5,
-    improvement_summary,
-    line_plot,
-    render_table,
-    write_fig5_csv,
-)
+from repro.api import RunRequest, Workbench
+from repro.experiments import improvement_summary, line_plot, render_table
 from repro.experiments.io import RESULTS_DIR_ENV
 
 
 def test_fig5_sweep(benchmark, artifacts_dir, monkeypatch):
     monkeypatch.setenv(RESULTS_DIR_ENV, str(artifacts_dir))
+    request = RunRequest.make("fig5", knots=scaled(2048, 512))
     data = benchmark.pedantic(
-        generate_fig5, kwargs={"knots": scaled(2048, 512)}, rounds=1, iterations=1
-    )
+        Workbench().run, args=(request,), rounds=1, iterations=1
+    ).payload
 
-    write_fig5_csv(data)
     plot = line_plot(
         data.series(),
         width=72,

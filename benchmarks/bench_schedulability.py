@@ -1,34 +1,30 @@
 """EXT-D: acceptance ratio vs utilization for the delay-aware tests.
 
+Runs the ``study`` workload: the reference grid of utilization levels
+and methods (:data:`repro.experiments.STUDY_UTILIZATIONS` /
+:data:`~repro.experiments.STUDY_METHODS`) at five tasks per set.
+
 Artifact: ``results/schedulability_study.txt`` (table + ASCII plot).
 """
 
 from conftest import save_text, scaled
 
+from repro.api import RunRequest, Workbench
 from repro.experiments import (
-    acceptance_study,
+    STUDY_METHODS,
     line_plot,
     render_table,
     study_series,
 )
 
-_METHODS = ["oblivious", "busquets", "algorithm1", "eq4"]
-_UTILIZATIONS = scaled([0.3, 0.5, 0.65, 0.8, 0.9], [0.3, 0.65, 0.9])
+_METHODS = list(STUDY_METHODS)
 
 
 def test_acceptance_study(benchmark, artifacts_dir):
+    request = RunRequest.make("study", tasks=5, sets=scaled(30, 10))
     points = benchmark.pedantic(
-        acceptance_study,
-        kwargs={
-            "utilizations": _UTILIZATIONS,
-            "methods": _METHODS,
-            "n_tasks": 5,
-            "sets_per_point": scaled(30, 10),
-            "seed": 2012,
-        },
-        rounds=1,
-        iterations=1,
-    )
+        Workbench().run, args=(request,), rounds=1, iterations=1
+    ).payload
 
     rows = [
         [p.utilization, *(p.ratios[m] for m in _METHODS)] for p in points

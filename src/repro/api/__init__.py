@@ -23,11 +23,11 @@ semantics.  ``repro.api`` collapses them into one pipeline:
 Every workload self-describes its parameters in the registry
 (:mod:`repro.api.workloads`), which is what lets :mod:`repro.cli`
 generate its subcommands declaratively and ``docs/api.md`` generate
-its reference tables (:mod:`repro.api.docgen`).  The legacy entry
-points (``generate_fig5``, ``acceptance_study``, ``campaign.run``,
-direct ``run_cached_batch`` use) remain supported shims over the same
-pipeline, so old callers and new ones produce byte-identical
-artifacts.
+its reference tables (:mod:`repro.api.docgen`).  Every grid workload
+(``fig4``, ``fig5``, ``study``, ``sweep``, ``campaign``) is planned by
+:func:`repro.api.plan.plan_scenarios` and executed by one runner, which
+streams the records to sinks or folds them into the figure payload and
+artifact.
 
 Quick start::
 

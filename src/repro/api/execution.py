@@ -1,12 +1,9 @@
 """The one scenario-evaluation pipeline behind every facade workload.
 
-Before the facade, five entry points — ``experiments.generate_fig5``,
-``engine.run_batch``, ``engine.run_cached_batch``, the campaign CLI and
-the sweep CLI — each re-implemented the ``--jobs/--store/--resume/
---shard`` semantics.  :func:`execute_scenarios` is that logic exactly
-once: shard slicing, resume validation, store lifecycle (manifest +
-shard scope recording), cached-vs-fresh evaluation and the
-``fail_after`` interruption seam, all driven by one
+:func:`execute_scenarios` holds the ``--jobs/--store/--resume/--shard``
+semantics exactly once: shard slicing, resume validation, store
+lifecycle (manifest + shard scope recording), cached-vs-fresh
+evaluation and the ``fail_after`` interruption seam, all driven by one
 :class:`~repro.api.options.ExecutionOptions`.
 
 Output-byte guarantees are inherited, not re-proven: the store path is
@@ -124,9 +121,7 @@ def check_resume(options: ExecutionOptions) -> None:
         return
     if options.store is None:
         raise ValueError("--resume requires --store")
-    if isinstance(options.store, (str, Path)) and not Path(
-        options.store
-    ).exists():
+    if not Path(options.store).exists():
         raise ValueError(
             f"--resume: store {options.store} does not exist"
         )
@@ -134,29 +129,18 @@ def check_resume(options: ExecutionOptions) -> None:
 
 @contextmanager
 def open_store(options: ExecutionOptions):
-    """Yield ``(store, owned)`` for the options' store setting.
-
-    A path opens a :class:`repro.store.ResultStore` under the package
-    fingerprint and closes it afterwards (``owned=True`` — the runner
-    records manifest and shard scope).  An already-open store instance
-    is passed through untouched (``owned=False`` — the caller owns its
-    lifecycle, manifest and scope), which is what keeps the legacy
-    ``store=`` parameters of :func:`repro.experiments.generate_fig5`
-    and friends byte-compatible.
-    """
+    """Yield the options' store, opened under the package fingerprint
+    and closed afterwards (``None`` for store-less runs)."""
     check_resume(options)
     if options.store is None:
-        yield None, False
+        yield None
         return
-    if isinstance(options.store, (str, Path)):
-        from repro.store import ResultStore, package_fingerprint
+    from repro.store import ResultStore, package_fingerprint
 
-        with ResultStore(
-            options.store, fingerprint=package_fingerprint("repro")
-        ) as store:
-            yield store, True
-        return
-    yield options.store, False
+    with ResultStore(
+        options.store, fingerprint=package_fingerprint("repro")
+    ) as store:
+        yield store
 
 
 def execute_scenarios(
@@ -179,9 +163,8 @@ def execute_scenarios(
             family's worker).
         scenarios: The *full* grid; shard slicing happens here.
         options: Execution options (default: inline, store-less).
-        manifest: Grid-regeneration parameters, recorded into stores
-            this call opens itself (path stores) so ``repro merge``
-            can re-emit the final output.
+        manifest: Grid-regeneration parameters, recorded into the
+            store so ``repro merge`` can re-emit the final output.
         group_by: Shared-artifact grouping key (a family's
             ``context_key``).
         decode: Record decoder for store-served results, so cached and
@@ -222,12 +205,11 @@ def execute_scenarios(
             if count >= fail_after:
                 raise KeyboardInterrupt
 
-    with open_store(options) as (store, owned):
+    with open_store(options) as store:
         if store is not None:
-            if owned:
-                if manifest is not None:
-                    store.set_manifest(dict(manifest))
-                store.set_shard(options.shard_scope)
+            if manifest is not None:
+                store.set_manifest(dict(manifest))
+            store.set_shard(options.shard_scope)
             run = run_cached_batch(
                 worker,
                 sliced,
@@ -271,28 +253,20 @@ def manifest_scenarios(manifest: Mapping[str, Any]) -> list[Any]:
 
     The inverse of the ``manifest=`` argument above, used by ``repro
     merge`` to re-emit a merged store's final output in the original
-    stream order.  Knows every grid-shaped workload's manifest kind.
+    stream order.  A manifest holds its workload's grid parameters
+    under a ``kind`` tag; the grid comes from that workload's planner
+    (:data:`repro.api.plan.MANIFEST_WORKLOADS`).
     """
+    from repro.api.plan import MANIFEST_WORKLOADS, plan_scenarios
+    from repro.api.workloads import get_workload
+
     kind = manifest.get("kind")
-    if kind == "qsweep":
-        from repro.engine import q_sweep_scenarios
-        from repro.experiments import default_q_grid
-
-        qs = default_q_grid(points=manifest["points"])
-        return q_sweep_scenarios(qs, knots=manifest["knots"])
-    if kind == "study":
-        from repro.experiments.schedulability_study import (
-            reference_study_scenarios,
+    if kind not in MANIFEST_WORKLOADS:
+        raise ValueError(
+            f"unsupported sweep manifest {dict(manifest)!r}; expected "
+            f"kind {', '.join(map(repr, MANIFEST_WORKLOADS))}"
         )
-
-        return reference_study_scenarios(
-            n_tasks=manifest["tasks"], sets_per_point=manifest["sets"]
-        )
-    if kind == "campaign":
-        from repro.campaign import compile_campaign
-
-        return compile_campaign(manifest["spec"]).scenarios
-    raise ValueError(
-        f"unsupported sweep manifest {dict(manifest)!r}; expected kind "
-        "'qsweep', 'study' or 'campaign'"
-    )
+    workload = MANIFEST_WORKLOADS[kind]
+    params = {key: value for key, value in manifest.items() if key != "kind"}
+    resolved = get_workload(workload).resolve_params(params)
+    return plan_scenarios(workload, resolved).scenarios

@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
 
 from repro.utils.checks import require
 
@@ -99,10 +98,9 @@ class ExecutionOptions:
         jobs: Batch-engine pool width (``None`` = inline reference
             path; results are bit-identical for every setting).
         chunk: Scenarios per engine chunk (``None`` = auto).
-        store: Persistent result store — a path (opened, manifested and
-            closed by the runner) or an already-open
-            :class:`repro.store.ResultStore` (used as-is, caller owns
-            its lifecycle and manifest).
+        store: Path of the persistent result store (opened, manifested
+            and closed by the runner), or ``None``.  Validated at
+            construction.
         resume: Continue an interrupted run from an existing ``store``
             path; requires ``store`` and fails loudly when the store
             does not exist yet.
@@ -123,7 +121,7 @@ class ExecutionOptions:
 
     jobs: int | None = None
     chunk: int | None = None
-    store: Any = None
+    store: str | Path | None = None
     resume: bool = False
     shard: str | None = None
     sinks: tuple[SinkSpec, ...] = field(default=())
@@ -142,6 +140,10 @@ class ExecutionOptions:
             for spec in self.sinks
         )
         object.__setattr__(self, "sinks", sinks)
+        require(
+            self.store is None or isinstance(self.store, (str, Path)),
+            f"store must be a path, got {type(self.store).__name__}",
+        )
         if self.shard is not None:
             parse_shard(self.shard)  # fail early on malformed specs
 

@@ -3,14 +3,13 @@
 :class:`~repro.api.request.RunRequest` is already wire-protocol-shaped
 — a workload name plus JSON-shaped parameters plus validated execution
 options — but its frozen in-memory form (tagged tuples, ``SinkSpec``
-instances, possibly an open store object) is not itself JSON.  This
+instances, ``Path`` objects) is not itself JSON.  This
 module defines the canonical JSON mapping both directions:
 
 * :func:`request_to_wire` / :func:`request_from_wire` — the full
   request, options included;
 * :func:`options_to_wire` / :func:`options_from_wire` — the execution
-  options alone (only JSON-representable settings: an *open store
-  instance* cannot travel and fails loudly).
+  options alone.
 
 The round trip is exact where it matters: a request rebuilt from its
 wire form compiles to the **same scenario grid with the same
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from pathlib import Path
 from typing import Any
 
 from repro.api.options import ExecutionOptions, SinkSpec
@@ -63,12 +61,7 @@ _REQUEST_FIELDS = ("version", "workload", "params", "options")
 
 
 def options_to_wire(options: ExecutionOptions) -> dict[str, Any]:
-    """The JSON mapping of one options object (defaults omitted).
-
-    Raises:
-        ValueError: when the options hold an open store *instance* —
-            only path-addressed stores can travel over the wire.
-    """
+    """The JSON mapping of one options object (defaults omitted)."""
     defaults = ExecutionOptions()
     wire: dict[str, Any] = {}
     for name in _SCALAR_OPTION_FIELDS:
@@ -76,11 +69,6 @@ def options_to_wire(options: ExecutionOptions) -> dict[str, Any]:
         if value != getattr(defaults, name):
             wire[name] = value
     if options.store is not None:
-        require(
-            isinstance(options.store, (str, Path)),
-            "cannot serialize an open store instance to the wire; pass "
-            "the store as a path",
-        )
         wire["store"] = str(options.store)
     if options.results_dir is not None:
         wire["results_dir"] = str(options.results_dir)

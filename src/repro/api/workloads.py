@@ -15,7 +15,8 @@ listing itself (``families``).  Each entry declares:
   ``--shard``, ``sink`` = ``--format/--out``), so every sweep-shaped
   command exposes the same caching/resume/shard surface;
 * a **runner** evaluating a request into a typed
-  :class:`~repro.api.result.RunResult` (grid workloads route through
+  :class:`~repro.api.result.RunResult` (the grid workloads share one
+  runner, which executes their :mod:`repro.api.plan` plans through
   :func:`repro.api.execution.execute_scenarios` — the one pipeline);
 * a **renderer** producing the CLI's stdout from the result, so the
   command bodies in :mod:`repro.cli` are pure dispatch.
@@ -39,7 +40,6 @@ from repro.api.execution import (
     execute_scenarios,
     manifest_scenarios,
     open_sink,
-    open_store,
     resolve_sinks,
 )
 from repro.api.options import ExecutionOptions
@@ -209,7 +209,7 @@ def run(
 
 
 # ----------------------------------------------------------------------
-# helpers shared by the grid-shaped runners
+# the grid workloads: fig4, fig5, study, sweep and campaign
 # ----------------------------------------------------------------------
 
 
@@ -218,11 +218,9 @@ class _ConvergenceCounter(ResultSink):
 
     def __init__(self, inner: ResultSink | None) -> None:
         self._inner = inner
-        self.total = 0
         self.converged = 0
 
     def write(self, record: Mapping[str, Any]) -> None:
-        self.total += 1
         if record.get("converged"):
             self.converged += 1
         if self._inner is not None:
@@ -233,37 +231,73 @@ class _ConvergenceCounter(ResultSink):
             self._inner.close()
 
 
-def _require_store_for_shard(options: ExecutionOptions, name: str) -> None:
-    """Grid workloads whose artifact needs the *full* grid can only
-    shard into a store (merged later); fail loudly otherwise."""
-    if options.shard is not None and options.store is None:
+def _run_grid(request: RunRequest, params: dict[str, Any]) -> RunResult:
+    """The one runner of every planned workload.
+
+    Plans the grid (:func:`repro.api.plan.plan_scenarios`), evaluates it
+    through :func:`~repro.api.execution.execute_scenarios`, then either
+    streams the records to the run's sinks (``plan.fold is None``) or
+    folds the collected results into the payload and artifact.  A
+    folding plan needs the *full* grid, so its shard runs checkpoint
+    into a store and stop there; the artifact comes from rerunning on
+    the merged store.
+    """
+    from repro.api.plan import plan_scenarios
+
+    options = request.options
+    check_resume(options)  # before a sink truncates any output file
+    plan = plan_scenarios(request.workload, params)
+    folding = plan.fold is not None
+    if folding and options.shard is not None and options.store is None:
         raise ValueError(
-            f"--shard on {name} requires --store: a shard computes only "
-            "its slice, so the final artifact is produced by merging "
-            "the shard stores ('repro merge') and re-running with the "
-            "merged store"
+            f"--shard on {plan.workload} requires --store: a shard "
+            "computes only its slice, so the final artifact is produced "
+            "by merging the shard stores ('repro merge') and re-running "
+            "with the merged store"
         )
-
-
-def _artifact_directory(options: ExecutionOptions) -> Path | None:
-    """Explicit artifact directory, or ``None`` for the env default."""
-    if options.results_dir is None:
-        return None
-    return effective_results_dir(options)
-
-
-def _shard_result(
-    request: RunRequest, run, manifest: Mapping[str, Any]
-) -> RunResult:
-    """The result of a shard-slice run (no final artifact yet)."""
+    specs = () if folding else resolve_sinks(options, plan.sink_name)
+    counter = None if folding else _ConvergenceCounter(open_sink(specs))
+    try:
+        run = execute_scenarios(
+            plan.worker,
+            plan.scenarios,
+            options=options,
+            manifest=plan.manifest,
+            group_by=plan.group_by,
+            decode=plan.decode,
+            collect=folding or params.get("collect", False),
+            sink=counter,
+        )
+    finally:
+        if counter is not None:
+            counter.close()
+    payload, artifacts, extra = None, (), {}
+    if not folding:
+        artifacts = tuple(spec.path for spec in specs)
+        extra = {
+            **plan.extra,
+            "converged": counter.converged,
+            "store_used": options.store is not None,
+        }
+    elif options.shard is not None:
+        extra = {"sharded": True, "store": str(options.store)}
+    else:
+        directory = (
+            None
+            if options.results_dir is None
+            else effective_results_dir(options)
+        )
+        payload, artifacts = plan.fold(run.results, directory)
     return RunResult(
         request=request,
-        records=tuple(run.results) if run.results is not None else None,
-        manifest=manifest,
+        payload=payload,
+        records=None if run.results is None else tuple(run.results),
+        manifest=plan.manifest,
+        artifacts=artifacts,
         total=run.total,
         cached=run.cached,
         computed=run.computed,
-        extra={"sharded": True, "store": str(request.options.store)},
+        extra=extra,
     )
 
 
@@ -291,36 +325,6 @@ def _render_shard(result: RunResult, name: str) -> str:
 # ----------------------------------------------------------------------
 
 
-def _run_fig4(request: RunRequest, params: dict[str, Any]) -> RunResult:
-    from repro.experiments import generate_fig4, write_fig4_csv
-
-    options = request.options
-    manifest = {
-        "kind": "fig4",
-        "samples": params["samples"],
-        "knots": params["knots"],
-    }
-    with open_store(options) as (store, owned):
-        if store is not None and owned:
-            # Same one-store-one-shape guard as the grid workloads: a
-            # store filled by sweep/campaign (or a different fig4
-            # parameterization) is refused instead of silently mixed.
-            store.set_manifest(manifest)
-            store.set_shard(options.shard_scope)
-        data = generate_fig4(
-            samples=params["samples"], knots=params["knots"], store=store
-        )
-    path = write_fig4_csv(data, directory=_artifact_directory(options))
-    return RunResult(
-        request=request,
-        payload=data,
-        manifest=manifest,
-        artifacts=(str(path),),
-        total=1,
-        computed=1,
-    )
-
-
 def _render_fig4(result: RunResult) -> str:
     from repro.experiments import line_plot
 
@@ -340,49 +344,6 @@ def _render_fig4(result: RunResult) -> str:
 # ----------------------------------------------------------------------
 # fig5
 # ----------------------------------------------------------------------
-
-
-def _run_fig5(request: RunRequest, params: dict[str, Any]) -> RunResult:
-    from repro.engine import (
-        bound_result_from_record,
-        evaluate_bound_scenario,
-        q_sweep_scenarios,
-    )
-    from repro.engine.sweeps import bound_context_key
-    from repro.experiments.fig5 import (
-        default_q_grid,
-        fig5_data_from_results,
-        write_fig5_csv,
-    )
-
-    options = request.options
-    points, knots = params["points"], params["knots"]
-    _require_store_for_shard(options, "fig5")
-    manifest = {"kind": "qsweep", "points": points, "knots": knots}
-    qs = default_q_grid(points=points)
-    scenarios = q_sweep_scenarios(qs, knots=knots)
-    run = execute_scenarios(
-        evaluate_bound_scenario,
-        scenarios,
-        options=options,
-        manifest=manifest,
-        group_by=bound_context_key,
-        decode=bound_result_from_record,
-    )
-    if options.shard is not None:
-        return _shard_result(request, run, manifest)
-    data = fig5_data_from_results(qs, run.results)
-    path = write_fig5_csv(data, directory=_artifact_directory(options))
-    return RunResult(
-        request=request,
-        payload=data,
-        records=tuple(run.results),
-        manifest=manifest,
-        artifacts=(str(path),),
-        total=run.total,
-        cached=run.cached,
-        computed=run.computed,
-    )
 
 
 def _render_fig5(result: RunResult) -> str:
@@ -484,48 +445,6 @@ def _render_validate(result: RunResult) -> str:
 # ----------------------------------------------------------------------
 
 
-def _run_study(request: RunRequest, params: dict[str, Any]) -> RunResult:
-    from repro.engine.sweeps import (
-        evaluate_study_scenario,
-        study_context_key,
-        study_result_from_record,
-    )
-    from repro.experiments.schedulability_study import (
-        STUDY_METHODS,
-        STUDY_UTILIZATIONS,
-        fold_study_points,
-        reference_study_scenarios,
-    )
-
-    options = request.options
-    tasks, sets = params["tasks"], params["sets"]
-    _require_store_for_shard(options, "study")
-    manifest = {"kind": "study", "tasks": tasks, "sets": sets}
-    scenarios = reference_study_scenarios(tasks, sets)
-    run = execute_scenarios(
-        evaluate_study_scenario,
-        scenarios,
-        options=options,
-        manifest=manifest,
-        group_by=study_context_key,
-        decode=study_result_from_record,
-    )
-    if options.shard is not None:
-        return _shard_result(request, run, manifest)
-    points = fold_study_points(
-        list(STUDY_UTILIZATIONS), list(STUDY_METHODS), sets, run.results
-    )
-    return RunResult(
-        request=request,
-        payload=points,
-        records=tuple(run.results),
-        manifest=manifest,
-        total=run.total,
-        cached=run.cached,
-        computed=run.computed,
-    )
-
-
 def _render_study(result: RunResult) -> str:
     if result.extra.get("sharded"):
         return _render_shard(result, "study")
@@ -553,38 +472,6 @@ def _render_study(result: RunResult) -> str:
 # ----------------------------------------------------------------------
 # sweep
 # ----------------------------------------------------------------------
-
-
-def _run_sweep(request: RunRequest, params: dict[str, Any]) -> RunResult:
-    from repro.api.plan import plan_scenarios
-
-    options = request.options
-    check_resume(options)  # before the sink truncates any output file
-    plan = plan_scenarios("sweep", params)
-    specs = resolve_sinks(options, plan.sink_name)
-    counter = _ConvergenceCounter(open_sink(specs))
-    with counter:
-        run = execute_scenarios(
-            plan.worker,
-            plan.scenarios,
-            options=options,
-            manifest=plan.manifest,
-            group_by=plan.group_by,
-            collect=False,
-            sink=counter,
-        )
-    return RunResult(
-        request=request,
-        manifest=plan.manifest,
-        artifacts=tuple(spec.path for spec in specs),
-        total=run.total,
-        cached=run.cached,
-        computed=run.computed,
-        extra={
-            "converged": counter.converged,
-            "store_used": options.store is not None,
-        },
-    )
 
 
 def _render_stream_table(
@@ -620,59 +507,6 @@ def _render_sweep(result: RunResult) -> str:
 # ----------------------------------------------------------------------
 # campaign
 # ----------------------------------------------------------------------
-
-
-def campaign_overrides(raw: Any) -> dict[str, Any]:
-    """Normalize the ``set`` parameter: a mapping, ``(key, value)``
-    pairs, or CLI-style ``key=value`` strings."""
-    from repro.campaign import parse_set_overrides
-
-    if not raw:
-        return {}
-    if isinstance(raw, Mapping):
-        return dict(raw)
-    items = list(raw)
-    if all(isinstance(item, str) for item in items):
-        return parse_set_overrides(items)
-    return {key: value for key, value in items}
-
-
-def _run_campaign(request: RunRequest, params: dict[str, Any]) -> RunResult:
-    from repro.api.plan import plan_scenarios
-
-    options = request.options
-    check_resume(options)  # before the sink truncates any output file
-    plan = plan_scenarios("campaign", params)
-    collect = params["collect"]
-    specs = resolve_sinks(options, plan.sink_name)
-    sink = open_sink(specs)
-    try:
-        run = execute_scenarios(
-            plan.worker,
-            plan.scenarios,
-            options=options,
-            manifest=plan.manifest,
-            group_by=plan.group_by,
-            decode=plan.decode,
-            collect=collect,
-            sink=sink,
-        )
-    finally:
-        if sink is not None:
-            sink.close()
-    return RunResult(
-        request=request,
-        records=tuple(run.results) if run.results is not None else None,
-        manifest=plan.manifest,
-        artifacts=tuple(spec.path for spec in specs),
-        total=run.total,
-        cached=run.cached,
-        computed=run.computed,
-        extra={
-            **plan.extra,
-            "store_used": options.store is not None,
-        },
-    )
 
 
 def _render_campaign(result: RunResult) -> str:
@@ -768,11 +602,6 @@ def _run_serve(request: RunRequest, params: dict[str, Any]) -> RunResult:
         raise ValueError(
             "serve requires --store PATH: the shared content-addressed "
             "store is what cross-client deduplication runs against"
-        )
-    if not isinstance(options.store, (str, Path)):
-        raise ValueError(
-            "serve opens its store inside the job-executor pool; pass "
-            "the store as a path, not an open instance"
         )
     config = ServeConfig(
         host=params["host"],
@@ -937,7 +766,7 @@ def _register_builtins() -> None:
                     "piecewise resolution of the functions",
                 ),
             ),
-            runner=_run_fig4,
+            runner=_run_grid,
             render=_render_fig4,
             flags=frozenset({"store"}),
         )
@@ -953,7 +782,7 @@ def _register_builtins() -> None:
                     "benchmark-function resolution",
                 ),
             ),
-            runner=_run_fig5,
+            runner=_run_grid,
             render=_render_fig5,
             flags=frozenset({"engine", "store", "shard"}),
         )
@@ -998,7 +827,7 @@ def _register_builtins() -> None:
                     "sets", int, 25, "task sets per utilization level"
                 ),
             ),
-            runner=_run_study,
+            runner=_run_grid,
             render=_render_study,
             flags=frozenset({"engine", "store", "shard"}),
         )
@@ -1014,7 +843,7 @@ def _register_builtins() -> None:
                 ),
                 Parameter("knots", int, 1024, "function resolution"),
             ),
-            runner=_run_sweep,
+            runner=_run_grid,
             render=_render_sweep,
             flags=frozenset({"engine", "store", "shard", "sink"}),
         )
@@ -1046,7 +875,7 @@ def _register_builtins() -> None:
                     hidden=True,
                 ),
             ),
-            runner=_run_campaign,
+            runner=_run_grid,
             render=_render_campaign,
             flags=frozenset({"engine", "store", "shard", "sink"}),
         )

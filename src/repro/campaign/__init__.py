@@ -26,7 +26,7 @@ from repro.campaign.builtin import (
     edf_study_campaign_spec,
     sim_validate_campaign_spec,
 )
-from repro.campaign.resolve import parse_set_overrides, resolve_spec, run
+from repro.campaign.resolve import parse_set_overrides, resolve_spec
 from repro.campaign.samplers import SAMPLERS, expand_axis
 from repro.campaign.spec import (
     SPEC_KEYS,
@@ -48,5 +48,4 @@ __all__ = [
     "edf_study_campaign_spec",
     "parse_set_overrides",
     "resolve_spec",
-    "run",
 ]

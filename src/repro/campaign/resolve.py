@@ -4,9 +4,8 @@ The CLI and the :mod:`repro.api` ``campaign`` workload share one
 resolution rule, implemented here: an inline mapping is used as-is, a
 ``.json``/``.toml`` file is loaded (``--set`` overrides its
 ``defaults``), and anything else must name a built-in campaign
-(``--set`` feeds the builtin factory's parameters).  ``run`` is the
-one-call programmatic entry point, a thin shim over the facade's
-``campaign`` workload.
+(``--set`` feeds the builtin factory's parameters).  Campaigns run
+through the facade: ``Workbench().run(RunRequest.campaign(...))``.
 """
 
 from __future__ import annotations
@@ -84,25 +83,3 @@ def resolve_spec(
         f"nor a built-in campaign (available: {', '.join(builtin_names())})"
     )
 
-
-def run(
-    spec: str | Mapping[str, Any],
-    overrides: Mapping[str, Any] | None = None,
-    **execution: Any,
-):
-    """Run a campaign through the :mod:`repro.api` facade.
-
-    A convenience shim: ``campaign.run("fig5", {"points": 5})`` is
-    ``Workbench().run(RunRequest.campaign(...))``.  Keyword arguments
-    are :class:`repro.api.ExecutionOptions` fields (``jobs``,
-    ``store``, ``resume``, ``shard``, ``sinks``, ``results_dir``…).
-
-    Returns:
-        The facade's :class:`repro.api.RunResult`.
-    """
-    from repro.api import ExecutionOptions, RunRequest, Workbench
-
-    request = RunRequest.campaign(
-        spec, overrides, options=ExecutionOptions(**execution)
-    )
-    return Workbench().run(request)

@@ -1,8 +1,8 @@
 """Experiment harness (substrate S11): every figure of the paper plus the
 extension studies (see ``docs/paper_mapping.md`` for the figure/equation
-index).  Sweep-shaped experiments route through :mod:`repro.engine`, so
-they accept ``max_workers`` for pooled execution with bit-identical
-results."""
+index).  The grid-shaped figures and the study run as workloads of
+:mod:`repro.api`; this package holds their data types, folds and
+writers."""
 
 from repro.experiments.ablations import (
     CapPoint,
@@ -20,7 +20,6 @@ from repro.experiments.fig5 import (
     default_q_grid,
     fig5_campaign_spec,
     fig5_data_from_results,
-    generate_fig5,
     write_fig5_csv,
 )
 from repro.experiments.figure2 import (
@@ -43,7 +42,6 @@ from repro.experiments.schedulability_study import (
     STUDY_METHODS,
     STUDY_UTILIZATIONS,
     StudyPoint,
-    acceptance_study,
     fold_study_points,
     reference_study_scenarios,
     study_campaign_spec,
@@ -67,7 +65,6 @@ __all__ = [
     "default_q_grid",
     "fig5_campaign_spec",
     "fig5_data_from_results",
-    "generate_fig5",
     "write_fig5_csv",
     "Figure2Demo",
     "build_figure2_function",
@@ -81,7 +78,6 @@ __all__ = [
     "StudyPoint",
     "STUDY_METHODS",
     "STUDY_UTILIZATIONS",
-    "acceptance_study",
     "fold_study_points",
     "reference_study_scenarios",
     "study_campaign_spec",

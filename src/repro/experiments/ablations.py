@@ -15,8 +15,9 @@ import math
 from dataclasses import dataclass
 
 from repro.core.floating_npr import floating_npr_delay_bound
-from repro.experiments.fig5 import Fig5Data, generate_fig5
+from repro.experiments.fig5 import Fig5Data, fig5_data_from_results
 from repro.experiments.functions_fig4 import (
+    FIG4_NAMES,
     INTERPRETATIONS,
     fig4_delay_function,
 )
@@ -27,11 +28,31 @@ def interpretation_sweep(
     qs: list[float],
     knots: int = 1024,
 ) -> dict[str, Fig5Data]:
-    """Figure 5 regenerated under every parameter interpretation."""
-    return {
-        interpretation: generate_fig5(qs, interpretation, knots)
-        for interpretation in INTERPRETATIONS
-    }
+    """Figure 5 regenerated under every parameter interpretation.
+
+    Each interpretation runs as a ``bound`` family campaign through the
+    facade, so its records also land in the results directory as
+    ``campaign-interpretation-<name>.jsonl``.
+    """
+    from repro.api import RunRequest, Workbench
+
+    sweeps = {}
+    for interpretation in INTERPRETATIONS:
+        result = Workbench().run(
+            RunRequest.family(
+                "bound",
+                axes={
+                    "q": {"grid": list(qs)},
+                    "function": {"grid": list(FIG4_NAMES)},
+                },
+                defaults={"interpretation": interpretation, "knots": knots},
+                name=f"interpretation-{interpretation}",
+            )
+        )
+        sweeps[interpretation] = fig5_data_from_results(
+            list(qs), list(result.records), interpretation
+        )
+    return sweeps
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import Any
 
 from repro.experiments.functions_fig4 import (
     FIG4_NAMES,
@@ -41,7 +43,6 @@ def generate_fig4(
     samples: int = 401,
     knots: int = 2048,
     wcet: float = FIG4_WCET,
-    store=None,
 ) -> Fig4Data:
     """Sample the three benchmark functions on a uniform grid.
 
@@ -51,35 +52,8 @@ def generate_fig4(
         samples: Number of sample points over ``[0, C]``.
         knots: Resolution of the underlying piecewise functions.
         wcet: The common ``C``.
-        store: Optional :class:`repro.store.ResultStore`; the sampled
-            curves are cached under a key derived from all parameters,
-            so regenerating the figure under unchanged code is a single
-            store read.
     """
     require(samples >= 2, "need at least two samples")
-    if store is not None:
-        from repro.store import scenario_key
-
-        key = scenario_key(
-            {
-                "kind": "fig4",
-                "interpretation": interpretation,
-                "samples": samples,
-                "knots": knots,
-                "wcet": wcet,
-            },
-            store.fingerprint,
-        )
-        record = store.get(key)
-        if record is not None:
-            return Fig4Data(
-                ts=tuple(record["ts"]),
-                series={
-                    name: tuple(values)
-                    for name, values in record["series"].items()
-                },
-                interpretation=record["interpretation"],
-            )
     functions = fig4_functions(interpretation, knots, wcet)
     ts = tuple(wcet * k / (samples - 1) for k in range(samples))
     # The grid is non-decreasing, so the one-pass batched kernel applies
@@ -88,21 +62,31 @@ def generate_fig4(
         name: tuple(evaluate_sorted(f.function, ts))
         for name, f in functions.items()
     }
-    data = Fig4Data(ts=ts, series=series, interpretation=interpretation)
-    if store is not None:
-        store.put(
-            key,
-            {
-                "ts": list(data.ts),
-                "series": {
-                    name: list(values)
-                    for name, values in data.series.items()
-                },
-                "interpretation": data.interpretation,
-            },
-        )
-        store.commit()
-    return data
+    return Fig4Data(ts=ts, series=series, interpretation=interpretation)
+
+
+@dataclass(frozen=True, slots=True)
+class Fig4Scenario:
+    """The whole of Figure 4 as one engine scenario: the ``fig4``
+    workload's one-scenario grid."""
+
+    samples: int
+    knots: int
+
+
+def evaluate_fig4_scenario(scenario: Fig4Scenario) -> Fig4Data:
+    """Engine worker: :func:`generate_fig4` for one scenario."""
+    return generate_fig4(samples=scenario.samples, knots=scenario.knots)
+
+
+def fig4_data_from_record(record: Mapping[str, Any]) -> Fig4Data:
+    """Rebuild :class:`Fig4Data` from its sink/store record (the
+    ``series`` mapping arrives splatted as ``series.<name>`` keys)."""
+    return Fig4Data(
+        ts=tuple(record["ts"]),
+        series={name: tuple(record[f"series.{name}"]) for name in FIG4_NAMES},
+        interpretation=record["interpretation"],
+    )
 
 
 def write_fig4_csv(data: Fig4Data, filename: str = "fig4.csv", directory=None):

@@ -8,9 +8,11 @@ here rather than assumed).  The paper plots Q from near the divergence
 threshold (``Q <= max f = 10`` diverges) up to ``C/2 = 2000`` with a
 logarithmic delay axis.
 
-The sweep is expressed as :class:`repro.engine.BoundScenario` batches and
-evaluated by :func:`repro.engine.run_batch`; pass ``max_workers`` to fan
-it out over a worker pool (results are bit-identical either way).
+The sweep is the ``fig5`` workload of :mod:`repro.api`: its plan
+(:func:`repro.api.plan.plan_scenarios`) is the Q grid of
+:class:`repro.engine.BoundScenario` points, and
+:func:`fig5_data_from_results` folds the evaluated grid into
+:class:`Fig5Data` (bit-identical for any ``--jobs``, resume or shard).
 """
 
 from __future__ import annotations
@@ -163,62 +165,6 @@ def fig5_data_from_results(
             )
         )
     return Fig5Data(rows=tuple(rows), interpretation=interpretation)
-
-
-def generate_fig5(
-    qs: list[float] | None = None,
-    interpretation: str = "literal",
-    knots: int = 2048,
-    max_workers: int | None = None,
-    chunk_size: int | None = None,
-    store=None,
-) -> Fig5Data:
-    """Run the Figure 5 sweep through the batch engine.
-
-    Legacy-compatible entry point; the ``fig5`` workload of
-    :mod:`repro.api` is the primary surface and both route through the
-    same :func:`repro.api.execution.execute_scenarios` pipeline, so
-    results (and the written CSV) are byte-identical either way.
-
-    Args:
-        qs: NPR lengths to evaluate (default: :func:`default_q_grid`).
-        interpretation: Benchmark-function interpretation.
-        knots: Function resolution.
-        max_workers: Engine pool width (``None`` = inline; results are
-            bit-identical for every setting).
-        chunk_size: Engine chunk size (default: auto).
-        store: Optional :class:`repro.store.ResultStore`; scenarios
-            already present are served from it and fresh ones are
-            checkpointed, so a repeated or interrupted sweep only pays
-            for what it has not computed yet.
-
-    Returns:
-        The sweep data; the shape-obliviousness of Eq. 4 (same bound for
-        all three functions) is verified along the way.
-    """
-    from repro.api.execution import execute_scenarios
-    from repro.api.options import ExecutionOptions
-    from repro.engine import (
-        bound_result_from_record,
-        evaluate_bound_scenario,
-        q_sweep_scenarios,
-    )
-    from repro.engine.sweeps import bound_context_key
-
-    qs = qs if qs is not None else default_q_grid()
-    scenarios = q_sweep_scenarios(
-        qs, interpretation=interpretation, knots=knots
-    )
-    run = execute_scenarios(
-        evaluate_bound_scenario,
-        scenarios,
-        options=ExecutionOptions(
-            jobs=max_workers, chunk=chunk_size, store=store
-        ),
-        decode=bound_result_from_record,
-        group_by=bound_context_key,
-    )
-    return fig5_data_from_results(qs, run.results, interpretation)
 
 
 def write_fig5_csv(data: Fig5Data, filename: str = "fig5.csv", directory=None):

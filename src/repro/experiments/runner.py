@@ -3,11 +3,11 @@
 ``generate_all()`` is the programmatic equivalent of running the whole
 benchmark harness: it produces the Figure 4/5 CSVs, the Figure 2
 counterexample, the Theorem 1 validation report and the schedulability
-study, returning everything in a single summary object.  The CLI
-(``python -m repro``) exposes the same pieces individually.  The sweep
-stages (Figure 5, the study) route through :mod:`repro.engine`; pass
-``max_workers`` to fan them out over a worker pool without changing any
-artifact byte.
+study, returning everything in a single summary object.  The grid
+stages run the ``fig4``, ``fig5`` and ``study`` workloads of
+:mod:`repro.api` — the same plans the CLI runs — so pass
+``max_workers`` to fan Figure 5 and the study out over a worker pool
+without changing any artifact byte.
 """
 
 from __future__ import annotations
@@ -15,13 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.experiments.fig4 import Fig4Data, generate_fig4, write_fig4_csv
-from repro.experiments.fig5 import Fig5Data, generate_fig5, write_fig5_csv
+from repro.experiments.fig4 import Fig4Data
+from repro.experiments.fig5 import Fig5Data
 from repro.experiments.figure2 import Figure2Demo, run_figure2_demo
-from repro.experiments.schedulability_study import (
-    StudyPoint,
-    acceptance_study,
-)
+from repro.experiments.schedulability_study import StudyPoint
 from repro.sim.validation import (
     ValidationReport,
     reference_validation_task_set,
@@ -78,14 +75,22 @@ def generate_all(
     Args:
         knots: Resolution of the synthetic delay functions (lower = faster).
         validation_seeds: Fuzzing seeds for the Theorem 1 campaign.
-        study_sets_per_point: Task sets per utilization level.
+        study_sets_per_point: Task sets per utilization level of the
+            reference study grid (the CLI ``study`` command's, at five
+            tasks per set).
         max_workers: Batch-engine pool width for the Figure 5 sweep and
             the schedulability study (``None`` = inline; the artifacts
             are bit-identical for every setting).
     """
-    fig4 = generate_fig4(knots=knots)
-    fig5 = generate_fig5(knots=knots, max_workers=max_workers)
-    paths = (write_fig4_csv(fig4), write_fig5_csv(fig5))
+    from repro.api import ExecutionOptions, RunRequest, Workbench
+
+    bench = Workbench()
+    pooled = ExecutionOptions(jobs=max_workers)
+    fig4 = bench.run(RunRequest.make("fig4", knots=knots))
+    fig5 = bench.run(RunRequest.make("fig5", pooled, knots=knots))
+    study = bench.run(
+        RunRequest.make("study", pooled, tasks=5, sets=study_sets_per_point)
+    )
     fig2 = run_figure2_demo()
     validation = validation_campaign(
         reference_validation_task_set(q=120.0),
@@ -93,18 +98,13 @@ def generate_all(
         seeds=range(validation_seeds),
         horizon=50_000.0,
     )
-    study = acceptance_study(
-        utilizations=[0.3, 0.6, 0.9],
-        methods=["oblivious", "algorithm1", "eq4"],
-        n_tasks=5,
-        sets_per_point=study_sets_per_point,
-        max_workers=max_workers,
-    )
     return ReproductionSummary(
-        fig4=fig4,
-        fig5=fig5,
+        fig4=fig4.payload,
+        fig5=fig5.payload,
         fig2=fig2,
         validation=validation,
-        study=study,
-        csv_paths=paths,
+        study=study.payload,
+        csv_paths=tuple(
+            Path(path) for path in (*fig4.artifacts, *fig5.artifacts)
+        ),
     )

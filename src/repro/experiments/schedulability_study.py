@@ -9,25 +9,19 @@ inflation tests) — the gap between the last two is the paper's
 contribution expressed as schedulability.
 
 The utilization × task-set matrix is flattened into
-:class:`repro.engine.StudyScenario` batches and evaluated by
-:func:`repro.engine.run_batch`.  Every scenario carries its own seed
-(``seed + level * 10_000 + k``, unchanged from the sequential
-implementation), so acceptance ratios are bit-identical for any
-``max_workers``.
+:class:`repro.engine.StudyScenario` batches (:func:`study_scenarios`);
+the ``study`` workload of :mod:`repro.api` evaluates the reference grid
+and :func:`fold_study_points` folds it into acceptance ratios.  Every
+scenario carries its own seed (``seed + level * 10_000 + k``, unchanged
+from the sequential implementation), so acceptance ratios are
+bit-identical for any ``--jobs``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.sweeps import (
-    StudyScenario,
-    evaluate_study_scenario,
-    prepared_task_set,
-    study_context_key,
-    study_result_from_record,
-)
-from repro.tasks.task import TaskSet
+from repro.engine.sweeps import StudyScenario
 from repro.utils.checks import require
 
 #: The utilization grid of the reference (CLI) acceptance study.
@@ -52,24 +46,6 @@ class StudyPoint:
     generated: int
 
 
-def _prepared_task_set(
-    n_tasks: int,
-    utilization: float,
-    seed: int,
-    q_fraction: float,
-    delay_height: float,
-) -> TaskSet | None:
-    """Generate, prioritise and NPR-annotate one task set.
-
-    Thin wrapper kept for API compatibility; the implementation lives in
-    :func:`repro.engine.sweeps.prepared_task_set` so the engine workers
-    and this module share one definition.
-    """
-    return prepared_task_set(
-        n_tasks, utilization, seed, q_fraction, delay_height
-    )
-
-
 def study_scenarios(
     utilizations: list[float],
     methods: list[str],
@@ -88,6 +64,8 @@ def study_scenarios(
     ``sets_per_point < 10_000`` (enforced here); grids beyond that
     should derive seeds with :func:`repro.engine.derive_seed`.
     """
+    require(bool(utilizations), "need at least one utilization level")
+    require(sets_per_point > 0, "sets_per_point must be > 0")
     require(
         sets_per_point < 10_000,
         "the legacy seed formula collides at sets_per_point >= 10_000; "
@@ -183,7 +161,7 @@ def study_campaign_spec(
     levels) instead of the legacy ``seed + level * 10_000 + k``
     formula, so it scales past 10^4 sets per point; ratios therefore
     differ statistically (not structurally) from
-    :func:`acceptance_study` with the same arguments.
+    :func:`study_scenarios` with the same arguments.
     """
     from repro.sched.crpd_rta import METHODS
 
@@ -207,67 +185,6 @@ def study_campaign_spec(
             "methods": list(methods) if methods is not None else list(METHODS),
         },
     }
-
-
-def acceptance_study(
-    utilizations: list[float],
-    methods: list[str],
-    n_tasks: int = 6,
-    sets_per_point: int = 40,
-    q_fraction: float = 0.5,
-    delay_height: float = 0.05,
-    seed: int = 2012,
-    max_workers: int | None = None,
-    chunk_size: int | None = None,
-    store=None,
-) -> list[StudyPoint]:
-    """Acceptance ratio versus utilization for each test method.
-
-    Args:
-        utilizations: Utilization levels to sample.
-        methods: Test methods (see :data:`repro.sched.METHODS`).
-        n_tasks: Tasks per generated set.
-        sets_per_point: Sets generated per utilization level.
-        q_fraction: Fraction of the maximal safe NPR length to assign.
-        delay_height: ``max f_i`` as a fraction of each task's WCET.
-        seed: Base RNG seed.
-        max_workers: Engine pool width (``None`` = inline; ratios are
-            identical for every setting).
-        chunk_size: Engine chunk size (default: auto).
-        store: Optional :class:`repro.store.ResultStore`; per-scenario
-            verdicts already present are served from it and fresh ones
-            checkpointed, so growing the grid (more seeds, more levels)
-            only evaluates the new scenarios.
-
-    Returns:
-        One :class:`StudyPoint` per utilization level.
-    """
-    require(bool(utilizations), "need at least one utilization level")
-    require(sets_per_point > 0, "sets_per_point must be > 0")
-    from repro.api.execution import execute_scenarios
-    from repro.api.options import ExecutionOptions
-
-    scenarios = study_scenarios(
-        utilizations,
-        methods,
-        n_tasks,
-        sets_per_point,
-        q_fraction,
-        delay_height,
-        seed,
-    )
-    run = execute_scenarios(
-        evaluate_study_scenario,
-        scenarios,
-        options=ExecutionOptions(
-            jobs=max_workers, chunk=chunk_size, store=store
-        ),
-        decode=study_result_from_record,
-        group_by=study_context_key,
-    )
-    return fold_study_points(
-        utilizations, methods, sets_per_point, run.results
-    )
 
 
 def study_series(

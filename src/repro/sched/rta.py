@@ -31,16 +31,22 @@ class ResponseTimeResult:
     schedulable: bool
 
 
-def _blocking_term(ordered: list[Task], index: int) -> float:
-    """Longest NPR among strictly lower-priority tasks (0 if none set)."""
-    return max(
-        (
-            t.npr_length
-            for t in ordered[index + 1 :]
-            if t.npr_length is not None
-        ),
-        default=0.0,
-    )
+def _blocking_terms(ordered: list[Task]) -> list[float]:
+    """Per priority position, the longest NPR among strictly
+    lower-priority tasks (0 if none set): one reverse suffix-max pass.
+
+    Ties keep the highest-priority holder of the maximum, the element a
+    forward ``max`` over the suffix would return.
+    """
+    terms: list[float] = []
+    longest = None
+    for task in reversed(ordered):
+        terms.append(0.0 if longest is None else longest)
+        npr = task.npr_length
+        if npr is not None and (longest is None or npr >= longest):
+            longest = npr
+    terms.reverse()
+    return terms
 
 
 def response_time(
@@ -87,11 +93,13 @@ def response_time(
         # A diverged delay bound (C' = inf) can never meet a deadline.
         return math.inf
     gamma = interference_inflation or {}
+    preemptors = [
+        (hp.period, cost + gamma.get(hp.name, 0.0)) for hp, cost in hp_costs
+    ]
     r = c + blocking
     for _ in range(_MAX_ITERATIONS):
         interference = sum(
-            math.ceil(r / hp.period) * (cost + gamma.get(hp.name, 0.0))
-            for hp, cost in hp_costs
+            math.ceil(r / period) * cost for period, cost in preemptors
         )
         updated = c + blocking + interference
         if updated == r:
@@ -126,14 +134,18 @@ def rta_fixed_priority(
     ordered = list(tasks.sorted_by_priority())
     execution_times = execution_times or {}
     interference_inflation = interference_inflation or {}
+    blocking = (
+        _blocking_terms(ordered)
+        if include_npr_blocking
+        else [0.0] * len(ordered)
+    )
     response_times: dict[str, float] = {}
     schedulable = True
     for i, task in enumerate(ordered):
-        blocking = _blocking_term(ordered, i) if include_npr_blocking else 0.0
         r = response_time(
             task,
             ordered[:i],
-            blocking=blocking,
+            blocking=blocking[i],
             execution_time=execution_times.get(task.name),
             hp_execution_times=execution_times,
             interference_inflation=interference_inflation.get(task.name),

@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.api.options import ExecutionOptions
-from repro.api.plan import PLANNABLE_WORKLOADS, plan_scenarios
+from repro.api.plan import SERVABLE_WORKLOADS, plan_scenarios
 from repro.api.request import RunRequest
 from repro.api.wire import request_from_wire
 from repro.api.workloads import get_workload
@@ -500,7 +500,7 @@ class AnalysisServer:
                 {
                     "frame": "hello",
                     "protocol": PROTOCOL_VERSION,
-                    "workloads": list(PLANNABLE_WORKLOADS),
+                    "workloads": list(SERVABLE_WORKLOADS),
                 },
             )
             while True:
@@ -614,11 +614,11 @@ class AnalysisServer:
         assert self._loop is not None
         try:
             request = request_from_wire(frame.get("request"))
-            if request.workload not in PLANNABLE_WORKLOADS:
+            if request.workload not in SERVABLE_WORKLOADS:
                 raise ProtocolError(
                     "unsupported-workload",
                     f"workload {request.workload!r} is not servable; "
-                    f"servable: {', '.join(PLANNABLE_WORKLOADS)}",
+                    f"servable: {', '.join(SERVABLE_WORKLOADS)}",
                 )
             request = self._sanitize(request)
             workload = get_workload(request.workload)

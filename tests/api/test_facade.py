@@ -1,11 +1,9 @@
 """Golden tests for the ``repro.api`` facade.
 
-The acceptance surface of the API redesign: every legacy entry point
-(figure generators, ``repro sweep``, builtin campaigns, the study, the
-validation campaign) and its new :class:`RunRequest` equivalent must
-produce identical result files — including ``--jobs``, ``--resume``
-and ``--shard`` + merge — because both route through the one
-:func:`repro.api.execution.execute_scenarios` pipeline.
+Every grid workload must equal an independent reference — the fold of
+a direct :func:`repro.engine.run_batch` over the grid built by hand —
+under every execution mode (solo, ``jobs=2``, fail-after + resume,
+shard + merge), and the CLI and the facade must write the same bytes.
 """
 
 import pytest
@@ -33,28 +31,137 @@ def results_dir(tmp_path, monkeypatch):
     return target
 
 
+# ----------------------------------------------------------------------
+# every grid workload against an independent reference
+# ----------------------------------------------------------------------
+
+
+def _reference(workload: str, directory):
+    """What ``workload`` must produce, computed without the facade: a
+    hand-built grid, a direct inline ``run_batch`` and the fold."""
+    from repro.engine import JsonlSink, run_batch
+    from repro.engine.sweeps import (
+        evaluate_bound_scenario,
+        evaluate_study_scenario,
+        q_sweep_scenarios,
+    )
+    from repro.experiments import (
+        STUDY_METHODS,
+        STUDY_UTILIZATIONS,
+        default_q_grid,
+        fig5_data_from_results,
+        fold_study_points,
+        generate_fig4,
+        study_scenarios,
+        write_fig4_csv,
+        write_fig5_csv,
+    )
+
+    directory.mkdir()
+    qs = default_q_grid(points=4)
+    if workload == "fig4":
+        data = generate_fig4(samples=21, knots=64)
+        return data, write_fig4_csv(data, directory=directory).read_bytes()
+    if workload == "fig5":
+        results = run_batch(
+            evaluate_bound_scenario, q_sweep_scenarios(qs, knots=64)
+        )
+        data = fig5_data_from_results(qs, results)
+        return data, write_fig5_csv(data, directory=directory).read_bytes()
+    if workload == "study":
+        scenarios = study_scenarios(
+            list(STUDY_UTILIZATIONS), list(STUDY_METHODS),
+            n_tasks=3, sets_per_point=4, q_fraction=0.5,
+            delay_height=0.05, seed=2012,
+        )
+        results = run_batch(evaluate_study_scenario, scenarios)
+        points = fold_study_points(
+            list(STUDY_UTILIZATIONS), list(STUDY_METHODS), 4, results
+        )
+        return points, tuple(results)
+    out = directory / "sweep.jsonl"
+    with JsonlSink(out) as sink:
+        run_batch(
+            evaluate_bound_scenario,
+            q_sweep_scenarios(qs, knots=64),
+            sink=sink,
+            collect=False,
+        )
+    return None, out.read_bytes()
+
+
+def _observed(result, out):
+    """The same pair as :func:`_reference`, read off a facade run."""
+    workload = result.request.workload
+    if workload == "study":
+        return result.payload, result.records
+    if workload == "sweep":
+        return None, out.read_bytes()
+    with open(result.artifacts[0], "rb") as handle:
+        return result.payload, handle.read()
+
+
+_GRID_PARAMS = {
+    "fig4": dict(samples=21, knots=64),
+    "fig5": _SMALL,
+    "study": dict(tasks=3, sets=4),
+    "sweep": _SMALL,
+}
+
+
+@pytest.mark.parametrize("mode", ["solo", "jobs2", "resume", "shard-merge"])
+@pytest.mark.parametrize("workload", list(_GRID_PARAMS))
+def test_grid_workload_matches_direct_batch(
+    workload, mode, bench, results_dir, tmp_path
+):
+    out = tmp_path / "out.jsonl"
+
+    def go(**options):
+        request = RunRequest.make(
+            workload,
+            ExecutionOptions(sinks=(SinkSpec(str(out)),), **options),
+            **_GRID_PARAMS[workload],
+        )
+        return bench.run(request)
+
+    store = str(tmp_path / "run.sqlite")
+    if mode == "solo":
+        result = go()
+    elif mode == "jobs2":
+        result = go(jobs=2)
+    elif mode == "resume":
+        with pytest.raises(KeyboardInterrupt):
+            go(store=store, fail_after=1)
+        result = go(store=store, resume=True)
+        assert result.cached == 1
+    else:
+        shards = [str(tmp_path / f"shard{i}.sqlite") for i in (1, 2)]
+        for i, shard in enumerate(shards, start=1):
+            go(store=shard, shard=f"{i}/2")
+        run("merge", target=store, sources=shards)
+        result = go(store=store, resume=True)
+        assert result.computed == 0
+    assert _observed(result, out) == _reference(workload, tmp_path / "ref")
+
+
+@pytest.mark.parametrize("workload", list(_GRID_PARAMS))
+def test_manifest_rebuilds_the_planned_grid(workload):
+    from repro.api import get_workload, manifest_scenarios
+    from repro.api.plan import plan_scenarios
+
+    params = get_workload(workload).resolve_params(_GRID_PARAMS[workload])
+    plan = plan_scenarios(workload, params)
+    assert manifest_scenarios(plan.manifest) == plan.scenarios
+
+
+def test_unknown_manifest_kind_is_refused():
+    from repro.api import manifest_scenarios
+
+    with pytest.raises(ValueError, match="unsupported sweep manifest"):
+        manifest_scenarios({"kind": "validate"})
+
+
 class TestFig5Golden:
-    def test_fig5_matches_legacy_generator(self, bench, results_dir, tmp_path):
-        from repro.experiments import (
-            default_q_grid,
-            generate_fig5,
-            write_fig5_csv,
-        )
-
-        legacy_dir = tmp_path / "legacy"
-        legacy_dir.mkdir()
-        legacy = write_fig5_csv(
-            generate_fig5(qs=default_q_grid(points=4), knots=64),
-            directory=legacy_dir,
-        )
-
-        result = bench.run(RunRequest.make("fig5", **_SMALL))
-        assert result.ok
-        assert result.payload.rows
-        facade = results_dir / "fig5.csv"
-        assert str(facade) in result.artifacts
-        assert facade.read_bytes() == legacy.read_bytes()
-
     def test_fig5_jobs_bit_identical(self, bench, results_dir, tmp_path):
         inline = bench.run(RunRequest.make("fig5", **_SMALL))
         inline_bytes = (results_dir / "fig5.csv").read_bytes()
@@ -260,45 +367,7 @@ class TestCampaignGolden:
         expected = run_batch(get_family("bound").worker, scenarios)
         assert list(result.records) == expected
 
-    def test_campaign_run_shim(self, bench, results_dir, tmp_path):
-        import repro.campaign as campaign
-
-        out = tmp_path / "shim.jsonl"
-        result = campaign.run(
-            "fig5",
-            {"points": 3, "knots": 64},
-            sinks=(str(out),),
-        )
-        assert result.total == 9
-        assert out.exists()
-        # Byte-identical to the facade's campaign workload.
-        out2 = tmp_path / "facade.jsonl"
-        bench.run(
-            RunRequest.campaign(
-                "fig5", {"points": 3, "knots": 64},
-                options=ExecutionOptions(sinks=(SinkSpec(str(out2)),)),
-            )
-        )
-        assert out.read_bytes() == out2.read_bytes()
-
-
 class TestStudyGolden:
-    def test_study_matches_legacy_acceptance_study(self, bench, results_dir):
-        from repro.experiments import (
-            STUDY_METHODS,
-            STUDY_UTILIZATIONS,
-            acceptance_study,
-        )
-
-        legacy = acceptance_study(
-            utilizations=list(STUDY_UTILIZATIONS),
-            methods=list(STUDY_METHODS),
-            n_tasks=3,
-            sets_per_point=4,
-        )
-        result = bench.run(RunRequest.make("study", tasks=3, sets=4))
-        assert result.payload == legacy
-
     def test_study_resume_matches_plain(self, bench, results_dir, tmp_path):
         plain = bench.run(RunRequest.make("study", tasks=3, sets=4))
         store = tmp_path / "study.sqlite"
@@ -341,18 +410,6 @@ class TestValidateAndFigures:
         assert result.ok
         assert result.payload == legacy
 
-    def test_fig4_matches_legacy_generator(self, bench, results_dir, tmp_path):
-        from repro.experiments import generate_fig4, write_fig4_csv
-
-        legacy_dir = tmp_path / "legacy"
-        legacy_dir.mkdir()
-        legacy = write_fig4_csv(
-            generate_fig4(samples=21, knots=64), directory=legacy_dir
-        )
-        result = bench.run(RunRequest.make("fig4", samples=21, knots=64))
-        assert (results_dir / "fig4.csv").read_bytes() == legacy.read_bytes()
-        assert result.payload.ts[0] == 0.0
-
     def test_fig4_store_serves_second_run(self, bench, results_dir, tmp_path):
         store = tmp_path / "fig4.sqlite"
         options = ExecutionOptions(store=str(store))
@@ -362,6 +419,7 @@ class TestValidateAndFigures:
         second = bench.run(
             RunRequest.make("fig4", options, samples=21, knots=64)
         )
+        assert (first.computed, second.cached) == (1, 1)
         assert first.payload == second.payload
 
     def test_fig2_reproduces_counterexample(self, bench, results_dir):

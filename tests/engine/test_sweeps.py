@@ -1,5 +1,5 @@
 """Sweep workers: equivalence with the single-shot code paths and
-determinism of the rewired experiment generators."""
+determinism of the folded figure/study grids under pooling."""
 
 import pytest
 
@@ -12,7 +12,12 @@ from repro.engine import (
     q_sweep_scenarios,
     run_batch,
 )
-from repro.experiments import acceptance_study, default_q_grid, generate_fig5
+from repro.experiments import (
+    default_q_grid,
+    fig5_data_from_results,
+    fold_study_points,
+    study_scenarios,
+)
 from repro.experiments.functions_fig4 import FIG4_NAMES, fig4_delay_function
 
 KNOTS = 128  # keep the functions cheap; identity is what matters here
@@ -49,9 +54,14 @@ class TestBoundScenarios:
 class TestFig5Determinism:
     def test_inline_vs_pooled_bit_identical(self):
         qs = default_q_grid(points=5)
-        inline = generate_fig5(qs=qs, knots=KNOTS)
-        pooled = generate_fig5(qs=qs, knots=KNOTS, max_workers=3, chunk_size=2)
-        assert inline == pooled
+        scenarios = q_sweep_scenarios(qs, knots=KNOTS)
+        inline = run_batch(evaluate_bound_scenario, scenarios)
+        pooled = run_batch(
+            evaluate_bound_scenario, scenarios, max_workers=3, chunk_size=2
+        )
+        assert fig5_data_from_results(qs, inline) == fig5_data_from_results(
+            qs, pooled
+        )
 
     def test_engine_batch_matches_direct_loop(self):
         qs = [40.0, 400.0]
@@ -85,24 +95,29 @@ class TestStudyScenarios:
         assert len(result.accepted) == len(self.SCENARIO.methods)
 
     def test_acceptance_study_inline_vs_pooled(self):
-        kwargs = dict(
-            utilizations=[0.3, 0.8],
-            methods=["oblivious", "algorithm1", "eq4"],
-            n_tasks=4,
-            sets_per_point=4,
+        utilizations = [0.3, 0.8]
+        methods = ["oblivious", "algorithm1", "eq4"]
+        scenarios = study_scenarios(
+            utilizations, methods, n_tasks=4, sets_per_point=4,
+            q_fraction=0.5, delay_height=0.05, seed=2012,
         )
-        inline = acceptance_study(**kwargs)
-        pooled = acceptance_study(**kwargs, max_workers=3, chunk_size=1)
-        assert inline == pooled
+        inline = run_batch(evaluate_study_scenario, scenarios)
+        pooled = run_batch(
+            evaluate_study_scenario, scenarios, max_workers=3, chunk_size=1
+        )
+        assert fold_study_points(
+            utilizations, methods, 4, inline
+        ) == fold_study_points(utilizations, methods, 4, pooled)
 
     def test_oblivious_dominates(self):
-        points = acceptance_study(
-            utilizations=[0.6],
-            methods=["oblivious", "algorithm1", "eq4"],
-            n_tasks=4,
-            sets_per_point=6,
+        methods = ["oblivious", "algorithm1", "eq4"]
+        scenarios = study_scenarios(
+            [0.6], methods, n_tasks=4, sets_per_point=6,
+            q_fraction=0.5, delay_height=0.05, seed=2012,
         )
-        (point,) = points
+        (point,) = fold_study_points(
+            [0.6], methods, 6, run_batch(evaluate_study_scenario, scenarios)
+        )
         assert (
             point.ratios["oblivious"]
             >= point.ratios["algorithm1"]

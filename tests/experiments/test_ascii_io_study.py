@@ -4,11 +4,13 @@ import math
 
 import pytest
 
+from repro.engine import evaluate_study_scenario, run_batch
 from repro.experiments import (
-    acceptance_study,
+    fold_study_points,
     line_plot,
     render_table,
     results_dir,
+    study_scenarios,
     study_series,
     write_csv,
 )
@@ -86,13 +88,14 @@ class TestCsv:
 class TestAcceptanceStudy:
     @pytest.fixture(scope="class")
     def points(self):
-        return acceptance_study(
-            utilizations=[0.3, 0.8],
-            methods=["oblivious", "algorithm1", "eq4"],
-            n_tasks=4,
-            sets_per_point=12,
-            seed=7,
+        utilizations = [0.3, 0.8]
+        methods = ["oblivious", "algorithm1", "eq4"]
+        scenarios = study_scenarios(
+            utilizations, methods, n_tasks=4, sets_per_point=12,
+            q_fraction=0.5, delay_height=0.05, seed=7,
         )
+        results = run_batch(evaluate_study_scenario, scenarios)
+        return fold_study_points(utilizations, methods, 12, results)
 
     def test_shape(self, points):
         assert len(points) == 2
@@ -120,9 +123,11 @@ class TestAcceptanceStudy:
         )
 
     def test_validation(self):
+        grid = dict(
+            methods=["oblivious"], n_tasks=4, q_fraction=0.5,
+            delay_height=0.05, seed=7,
+        )
         with pytest.raises(ValueError):
-            acceptance_study(utilizations=[], methods=["oblivious"])
+            study_scenarios(utilizations=[], sets_per_point=12, **grid)
         with pytest.raises(ValueError):
-            acceptance_study(
-                utilizations=[0.5], methods=["oblivious"], sets_per_point=0
-            )
+            study_scenarios(utilizations=[0.5], sets_per_point=0, **grid)

@@ -4,14 +4,23 @@ import math
 
 import pytest
 
+from repro.engine import evaluate_bound_scenario, q_sweep_scenarios, run_batch
 from repro.experiments import (
     FIG4_NAMES,
     default_q_grid,
+    fig5_data_from_results,
     generate_fig4,
-    generate_fig5,
     write_fig4_csv,
     write_fig5_csv,
 )
+
+
+def _fig5_data(qs, knots):
+    """Figure 5 over an arbitrary Q grid: the engine batch, folded."""
+    scenarios = q_sweep_scenarios(qs, knots=knots)
+    return fig5_data_from_results(
+        qs, run_batch(evaluate_bound_scenario, scenarios)
+    )
 
 
 class TestFig4Generation:
@@ -63,9 +72,7 @@ class TestQGrid:
 class TestFig5Generation:
     @pytest.fixture(scope="class")
     def data(self):
-        return generate_fig5(
-            qs=[15.0, 40.0, 120.0, 700.0, 2000.0], knots=512
-        )
+        return _fig5_data([15.0, 40.0, 120.0, 700.0, 2000.0], knots=512)
 
     def test_soa_identical_across_functions(self, data):
         # Verified internally; spot-check via the row structure.
@@ -116,7 +123,7 @@ class TestFig5Generation:
 
     def test_divergent_q_handled(self):
         # Q below max f: both methods diverge; rows keep inf.
-        data = generate_fig5(qs=[5.0], knots=128)
+        data = _fig5_data([5.0], knots=128)
         row = data.rows[0]
         assert math.isinf(row.state_of_the_art)
         assert all(math.isinf(v) for v in row.algorithm1.values())

@@ -4,15 +4,24 @@ import math
 
 import pytest
 
+from repro.engine import evaluate_bound_scenario, q_sweep_scenarios, run_batch
 from repro.experiments import (
     build_figure2_function,
+    fig5_data_from_results,
     improvement_summary,
     interpretation_sweep,
     knot_resolution_sweep,
     preemption_cap_sweep,
     run_figure2_demo,
 )
-from repro.experiments.fig5 import generate_fig5
+
+
+def _fig5_data(qs, knots):
+    """Figure 5 over an arbitrary Q grid: the engine batch, folded."""
+    scenarios = q_sweep_scenarios(qs, knots=knots)
+    return fig5_data_from_results(
+        qs, run_batch(evaluate_bound_scenario, scenarios)
+    )
 
 
 class TestFigure2:
@@ -42,9 +51,11 @@ class TestFigure2:
 
 
 class TestAblations:
-    def test_interpretation_sweep_covers_all(self):
+    def test_interpretation_sweep_covers_all(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
         sweeps = interpretation_sweep(qs=[50.0, 500.0], knots=128)
         assert set(sweeps) == {"literal", "sigma", "offset10"}
+        assert (tmp_path / "campaign-interpretation-sigma.jsonl").exists()
         # The offset reading leaves much less room for improvement on
         # gaussian1 (its floor forces near-SOA bounds).
         literal_row = sweeps["literal"].rows[0]
@@ -78,7 +89,7 @@ class TestAblations:
             preemption_cap_sweep(q=50.0, caps=[-1])
 
     def test_improvement_summary(self):
-        data = generate_fig5(qs=[20.0, 100.0], knots=256)
+        data = _fig5_data([20.0, 100.0], knots=256)
         summary = improvement_summary(data)
         for name, factor in summary.items():
             assert factor >= 1.0, name

@@ -1,13 +1,17 @@
-"""Fixtures for the serve test layer: live servers and solo baselines."""
+"""Fixtures for the serve test layer: live servers, solo baselines and
+held jobs."""
 
 from __future__ import annotations
 
+import multiprocessing
 from pathlib import Path
 
+import hold_family
 import pytest
 
 from repro.api import RunRequest, Workbench
 from repro.api.options import ExecutionOptions, SinkSpec
+from repro.engine import registry
 from repro.serve import ServeConfig, start_server
 from repro.serve.server import ServerHandle
 
@@ -31,6 +35,22 @@ def serve_factory(tmp_path):
     yield factory
     for handle in handles:
         handle.stop()
+
+
+@pytest.fixture
+def hold(serve_factory, monkeypatch):
+    """Register the ``hold`` family (see ``hold_family.py``) for one
+    test; yields the event that releases its workers.
+
+    Teardown releases it before the servers stop (this fixture depends
+    on ``serve_factory``, so it is torn down first), so no held job
+    outlives its test.
+    """
+    release = multiprocessing.Event()
+    monkeypatch.setattr(hold_family, "RELEASE", release)
+    monkeypatch.setitem(registry._FAMILIES, "hold", hold_family.HOLD_FAMILY)
+    yield release
+    release.set()
 
 
 @pytest.fixture

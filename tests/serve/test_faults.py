@@ -28,10 +28,15 @@ CHEAP = RunRequest.family(
     defaults={"function": "gaussian1", "knots": 48},
 )
 
-#: Heavy enough (~1s of work) that the worker is reliably still busy
-#: while the test pokes at the server from other connections.  The
-#: function build dominates and grows with ``knots``; at 4096 knots the
-#: job takes under 0.1 s, too short for that.
+#: Eight scenarios of the ``hold`` family: the job stays running until
+#: the test sets the ``hold`` fixture's event, however fast the host.
+HELD = RunRequest.family(
+    "hold",
+    axes={"q": {"grid": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]}},
+)
+
+#: A real eight-scenario bound job (~1s of work), for the faults that
+#: need no timing: a fault-injected kill and a mid-stream disconnect.
 SLOW = RunRequest.family(
     "bound",
     axes={
@@ -55,9 +60,9 @@ def _status(handle) -> dict:
         return client.status()
 
 
-def _run_slow(handle) -> list[str]:
+def _run_held(handle) -> list[str]:
     with ServeClient(handle.host, handle.port) as client:
-        return client.run(SLOW)
+        return client.run(HELD)
 
 
 class TestMidJobKill:
@@ -103,14 +108,14 @@ class TestMidJobKill:
             assert client.run(wounded) == solo_lines(CHEAP)
 
 
-class TestShardFanOut:
+class TestPoolFaults:
     """Faults on a 4-slot pool and on the engine pool (``jobs=2``).
 
     A job runs on one slot however many are idle; a kill or cancel
     still leaves its checkpointed scenarios for a byte-exact restart.
     """
 
-    def test_killed_shard_fails_the_job_and_restart_resumes(
+    def test_killed_job_fails_and_restart_resumes(
         self, serve_factory, solo_lines
     ) -> None:
         handle = serve_factory(workers=4, allow_fail_after=True)
@@ -144,55 +149,49 @@ class TestShardFanOut:
                 == 8
             )
 
-    def test_cancel_tears_down_every_in_flight_shard(
-        self, serve_factory, solo_lines
+    def test_cancel_on_a_four_slot_pool_restarts_byte_exact(
+        self, serve_factory, hold, solo_lines
     ) -> None:
-        _cancel_slow_then_restart(serve_factory(workers=4), solo_lines)
+        _cancel_held_then_restart(serve_factory(workers=4), hold, solo_lines)
 
     def test_engine_pool_cancel_restarts_byte_exact(
-        self, serve_factory, solo_lines
+        self, serve_factory, hold, solo_lines
     ) -> None:
         # The cancel reaches a job whose scenarios run on the engine's
         # process pool.
-        _cancel_slow_then_restart(serve_factory(jobs=2), solo_lines)
+        _cancel_held_then_restart(serve_factory(jobs=2), hold, solo_lines)
 
 
-def _cancel_slow_then_restart(handle, solo_lines) -> None:
-    """Cancel a running ``SLOW`` job, then check that its slot comes
+def _cancel_held_then_restart(handle, hold, solo_lines) -> None:
+    """Cancel a running ``HELD`` job, then check that its slot comes
     back and that a restart from its checkpoint is byte-exact."""
-    # Computed before the job starts (see TestCancellation): the
-    # fingerprint read can outlast a job computing in-process.
-    job_id = _expected_job_id(SLOW)
+    job_id = _expected_job_id(HELD)
     with ThreadPoolExecutor(max_workers=1) as pool:
-
-        def run_slow():
-            with ServeClient(handle.host, handle.port) as client:
-                return client.run(SLOW)
-
-        victim = pool.submit(run_slow)
+        victim = pool.submit(_run_held, handle)
         _wait_for(lambda: _status(handle)["jobs"]["running"] == 1)
         with ServeClient(handle.host, handle.port) as client:
             client.cancel(job_id)
+        hold.set()  # the first record now meets the cancel
         with pytest.raises(ServeError) as info:
             victim.result()
         assert info.value.code == "job-cancelled"
 
     _wait_for(lambda: _status(handle)["busy_slots"] == 0)
     with ServeClient(handle.host, handle.port) as client:
-        stream = client.submit(SLOW)
+        stream = client.submit(HELD)
         assert stream.dedup == "restart"
-        assert stream.lines() == solo_lines(SLOW, tag="solo-slow")
+        assert stream.lines() == solo_lines(HELD, tag="solo-held")
 
 
 class TestDisconnects:
     def test_queued_job_is_cancelled_when_its_only_client_vanishes(
-        self, serve_factory, solo_lines
+        self, serve_factory, hold, solo_lines
     ) -> None:
         # workers=1: the second job must actually *queue* behind the
-        # slow one, whatever the host's core count.
+        # held one, whatever the host's core count.
         handle = serve_factory(workers=1)
         with ThreadPoolExecutor(max_workers=1) as pool:
-            slow = pool.submit(_run_slow, handle)
+            slow = pool.submit(_run_held, handle)
             _wait_for(lambda: _status(handle)["jobs"]["running"] == 1)
 
             deserter = ServeClient(handle.host, handle.port)
@@ -201,7 +200,8 @@ class TestDisconnects:
             deserter.close()  # vanish before the job ever starts
 
             _wait_for(lambda: _status(handle)["jobs"]["cancelled"] == 1)
-            assert len(slow.result()) == 8  # the slow job is unharmed
+            hold.set()
+            assert len(slow.result()) == 8  # the held job is unharmed
 
         # The abandoned job restarts cleanly on resubmission.
         with ServeClient(handle.host, handle.port) as client:
@@ -210,7 +210,7 @@ class TestDisconnects:
             assert stream.lines() == solo_lines(CHEAP)
 
     def test_vanished_queued_job_releases_its_queue_slot_immediately(
-        self, serve_factory, solo_lines
+        self, serve_factory, hold, solo_lines
     ) -> None:
         # Regression: an EOF-cancelled queued job must give its queue
         # capacity back right away — with max_queued=1 the deserter's
@@ -218,7 +218,7 @@ class TestDisconnects:
         # would be rejected with ``busy`` if teardown leaked it.
         handle = serve_factory(workers=1, max_queued=1)
         with ThreadPoolExecutor(max_workers=1) as pool:
-            slow = pool.submit(_run_slow, handle)
+            slow = pool.submit(_run_held, handle)
             _wait_for(lambda: _status(handle)["jobs"]["running"] == 1)
 
             deserter = ServeClient(handle.host, handle.port)
@@ -238,11 +238,12 @@ class TestDisconnects:
             deserter.close()  # vanish while still queued
             _wait_for(lambda: _status(handle)["jobs"]["cancelled"] == 1)
 
-            # The slot is free again *while the slow job still runs*:
+            # The slot is free again *while the held job still runs*:
             # the same submission that just bounced is now accepted.
             with ServeClient(handle.host, handle.port) as client:
                 queued = client.submit(other)
-                assert queued.state in ("queued", "running")
+                assert queued.state == "queued"
+                hold.set()
                 assert queued.lines() == solo_lines(other, tag="solo-other")
             assert len(slow.result()) == 8
 
@@ -273,35 +274,28 @@ class TestDisconnects:
 
 class TestCancellation:
     def test_cancelling_a_running_job_stops_it_between_records(
-        self, serve_factory, solo_lines
+        self, serve_factory, hold, solo_lines
     ) -> None:
         handle = serve_factory(workers=1)
-        # Computed before the job starts: the package fingerprint reads
-        # every source file, and with a CPU-bound job holding the GIL
-        # that can take longer than the whole job.
-        job_id = _expected_job_id(SLOW)
+        job_id = _expected_job_id(HELD)
         with ThreadPoolExecutor(max_workers=1) as pool:
-
-            def run_slow():
-                with ServeClient(handle.host, handle.port) as client:
-                    return client.run(SLOW)
-
-            victim = pool.submit(run_slow)
+            victim = pool.submit(_run_held, handle)
             _wait_for(lambda: _status(handle)["jobs"]["running"] == 1)
             with ServeClient(handle.host, handle.port) as client:
                 ack = client.cancel(job_id)
                 assert ack == {"frame": "cancelled", "job": job_id}
+            hold.set()
             with pytest.raises(ServeError) as info:
                 victim.result()
             assert info.value.code == "job-cancelled"
 
-        # Completed scenarios were checkpointed before the cancel, so
-        # the restarted job serves them from cache and the stream is
+        # Whatever completed before the cancel was checkpointed, so
+        # the restarted job serves it from cache and the stream is
         # byte-exact regardless of where the cancel landed.
         with ServeClient(handle.host, handle.port) as client:
-            stream = client.submit(SLOW)
+            stream = client.submit(HELD)
             assert stream.dedup == "restart"
-            assert stream.lines() == solo_lines(SLOW, tag="solo-slow")
+            assert stream.lines() == solo_lines(HELD, tag="solo-held")
 
     def test_cancel_of_an_unknown_job_is_a_clean_error(
         self, serve_factory

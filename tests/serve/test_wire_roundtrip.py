@@ -238,9 +238,10 @@ class TestOptionsRoundTrip:
         class FakeStore:
             pass
 
-        options = ExecutionOptions(store=FakeStore())
-        with pytest.raises(ValueError, match="open store instance"):
-            options_to_wire(options)
+        # Only a path can travel: options refuse anything else at
+        # construction, before any wire encoding is attempted.
+        with pytest.raises(ValueError, match="store must be a path"):
+            ExecutionOptions(store=FakeStore())
 
 
 # ----------------------------------------------------------------------

@@ -174,6 +174,19 @@ class TestJobCommands:
         assert "cmp" in commands
         assert "sim-validate" in commands
 
+    def test_bench_smoke_job_checks_the_folding_workloads(self, workflow):
+        # The folding workloads' artifacts must not depend on how the
+        # grid was run: a plain fig5 CSV against one rebuilt from two
+        # merged shard stores, and a cold study against a warm one.
+        commands = _steps_commands(workflow["jobs"]["bench-smoke"])
+        assert "python -m repro fig5 --points 4 --knots 64" in commands
+        assert "--shard $i/2" in commands
+        assert "python -m repro merge /tmp/fig5-merged.sqlite" in commands
+        assert "--store /tmp/fig5-merged.sqlite --resume" in commands
+        assert "cmp /tmp/fold-plain/fig5.csv /tmp/fold-shard/fig5.csv" in commands
+        assert "python -m repro study --tasks 3 --sets 4 --store" in commands
+        assert "cmp /tmp/study-cold.txt /tmp/study-warm.txt" in commands
+
     def test_bench_smoke_job_matrixes_over_kernel_backends(self, workflow):
         # One exact Algorithm 1 kernel: no backend matrix any more, and
         # no --backend flag (the CLI refuses it).
@@ -206,6 +219,12 @@ class TestJobCommands:
         assert "python examples/analysis_service.py" in commands
         assert "benchmarks/bench_serve.py" in commands
         assert (REPO_ROOT / "examples" / "analysis_service.py").is_file()
+
+    def test_serve_smoke_job_runs_the_fault_suite_in_dev_mode(self, workflow):
+        # The fault suite holds its jobs on an event instead of racing
+        # a slow job, so it must also pass under python -X dev.
+        commands = _steps_commands(workflow["jobs"]["serve-smoke"])
+        assert "python -X dev -m pytest tests/serve/test_faults.py" in commands
 
     def test_workflow_paths_exist(self, workflow):
         # Any repo path named in a run command must exist.
