@@ -29,6 +29,7 @@ Wire format (version :data:`WIRE_VERSION`)::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections.abc import Mapping
 from typing import Any
@@ -40,24 +41,21 @@ from repro.utils.checks import require
 #: Bump when the wire mapping changes incompatibly; checked on decode.
 WIRE_VERSION = 1
 
-#: ExecutionOptions fields that travel verbatim (JSON scalars).
-_SCALAR_OPTION_FIELDS = (
-    "jobs",
-    "chunk",
-    "resume",
-    "shard",
-    "format",
-    "fail_after",
-)
-
-#: ExecutionOptions fields with bespoke wire encodings below.  Together
-#: with the scalar tuple this must cover every ExecutionOptions field —
-#: the RC004 contract check (repro.checks.contracts) enforces it.
+#: ExecutionOptions fields with bespoke wire encodings below.
 _COMPOUND_OPTION_FIELDS = ("store", "results_dir", "sinks")
 
-#: Top-level wire request keys; "version" plus every RunRequest field
-#: (also enforced by RC004).
-_REQUEST_FIELDS = ("version", "workload", "params", "options")
+#: Every other ExecutionOptions field travels verbatim, in dataclass
+#: order.  Derived, so a new field can never be silently dropped: it
+#: travels as-is, and a value that is not JSON fails loudly on encode
+#: (dumps_request).
+_SCALAR_OPTION_FIELDS = tuple(
+    f.name
+    for f in dataclasses.fields(ExecutionOptions)
+    if f.name not in _COMPOUND_OPTION_FIELDS
+)
+
+#: Top-level wire request keys: "version" plus every RunRequest field.
+_REQUEST_FIELDS = ("version", *(f.name for f in dataclasses.fields(RunRequest)))
 
 
 def options_to_wire(options: ExecutionOptions) -> dict[str, Any]:

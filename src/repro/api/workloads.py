@@ -240,7 +240,8 @@ def _run_grid(request: RunRequest, params: dict[str, Any]) -> RunResult:
     folds the collected results into the payload and artifact.  A
     folding plan needs the *full* grid, so its shard runs checkpoint
     into a store and stop there; the artifact comes from rerunning on
-    the merged store.
+    the merged store.  It streams no records, so it refuses sinks and
+    a sink format rather than ignore them.
     """
     from repro.api.plan import plan_scenarios
 
@@ -254,6 +255,11 @@ def _run_grid(request: RunRequest, params: dict[str, Any]) -> RunResult:
             "computes only its slice, so the final artifact is produced "
             "by merging the shard stores ('repro merge') and re-running "
             "with the merged store"
+        )
+    if folding and (options.sinks or options.format != ExecutionOptions.format):
+        raise ValueError(
+            f"{plan.workload} folds its grid into its own artifact and "
+            "streams no records, so it takes no sinks and no sink format"
         )
     specs = () if folding else resolve_sinks(options, plan.sink_name)
     counter = None if folding else _ConvergenceCounter(open_sink(specs))
@@ -636,40 +642,14 @@ def _render_serve(result: RunResult) -> str:
 
 
 def _run_check(request: RunRequest, params: dict[str, Any]) -> RunResult:
-    from repro.checks import (
-        load_baseline,
-        load_tree,
-        prune_baseline,
-        repo_root,
-        run_checks,
-        write_baseline,
-    )
+    from repro.checks import load_tree, repo_root, run_checks
 
     root = Path(params["root"]) if params["root"] else repo_root()
-    tree = load_tree(root)
-    baseline_path = root / params["baseline"]
-    select = list(params["select"]) or None
-    ignore = list(params["ignore"]) or None
-
-    def run(baseline=()):
-        return run_checks(
-            tree, select=select, ignore=ignore, baseline=baseline
-        )
-
-    if params["write_baseline"]:
-        # Re-baseline: grandfather whatever is live right now (the
-        # suppressions still apply) and report against the new file.
-        report = run()
-        write_baseline(baseline_path, report.findings)
-        report = run(baseline=load_baseline(baseline_path))
-    else:
-        report = run(baseline=load_baseline(baseline_path))
-    pruned = 0
-    if params["prune_baseline"] and report.stale:
-        # Self-cleaning: drop exactly the stale entries (keeping each
-        # survivor's reason field) and re-report against the result.
-        pruned = prune_baseline(baseline_path, report.stale)
-        report = run(baseline=load_baseline(baseline_path))
+    report = run_checks(
+        load_tree(root),
+        select=list(params["select"]) or None,
+        ignore=list(params["ignore"]) or None,
+    )
     return RunResult(
         request=request,
         ok=report.ok,
@@ -678,13 +658,8 @@ def _run_check(request: RunRequest, params: dict[str, Any]) -> RunResult:
         computed=len(report.codes_run),
         extra={
             "format": params["format"],
-            "baseline": str(baseline_path),
-            "baseline_written": bool(params["write_baseline"]),
-            "baseline_pruned": pruned,
             "findings": len(report.findings),
             "suppressed": report.suppressed,
-            "baselined": report.baselined,
-            "stale": len(report.stale),
         },
     )
 
@@ -701,16 +676,7 @@ def _render_check(result: RunResult) -> str:
         return json.dumps(
             report_to_sarif(report), indent=2, sort_keys=True
         )
-    text = report.render_text()
-    if result.extra["baseline_written"]:
-        text += f"\nwrote baseline {result.extra['baseline']}"
-    if result.extra["baseline_pruned"]:
-        text += (
-            f"\npruned {result.extra['baseline_pruned']} stale "
-            f"entr{'y' if result.extra['baseline_pruned'] == 1 else 'ies'} "
-            f"from {result.extra['baseline']}"
-        )
-    return text
+    return report.render_text()
 
 
 # ----------------------------------------------------------------------
@@ -977,25 +943,9 @@ def _register_builtins() -> None:
                     choices=("text", "json", "sarif"),
                 ),
                 Parameter(
-                    "baseline", str, "checks-baseline.json",
-                    "grandfathered-findings file, relative to the "
-                    "checked root (missing file = empty baseline)",
-                ),
-                Parameter(
                     "root", str, "",
                     "repository root to check (default: auto-detected "
                     "from the installed package layout)",
-                ),
-                Parameter(
-                    "write_baseline", bool, False,
-                    "rewrite the baseline file to grandfather every "
-                    "currently-live finding, then report against it",
-                ),
-                Parameter(
-                    "prune_baseline", bool, False,
-                    "drop stale baseline entries (findings that no "
-                    "longer fire) from the baseline file, then "
-                    "re-report against the pruned file",
                 ),
             ),
             runner=_run_check,

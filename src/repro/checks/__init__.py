@@ -5,8 +5,9 @@ machines agree on, byte-identical resumed/sharded streams,
 process-pool workers that pickle, an
 event loop that never stalls — are easy to break with one innocent
 line.  This package turns those invariants into registered, named
-checkers over a parsed source tree, the live registries, and an
-interprocedural call graph (:mod:`repro.checks.callgraph`):
+checkers.  Each is a query over the live registries or over the facts
+of one pass that walks every scope of the parsed source tree once
+(:mod:`repro.checks.callgraph`):
 
 * ``determinism`` (``DET001``–``DET006``) — unseeded randomness,
   wall-clock/entropy reads, ``hash()`` of strings, unordered set
@@ -21,17 +22,19 @@ interprocedural call graph (:mod:`repro.checks.callgraph`):
   blocking while holding a lock, ``await`` under a sync lock;
 * ``fork-safety`` (``FS001``–``FS002``) — loop/thread state or global
   mutation reachable from subprocess entry points;
-* ``contracts`` (``RC001``, ``RC002``, ``RC004``, ``RC005``) —
-  registry/wire declarations that must not drift from the code they
-  describe.
+* ``contracts`` (``RC001``, ``RC002``, ``RC005``) — registry
+  declarations that must not drift from the code they describe.
+
+A call-site rule is a surface classifier (:mod:`repro.checks.surfaces`:
+entropy/clock, blocking, loop/thread, global write) applied either to
+the sites of one scope or along the call graph's one breadth-first
+search from an entry set (workers, coroutines, fork entries, held
+locks).
 
 Run it as ``python -m repro check`` (see :mod:`repro.api.workloads`),
-or programmatically via :func:`run_repo_checks`.  False positives are
-silenced per line with ``# repro-check: ignore[CODE]``; pre-existing
-findings are grandfathered in the committed ``checks-baseline.json``,
-where every entry carries a reason and a stale entry (one whose
-finding no longer fires) fails the pass until pruned
-(``--prune-baseline``).
+or programmatically via :func:`run_repo_checks`.  A reviewed false
+positive is silenced on its line with ``# repro-check: ignore[CODE]``;
+that is the one opt-out.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from repro.checks import (  # noqa: F401
 from repro.checks.callgraph import (
     CallGraph,
     CallSite,
-    FunctionInfo,
+    Scope,
     build_graph,
 )
 from repro.checks.model import (
@@ -63,11 +66,8 @@ from repro.checks.model import (
     check_codes,
     check_groups,
     get_check,
-    load_baseline,
-    prune_baseline,
     register_check,
     run_checks,
-    write_baseline,
 )
 from repro.checks.sarif import report_to_sarif
 from repro.checks.source import (
@@ -86,16 +86,13 @@ __all__ = [
     "Checker",
     "CheckReport",
     "Finding",
-    "FunctionInfo",
+    "Scope",
     "build_graph",
     "check_codes",
     "check_groups",
     "get_check",
     "register_check",
     "run_checks",
-    "load_baseline",
-    "prune_baseline",
-    "write_baseline",
     "report_to_sarif",
     "DEFAULT_SUBDIRS",
     "SourceFile",
@@ -111,7 +108,6 @@ def run_repo_checks(
     root: Path | None = None,
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
-    baseline_path: Path | None = None,
 ) -> CheckReport:
     """Run the full pass the ``check`` workload and CI job run.
 
@@ -120,15 +116,6 @@ def run_repo_checks(
             layout via :func:`repo_root`).
         select: Checker codes/groups/prefixes to run (default: all).
         ignore: Checker codes/groups/prefixes to drop from the run.
-        baseline_path: Grandfathered-findings file (default:
-            ``<root>/checks-baseline.json``; missing file = empty).
     """
     base = Path(root) if root is not None else repo_root()
-    if baseline_path is None:
-        baseline_path = base / "checks-baseline.json"
-    return run_checks(
-        load_tree(base),
-        select=select,
-        ignore=ignore,
-        baseline=load_baseline(Path(baseline_path)),
-    )
+    return run_checks(load_tree(base), select=select, ignore=ignore)

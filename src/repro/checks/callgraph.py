@@ -1,44 +1,42 @@
-"""The interprocedural core: a call graph over the parsed source tree.
+"""The fact pass: every scope of the tree walked once, and the call graph.
 
-PR 8's checkers were strictly file-local AST walks, but the bugs that
-actually threaten the serve layer's thread pool and the engine's fork
-pools are *interprocedural*: a helper three calls deep that blocks
-while a lock is held, touches the asyncio loop after fork, or reads
-wall-clock inside a record-producing path.  This module resolves
-module-level names, imports and attribute calls across the whole
-:class:`~repro.checks.source.SourceTree` into one :class:`CallGraph`
-that every transitive checker (``LK``, ``FS``, ``ASY002``, ``DET006``)
-queries instead of re-deriving resolution per rule.
+Every rule of :mod:`repro.checks` is a query over the facts this module
+records.  :func:`build_graph` walks each *scope* of the parsed
+:class:`~repro.checks.source.SourceTree` exactly once — each module
+body, each class body and each ``def``/``async def`` at any nesting
+depth (a ``lambda`` or comprehension belongs to the scope it sits in) —
+and records, per :class:`Scope`:
 
-What the graph models, and what it deliberately does not:
+* every call expression as a :class:`CallSite`, resolved to a function
+  of the tree (``target``) or a canonical dotted name outside it
+  (``external``: ``time.sleep`` however it was imported), else kept
+  with its attribute name (``.result()``);
+* the resolution tables: imports, local ``def``s and classes, and the
+  names the scope binds (a bound name hides module and import names);
+* ``global``/``nonlocal`` statements;
+* ``with`` regions over ``threading`` locks: the locks taken, the
+  calls and ``await`` expressions made while one is held;
+* process-pool launches (``pool.submit(f, ...)`` on a
+  ``ProcessPoolExecutor``, ``Process(target=f)``) and
+  ``register_family(... worker=f)`` declarations;
+* the expression facts of the lexical determinism rules: set
+  iteration and ``==``/``!=`` against a fractional float literal.
 
-* Every ``def``/``async def`` at any nesting depth is a
-  :class:`FunctionInfo` node (``module:Qualified.Name`` ids).
-* A call edge is an :class:`ast.Call` whose callee resolves through
-  the lexical scope chain — local ``def``s, module functions/classes,
-  import aliases (module-level *and* function-local, the repo's lazy-
-  import idiom), ``self.``/``cls.`` methods of the enclosing class.
-* Unresolvable callees are kept, not dropped: a call on an arbitrary
-  object records its attribute name (``.result()``, ``.read_text()``)
-  and a call into an imported third-party module records its canonical
-  dotted name (``time.sleep`` whether imported as ``time`` or ``from
-  time import sleep``), so checkers can still match known-blocking
-  surfaces at the graph's edge.
-* No data flow: a function *referenced* (passed to ``to_thread``,
-  stored in a registry) is not an edge — only a call is.  Entry-point
-  discovery for those indirection idioms is explicit instead:
-  :meth:`CallGraph.fork_entries` (``ProcessPoolExecutor.submit`` /
-  ``Process(target=...)``) and :meth:`CallGraph.worker_entries`
-  (``register_family(... worker=...)``).
+Resolution runs after the walk, over the recorded names rather than the
+AST, so cross-module references see every module's tables.  There is no
+data flow: a function merely *referenced* is not an edge; the two
+indirections that matter (launches and worker declarations) are
+recorded as entry sets instead.
 
-Reachability queries (:meth:`CallGraph.walk_sites`) run a BFS that
-visits each function once, so every reported finding carries the
-*shortest* call path from its entry point to the offending site.
+:meth:`CallGraph.reach` is the one breadth-first search over the graph.
+It visits each scope once, so every reported finding carries the
+*shortest* call path from its entry point.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -47,12 +45,16 @@ from repro.checks.source import dotted_name
 __all__ = [
     "CallGraph",
     "CallSite",
-    "FunctionInfo",
+    "Scope",
     "build_graph",
     "format_path",
     "module_name",
-    "transitive_hits",
 ]
+
+#: ``threading`` constructors whose instances count as locks.
+LOCK_TYPES = frozenset(
+    {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
+)
 
 
 def module_name(rel: str) -> str:
@@ -71,43 +73,14 @@ def module_name(rel: str) -> str:
 
 
 @dataclass(frozen=True)
-class FunctionInfo:
-    """One ``def``/``async def`` node of the graph.
-
-    Attributes:
-        node_id: Stable id — ``module:Qualified.Name`` (nested
-            functions use the ``outer.<locals>.inner`` qualname form).
-        file: Repo-relative path of the defining file.
-        module: Dotted module name.
-        qual: Qualified name within the module.
-        name: Bare function name.
-        lineno: 1-based definition line.
-        is_async: Whether the function is a coroutine.
-        class_name: Enclosing class name, when the function is a
-            method (``None`` otherwise).
-        parent: ``node_id`` of the enclosing function, for nested
-            defs (``None`` at module/class level).
-    """
-
-    node_id: str
-    file: str
-    module: str
-    qual: str
-    name: str
-    lineno: int
-    is_async: bool
-    class_name: str | None
-    parent: str | None
-
-
-@dataclass(frozen=True)
 class CallSite:
-    """One call expression attributed to its enclosing function.
+    """One call expression of one scope.
 
     Exactly one of ``target``/``external``/``attr`` is the useful
     handle: ``target`` for calls resolved to a function in the tree,
     ``external`` for calls resolved to a canonical dotted name outside
-    it, ``attr`` for method calls on unresolvable objects.
+    it, ``attr`` for method calls on unresolvable objects.  ``held``
+    lists the locks held around the call (innermost last).
     """
 
     file: str
@@ -116,28 +89,73 @@ class CallSite:
     target: str | None = None
     external: str | None = None
     attr: str | None = None
-
-    @property
-    def label(self) -> str:
-        """What a finding message calls this site."""
-        if self.external:
-            return self.external
-        if self.raw:
-            return self.raw
-        if self.attr:
-            return f".{self.attr}"
-        return "?"
+    held: tuple[str, ...] = ()
 
 
-@dataclass
-class _ModuleInfo:
-    """Resolution tables of one covered module."""
+@dataclass(eq=False)
+class Scope:
+    """One module body, class body or function, with its facts.
 
-    module: str
+    Attributes:
+        node_id: ``module:Qualified.Name`` (the Python ``__qualname__``
+            form, ``outer.<locals>.inner`` for nested defs);
+            ``module:<module>`` for a module body.
+        kind: ``"module"``, ``"class"`` or ``"def"``.
+        class_name: Qualified name of the class whose method this is
+            (inherited by defs nested in a method), else ``None``.
+        sites: The scope's call sites (resolved after the walk).
+        rebinds: ``(line, statement, names)`` per ``global``/``nonlocal``.
+        acquires: Locks taken by ``with`` in this scope.
+        pairs: ``(held, taken, line)`` per lock taken under another.
+        held_awaits: ``(held locks, line)`` per ``await`` under a lock.
+        unordered: Lines iterating a set display or constructor.
+        float_compares: ``(line, literal)`` per ``==``/``!=`` against a
+            fractional float literal.
+    """
+
+    node_id: str
     file: str
-    imports: dict[str, str] = field(default_factory=dict)
-    functions: dict[str, str] = field(default_factory=dict)
-    classes: dict[str, dict[str, str]] = field(default_factory=dict)
+    module: str
+    qual: str
+    name: str
+    kind: str
+    is_async: bool = False
+    class_name: str | None = None
+    enclosing: Scope | None = field(default=None, repr=False)
+    sites: tuple[CallSite, ...] = ()
+    rebinds: list[tuple[int, str, tuple[str, ...]]] = field(default_factory=list)
+    acquires: set[str] = field(default_factory=set)
+    pairs: list[tuple[str, str, int]] = field(default_factory=list)
+    held_awaits: list[tuple[tuple[str, ...], int]] = field(default_factory=list)
+    unordered: list[int] = field(default_factory=list)
+    float_compares: list[tuple[int, float]] = field(default_factory=list)
+    # Resolution tables and not-yet-resolved facts, filled by the walk:
+    # calls are (line, dotted name, attribute, held lock candidates);
+    # assigned pairs a bound target with the callee that produced it;
+    # submits are (line, launcher, entry name) launch candidates and
+    # workers (register_family line, worker name).
+    defs: dict[str, str] = field(default_factory=dict, repr=False)
+    classes: dict[str, Scope] = field(default_factory=dict, repr=False)
+    imports: dict[str, str] = field(default_factory=dict, repr=False)
+    bound: set[str] = field(default_factory=set, repr=False)
+    calls: list[tuple] = field(default_factory=list, repr=False)
+    assigned: list[tuple[str, str]] = field(default_factory=list, repr=False)
+    pool_factories: set[str] = field(default_factory=set, repr=False)
+    submits: list[tuple[int, str, str]] = field(default_factory=list, repr=False)
+    workers: list[tuple[int, str]] = field(default_factory=list, repr=False)
+
+    def lock_identity(self, name: str | None) -> str | None:
+        """The lock identity candidate a ``with`` target names.
+
+        ``self.x`` in a method is ``module:Class.x``; a bare ``x`` is
+        ``module:x``.  Whether it *is* a lock is known only once every
+        scope has been walked.
+        """
+        if name is None:
+            return None
+        if name.startswith("self.") and self.class_name is not None:
+            return f"{self.module}:{self.class_name}.{name[len('self.'):]}"
+        return f"{self.module}:{name}" if "." not in name else None
 
 
 def _import_aliases(
@@ -162,36 +180,239 @@ def _import_aliases(
         yield alias, f"{base}.{name.name}" if base else name.name
 
 
+def _names_process_pool(value: ast.AST) -> bool:
+    """Whether ``value`` names ``ProcessPoolExecutor``, directly or as
+    one branch of a conditional (the engine's executor switch)."""
+    if isinstance(value, ast.IfExp):
+        return _names_process_pool(value.body) or _names_process_pool(
+            value.orelse
+        )
+    name = dotted_name(value)
+    return name is not None and name.split(".")[-1] == "ProcessPoolExecutor"
+
+
+def _iterates_unordered(node: ast.AST) -> bool:
+    """Whether ``node`` (an iterable position) is an unordered set."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("set", "frozenset")
+    )
+
+
+def _fractional_literal(node: ast.Compare) -> float | None:
+    """The fractional float literal an ``==``/``!=`` compares against."""
+    if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+        return None
+    for side in (node.left, *node.comparators):
+        if (
+            isinstance(side, ast.Constant)
+            and isinstance(side.value, float)
+            and not side.value.is_integer()
+        ):
+            return side.value
+    return None
+
+
+class _Walker:
+    """The one walk of one file: every node is visited exactly once,
+    attributed to the scope it belongs to."""
+
+    def __init__(self, graph: CallGraph, rel: str, module: str) -> None:
+        self.graph = graph
+        self.rel = rel
+        self.module = module
+        self.package = (
+            module
+            if rel.endswith("__init__.py")
+            else module.rsplit(".", 1)[0] if "." in module else ""
+        )
+
+    def open_scope(
+        self, name: str, kind: str, enclosing: Scope | None, is_async: bool = False
+    ) -> Scope:
+        """The scope of ``name`` (a def, a class, or ``<module>``), new
+        unless an earlier definition of the same name opened it."""
+        if enclosing is None or enclosing.kind == "module":
+            qual = name
+        elif enclosing.kind == "class":
+            qual = f"{enclosing.qual}.{name}"
+        else:
+            qual = f"{enclosing.qual}.<locals>.{name}"
+        node_id = f"{self.module}:{qual}"
+        if node_id not in self.graph._scopes:  # else a redefinition (setter, …)
+            class_name = None
+            if enclosing is not None and kind != "class":
+                class_name = (
+                    enclosing.qual if enclosing.kind == "class" else enclosing.class_name
+                )
+            self.graph._scopes[node_id] = Scope(
+                node_id, self.rel, self.module, qual, name, kind, is_async,
+                class_name, enclosing,
+            )
+        return self.graph._scopes[node_id]
+
+    def visit(
+        self,
+        node: ast.AST,
+        scope: Scope,
+        held: tuple[str, ...],
+        register: int | None,
+    ) -> None:
+        kind = type(node)
+        if kind is ast.Call:
+            register = self.call(node, scope, held, register)
+        elif kind is ast.Name:
+            if type(node.ctx) is not ast.Load:
+                scope.bound.add(node.id)
+            return
+        elif kind is ast.FunctionDef or kind is ast.AsyncFunctionDef:
+            inner = self.open_scope(node.name, "def", scope, kind is ast.AsyncFunctionDef)
+            scope.defs.setdefault(node.name, inner.node_id)
+            for child in ast.iter_child_nodes(node):
+                self.visit(child, inner, (), None)
+            return
+        elif kind is ast.ClassDef:
+            inner = self.open_scope(node.name, "class", scope)
+            scope.classes.setdefault(node.name, inner)
+            for child in ast.iter_child_nodes(node):
+                self.visit(child, inner, (), None)
+            return
+        elif kind is ast.Lambda:
+            args = node.args
+            for child in (*args.defaults, *args.kw_defaults, node.body):
+                if child is not None:
+                    self.visit(child, scope, held, register)
+            return
+        elif kind is ast.arg:
+            scope.bound.add(node.arg)
+        elif kind is ast.Import or kind is ast.ImportFrom:
+            for alias, target in _import_aliases(node, self.package):
+                scope.imports.setdefault(alias, target)
+            return
+        elif kind is ast.Global or kind is ast.Nonlocal:
+            statement = "global" if kind is ast.Global else "nonlocal"
+            scope.rebinds.append((node.lineno, statement, tuple(node.names)))
+            return
+        elif kind is ast.With:
+            self.with_block(node, scope, held, register)
+            return
+        elif kind is ast.Assign:
+            self.record_assignment(scope, node.targets, node.value)
+        elif kind is ast.AnnAssign and node.value is not None:
+            self.record_assignment(scope, [node.target], node.value)
+        elif kind is ast.ExceptHandler:
+            if node.name:
+                scope.bound.add(node.name)
+        elif kind is ast.Await:
+            if held:
+                scope.held_awaits.append((held, node.lineno))
+        elif kind is ast.For or kind is ast.AsyncFor or kind is ast.comprehension:
+            if _iterates_unordered(node.iter):
+                scope.unordered.append(node.iter.lineno)
+        elif kind is ast.Compare:
+            literal = _fractional_literal(node)
+            if literal is not None:
+                scope.float_compares.append((node.lineno, literal))
+        for child in ast.iter_child_nodes(node):
+            self.visit(child, scope, held, register)
+
+    def call(
+        self,
+        node: ast.Call,
+        scope: Scope,
+        held: tuple[str, ...],
+        register: int | None,
+    ) -> int | None:
+        """Record one call; returns the ``register_family`` line its
+        arguments are declared under, if any."""
+        func = node.func
+        raw = dotted_name(func)
+        attr = func.attr if isinstance(func, ast.Attribute) else None
+        scope.calls.append((node.lineno, raw, attr, held))
+        last = raw.split(".")[-1] if raw is not None else None
+        if register is None and last == "register_family":
+            register = node.lineno
+        if last == "submit" and "." in raw and node.args:
+            value = dotted_name(node.args[0])
+            if value is not None:
+                scope.submits.append((node.lineno, raw, value))
+        for keyword in node.keywords:
+            value = dotted_name(keyword.value)
+            if value is None:
+                continue
+            if keyword.arg == "target" and last == "Process":
+                scope.submits.append((node.lineno, raw, value))
+            elif keyword.arg == "worker" and register is not None:
+                scope.workers.append((register, value))
+        return register
+
+    def with_block(
+        self, node: ast.With, scope: Scope, held: tuple[str, ...], register: int | None
+    ) -> None:
+        taken: list[str] = []
+        for item in node.items:
+            value, bound = item.context_expr, item.optional_vars
+            self.visit(value, scope, held, register)
+            if bound is not None:
+                self.visit(bound, scope, held, register)
+                self.record_assignment(scope, [bound], value)
+            ident = scope.lock_identity(dotted_name(value))
+            if ident is not None:
+                scope.acquires.add(ident)
+                scope.pairs.extend(
+                    (holder, ident, node.lineno) for holder in held if holder != ident
+                )
+                taken.append(ident)
+        for statement in node.body:
+            self.visit(statement, scope, (*held, *taken), register)
+
+    @staticmethod
+    def record_assignment(scope: Scope, targets: list[ast.AST], value: ast.AST) -> None:
+        """Note ``targets = value`` where it may bind a lock or a pool."""
+        if _names_process_pool(value):
+            scope.pool_factories.update(t.id for t in targets if isinstance(t, ast.Name))
+        callee = dotted_name(value.func) if isinstance(value, ast.Call) else None
+        for target in targets if callee is not None else ():
+            name = dotted_name(target)
+            if name is not None:
+                scope.assigned.append((name, callee))
+
+
 class CallGraph:
-    """Call edges and reachability over one parsed source tree."""
+    """The scopes of one parsed source tree and the calls between them.
+
+    Attributes:
+        locks: Every structurally identified lock: ``module:Class.attr``
+            for ``self.attr = threading.Lock()`` (``RLock``,
+            ``Condition``, ``Semaphore`` included) in a method, and
+            ``module:name`` for a module-level ``name = Lock()``.
+        launches: ``(entry, launch site)`` per function a process-pool
+            ``submit`` or ``Process(target=...)`` starts in a child.
+        workers: ``(worker, declaration site)`` per
+            ``register_family(... worker=f)`` declaration.
+    """
 
     def __init__(self) -> None:
-        self._functions: dict[str, FunctionInfo] = {}
-        self._ast: dict[str, ast.AST] = {}
-        self._modules: dict[str, _ModuleInfo] = {}
-        self._edges: dict[str, tuple[CallSite, ...]] = {}
-        self._children: dict[str, dict[str, str]] = {}
+        self._scopes: dict[str, Scope] = {}
+        self._modules: dict[str, Scope] = {}
+        self.locks: set[str] = set()
+        self.launches: tuple[tuple[str, CallSite], ...] = ()
+        self.workers: tuple[tuple[str, CallSite], ...] = ()
 
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------
 
-    def function(self, node_id: str) -> FunctionInfo:
-        """The :class:`FunctionInfo` registered under ``node_id``."""
-        return self._functions[node_id]
+    def scope(self, node_id: str) -> Scope:
+        """The :class:`Scope` registered under ``node_id``."""
+        return self._scopes[node_id]
 
-    def functions(self) -> tuple[FunctionInfo, ...]:
-        """Every function in the graph, in registration order."""
-        return tuple(self._functions.values())
-
-    def callees(self, node_id: str) -> tuple[CallSite, ...]:
-        """The call sites inside ``node_id``'s own scope."""
-        return self._edges.get(node_id, ())
-
-    def resolve(self, module: str, qual: str) -> str | None:
-        """The node id of ``module:qual``, if that function exists."""
-        node_id = f"{module}:{qual}"
-        return node_id if node_id in self._functions else None
+    def scopes(self) -> tuple[Scope, ...]:
+        """Every scope in the graph, in walk order."""
+        return tuple(self._scopes.values())
 
     def resolve_dotted(self, dotted: str) -> str | None:
         """Resolve a canonical dotted name to an internal function.
@@ -203,612 +424,197 @@ class CallGraph:
         """
         parts = dotted.split(".")
         for cut in range(len(parts) - 1, 0, -1):
-            info = self._modules.get(".".join(parts[:cut]))
-            if info is None:
+            module = self._modules.get(".".join(parts[:cut]))
+            if module is None:
                 continue
             rest = parts[cut:]
             if len(rest) == 1:
-                hit = info.functions.get(rest[0])
-                if hit is None and rest[0] in info.classes:
-                    hit = info.classes[rest[0]].get("__init__")
-                return hit
-            if len(rest) == 2 and rest[0] in info.classes:
-                return info.classes[rest[0]].get(rest[1])
+                if rest[0] in module.classes:
+                    return module.classes[rest[0]].defs.get("__init__")
+                return module.defs.get(rest[0])
+            if len(rest) == 2 and rest[0] in module.classes:
+                return module.classes[rest[0]].defs.get(rest[1])
             return None
         return None
 
-    def ast_of(self, node_id: str) -> ast.AST:
-        """The ``ast`` definition node of a function (checker use)."""
-        return self._ast[node_id]
+    def resolve(self, scope: Scope, name: str) -> tuple[str | None, str | None]:
+        """Resolve a dotted source name to ``(internal id, external)``.
+
+        The lexical rule: ``self``/``cls`` name the enclosing class;
+        then each enclosing function scope, innermost first, answers
+        with its local ``def``s and classes, its imports, or — for a
+        name it binds — nothing; then the module's functions, classes
+        and imports; then a bare unknown name is a builtin.
+        """
+        parts = name.split(".")
+        head = parts[0]
+        if head in ("self", "cls") and scope.class_name is not None:
+            if len(parts) != 2:
+                return None, None
+            return self._class_methods(scope).get(parts[1]), None
+        current: Scope | None = scope
+        while current is not None and current.kind != "module":
+            if current is scope or current.kind == "def":
+                if head in current.defs or head in current.classes:
+                    return self._local(current, parts), None
+                if head in current.imports:
+                    return self._imported(current.imports[head], parts)
+                if head in current.bound:
+                    return None, None
+            current = current.enclosing
+        module = self._modules[scope.module]
+        if len(parts) == 1 and (head in module.defs or head in module.classes):
+            return self._local(module, parts), None
+        if head in module.imports:
+            return self._imported(module.imports[head], parts)
+        if len(parts) == 1:
+            return None, head  # builtin or truly global name
+        if len(parts) == 2 and head in module.classes:
+            return module.classes[head].defs.get(parts[1]), None
+        return None, None
+
+    def _class_methods(self, scope: Scope) -> dict[str, str]:
+        current = scope
+        while current.kind != "class" or current.qual != scope.class_name:
+            current = current.enclosing
+        return current.defs
+
+    @staticmethod
+    def _local(scope: Scope, parts: list[str]) -> str | None:
+        if len(parts) > 1:
+            return None
+        if parts[0] in scope.defs:
+            return scope.defs[parts[0]]
+        return scope.classes[parts[0]].defs.get("__init__")
+
+    def _imported(
+        self, base: str, parts: list[str]
+    ) -> tuple[str | None, str | None]:
+        dotted = ".".join([base, *parts[1:]])
+        internal = self.resolve_dotted(dotted)
+        return (internal, None) if internal is not None else (None, dotted)
 
     # ------------------------------------------------------------------
     # reachability
     # ------------------------------------------------------------------
 
-    def walk_sites(
+    def reach(
         self,
         start: str,
-        follow: Callable[[FunctionInfo], bool] | None = None,
-    ) -> Iterator[tuple[tuple[str, ...], CallSite]]:
-        """BFS every call site reachable from ``start``.
+        follow: Callable[[Scope], bool] | None = None,
+    ) -> Iterator[tuple[tuple[str, ...], CallSite | None]]:
+        """The one breadth-first search: every scope reachable from
+        ``start``, each once, with its shortest path.
 
-        Yields ``(path, site)`` pairs where ``path`` is the shortest
-        chain of node ids from ``start`` to the function *containing*
-        ``site`` (so ``len(path) == 1`` means a site lexically inside
-        ``start`` itself).  ``follow`` filters which resolved callees
-        the walk descends into (default: all internal callees); each
-        function is visited at most once.
+        Yields ``(path, via)``: ``path`` is the chain of node ids from
+        ``start`` to the reached scope, ``via`` the call inside
+        ``start`` that enters that chain (the line a transitive finding
+        anchors on; ``None`` for ``start`` itself).  ``follow`` filters
+        which resolved callees the search descends into.
         """
-        queue: list[tuple[str, ...]] = [(start,)]
+        queue: deque[tuple[tuple[str, ...], CallSite | None]] = deque(
+            [((start,), None)]
+        )
         seen = {start}
         while queue:
-            path = queue.pop(0)
-            for site in self.callees(path[-1]):
-                yield path, site
+            path, via = queue.popleft()
+            yield path, via
+            for site in self._scopes[path[-1]].sites:
                 target = site.target
                 if target is None or target in seen:
                     continue
-                if follow is not None and not follow(
-                    self._functions[target]
-                ):
+                if follow is not None and not follow(self._scopes[target]):
                     continue
                 seen.add(target)
-                queue.append((*path, target))
+                queue.append(((*path, target), via or site))
 
-    # ------------------------------------------------------------------
-    # entry-point discovery
-    # ------------------------------------------------------------------
-
-    def fork_entries(self) -> tuple[tuple[str, CallSite], ...]:
-        """Functions entering worker *processes*, with their launch
-        sites.
-
-        Two idioms are recognized: ``pool.submit(f, ...)`` where
-        ``pool`` is bound from a ``ProcessPoolExecutor(...)`` call in
-        the same scope, and ``Process(target=f)``-shaped constructions
-        (``multiprocessing.Process``, ``mp_context.Process``).
-        """
-        entries: dict[tuple[str, CallSite], None] = {}
-        for info in self._functions.values():
-            scope = self.ast_of(info.node_id)
-            pools = _process_pool_names(scope)
-            for node in _scoped_walk(scope):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = dotted_name(node.func)
-                if (
-                    name is not None
-                    and name.endswith(".submit")
-                    and name.rsplit(".", 1)[0] in pools
-                    and node.args
-                ):
-                    target = self._resolve_value(info, node.args[0])
-                    if target is not None:
-                        site = CallSite(
-                            file=info.file,
-                            line=node.lineno,
-                            raw=name,
-                            target=target,
-                        )
-                        entries[(target, site)] = None
-                if name is not None and name.split(".")[-1] == "Process":
-                    for keyword in node.keywords:
-                        if keyword.arg != "target":
-                            continue
-                        target = self._resolve_value(info, keyword.value)
-                        if target is not None:
-                            site = CallSite(
-                                file=info.file,
-                                line=node.lineno,
-                                raw=name,
-                                target=target,
-                            )
-                            entries[(target, site)] = None
-        return tuple(entries)
-
-    def worker_entries(self) -> tuple[tuple[str, CallSite], ...]:
-        """Registered scenario-family workers, with declaration sites.
-
-        Purely syntactic — ``register_family(Something(...,
-        worker=f))`` call shapes — so fixture packages are covered
-        without importing anything, and the real registry modules are
-        covered by the same rule.  Yields ``(node_id, declaration
-        site)``.
-        """
-        entries: list[tuple[str, CallSite]] = []
-        for info in self._functions.values():
-            entries.extend(self._worker_entries_in(info))
-        for rel, mod in sorted(
-            (m.file, m) for m in self._modules.values()
-        ):
-            tree = self._module_ast.get(rel)
-            if tree is None:
-                continue
-            # module-level registrations (outside any function)
-            entries.extend(
-                self._worker_entries_from(
-                    _module_resolver(self, mod), mod.file, tree
-                )
-            )
-        return tuple(entries)
-
-    def _worker_entries_in(
-        self, info: FunctionInfo
-    ) -> list[tuple[str, CallSite]]:
-        resolver = self._resolvers.get(info.node_id)
-        if resolver is None:
-            return []
-        return self._worker_entries_from(
-            resolver, info.file, self.ast_of(info.node_id)
-        )
-
-    def _worker_entries_from(
+    def walk_sites(
         self,
-        resolver: Callable[[str], tuple[str | None, str | None]],
-        rel: str,
-        scope: ast.AST,
-    ) -> list[tuple[str, CallSite]]:
-        found: list[tuple[str, CallSite]] = []
-        for node in _scoped_walk(scope):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            if name is None or name.split(".")[-1] != "register_family":
-                continue
-            for payload in ast.walk(node):
-                if not isinstance(payload, ast.Call):
-                    continue
-                for keyword in payload.keywords:
-                    if keyword.arg != "worker":
-                        continue
-                    value = dotted_name(keyword.value)
-                    if value is None:
-                        continue
-                    target, _external = resolver(value)
-                    if target is not None:
-                        site = CallSite(
-                            file=rel, line=node.lineno, raw=value, target=target
-                        )
-                        found.append((target, site))
-        return found
-
-    def _resolve_value(
-        self, info: FunctionInfo, value: ast.AST
-    ) -> str | None:
-        """Resolve a non-call value expression (a function reference)."""
-        name = dotted_name(value)
-        if name is None:
-            return None
-        resolver = self._resolvers.get(info.node_id)
-        if resolver is None:
-            return None
-        target, _external = resolver(name)
-        return target
-
-    # populated by build_graph
-    _resolvers: dict[str, Callable[[str], tuple[str | None, str | None]]]
-    _module_ast: dict[str, ast.Module]
-
-
-def _scoped_walk(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``scope`` without descending into nested function scopes.
-
-    Statements of the scope itself — at any structural depth (inside
-    ``if``/``with``/``try``…) — are visited; bodies of nested
-    ``def``/``async def``/``lambda`` belong to their own graph nodes
-    and are skipped.
-    """
-    stack = list(ast.iter_child_nodes(scope))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _process_pool_names(scope: ast.AST) -> set[str]:
-    """Names bound to a process pool in scope.
-
-    A pool is a ``ProcessPoolExecutor(...)`` call, or a call of a local
-    name bound to that class — directly or as one branch of a
-    conditional, the engine's ``cls = ProcessPoolExecutor if … else
-    ThreadPoolExecutor`` executor switch.
-    """
-
-    def names_process_pool(value: ast.AST) -> bool:
-        if isinstance(value, ast.IfExp):
-            return names_process_pool(value.body) or names_process_pool(
-                value.orelse
-            )
-        name = dotted_name(value)
-        return (
-            name is not None
-            and name.split(".")[-1] == "ProcessPoolExecutor"
-        )
-
-    factories: set[str] = set()
-    for node in _scoped_walk(scope):
-        if isinstance(node, ast.Assign) and names_process_pool(node.value):
-            targets = node.targets
-        elif (
-            isinstance(node, ast.AnnAssign)
-            and node.value is not None
-            and names_process_pool(node.value)
-        ):
-            targets = [node.target]
-        else:
-            continue
-        factories.update(t.id for t in targets if isinstance(t, ast.Name))
-
-    def is_pool_call(value: ast.AST) -> bool:
-        if not isinstance(value, ast.Call):
-            return False
-        if isinstance(value.func, ast.Name) and value.func.id in factories:
-            return True
-        return names_process_pool(value.func)
-
-    names: set[str] = set()
-    for node in _scoped_walk(scope):
-        if isinstance(node, ast.Assign) and is_pool_call(node.value):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        elif isinstance(node, ast.withitem) and is_pool_call(
-            node.context_expr
-        ):
-            if isinstance(node.optional_vars, ast.Name):
-                names.add(node.optional_vars.id)
-    return names
-
-
-def _shadowed_names(scope: ast.AST) -> set[str]:
-    """Names locally bound in ``scope`` (they hide module/import
-    names)."""
-    names: set[str] = set()
-    args = getattr(scope, "args", None)
-    if args is not None:
-        for arg in (
-            *args.posonlyargs,
-            *args.args,
-            *args.kwonlyargs,
-            *filter(None, (args.vararg, args.kwarg)),
-        ):
-            names.add(arg.arg)
-    for node in _scoped_walk(scope):
-        if isinstance(node, ast.Name) and isinstance(
-            node.ctx, (ast.Store, ast.Del)
-        ):
-            names.add(node.id)
-        elif isinstance(node, ast.ExceptHandler) and node.name:
-            names.add(node.name)
-    return names
-
-
-def _module_resolver(graph: CallGraph, mod: _ModuleInfo):
-    """A resolver closure for module-level (non-function) code."""
-
-    def resolve(name: str) -> tuple[str | None, str | None]:
-        return _resolve_name(
-            graph, mod, name, class_name=None, scopes=(), shadowed=()
-        )
-
-    return resolve
-
-
-def _resolve_name(
-    graph: CallGraph,
-    mod: _ModuleInfo,
-    name: str,
-    class_name: str | None,
-    scopes: tuple[dict[str, str], ...],
-    shadowed: tuple[frozenset[str], ...],
-    local_imports: dict[str, str] | None = None,
-) -> tuple[str | None, str | None]:
-    """Resolve a dotted source name to ``(internal id, external)``.
-
-    The lexical rule: enclosing local ``def``s win, then
-    ``self``/``cls`` methods, then locally-shadowed names resolve to
-    nothing, then module functions/classes, then import aliases
-    (function-local over module-level), then — for names rooted in an
-    import — the canonical external dotted name.
-    """
-    parts = name.split(".")
-    head = parts[0]
-    if head in ("self", "cls") and class_name is not None:
-        if len(parts) == 2:
-            return (
-                graph._modules[mod.module]
-                .classes.get(class_name, {})
-                .get(parts[1]),
-                None,
-            )
-        return None, None
-    if len(parts) == 1:
-        for scope in reversed(scopes):
-            if head in scope:
-                return scope[head], None
-        for mask in reversed(shadowed):
-            if head in mask:
-                return None, None
-        if local_imports and head in local_imports:
-            # A function-local import is a local binding: it shadows
-            # any module-level def of the same name (the repo's lazy-
-            # import idiom would otherwise resolve to the wrong one).
-            dotted = local_imports[head]
-            internal = graph.resolve_dotted(dotted)
-            return (internal, None) if internal else (None, dotted)
-        if head in mod.functions:
-            return mod.functions[head], None
-        if head in mod.classes:
-            return mod.classes[head].get("__init__"), None
-    imports = dict(mod.imports)
-    if local_imports:
-        imports.update(local_imports)
-    if head in imports:
-        dotted = ".".join([imports[head], *parts[1:]])
-        internal = graph.resolve_dotted(dotted)
-        if internal is not None:
-            return internal, None
-        return None, dotted
-    if len(parts) == 1:
-        return None, head  # builtin or truly global name
-    if head in mod.classes:
-        # Class.method style within the same module.
-        internal = graph.resolve_dotted(f"{mod.module}.{name}")
-        if internal is not None:
-            return internal, None
-    return None, None
+        start: str,
+        follow: Callable[[Scope], bool] | None = None,
+    ) -> Iterator[tuple[tuple[str, ...], CallSite | None, CallSite]]:
+        """Every call site :meth:`reach` covers, as ``(path, via,
+        site)`` — ``path`` ends at the scope containing ``site``, so
+        ``via is None`` means a site lexically inside ``start``."""
+        for path, via in self.reach(start, follow):
+            for site in self._scopes[path[-1]].sites:
+                yield path, via, site
 
 
 def build_graph(tree) -> CallGraph:
-    """Build the :class:`CallGraph` of a parsed source tree.
+    """Walk every scope of ``tree`` once and resolve the recorded facts.
 
     ``tree`` is a :class:`~repro.checks.source.SourceTree`.
     """
     graph = CallGraph()
-    graph._resolvers = {}
-    graph._module_ast = {}
-
-    # Pass 1: register every function/class and the import tables.
     for file in tree.files:
         module = module_name(file.rel)
-        mod = _ModuleInfo(module=module, file=file.rel)
-        graph._modules[module] = mod
-        graph._module_ast[file.rel] = file.tree
-        package = (
-            module
-            if file.rel.endswith("__init__.py")
-            else module.rsplit(".", 1)[0]
-            if "." in module
-            else ""
-        )
-        for node in ast.walk(file.tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)) and (
-                _is_module_scope(node, file.tree)
-            ):
-                for alias, target in _import_aliases(node, package):
-                    mod.imports.setdefault(alias, target)
-        _register_functions(graph, mod, file.rel, file.tree)
+        walker = _Walker(graph, file.rel, module)
+        root = walker.open_scope("<module>", "module", None)
+        graph._modules[module] = root
+        for child in file.tree.body:
+            walker.visit(child, root, (), None)
 
-    # Pass 2: resolve every call expression into edges.
-    for file in tree.files:
-        mod = graph._modules[module_name(file.rel)]
-        _build_edges(graph, mod, file.rel, file.tree)
+    for scope in graph._scopes.values():
+        for name, callee in scope.assigned:
+            if callee.split(".")[-1] in LOCK_TYPES and (
+                scope.kind == "module" or name.startswith("self.")
+            ):
+                ident = scope.lock_identity(name)
+                if ident is not None:
+                    graph.locks.add(ident)
+    launches: dict[tuple[str, CallSite], None] = {}
+    workers: list[tuple[str, CallSite]] = []
+    for scope in graph._scopes.values():
+        _resolve_facts(graph, scope)
+        pools = {
+            name
+            for name, callee in scope.assigned
+            if callee.split(".")[-1] == "ProcessPoolExecutor"
+            or callee in scope.pool_factories
+        }
+        for line, raw, value in scope.submits:
+            if raw.endswith(".submit") and raw.rsplit(".", 1)[0] not in pools:
+                continue
+            target, _external = graph.resolve(scope, value)
+            if target is not None:
+                launches[(target, CallSite(scope.file, line, raw, target=target))] = None
+        for line, value in scope.workers:
+            target, _external = graph.resolve(scope, value)
+            if target is not None:
+                workers.append((target, CallSite(scope.file, line, value, target=target)))
+    graph.launches = tuple(launches)
+    graph.workers = tuple(workers)
     return graph
 
 
-def _is_module_scope(node: ast.AST, module: ast.Module) -> bool:
-    """Cheap check: imports at column 0 are module-scope."""
-    return getattr(node, "col_offset", 1) == 0
+def _resolve_facts(graph: CallGraph, scope: Scope) -> None:
+    """Resolve a walked scope's calls and keep only real locks."""
 
+    def locks(candidates: tuple[str, ...]) -> tuple[str, ...]:
+        return tuple(c for c in candidates if c in graph.locks)
 
-def _register_functions(
-    graph: CallGraph,
-    mod: _ModuleInfo,
-    rel: str,
-    module_ast: ast.Module,
-) -> None:
-    def register(
-        node: ast.FunctionDef | ast.AsyncFunctionDef,
-        qual: str,
-        class_name: str | None,
-        parent: str | None,
-    ) -> str:
-        node_id = f"{mod.module}:{qual}"
-        graph._functions[node_id] = FunctionInfo(
-            node_id=node_id,
-            file=rel,
-            module=mod.module,
-            qual=qual,
-            name=node.name,
-            lineno=node.lineno,
-            is_async=isinstance(node, ast.AsyncFunctionDef),
-            class_name=class_name,
-            parent=parent,
+    sites = []
+    for line, raw, attr, held in scope.calls:
+        target, external = (None, None) if raw is None else graph.resolve(scope, raw)
+        if target or external:
+            attr = None
+        sites.append(
+            CallSite(scope.file, line, raw, target, external, attr, locks(held))
         )
-        graph._ast[node_id] = node
-        if parent is not None:
-            graph._children.setdefault(parent, {})[node.name] = node_id
-        return node_id
-
-    def walk_scope(
-        scope: ast.AST,
-        qual_prefix: str,
-        class_name: str | None,
-        parent: str | None,
-    ) -> None:
-        for node in _scoped_walk(scope):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qual = f"{qual_prefix}{node.name}"
-                node_id = register(node, qual, class_name, parent)
-                if class_name is not None and parent is None:
-                    mod.classes.setdefault(class_name, {})[
-                        node.name
-                    ] = node_id
-                elif parent is None:
-                    mod.functions.setdefault(node.name, node_id)
-                walk_scope(node, f"{qual}.<locals>.", None, node_id)
-            elif isinstance(node, ast.ClassDef) and parent is None:
-                mod.classes.setdefault(node.name, {})
-                walk_scope(
-                    _ClassScope(node), f"{node.name}.", node.name, parent
-                )
-
-    walk_scope(module_ast, "", None, None)
+    scope.sites = tuple(sites)
+    scope.acquires &= graph.locks
+    scope.pairs = [
+        (held, taken, line)
+        for held, taken, line in scope.pairs
+        if held in graph.locks and taken in graph.locks
+    ]
+    scope.held_awaits = [
+        (locks(held), line) for held, line in scope.held_awaits if locks(held)
+    ]
 
 
-class _ClassScope:
-    """Adapter letting ``_scoped_walk`` iterate a class body only."""
-
-    def __init__(self, node: ast.ClassDef) -> None:
-        self._node = node
-
-    @property
-    def body(self):  # pragma: no cover - trivial
-        return self._node.body
-
-    def __getattr__(self, item):
-        return getattr(self._node, item)
-
-
-def _build_edges(
-    graph: CallGraph,
-    mod: _ModuleInfo,
-    rel: str,
-    module_ast: ast.Module,
-) -> None:
-    def process(
-        node_id: str,
-        scope: ast.FunctionDef | ast.AsyncFunctionDef,
-        class_name: str | None,
-        scopes: tuple[dict[str, str], ...],
-        shadowed: tuple[frozenset[str], ...],
-    ) -> None:
-        local_defs = graph._children.get(node_id, {})
-        local_imports: dict[str, str] = {}
-        info = graph._functions[node_id]
-        package = (
-            mod.module
-            if rel.endswith("__init__.py")
-            else mod.module.rsplit(".", 1)[0]
-            if "." in mod.module
-            else ""
-        )
-        for node in _scoped_walk(scope):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias, target in _import_aliases(node, package):
-                    local_imports[alias] = target
-        mask = frozenset(_shadowed_names(scope) - set(local_defs))
-
-        def resolver(name: str) -> tuple[str | None, str | None]:
-            return _resolve_name(
-                graph,
-                mod,
-                name,
-                class_name,
-                (*scopes, local_defs),
-                (*shadowed, mask),
-                local_imports,
-            )
-
-        graph._resolvers[node_id] = resolver
-        sites: list[CallSite] = []
-        for node in _scoped_walk(scope):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            if name is None:
-                attr = (
-                    node.func.attr
-                    if isinstance(node.func, ast.Attribute)
-                    else None
-                )
-                sites.append(
-                    CallSite(
-                        file=rel, line=node.lineno, raw=None, attr=attr
-                    )
-                )
-                continue
-            target, external = resolver(name)
-            attr = name.split(".")[-1] if "." in name else None
-            sites.append(
-                CallSite(
-                    file=rel,
-                    line=node.lineno,
-                    raw=name,
-                    target=target,
-                    external=external,
-                    attr=None if target or external else attr,
-                )
-            )
-        graph._edges[node_id] = tuple(sites)
-        for child_name, child_id in sorted(local_defs.items()):
-            child_info = graph._functions[child_id]
-            process(
-                child_id,
-                graph._ast[child_id],  # type: ignore[arg-type]
-                class_name if child_info.class_name else class_name,
-                (*scopes, local_defs),
-                (*shadowed, mask),
-            )
-
-    for info in [
-        i
-        for i in graph._functions.values()
-        if i.file == rel and i.parent is None
-    ]:
-        process(
-            info.node_id,
-            graph._ast[info.node_id],  # type: ignore[arg-type]
-            info.class_name,
-            (),
-            (),
-        )
-
-
-def transitive_hits(
-    graph: CallGraph,
-    start: str,
-    predicate: Callable[[CallSite], str | None],
-    follow: Callable[[FunctionInfo], bool] | None = None,
-) -> list[tuple[CallSite, tuple[str, ...], str]]:
-    """Depth-≥1 reachable sites matching ``predicate``, with anchors.
-
-    For every call site reachable from ``start`` *through at least one
-    internal call* whose ``predicate(site)`` returns a label, yields
-    ``(first_hop_site, path, label)`` — where ``first_hop_site`` is
-    the call in ``start`` itself that enters the offending chain (the
-    line a finding anchors on) and ``path`` is the shortest node chain
-    from ``start`` to the function containing the site.  Sites
-    lexically inside ``start`` (depth 0) are excluded: those belong to
-    the corresponding local rule.
-    """
-    hop_site: dict[str, CallSite] = {}
-    hits: list[tuple[CallSite, tuple[str, ...], str]] = []
-    for path, site in graph.walk_sites(start, follow=follow):
-        if (
-            len(path) == 1
-            and site.target is not None
-            and site.target not in hop_site
-        ):
-            hop_site[site.target] = site
-        if len(path) < 2:
-            continue
-        label = predicate(site)
-        if label is None:
-            continue
-        first = hop_site.get(path[1])
-        if first is not None:
-            hits.append((first, path, label))
-    return hits
-
-
-def format_path(
-    graph: CallGraph, path: Iterable[str], label: str
-) -> str:
+def format_path(graph: CallGraph, path: Iterable[str], label: str) -> str:
     """Render a call chain for a finding message.
 
     ``format_path(g, ("m:a", "m:b"), "time.sleep")`` →
@@ -816,5 +622,5 @@ def format_path(
     (function quals, not module paths) because the finding already
     names the file.
     """
-    hops = [graph.function(node_id).qual for node_id in path]
+    hops = [graph.scope(node_id).qual for node_id in path]
     return " -> ".join([*hops, f"{label}()"])

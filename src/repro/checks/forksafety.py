@@ -31,156 +31,59 @@ actionable as a lexical one.
 
 from __future__ import annotations
 
-import ast
-from collections.abc import Iterator
-
-from repro.checks.callgraph import CallSite, _scoped_walk, format_path
-from repro.checks.model import Checker, Finding, register_check
+from repro.checks.callgraph import CallGraph, CallSite, format_path
+from repro.checks.model import Hits, rule
 from repro.checks.source import SourceTree
-
-#: ``threading`` entry points that reference *live* thread machinery.
-_THREAD_STATE = frozenset(
-    {
-        "threading.Thread",
-        "threading.current_thread",
-        "threading.enumerate",
-        "threading.active_count",
-        "threading.main_thread",
-        "threading.settrace",
-        "threading.setprofile",
-    }
-)
-
-#: Attribute calls that operate on an event loop object.
-_LOOP_ATTRS = frozenset(
-    {
-        "run_until_complete",
-        "run_in_executor",
-        "call_soon_threadsafe",
-        "create_task",
-        "ensure_future",
-    }
-)
+from repro.checks.surfaces import loop_or_thread
 
 
-def _loop_or_thread_label(site: CallSite) -> str | None:
-    """The loop/thread surface a resolved call site touches, if any."""
-    if site.external is not None:
-        if site.external.split(".")[0] == "asyncio":
-            return site.external
-        if site.external in _THREAD_STATE:
-            return site.external
-    if site.attr is not None and site.attr in _LOOP_ATTRS:
-        return site.raw or f".{site.attr}"
-    return None
+def _launches(graph: CallGraph) -> list[tuple[str, CallSite]]:
+    return sorted(graph.launches, key=lambda pair: (pair[0], pair[1].line))
 
 
-def _fs001(tree: SourceTree) -> Iterator[Finding]:
+@rule("FS001", "fork-safety", "asyncio loop or live-thread state reachable from "
+      "a subprocess entry point")
+def _fs001(tree: SourceTree) -> Hits:
     """Loop/thread state reachable from subprocess entry points."""
     graph = tree.callgraph()
-    covered = {file.rel for file in tree.files}
     reported: set[tuple[str, int, str]] = set()
-    for entry, launch in sorted(
-        graph.fork_entries(), key=lambda pair: (pair[0], pair[1].line)
-    ):
-        info = graph.function(entry)
-        for path, site in graph.walk_sites(entry):
-            label = _loop_or_thread_label(site)
-            if label is None:
+    for entry, launch in _launches(graph):
+        for path, _via, site in graph.walk_sites(entry):
+            label = loop_or_thread(site)
+            if label is None or (site.file, site.line, label) in reported:
                 continue
-            if site.file not in covered:
-                continue
-            key = (site.file, site.line, label)
-            if key in reported:
-                continue
-            reported.add(key)
-            yield Finding(
-                code="FS001",
-                file=site.file,
-                line=site.line,
-                severity="error",
-                message=(
-                    f"{label}() runs in a child process: reachable "
-                    f"from subprocess entry point {info.qual} "
-                    f"(launched at {launch.file}:{launch.line}) via "
-                    f"{format_path(graph, path, label)}; loops and "
-                    "threads do not survive the fork boundary"
-                ),
+            reported.add((site.file, site.line, label))
+            yield site.file, site.line, (
+                f"{label}() runs in a child process: reachable "
+                f"from subprocess entry point {graph.scope(entry).qual} "
+                f"(launched at {launch.file}:{launch.line}) via "
+                f"{format_path(graph, path, label)}; loops and "
+                "threads do not survive the fork boundary"
             )
 
 
-def _fs002(tree: SourceTree) -> Iterator[Finding]:
+@rule("FS002", "fork-safety", "module-global mutation reachable from a "
+      "subprocess entry point")
+def _fs002(tree: SourceTree) -> Hits:
     """Module-global mutation reachable from subprocess entry points."""
     graph = tree.callgraph()
-    covered = {file.rel for file in tree.files}
     reported: set[tuple[str, int]] = set()
-    for entry, launch in sorted(
-        graph.fork_entries(), key=lambda pair: (pair[0], pair[1].line)
-    ):
-        info = graph.function(entry)
-        seen = {entry}
-        queue: list[tuple[str, ...]] = [(entry,)]
-        while queue:
-            path = queue.pop(0)
-            node_id = path[-1]
-            reached = graph.function(node_id)
-            if reached.file in covered:
-                # _scoped_walk stays out of nested defs: a global
-                # statement belongs to the function that is actually
-                # reachable, not to whatever encloses it lexically.
-                for stmt in _scoped_walk(graph.ast_of(node_id)):
-                    if not isinstance(stmt, ast.Global):
-                        continue
-                    key = (reached.file, stmt.lineno)
-                    if key in reported:
-                        continue
-                    reported.add(key)
-                    names = ", ".join(stmt.names)
-                    chain = " -> ".join(
-                        graph.function(n).qual for n in path
-                    )
-                    yield Finding(
-                        code="FS002",
-                        file=reached.file,
-                        line=stmt.lineno,
-                        severity="error",
-                        message=(
-                            f"global {names} mutated in a child "
-                            "process: reachable from subprocess entry "
-                            f"point {info.qual} (launched at "
-                            f"{launch.file}:{launch.line}) via "
-                            f"{chain}; the parent never sees the "
-                            "write — thread state through the "
-                            "scenario and the returned result"
-                        ),
-                    )
-            for site in graph.callees(node_id):
-                if site.target is not None and site.target not in seen:
-                    seen.add(site.target)
-                    queue.append((*path, site.target))
-
-
-def _register() -> None:
-    register_check(
-        Checker(
-            code="FS001",
-            group="fork-safety",
-            severity="error",
-            summary="asyncio loop or live-thread state reachable from "
-            "a subprocess entry point",
-            run=_fs001,
-        )
-    )
-    register_check(
-        Checker(
-            code="FS002",
-            group="fork-safety",
-            severity="error",
-            summary="module-global mutation reachable from a "
-            "subprocess entry point",
-            run=_fs002,
-        )
-    )
-
-
-_register()
+    for entry, launch in _launches(graph):
+        for path, _via in graph.reach(entry):
+            # A global statement belongs to the scope it is written in:
+            # the reached function, not whatever encloses it lexically.
+            reached = graph.scope(path[-1])
+            for line, statement, names in reached.rebinds:
+                if statement != "global" or (reached.file, line) in reported:
+                    continue
+                reported.add((reached.file, line))
+                chain = " -> ".join(graph.scope(n).qual for n in path)
+                yield reached.file, line, (
+                    f"global {', '.join(names)} mutated in a child "
+                    "process: reachable from subprocess entry "
+                    f"point {graph.scope(entry).qual} (launched at "
+                    f"{launch.file}:{launch.line}) via "
+                    f"{chain}; the parent never sees the "
+                    "write — thread state through the "
+                    "scenario and the returned result"
+                )

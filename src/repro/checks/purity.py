@@ -25,27 +25,14 @@ without touching the real registry.
 
 from __future__ import annotations
 
-import ast
 import dataclasses
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from importlib import import_module
 from typing import Any
 
-from repro.checks.model import Checker, Finding, register_check
+from repro.checks.callgraph import module_name
+from repro.checks.model import Hits, registered_families, rule
 from repro.checks.source import SourceTree
-
-
-def _registered_families() -> list[Any]:
-    from repro.engine.registry import family_names, get_family
-
-    return [get_family(name) for name in family_names()]
-
-
-def _family_callables(family: Any) -> Iterator[tuple[str, Callable]]:
-    for role in ("worker", "decoder", "context_key"):
-        func = getattr(family, role, None)
-        if func is not None:
-            yield role, func
 
 
 def _importable(func: Callable) -> bool:
@@ -63,130 +50,70 @@ def _importable(func: Callable) -> bool:
     return target is func
 
 
+@rule("WP001", "worker-purity", "registered scenario dataclass is not frozen")
 def check_frozen_scenarios(
     tree: SourceTree, families: Iterable[Any] | None = None
-) -> Iterator[Finding]:
+) -> Hits:
     """``WP001`` over ``families`` (default: the live registry)."""
-    for family in families if families is not None else _registered_families():
+    for family in families if families is not None else registered_families():
         scenario = family.scenario_type
-        frozen = (
+        if not (
             dataclasses.is_dataclass(scenario)
             and scenario.__dataclass_params__.frozen
-        )
-        if not frozen:
-            file, line = tree.locate(scenario)
-            yield Finding(
-                code="WP001",
-                file=file,
-                line=line,
-                severity="error",
-                message=(
-                    f"scenario type {scenario.__name__!r} of family "
-                    f"{family.name!r} must be a frozen dataclass: the "
-                    "store keys the scenario value, and a mutable one "
-                    "could drift between keying and evaluation"
-                ),
+        ):
+            yield *tree.locate(scenario), (
+                f"scenario type {scenario.__name__!r} of family "
+                f"{family.name!r} must be a frozen dataclass: the "
+                "store keys the scenario value, and a mutable one "
+                "could drift between keying and evaluation"
             )
 
 
+@rule("WP002", "worker-purity", "registered family callable does not pickle "
+      "(not module top level)")
 def check_picklable_callables(
     tree: SourceTree, families: Iterable[Any] | None = None
-) -> Iterator[Finding]:
+) -> Hits:
     """``WP002`` over ``families`` (default: the live registry)."""
-    for family in families if families is not None else _registered_families():
-        for role, func in _family_callables(family):
-            if not _importable(func):
-                file, line = tree.locate(func)
-                yield Finding(
-                    code="WP002",
-                    file=file,
-                    line=line,
-                    severity="error",
-                    message=(
-                        f"{role} of family {family.name!r} "
-                        f"({getattr(func, '__qualname__', func)!r}) is not "
-                        "importable by its qualified name, so it cannot "
-                        "pickle into the engine's process pools; define "
-                        "it at module top level"
-                    ),
+    for family in families if families is not None else registered_families():
+        for role in ("worker", "decoder", "context_key"):
+            func = getattr(family, role, None)
+            if func is not None and not _importable(func):
+                yield *tree.locate(func), (
+                    f"{role} of family {family.name!r} "
+                    f"({getattr(func, '__qualname__', func)!r}) is not "
+                    "importable by its qualified name, so it cannot "
+                    "pickle into the engine's process pools; define "
+                    "it at module top level"
                 )
 
 
+@rule("WP003", "worker-purity", "registered worker mutates module globals")
 def check_worker_globals(
     tree: SourceTree, families: Iterable[Any] | None = None
-) -> Iterator[Finding]:
-    """``WP003``: registered worker bodies must not rebind outer state."""
-    for family in families if families is not None else _registered_families():
+) -> Hits:
+    """``WP003``: registered worker bodies must not rebind outer state.
+
+    Reads the ``global``/``nonlocal`` facts of the worker's scope and
+    of every scope nested in it.
+    """
+    graph = tree.callgraph()
+    for family in families if families is not None else registered_families():
         func = family.worker
-        file, line = tree.locate(func)
-        covered = tree.file(file)
-        if covered is None:
+        file, _line = tree.locate(func)
+        if tree.file(file) is None:
             continue  # defined outside the tree (tests)
-        definition = _function_at(covered.tree, func.__name__, line)
-        if definition is None:
-            continue
-        for node in ast.walk(definition):
-            if isinstance(node, (ast.Global, ast.Nonlocal)):
-                names = ", ".join(node.names)
-                yield Finding(
-                    code="WP003",
-                    file=file,
-                    line=node.lineno,
-                    severity="error",
-                    message=(
-                        f"worker {func.__name__!r} of family "
-                        f"{family.name!r} rebinds outer state "
-                        f"({names}); workers must be pure — shared "
-                        "state breaks run-order and pool-placement "
-                        "independence"
-                    ),
+        node_id = f"{module_name(file)}:{func.__qualname__}"
+        for scope in graph.scopes():
+            if scope.node_id != node_id and not scope.node_id.startswith(
+                f"{node_id}.<locals>."
+            ):
+                continue
+            for line, _statement, names in scope.rebinds:
+                yield file, line, (
+                    f"worker {func.__name__!r} of family "
+                    f"{family.name!r} rebinds outer state "
+                    f"({', '.join(names)}); workers must be pure — "
+                    "shared state breaks run-order and pool-placement "
+                    "independence"
                 )
-
-
-def _function_at(
-    module: ast.Module, name: str, line: int
-) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-    best = None
-    for node in ast.walk(module):
-        if (
-            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node.name == name
-        ):
-            if node.lineno == line:
-                return node
-            best = best or node
-    return best
-
-
-def _register() -> None:
-    register_check(
-        Checker(
-            code="WP001",
-            group="worker-purity",
-            severity="error",
-            summary="registered scenario dataclass is not frozen",
-            run=check_frozen_scenarios,
-        )
-    )
-    register_check(
-        Checker(
-            code="WP002",
-            group="worker-purity",
-            severity="error",
-            summary="registered family callable does not pickle "
-            "(not module top level)",
-            run=check_picklable_callables,
-        )
-    )
-    register_check(
-        Checker(
-            code="WP003",
-            group="worker-purity",
-            severity="error",
-            summary="registered worker mutates module globals",
-            run=check_worker_globals,
-        )
-    )
-
-
-_register()

@@ -41,7 +41,7 @@ def report_to_sarif(report: CheckReport) -> dict[str, Any]:
 
     Every code in ``report.codes_run`` becomes a driver rule (so a
     clean run still advertises what was checked), every live finding
-    a result; suppressed/baselined findings are absent by design —
+    a result; suppressed findings are absent by design —
     code scanning should mirror exactly what fails the pass.
     """
     rules = []

@@ -113,10 +113,6 @@ class SourceTree:
             return False
         return code in covered.suppressions.get(line, frozenset())
 
-    def suppression_count(self) -> int:
-        """Total inline suppression markers across the tree."""
-        return sum(len(f.suppressions) for f in self.files)
-
     # ------------------------------------------------------------------
     # locating live objects (introspection-based checkers)
     # ------------------------------------------------------------------

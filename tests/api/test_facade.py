@@ -116,10 +116,13 @@ def test_grid_workload_matches_direct_batch(
 ):
     out = tmp_path / "out.jsonl"
 
+    # Only the streaming workload takes a sink; the folding ones refuse it.
+    sinks = (SinkSpec(str(out)),) if workload == "sweep" else ()
+
     def go(**options):
         request = RunRequest.make(
             workload,
-            ExecutionOptions(sinks=(SinkSpec(str(out)),), **options),
+            ExecutionOptions(sinks=sinks, **options),
             **_GRID_PARAMS[workload],
         )
         return bench.run(request)
@@ -152,6 +155,25 @@ def test_manifest_rebuilds_the_planned_grid(workload):
     params = get_workload(workload).resolve_params(_GRID_PARAMS[workload])
     plan = plan_scenarios(workload, params)
     assert manifest_scenarios(plan.manifest) == plan.scenarios
+
+
+@pytest.mark.parametrize("workload", ["fig4", "fig5", "study"])
+@pytest.mark.parametrize("option", ["sinks", "format"])
+def test_folding_workload_refuses_sink_options(
+    workload, option, bench, results_dir, tmp_path
+):
+    # A folding workload writes its own artifact, never a record stream:
+    # a sink it would silently ignore is refused instead.
+    out = tmp_path / "x.jsonl"
+    options = (
+        ExecutionOptions(sinks=(str(out),))
+        if option == "sinks"
+        else ExecutionOptions(format="csv")
+    )
+    request = RunRequest.make(workload, options, **_GRID_PARAMS[workload])
+    with pytest.raises(ValueError, match=f"^{workload} folds its grid"):
+        bench.run(request)
+    assert not out.exists()
 
 
 def test_unknown_manifest_kind_is_refused():

@@ -1,15 +1,17 @@
-"""Unit tests for the interprocedural call graph.
+"""Unit tests for the fact pass and its call graph.
 
 Exercises the resolution rules :mod:`repro.checks.callgraph`
 documents — scope chain, import aliases, ``self.`` methods, external
-canonical names — plus the reachability, closure and entry-point
-queries every transitive checker builds on.
+canonical names — plus the one breadth-first search and the entry-point
+facts (process-pool launches, registered workers) every transitive
+checker builds on.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.checks import run_checks
 from repro.checks.callgraph import format_path, module_name
 
 
@@ -31,8 +33,8 @@ def _graph(make_tree, files):
 
 
 def _site(graph, node_id, line):
-    hits = [s for s in graph.callees(node_id) if s.line == line]
-    assert len(hits) == 1, graph.callees(node_id)
+    hits = [s for s in graph.scope(node_id).sites if s.line == line]
+    assert len(hits) == 1, graph.scope(node_id).sites
     return hits[0]
 
 
@@ -169,6 +171,30 @@ class TestResolution:
         assert site.target is None
         assert site.attr == "result"
 
+    def test_guarded_module_import_resolves(self, make_tree):
+        # A module-scope import is module-scope at any column: one
+        # inside try/if binds the alias exactly like a top-level one.
+        graph = _graph(
+            make_tree,
+            {
+                "a.py": (
+                    "try:\n"
+                    "    import time as clock\n"
+                    "except ImportError:\n"
+                    "    clock = None\n"
+                    "\n"
+                    "def stamp():\n"
+                    "    return clock.time()\n"
+                ),
+            },
+        )
+        assert _site(graph, "repro.a:stamp", 7).external == "time.time"
+
+    def test_module_level_calls_are_sites(self, make_tree):
+        graph = _graph(make_tree, {"a.py": "import os\n\nos.getcwd()\n"})
+        site = _site(graph, "repro.a:<module>", 3)
+        assert site.external == "os.getcwd"
+
     def test_resolve_dotted(self, make_tree):
         graph = _graph(
             make_tree,
@@ -220,7 +246,7 @@ class TestReachability:
         graph = _graph(make_tree, self.FILES)
         paths = {
             site.target: path
-            for path, site in graph.walk_sites("repro.a:entry")
+            for path, _via, site in graph.walk_sites("repro.a:entry")
             if site.target
         }
         assert paths["repro.b:mid"] == ("repro.a:entry",)
@@ -230,7 +256,7 @@ class TestReachability:
         graph = _graph(make_tree, self.FILES)
         targets = {
             site.target
-            for _path, site in graph.walk_sites(
+            for _path, _via, site in graph.walk_sites(
                 "repro.a:entry", follow=lambda info: info.module != "repro.b"
             )
             if site.target
@@ -262,7 +288,7 @@ class TestEntryPoints:
             },
         )
         entries = {
-            (target, site.line) for target, site in graph.fork_entries()
+            (target, site.line) for target, site in graph.launches
         }
         assert entries == {("repro.a:work", 9), ("repro.a:work", 10)}
 
@@ -282,7 +308,7 @@ class TestEntryPoints:
                 ),
             },
         )
-        assert graph.fork_entries() == ()
+        assert graph.launches == ()
 
     def test_fork_entries_see_a_conditional_executor_class(self, make_tree):
         # The engine's executor switch: a name bound to
@@ -308,7 +334,7 @@ class TestEntryPoints:
             },
         )
         entries = {
-            (target, site.line) for target, site in graph.fork_entries()
+            (target, site.line) for target, site in graph.launches
         }
         assert entries == {("repro.a:work", 13)}
 
@@ -340,9 +366,45 @@ class TestEntryPoints:
             },
         )
         entries = [
-            (target, site.line) for target, site in graph.worker_entries()
+            (target, site.line) for target, site in graph.workers
         ]
         assert entries == [("repro.work:single", 10)]
+
+
+def test_worker_reaching_a_guarded_clock_alias_is_det006(make_tree):
+    tree = make_tree(
+        {
+            "reg.py": (
+                "from repro.work import single\n"
+                "\n"
+                "def register_family(family):\n"
+                "    return family\n"
+                "\n"
+                "class Family:\n"
+                "    def __init__(self, worker=None):\n"
+                "        self.worker = worker\n"
+                "\n"
+                "register_family(Family(worker=single))\n"
+            ),
+            "work.py": (
+                "try:\n"
+                "    import time as clock\n"
+                "except ImportError:  # pragma: no cover\n"
+                "    clock = None\n"
+                "\n"
+                "def single(s):\n"
+                "    return _stamp(s)\n"
+                "\n"
+                "def _stamp(s):\n"
+                "    return (s, clock.time())\n"
+            ),
+        }
+    )
+    report = run_checks(tree, select=["DET006"])
+    assert [(f.file, f.line) for f in report.findings] == [
+        ("src/repro/work.py", 7)
+    ]
+    assert "single -> _stamp -> time.time()" in report.findings[0].message
 
 
 def test_format_path(make_tree):
@@ -361,9 +423,9 @@ def test_format_path(make_tree):
     )
     [(path, site)] = [
         (path, site)
-        for path, site in graph.walk_sites("repro.a:entry")
+        for path, _via, site in graph.walk_sites("repro.a:entry")
         if site.external == "time.sleep"
     ]
-    assert format_path(graph, path, site.label) == (
+    assert format_path(graph, path, site.external) == (
         "entry -> mid -> time.sleep()"
     )

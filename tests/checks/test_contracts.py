@@ -1,17 +1,14 @@
-"""Registry/wire contract checkers (RC001, RC002, RC004, RC005), drift
-demos included."""
+"""Registry contract checkers (RC001, RC002, RC005), drift demos
+included."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from types import SimpleNamespace
 
-from repro.api.options import ExecutionOptions
-from repro.api.request import RunRequest
 from repro.checks.contracts import (
     check_family_axes,
     check_family_context,
-    check_wire_contract,
     check_workload_flags,
 )
 
@@ -87,61 +84,6 @@ class TestRc002Axes:
         )
         assert [f.code for f in findings] == ["RC002"]
         assert "'gone'" in findings[0].message
-
-
-class TestRc004WireDrift:
-    def test_real_dataclasses_match_the_wire(self, make_tree):
-        tree = make_tree({"m.py": "x = 1\n"})
-        assert list(check_wire_contract(tree)) == []
-
-    def test_new_options_field_without_wire_entry_fails(self, make_tree):
-        # The drift the rule exists for: grow ExecutionOptions by one
-        # field, leave api/wire.py untouched — the check must fail.
-        @dataclass(frozen=True)
-        class GrownOptions(ExecutionOptions):
-            retries: int = 0
-
-        tree = make_tree({"m.py": "x = 1\n"})
-        findings = list(
-            check_wire_contract(tree, options_cls=GrownOptions)
-        )
-        assert [f.code for f in findings] == ["RC004"]
-        assert "'retries'" in findings[0].message
-        assert "wire" in findings[0].message
-
-    def test_new_request_field_without_wire_entry_fails(self, make_tree):
-        @dataclass(frozen=True)
-        class GrownRequest(RunRequest):
-            priority: int = 0
-
-        tree = make_tree({"m.py": "x = 1\n"})
-        findings = list(
-            check_wire_contract(tree, request_cls=GrownRequest)
-        )
-        assert [f.code for f in findings] == ["RC004"]
-        assert "'priority'" in findings[0].message
-
-    def test_stale_wire_field_fails(self, make_tree):
-        tree = make_tree({"m.py": "x = 1\n"})
-        actual = tuple(f.name for f in fields(ExecutionOptions))
-        findings = list(
-            check_wire_contract(
-                tree, wire_option_fields=actual + ("legacy_flag",)
-            )
-        )
-        assert [f.code for f in findings] == ["RC004"]
-        assert "'legacy_flag'" in findings[0].message
-
-    def test_wire_without_version_key_fails(self, make_tree):
-        tree = make_tree({"m.py": "x = 1\n"})
-        findings = list(
-            check_wire_contract(
-                tree,
-                wire_request_fields=("workload", "params", "options"),
-            )
-        )
-        assert [f.code for f in findings] == ["RC004"]
-        assert "version" in findings[0].message
 
 
 def workload(**kw):

@@ -1,8 +1,6 @@
-"""The checker framework core: registry, selection, baseline, report."""
+"""The checker framework core: registry, selection, report."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -11,13 +9,10 @@ from repro.checks.model import (
     REPORT_VERSION,
     Checker,
     Finding,
-    check_codes,
     check_groups,
     get_check,
-    load_baseline,
     register_check,
     run_checks,
-    write_baseline,
 )
 
 
@@ -115,44 +110,6 @@ class TestSelection:
             run_checks(tree, select=["TYPO"])
 
 
-class TestBaseline:
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == []
-
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, [finding(), finding(code="TST902", line=9)])
-        assert load_baseline(path) == [
-            ("TST901", "src/repro/x.py", 3),
-            ("TST902", "src/repro/x.py", 9),
-        ]
-
-    def test_invalid_json_fails_loudly(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text("{nope")
-        with pytest.raises(ValueError, match="not valid JSON"):
-            load_baseline(path)
-
-    def test_wrong_shape_fails_loudly(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": REPORT_VERSION}))
-        with pytest.raises(ValueError, match="findings"):
-            load_baseline(path)
-
-    def test_baselined_findings_are_absorbed(
-        self, sandbox_registry, make_tree
-    ):
-        hit = finding(file="src/repro/m.py", line=1)
-        register_check(checker("TST901", findings=[hit]))
-        tree = make_tree({"m.py": "x = 1\n"})
-        dirty = run_checks(tree, select=["TST901"])
-        assert not dirty.ok and dirty.baselined == 0
-        clean = run_checks(
-            tree, select=["TST901"], baseline=[hit.key()]
-        )
-        assert clean.ok and clean.baselined == 1
-
-
 class TestReport:
     def test_findings_sorted_by_file_line_code(
         self, sandbox_registry, make_tree
@@ -188,10 +145,6 @@ class TestReport:
         assert payload["version"] == REPORT_VERSION
         assert payload["ok"] is True
         assert payload["findings"] == []
-        assert payload["stale"] == []
         summary = payload["summary"]
-        assert set(summary) == {
-            "findings", "suppressed", "baselined", "stale",
-            "checks", "files",
-        }
+        assert set(summary) == {"findings", "suppressed", "checks", "files"}
         assert summary["files"] == 1

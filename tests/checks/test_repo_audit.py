@@ -14,7 +14,6 @@ with a call path, not in production).
 from __future__ import annotations
 
 from repro.checks import load_tree, repo_root, run_checks
-from repro.checks.concurrency import _analysis
 
 SERVER = "src/repro/serve/server.py"
 
@@ -23,49 +22,52 @@ def _tree():
     return load_tree(repo_root())
 
 
+def _graph():
+    return _tree().callgraph()
+
+
 class TestAnalysisSeesTheServeLayer:
     def test_both_server_locks_are_discovered(self):
-        analysis = _analysis(_tree())
+        graph = _graph()
         assert {
             "repro.serve.server:AnalysisServer._claims_cond",
             "repro.serve.server:AnalysisServer._slot_lock",
-        } <= set(analysis.locks)
+        } <= graph.locks
 
     def test_slot_lock_held_regions_are_tracked(self):
         # The dispatcher and the completion callback take _slot_lock to
         # account pool slots; LK001's lock-order verdict over the serve
         # layer is only sound because the analysis sees those regions.
-        analysis = _analysis(_tree())
+        graph = _graph()
         slot_lock = "repro.serve.server:AnalysisServer._slot_lock"
         for method in ("_dispatch", "_job_finished"):
-            facts = analysis.facts[f"repro.serve.server:AnalysisServer.{method}"]
-            assert slot_lock in facts.acquires, method
+            scope = graph.scope(f"repro.serve.server:AnalysisServer.{method}")
+            assert slot_lock in scope.acquires, method
 
     def test_condition_wait_exemption_applies_to_acquire_claims(self):
         # _acquire_claims blocks on _claims_cond.wait() *by design*;
         # LK002 must classify that as the exempt wait-on-held-lock
         # idiom, not a blocking call under a lock.
-        analysis = _analysis(_tree())
-        facts = analysis.facts[
+        graph = _graph()
+        scope = graph.scope(
             "repro.serve.server:AnalysisServer._acquire_claims"
-        ]
+        )
         waits = [
             site
-            for _held, site in facts.held_calls
-            if site.attr == "wait" or (site.raw or "").endswith(".wait")
+            for site in scope.sites
+            if site.held
+            and (site.attr == "wait" or (site.raw or "").endswith(".wait"))
         ]
         assert waits, "cond.wait under the condition went unseen"
 
     def test_shard_fork_entry_is_discovered(self):
         # Jobs reach child processes only through the engine's one
         # pooled loop, whose executor class is chosen at run time.
-        graph = _tree().callgraph()
-        entries = {target for target, _site in graph.fork_entries()}
+        entries = {target for target, _site in _graph().launches}
         assert "repro.engine.engine:_run_chunk_indexed" in entries
 
     def test_registered_workers_are_discovered(self):
-        graph = _tree().callgraph()
-        workers = {target for target, _site in graph.worker_entries()}
+        workers = {target for target, _site in _graph().workers}
         assert any("repro.engine" in w for w in workers), workers
 
 

@@ -77,7 +77,7 @@ class TestEmitter:
         [run] = log["runs"]
         assert run["results"] == []
         rules = run["tool"]["driver"]["rules"]
-        assert len(rules) >= 20
+        assert len(rules) >= 19
         assert run["tool"]["driver"]["version"] == __version__
 
     def test_findings_become_results_with_anchored_locations(
@@ -98,14 +98,15 @@ class TestEmitter:
         assert artifact["uriBaseId"] == "SRCROOT"
         assert location["physicalLocation"]["region"]["startLine"] == 3
 
-    def test_baselined_findings_are_absent(self, tmp_path):
+    def test_suppressed_findings_are_absent(self, tmp_path):
         bad = tmp_path / "src" / "repro" / "bad.py"
         bad.parent.mkdir(parents=True)
-        bad.write_text("import random\n\nx = random.random()\n")
-        report = run_checks(
-            load_tree(tmp_path),
-            baseline=[("DET001", "src/repro/bad.py", 3)],
+        bad.write_text(
+            "import random\n\n"
+            "x = random.random()  # repro-check: ignore[DET001]\n"
         )
+        report = run_checks(load_tree(tmp_path))
+        assert report.suppressed == 1
         log = report_to_sarif(report)
         _validate_sarif(log)
         assert log["runs"][0]["results"] == []

@@ -2,7 +2,7 @@
 
 This is the tentpole's acceptance test: ``python -m repro check`` runs
 the full checker set over ``src/repro`` and ``examples`` and must come
-back clean (baseline included, which CI separately pins to empty).
+back clean.
 """
 
 from __future__ import annotations
@@ -50,12 +50,8 @@ class TestCheckCli:
             assert set(finding) == {
                 "code", "file", "line", "severity", "message",
             }
-        assert payload["stale"] == []
         summary = payload["summary"]
-        assert set(summary) == {
-            "findings", "suppressed", "baselined", "stale",
-            "checks", "files",
-        }
+        assert set(summary) == {"findings", "suppressed", "checks", "files"}
         assert all(
             isinstance(value, int) for value in summary.values()
         )
@@ -87,29 +83,6 @@ class TestCheckCli:
         out = capsys.readouterr().out
         assert "DET001" in out
 
-    def test_write_baseline_grandfathers_findings(self, tmp_path, capsys):
-        bad = tmp_path / "src" / "repro" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("import random\n\nx = random.random()\n")
-        assert (
-            main(["check", "--root", str(tmp_path), "--write-baseline"])
-            == 0
-        )
-        assert "wrote baseline" in capsys.readouterr().out
-        baseline = json.loads(
-            (tmp_path / "checks-baseline.json").read_text()
-        )
-        assert baseline["version"] == REPORT_VERSION
-        assert [f["code"] for f in baseline["findings"]] == ["DET001"]
-        # A second run is clean against the written baseline...
-        assert main(["check", "--root", str(tmp_path)]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-        # ...but a *new* finding still fails.
-        bad.write_text(
-            "import random\n\nx = random.random()\ny = random.random()\n"
-        )
-        assert main(["check", "--root", str(tmp_path)]) == 1
-
     def test_check_workload_declares_no_flag_group(self):
         # check must NOT enable the sink group: its --format text|json
         # parameter would collide with the sink --format jsonl|csv flag.
@@ -117,18 +90,3 @@ class TestCheckCli:
 
         assert get_workload("check").flags == frozenset()
 
-
-class TestCommittedBaseline:
-    def test_every_baseline_entry_carries_a_reason(self):
-        # The committed baseline is self-cleaning (stale entries fail
-        # the pass until pruned), so growing it is allowed only with
-        # an explicit justification: every entry must carry a human
-        # "reason" field saying why the finding is grandfathered
-        # rather than fixed.  An empty baseline passes trivially.
-        payload = json.loads((REPO / "checks-baseline.json").read_text())
-        assert payload["version"] == REPORT_VERSION
-        for entry in payload["findings"]:
-            assert entry.get("reason", "").strip(), (
-                f"baseline entry {entry} has no reason — fix or "
-                "suppress the finding, or explain the grandfathering"
-            )
