@@ -9,11 +9,15 @@ cannot drift apart in how they cache, resume or shard.
 
 The shard grammar (``i/N``, 1-based, leading zeros cosmetic) also lives
 here; :func:`parse_shard` / :func:`format_shard` are re-exported by
-:mod:`repro.cli` for backwards compatibility.
+:mod:`repro.cli` for backwards compatibility.  So does the CLI flag
+table of the shared surface (:data:`EXECUTION_FLAGS`), which
+:func:`repro.api.workloads.register_workload` validates each workload's
+flag groups against.
 """
 
 from __future__ import annotations
 
+import argparse
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +26,71 @@ from repro.utils.checks import require
 
 #: Sink formats the facade understands.
 SINK_FORMATS = ("jsonl", "csv")
+
+#: argparse kwargs of each shared execution-flag group (see
+#: ``Workload.flags``); parsed once, consumed as one ExecutionOptions.
+EXECUTION_FLAGS: dict[str, list[tuple[str, dict]]] = {
+    "engine": [
+        (
+            "--jobs",
+            dict(
+                type=int, default=None,
+                help="batch-engine workers (default: inline)",
+            ),
+        ),
+        (
+            "--chunk",
+            dict(
+                type=int, default=None,
+                help="scenarios per engine chunk (default: auto)",
+            ),
+        ),
+    ],
+    "sink": [
+        ("--format", dict(choices=["jsonl", "csv"], default="jsonl")),
+        (
+            "--out",
+            dict(
+                default=None,
+                help="output path (default: results/<command>.<format>)",
+            ),
+        ),
+    ],
+    "store": [
+        (
+            "--store",
+            dict(
+                default=None,
+                help="persistent result store (SQLite); already-computed "
+                "scenarios are skipped and fresh ones checkpointed",
+            ),
+        ),
+        (
+            "--resume",
+            dict(
+                action="store_true",
+                help="continue an interrupted run from an existing "
+                "--store",
+            ),
+        ),
+        (
+            # Test hook: deterministically simulate a mid-run kill by
+            # aborting after N freshly computed results.
+            "--fail-after",
+            dict(type=int, default=None, help=argparse.SUPPRESS),
+        ),
+    ],
+    "shard": [
+        (
+            "--shard",
+            dict(
+                default=None, metavar="I/N",
+                help="evaluate only shard I of N (1-based); combine "
+                "shard stores with 'repro merge'",
+            ),
+        ),
+    ],
+}
 
 
 def parse_shard(spec: str) -> tuple[int, int]:

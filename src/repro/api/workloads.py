@@ -42,7 +42,7 @@ from repro.api.execution import (
     open_sink,
     resolve_sinks,
 )
-from repro.api.options import ExecutionOptions
+from repro.api.options import EXECUTION_FLAGS, ExecutionOptions
 from repro.api.request import RunRequest
 from repro.api.result import RunError, RunResult
 from repro.engine.sinks import ResultSink
@@ -87,7 +87,11 @@ class Parameter:
             value, bool
         ):
             value = float(value)
-        if self.type is not None and not isinstance(value, self.type):
+        if self.type is not None and (
+            not isinstance(value, self.type)
+            # bool is an int subclass; a flag is never a count.
+            or (isinstance(value, bool) and self.type is not bool)
+        ):
             raise ValueError(
                 f"workload {workload!r} parameter {self.name!r} expects "
                 f"{self.type.__name__}, got {value!r}"
@@ -153,7 +157,33 @@ _WORKLOADS: dict[str, Workload] = {}
 
 
 def register_workload(workload: Workload, replace: bool = False) -> None:
-    """Register a workload under its name (duplicates fail loudly)."""
+    """Register a workload under its name (duplicates fail loudly).
+
+    Every flag group the workload enables must be a known one, and no
+    parameter may share its name with a flag of an enabled group:
+    argparse would bind one value to both surfaces.
+
+    Raises:
+        ValueError: when any of the above does not hold.
+    """
+    if unknown := sorted(set(workload.flags) - set(EXECUTION_FLAGS)):
+        raise ValueError(
+            f"workload {workload.name!r} enables unknown flag group "
+            f"{unknown[0]!r}; known groups: "
+            f"{', '.join(sorted(EXECUTION_FLAGS))}"
+        )
+    enabled = {
+        flag.lstrip("-").replace("-", "_")
+        for group in workload.flags
+        for flag, _ in EXECUTION_FLAGS[group]
+    }
+    for param in workload.parameters:
+        require(
+            param.name not in enabled,
+            f"workload {workload.name!r} parameter {param.name!r} "
+            "collides with an enabled shared execution flag; argparse "
+            "would bind one value to both surfaces",
+        )
     require(
         replace or workload.name not in _WORKLOADS,
         f"workload {workload.name!r} is already registered",
@@ -924,12 +954,12 @@ def _register_builtins() -> None:
             name="check",
             summary="run the domain-invariant static-analysis pass "
             "(determinism, worker purity, async hygiene, concurrency, "
-            "fork safety, contracts)",
+            "fork safety)",
             parameters=(
                 Parameter(
                     "select", None, (),
                     "run only these checker codes, groups or prefixes "
-                    "(e.g. DET001, determinism, RC); repeatable",
+                    "(e.g. DET001, determinism, WP); repeatable",
                     repeatable=True, metavar="CODE",
                 ),
                 Parameter(

@@ -1,29 +1,30 @@
 """Domain-invariant static analysis for the reproduction codebase.
 
 The repo's load-bearing promises — content-addressed store keys two
-machines agree on, byte-identical resumed/sharded streams,
-process-pool workers that pickle, an
-event loop that never stalls — are easy to break with one innocent
-line.  This package turns those invariants into registered, named
-checkers.  Each is a query over the live registries or over the facts
-of one pass that walks every scope of the parsed source tree once
-(:mod:`repro.checks.callgraph`):
+machines agree on, byte-identical resumed/sharded streams, pure
+process-pool workers, an event loop that never stalls — are easy to
+break with one innocent line.  This package turns those invariants
+into registered, named checkers.  Each is a query over the facts of
+one pass that walks every scope of the parsed source tree once
+(:mod:`repro.checks.callgraph`), starting from the live family
+registry where it checks registered workers:
 
 * ``determinism`` (``DET001``–``DET006``) — unseeded randomness,
   wall-clock/entropy reads, ``hash()`` of strings, unordered set
   iteration, exact float-literal equality, and entropy reachable from
   registered family workers through any call chain;
-* ``worker-purity`` (``WP001``–``WP003``) — frozen scenario
-  dataclasses, picklable top-level family callables, no
-  ``global``/``nonlocal`` in workers;
+* ``worker-purity`` (``WP003``) — no ``global``/``nonlocal`` in
+  registered workers;
 * ``async-hygiene`` (``ASY001``–``ASY002``) — blocking calls inside
   (or transitively reachable from) ``async def``;
 * ``concurrency`` (``LK001``–``LK003``) — inconsistent lock order,
   blocking while holding a lock, ``await`` under a sync lock;
 * ``fork-safety`` (``FS001``–``FS002``) — loop/thread state or global
-  mutation reachable from subprocess entry points;
-* ``contracts`` (``RC001``, ``RC002``, ``RC005``) — registry
-  declarations that must not drift from the code they describe.
+  mutation reachable from subprocess entry points.
+
+The registry declarations (frozen scenario dataclasses, picklable
+family callables, field help, workload flag groups) need no rule: the
+registries reject a bad declaration when it is registered.
 
 A call-site rule is a surface classifier (:mod:`repro.checks.surfaces`:
 entropy/clock, blocking, loop/thread, global write) applied either to
@@ -46,7 +47,6 @@ from pathlib import Path
 # order here fixes the registration (and docs-table) order.
 from repro.checks import (  # noqa: F401
     concurrency,
-    contracts,
     determinism,
     forksafety,
     hygiene,

@@ -140,7 +140,6 @@ class Scope:
     bound: set[str] = field(default_factory=set, repr=False)
     calls: list[tuple] = field(default_factory=list, repr=False)
     assigned: list[tuple[str, str]] = field(default_factory=list, repr=False)
-    pool_factories: set[str] = field(default_factory=set, repr=False)
     submits: list[tuple[int, str, str]] = field(default_factory=list, repr=False)
     workers: list[tuple[int, str]] = field(default_factory=list, repr=False)
 
@@ -178,17 +177,6 @@ def _import_aliases(
             continue
         alias = name.asname or name.name
         yield alias, f"{base}.{name.name}" if base else name.name
-
-
-def _names_process_pool(value: ast.AST) -> bool:
-    """Whether ``value`` names ``ProcessPoolExecutor``, directly or as
-    one branch of a conditional (the engine's executor switch)."""
-    if isinstance(value, ast.IfExp):
-        return _names_process_pool(value.body) or _names_process_pool(
-            value.orelse
-        )
-    name = dotted_name(value)
-    return name is not None and name.split(".")[-1] == "ProcessPoolExecutor"
 
 
 def _iterates_unordered(node: ast.AST) -> bool:
@@ -372,8 +360,6 @@ class _Walker:
     @staticmethod
     def record_assignment(scope: Scope, targets: list[ast.AST], value: ast.AST) -> None:
         """Note ``targets = value`` where it may bind a lock or a pool."""
-        if _names_process_pool(value):
-            scope.pool_factories.update(t.id for t in targets if isinstance(t, ast.Name))
         callee = dotted_name(value.func) if isinstance(value, ast.Call) else None
         for target in targets if callee is not None else ():
             name = dotted_name(target)
@@ -571,7 +557,6 @@ def build_graph(tree) -> CallGraph:
             name
             for name, callee in scope.assigned
             if callee.split(".")[-1] == "ProcessPoolExecutor"
-            or callee in scope.pool_factories
         }
         for line, raw, value in scope.submits:
             if raw.endswith(".submit") and raw.rsplit(".", 1)[0] not in pools:

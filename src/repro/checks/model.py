@@ -1,7 +1,7 @@
 """The static-analysis core: findings, the checker registry, reports.
 
-A *checker* is one named, registered rule (``DET001``, ``WP002``,
-``ASY001``, ``RC005``…) that inspects the repository — its parsed
+A *checker* is one named, registered rule (``DET001``, ``WP003``,
+``ASY001``, ``LK002``…) that inspects the repository — its parsed
 source tree, its live registries, or both — and yields
 :class:`Finding` values.  :func:`run_checks` evaluates a selected set
 of checkers against one :class:`~repro.checks.source.SourceTree`,
@@ -40,10 +40,9 @@ class Finding:
     """One rule violation at one source location.
 
     Attributes:
-        code: The checker's registry code (``DET001``, ``RC005``, …).
+        code: The checker's registry code (``DET001``, ``LK002``, …).
         file: Repo-relative posix path of the offending file.
-        line: 1-based line number (best effort for introspection-based
-            checkers, which map live objects back to their source).
+        line: 1-based line number.
         severity: ``"error"`` or ``"warning"``.
         message: One-line human explanation of the violation.
     """
@@ -79,11 +78,11 @@ class Checker:
         code: Stable registry key (``<GROUP><NNN>``); what ``--select``/
             ``--ignore`` and suppression comments refer to.
         group: Checker group (``determinism``, ``worker-purity``,
-            ``async-hygiene``, ``contracts``).
+            ``async-hygiene``, ``concurrency``, ``fork-safety``).
         severity: Severity stamped on the findings this rule yields.
         summary: One-line description (docs table, ``--help`` listings).
-        run: ``SourceTree -> iterable of Finding``.  Introspection-based
-            rules may ignore the tree and read the live registries.
+        run: ``SourceTree -> iterable of Finding``.  Registry-driven
+            rules also read the live registries.
     """
 
     code: str

@@ -3,9 +3,7 @@
 One :class:`SourceTree` is parsed per ``repro check`` run and shared by
 every checker: each covered file is read, AST-parsed and scanned for
 inline suppression comments exactly once, so adding a checker never
-adds a parse pass.  The tree also owns the object-to-location mapping
-the introspection-based checkers (worker purity, registry contracts)
-use to anchor findings on real ``file:line`` positions.
+adds a parse pass.
 
 Suppression grammar: a line containing ``# repro-check:
 ignore[CODE]`` (one code, or several comma-separated) silences exactly
@@ -18,11 +16,10 @@ every use so the report keeps them visible.
 from __future__ import annotations
 
 import ast
-import inspect
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.utils.checks import require
 
@@ -94,10 +91,6 @@ class SourceTree:
     def __post_init__(self) -> None:
         self._by_rel.update({f.rel: f for f in self.files})
 
-    def file(self, rel: str) -> SourceFile | None:
-        """The parsed file at repo-relative ``rel``, if covered."""
-        return self._by_rel.get(rel)
-
     def callgraph(self) -> CallGraph:
         """The interprocedural call graph, built once per tree."""
         if not self._graph:
@@ -112,30 +105,6 @@ class SourceTree:
         if covered is None:
             return False
         return code in covered.suppressions.get(line, frozenset())
-
-    # ------------------------------------------------------------------
-    # locating live objects (introspection-based checkers)
-    # ------------------------------------------------------------------
-
-    def locate(self, obj: Any) -> tuple[str, int]:
-        """Best-effort ``(rel_path, line)`` of a live object.
-
-        Introspection-based checkers anchor findings about registered
-        objects (scenario dataclasses, worker functions, workload
-        entries) on the object's definition site.  Objects defined
-        outside the tree (REPLs, test fabrications) fall back to the
-        object's module name at line 1 so the finding still renders.
-        """
-        try:
-            path = Path(inspect.getsourcefile(obj) or "")
-            line = inspect.getsourcelines(obj)[1]
-        except (TypeError, OSError):
-            return (getattr(obj, "__module__", str(obj)) or str(obj), 1)
-        try:
-            rel = path.resolve().relative_to(self.root.resolve()).as_posix()
-        except ValueError:
-            rel = path.name
-        return (rel, line)
 
 
 def parse_file(path: Path, rel: str) -> SourceFile:

@@ -22,8 +22,8 @@ Commands (see ``python -m repro --help``):
 * ``merge``     — combine shard stores and re-emit the final result
   file, byte-identical to a single unsharded run.
 * ``check``     — run the domain-invariant static-analysis pass
-  (:mod:`repro.checks`): determinism, worker purity, async hygiene and
-  registry/wire contracts; non-zero exit on any live finding.
+  (:mod:`repro.checks`): determinism, worker purity, async hygiene,
+  concurrency and fork safety; non-zero exit on any live finding.
 * ``families``  — list the registered scenario families and their axes.
 
 Every sweep-shaped command (``fig5``, ``study``, ``sweep``,
@@ -45,75 +45,9 @@ import os
 import sys
 from collections.abc import Sequence
 
-from repro.api.options import format_shard, parse_shard
+from repro.api.options import EXECUTION_FLAGS, format_shard, parse_shard
 
 __all__ = ["build_parser", "main", "parse_shard", "format_shard"]
-
-#: argparse kwargs of each shared execution-flag group (see
-#: ``Workload.flags``); parsed once, consumed as one ExecutionOptions.
-_EXECUTION_FLAGS: dict[str, list[tuple[str, dict]]] = {
-    "engine": [
-        (
-            "--jobs",
-            dict(
-                type=int, default=None,
-                help="batch-engine workers (default: inline)",
-            ),
-        ),
-        (
-            "--chunk",
-            dict(
-                type=int, default=None,
-                help="scenarios per engine chunk (default: auto)",
-            ),
-        ),
-    ],
-    "sink": [
-        ("--format", dict(choices=["jsonl", "csv"], default="jsonl")),
-        (
-            "--out",
-            dict(
-                default=None,
-                help="output path (default: results/<command>.<format>)",
-            ),
-        ),
-    ],
-    "store": [
-        (
-            "--store",
-            dict(
-                default=None,
-                help="persistent result store (SQLite); already-computed "
-                "scenarios are skipped and fresh ones checkpointed",
-            ),
-        ),
-        (
-            "--resume",
-            dict(
-                action="store_true",
-                help="continue an interrupted run from an existing "
-                "--store",
-            ),
-        ),
-        (
-            # Test hook: deterministically simulate a mid-run kill by
-            # aborting after N freshly computed results.
-            "--fail-after",
-            dict(type=int, default=None, help=argparse.SUPPRESS),
-        ),
-    ],
-    "shard": [
-        (
-            "--shard",
-            dict(
-                default=None, metavar="I/N",
-                help="evaluate only shard I of N (1-based); combine "
-                "shard stores with 'repro merge'",
-            ),
-        ),
-    ],
-}
-
 
 def _add_parameter(parser: argparse.ArgumentParser, param) -> None:
     """Generate the argparse argument for one declared parameter."""
@@ -170,9 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
         for param in workload.parameters:
             if not param.hidden:
                 _add_parameter(command, param)
-        for group in ("engine", "sink", "store", "shard"):
+        for group, flags in EXECUTION_FLAGS.items():
             if group in workload.flags:
-                for flag, kwargs in _EXECUTION_FLAGS[group]:
+                for flag, kwargs in flags:
                     command.add_argument(flag, **dict(kwargs))
         command.set_defaults(run=_dispatch, workload=workload)
     return parser

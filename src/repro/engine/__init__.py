@@ -4,12 +4,12 @@ The experiment layer's sweeps — Figure 5's Q grid, the acceptance
 study's utilization × seed matrix, and anything larger — are expressed
 as flat scenario lists and evaluated by :func:`run_batch`, the one
 entry point: deterministically chunked, optionally fanned out over a
-``concurrent.futures`` worker pool, and streamed to JSONL/CSV sinks in
-scenario order.  Past ``max_workers × 4`` chunks submitted but not
-yet flushed, the pool admits only the chunk that starts at the next
-index to flush, so a slow chunk cannot grow the out-of-order buffer;
-with ``collect=False`` nothing is accumulated, so
-10^5+-scenario sweeps run in constant memory.  The inline path
+process pool, and streamed to JSONL/CSV sinks in scenario order.  Past
+``max_workers × 4`` chunks submitted but not yet flushed, the pool
+admits only the chunk that starts at the next index to flush, so a
+slow chunk cannot grow the out-of-order buffer; with ``collect=False``
+nothing is accumulated, so 10^5+-scenario sweeps run in constant
+memory.  The inline path
 (``max_workers=None``) is the reference: every parallel configuration
 reproduces it bit-identically, because chunking is a pure function of
 the input and every randomised scenario carries its own derived seed.
@@ -32,9 +32,9 @@ campaign specs (:mod:`repro.campaign`) reach any workload by name.
 
 Families evaluate against *shared-artifact contexts*
 (:mod:`repro.engine.context`): expensive per-task-set / per-function
-state — generated task sets, safe-Q vectors, delay maxima, segment
-indices — is built once per :class:`ContextKey` through a per-process
-memo, and ``run_batch(..., group_by=family.context_key)`` shapes pooled
+state — generated task sets, safe-Q vectors, delay maxima, benchmark
+delay functions — is built once per :class:`ContextKey` through a
+per-process memo, and ``run_batch(..., group_by=family.context_key)`` shapes pooled
 chunks so each worker builds every context exactly once while output
 order and results stay bit-identical to the ungrouped path.
 
@@ -65,7 +65,6 @@ from repro.engine.context import (
     taskset_context_key,
 )
 from repro.engine.engine import (
-    EXECUTORS,
     WorkerError,
     resolve_workers,
     run_batch,
@@ -122,7 +121,6 @@ __all__ = [
     "taskset_context_key",
     "run_batch",
     "resolve_workers",
-    "EXECUTORS",
     "WorkerError",
     "CachedRun",
     "JobCancelled",

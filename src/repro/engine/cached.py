@@ -182,7 +182,6 @@ def run_cached_batch(
     decode: Decoder | None = None,
     max_workers: int | None = None,
     chunk_size: int | None = None,
-    executor: str = "process",
     on_result: Callable[[int], None] | None = None,
     group_by: Callable[[S], Hashable] | None = None,
     cancel: Callable[[], bool] | None = None,
@@ -204,7 +203,6 @@ def run_cached_batch(
             the returned list; without it records are returned as-is.
         max_workers: Engine pool width for the fresh scenarios.
         chunk_size: Engine chunk size (default: auto).
-        executor: ``"process"`` or ``"thread"``.
         on_result: Hook called with the running count after each fresh
             record is checkpointed.
         cancel: Optional predicate polled before evaluation starts and
@@ -258,7 +256,6 @@ def run_cached_batch(
                 [scenarios[i] for i in missing],
                 max_workers=max_workers,
                 chunk_size=chunk_size,
-                executor=executor,
                 sink=_CheckpointSink(
                     store, [keys[i] for i in missing], on_result, cancel
                 ),

@@ -2,7 +2,7 @@
 
 All primitives are pure functions of their inputs so a sweep's
 decomposition — and therefore its results — never depends on worker
-count, executor kind or scheduling order:
+count or scheduling order:
 
 * :func:`grouped_chunk_plan` splits a scenario stream into index chunks
   that never span two shared-artifact groups (the

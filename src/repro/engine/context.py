@@ -333,8 +333,8 @@ def _get_context(
     builds each context exactly once and serves its whole slice from
     the memo.  Exposed as :data:`get_context`, a
     :class:`~repro.utils.caching.ThreadPinnedLRU` of
-    :data:`CONTEXT_CACHE_SIZE` entries, so a thread worker keeps its
-    chunk's context even when other threads evict it.
+    :data:`CONTEXT_CACHE_SIZE` entries, so a serve slot thread keeps
+    its group's context even when other slots evict it.
     """
     return build_context(key, artifacts)
 

@@ -6,12 +6,11 @@
   chunks (:func:`repro.engine.chunking.grouped_chunk_plan`; without a
   ``group_by`` key that is contiguous ``chunk_size`` slices) and results
   are re-assembled in scenario order, so the output is a pure function
-  of ``(worker, scenarios)`` regardless of worker count, executor kind,
-  grouping or completion order;
-* **a `concurrent.futures` worker pool** — ``ProcessPoolExecutor`` for
-  CPU-bound analyses (the default) or ``ThreadPoolExecutor`` where
-  fork/pickle overhead is not worth it; ``max_workers`` of ``None``/``1``
-  runs inline with zero pool overhead;
+  of ``(worker, scenarios)`` regardless of worker count, grouping or
+  completion order;
+* **one process pool** — a ``concurrent.futures.ProcessPoolExecutor``
+  for the CPU-bound analyses; ``max_workers`` of ``None``/``1`` runs
+  inline with zero pool overhead;
 * **streaming emission** — completed results are flushed to an optional
   :class:`~repro.engine.sinks.ResultSink` *in scenario order* as soon as
   their predecessors have been flushed; with ``collect=False`` results
@@ -32,10 +31,8 @@ import os
 from collections.abc import Callable, Hashable, Sequence
 from concurrent.futures import (
     FIRST_COMPLETED,
-    Executor,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from typing import TypeVar
@@ -46,9 +43,6 @@ from repro.utils.checks import require
 
 S = TypeVar("S")
 R = TypeVar("R")
-
-#: Supported executor kinds.
-EXECUTORS = ("process", "thread")
 
 #: Chunks per pool worker that may be submitted but not yet flushed,
 #: bounding both the futures backlog and the out-of-order buffer the
@@ -136,7 +130,6 @@ def run_batch(
     *,
     max_workers: int | None = None,
     chunk_size: int | None = None,
-    executor: str = "process",
     sink: ResultSink | None = None,
     collect: bool = True,
     group_by: Callable[[S], Hashable] | None = None,
@@ -145,16 +138,14 @@ def run_batch(
 
     Args:
         worker: Module-level callable ``scenario -> result`` (picklable
-            when the process executor is used).
+            into the process pool).
         scenarios: The batch; may be empty.
         max_workers: ``None``/``0``/``1`` evaluates inline in the
             calling process (the reference path every parallel
             configuration must reproduce bit-identically); ``N > 1``
-            uses a pool of ``N`` workers.
+            uses a pool of ``N`` worker processes.
         chunk_size: Scenarios per chunk; ``None`` picks
             :func:`~repro.engine.chunking.default_chunk_size`.
-        executor: ``"process"`` (default; true parallelism for the
-            CPU-bound analyses) or ``"thread"``.
         sink: Optional streaming sink; receives
             :func:`~repro.engine.sinks.as_record` of every result in
             scenario order, as chunks complete.
@@ -173,7 +164,7 @@ def run_batch(
 
     Returns:
         One result per scenario, in scenario order — identical for every
-        ``(max_workers, chunk_size, executor, group_by)`` configuration —
+        ``(max_workers, chunk_size, group_by)`` configuration —
         or ``None`` when ``collect`` is ``False``.
 
     On the pooled path a chunk is submitted only while fewer than
@@ -184,10 +175,6 @@ def run_batch(
     therefore holds back the submission of later ones instead of
     growing the out-of-order buffer.
     """
-    require(
-        executor in EXECUTORS,
-        f"executor must be one of {EXECUTORS}, got {executor!r}",
-    )
     if max_workers is not None:
         require(max_workers >= 0, f"max_workers must be >= 0, got {max_workers}")
     if chunk_size is not None:
@@ -217,14 +204,11 @@ def run_batch(
     plan = grouped_chunk_plan(keys, chunk_size)
     if not plan:
         return ordered
-    executor_cls: type[Executor] = (
-        ProcessPoolExecutor if executor == "process" else ThreadPoolExecutor
-    )
     buffer: dict[int, R] = {}  # finished, not yet flushed, by index
     held: list[int] = []  # last index of each finished, unflushed chunk
     next_index = 0  # next scenario index to flush
     max_inflight = max_workers * _MAX_INFLIGHT_FACTOR
-    with executor_cls(max_workers=max_workers) as pool:
+    with ProcessPoolExecutor(max_workers=max_workers) as pool:
         pending: dict[Future[list[R]], int] = {}
         submit_cursor = 0
         while submit_cursor < len(plan) or pending:

@@ -29,7 +29,8 @@ with no further wiring.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from importlib import import_module
 from typing import Any, get_args, get_origin, get_type_hints
 
 from repro.utils.checks import require
@@ -146,17 +147,77 @@ class ScenarioFamily:
 _FAMILIES: dict[str, ScenarioFamily] = {}
 
 
+def _importable(func: Callable) -> bool:
+    """Whether ``func`` pickles by reference (module + qualname)."""
+    qualname = getattr(func, "__qualname__", "")
+    module = getattr(func, "__module__", "")
+    if not qualname or not module or "<" in qualname:
+        return False  # lambdas and <locals> never pickle
+    try:
+        target: Any = import_module(module)
+        for part in qualname.split("."):
+            target = getattr(target, part)
+    except (ImportError, AttributeError):
+        return False
+    return target is func
+
+
+def _validate(family: ScenarioFamily) -> None:
+    """Reject a family the engine, the store or the docs cannot serve."""
+    scenario = family.scenario_type
+    require(
+        is_dataclass(scenario) and scenario.__dataclass_params__.frozen,
+        f"scenario type {scenario.__name__!r} of family {family.name!r} "
+        "must be a frozen dataclass: the store keys the scenario value, "
+        "and a mutable one could drift between keying and evaluation",
+    )
+    for role in ("worker", "decoder", "context_key"):
+        func = getattr(family, role)
+        require(
+            func is None or _importable(func),
+            f"{role} of family {family.name!r} "
+            f"({getattr(func, '__qualname__', func)!r}) is not importable "
+            "by its qualified name, so it cannot pickle into the engine's "
+            "process pool; define it at module top level",
+        )
+    if not family.field_help:
+        return  # undocumented families render their axes without help
+    declared = {name for name, _ in family.field_help}
+    actual = {field.name for field in fields(scenario)}
+    if missing := sorted(actual - declared):
+        raise ValueError(
+            f"family {family.name!r} axis {missing[0]!r} has no field_help "
+            "entry; the generated docs and campaign error messages would "
+            "present an undocumented axis"
+        )
+    if stale := sorted(declared - actual):
+        raise ValueError(
+            f"family {family.name!r} documents axis {stale[0]!r} which its "
+            "scenario dataclass does not have"
+        )
+
+
 def register_family(family: ScenarioFamily, replace: bool = False) -> None:
     """Register a scenario family under its name.
+
+    The family must be servable before it is reachable: its scenario
+    type a frozen dataclass, its worker, decoder and context key
+    importable by qualified name (they pickle into the engine's process
+    pool), and a non-empty ``field_help`` must document exactly the
+    scenario's fields.
 
     Args:
         family: The family to register.
         replace: Allow overwriting an existing registration (tests);
             by default a duplicate name fails loudly.
+
+    Raises:
+        ValueError: when any of the above does not hold.
     """
     require(
         bool(family.name), "scenario family needs a non-empty name"
     )
+    _validate(family)
     require(
         replace or family.name not in _FAMILIES,
         f"scenario family {family.name!r} is already registered",

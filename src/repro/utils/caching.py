@@ -3,8 +3,8 @@
 :class:`ThreadPinnedLRU` is a fixed-capacity ``functools.lru_cache``
 that also keeps each thread's last result.  The engine memoises its
 ``AnalysisContext`` objects with it
-(:func:`repro.engine.context.get_context`): serve slot threads and
-thread-executor workers share that one memo.
+(:func:`repro.engine.context.get_context`): the serve slot threads, each
+evaluating its job inline, share that one memo.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ class ThreadPinnedLRU:
 
     Behaves like ``functools.lru_cache(maxsize=size)(fn)`` — including
     ``cache_clear()`` and ``cache_info()``.  Engine workers call their
-    memo once per scenario, and a group-respecting chunk asks for the
-    same key over and over.  With thread workers the shared LRU alone
-    does not guarantee one build per chunk: while one thread is between
-    two scenarios of its chunk, the others can insert enough new keys to
+    memo once per scenario, and a group-respecting run asks for the
+    same key over and over.  With several threads on one memo — serve
+    slots running their jobs side by side — the shared LRU alone does
+    not guarantee one build per group: while one thread is between two
+    scenarios of its group, the others can insert enough new keys to
     evict its entry, and its next scenario builds it again.  A
     per-thread pin of the last ``(args, result)`` answers those calls
     whatever the other threads evict.  :meth:`cache_clear` invalidates

@@ -83,12 +83,12 @@ def _dispatched_chunks(monkeypatch, n: int, slots: int | None):
         _echo,
         plan.scenarios,
         max_workers=slots,
-        executor="thread",
         group_by=plan.group_by,
     )
     return results, plan.scenarios, chunks
 
 
+@pytest.mark.usefixtures("thread_pool")
 class TestPlanFanout:
     """How a served job's grid fans out: a job runs on one slot and its
     fresh scenarios fan out over the engine pool that

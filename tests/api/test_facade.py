@@ -464,6 +464,15 @@ class TestRequestValidation:
         with pytest.raises(ValueError, match="expects int"):
             bench.run(RunRequest.make("fig5", points="many"))
 
+    def test_bool_is_not_a_count(self):
+        # bool is an int subclass, but true/false are not point counts:
+        # admitting them would give one grid two job ids.
+        from repro.api.workloads import get_workload
+
+        for value in (True, False):
+            with pytest.raises(ValueError, match="expects int"):
+                get_workload("sweep").resolve_params({"points": value})
+
     def test_missing_required_parameter(self, bench):
         with pytest.raises(ValueError, match="requires parameter"):
             bench.run(RunRequest.make("campaign"))

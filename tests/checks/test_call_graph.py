@@ -310,34 +310,6 @@ class TestEntryPoints:
         )
         assert graph.launches == ()
 
-    def test_fork_entries_see_a_conditional_executor_class(self, make_tree):
-        # The engine's executor switch: a name bound to
-        # ProcessPoolExecutor on one branch is a process pool.
-        graph = _graph(
-            make_tree,
-            {
-                "a.py": (
-                    "from concurrent.futures import (\n"
-                    "    ProcessPoolExecutor, ThreadPoolExecutor,\n"
-                    ")\n"
-                    "\n"
-                    "def work(x):\n"
-                    "    return x\n"
-                    "\n"
-                    "def fan_out(process):\n"
-                    "    cls: type = (\n"
-                    "        ProcessPoolExecutor if process else ThreadPoolExecutor\n"
-                    "    )\n"
-                    "    with cls(max_workers=2) as pool:\n"
-                    "        pool.submit(work, 1)\n"
-                ),
-            },
-        )
-        entries = {
-            (target, site.line) for target, site in graph.launches
-        }
-        assert entries == {("repro.a:work", 13)}
-
     def test_worker_entries_cover_the_worker_role(self, make_tree):
         graph = _graph(
             make_tree,

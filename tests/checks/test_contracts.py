@@ -1,16 +1,23 @@
-"""Registry contract checkers (RC001, RC002, RC005), drift demos
-included."""
+"""Registry contracts, enforced where a family or a workload registers.
+
+``register_family`` rejects ``field_help`` that drifts from the
+scenario dataclass; ``register_workload`` rejects unknown shared-flag
+groups and parameters that shadow an enabled group's flags.  The test
+classes keep the codes of the static rules these checks replaced
+(``RC001``, ``RC002``, ``RC005``).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
-from repro.checks.contracts import (
-    check_family_axes,
-    check_family_context,
-    check_workload_flags,
-)
+import pytest
+
+from repro.api.workloads import Parameter, Workload, register_workload
+from repro.engine.registry import ScenarioFamily, get_family, register_family
+
+#: Every registration here lands in a throwaway registry.
+pytestmark = pytest.mark.usefixtures("scratch_registries")
 
 
 @dataclass(frozen=True)
@@ -19,129 +26,109 @@ class Scenario:
     knots: int = 64
 
 
+def evaluate(scenario):
+    return scenario
+
+
+def decode(record):
+    return record
+
+
+def context_key(scenario):
+    return scenario.knots
+
+
 def family(**kw):
     base = dict(
         name="fab",
         scenario_type=Scenario,
-        context_key=lambda s: s.knots,
+        worker=evaluate,
+        decoder=decode,
+        summary="a fabricated family",
+        context_key=context_key,
         artifacts=("functions",),
         field_help=(("q", "NPR length"), ("knots", "resolution")),
     )
     base.update(kw)
-    return SimpleNamespace(**base)
+    return ScenarioFamily(**base)
 
 
 class TestRc001Context:
-    def test_declared_context_passes(self, make_tree):
-        tree = make_tree({"m.py": "x = 1\n"})
-        assert list(check_family_context(tree, [family()])) == []
+    def test_declared_context_passes(self):
+        fab = family()
+        register_family(fab)
+        assert get_family("fab") is fab
 
-    def test_missing_context_key_is_flagged(self, make_tree):
-        tree = make_tree({"m.py": "x = 1\n"})
-        findings = list(
-            check_family_context(tree, [family(context_key=None)])
-        )
-        assert [f.code for f in findings] == ["RC001"]
-
-    def test_context_key_without_artifacts_is_flagged(self, make_tree):
-        tree = make_tree({"m.py": "x = 1\n"})
-        findings = list(
-            check_family_context(tree, [family(artifacts=())])
-        )
-        assert [f.code for f in findings] == ["RC001"]
+    def test_family_without_shared_state_registers(self):
+        # context_key=None is the documented "no shared state" case;
+        # the engine then runs the grid ungrouped.
+        register_family(family(context_key=None, artifacts=()))
+        assert get_family("fab").context_key is None
 
 
 class TestRc002Axes:
-    def test_exact_coverage_passes(self, make_tree):
-        tree = make_tree({"m.py": "x = 1\n"})
-        assert list(check_family_axes(tree, [family()])) == []
+    def test_exact_coverage_passes(self):
+        register_family(family())
 
-    def test_undocumented_axis_is_flagged(self, make_tree):
-        tree = make_tree({"m.py": "x = 1\n"})
-        findings = list(
-            check_family_axes(
-                tree, [family(field_help=(("q", "NPR length"),))]
-            )
-        )
-        assert [f.code for f in findings] == ["RC002"]
-        assert "'knots'" in findings[0].message
+    def test_undocumented_axis_is_flagged(self):
+        with pytest.raises(ValueError, match="'knots'"):
+            register_family(family(field_help=(("q", "NPR length"),)))
 
-    def test_stale_help_entry_is_flagged(self, make_tree):
-        tree = make_tree({"m.py": "x = 1\n"})
-        findings = list(
-            check_family_axes(
-                tree,
-                [
-                    family(
-                        field_help=(
-                            ("q", "NPR length"),
-                            ("knots", "resolution"),
-                            ("gone", "no such field"),
-                        )
-                    )
-                ],
-            )
+    def test_stale_help_entry_is_flagged(self):
+        help_ = (
+            ("q", "NPR length"),
+            ("knots", "resolution"),
+            ("gone", "no such field"),
         )
-        assert [f.code for f in findings] == ["RC002"]
-        assert "'gone'" in findings[0].message
+        with pytest.raises(ValueError, match="'gone'"):
+            register_family(family(field_help=help_))
+
+    def test_empty_field_help_is_legal(self):
+        register_family(family(field_help=()))
+        assert all(axis.help == "" for axis in get_family("fab").axes())
+
+
+def run_nothing(request, params):
+    return None
 
 
 def workload(**kw):
     base = dict(
         name="fab",
-        flags=frozenset({"engine"}),
+        summary="a fabricated workload",
         parameters=(),
-        runner=lambda request, params: None,
+        runner=run_nothing,
+        render=str,
+        flags=frozenset({"engine"}),
     )
     base.update(kw)
-    return SimpleNamespace(**base)
+    return Workload(**base)
 
 
 class TestRc005WorkloadFlags:
-    def test_known_groups_pass(self, make_tree):
-        tree = make_tree({"m.py": "x = 1\n"})
-        assert list(check_workload_flags(tree, [workload()])) == []
-
-    def test_unknown_group_is_flagged(self, make_tree):
-        tree = make_tree({"m.py": "x = 1\n"})
-        findings = list(
-            check_workload_flags(
-                tree, [workload(flags=frozenset({"engine", "bogus"}))]
-            )
+    def test_known_groups_pass(self):
+        register_workload(
+            workload(flags=frozenset({"engine", "store", "shard", "sink"}))
         )
-        assert [f.code for f in findings] == ["RC005"]
-        assert "'bogus'" in findings[0].message
 
-    def test_parameter_shadowing_a_group_flag_is_flagged(self, make_tree):
-        tree = make_tree({"m.py": "x = 1\n"})
-        findings = list(
-            check_workload_flags(
-                tree,
-                [
-                    workload(
-                        parameters=(SimpleNamespace(name="jobs"),)
-                    )
-                ],
+    def test_unknown_group_is_flagged(self):
+        with pytest.raises(ValueError, match="'bogus'"):
+            register_workload(
+                workload(flags=frozenset({"engine", "bogus"}))
             )
-        )
-        assert [f.code for f in findings] == ["RC005"]
-        assert "'jobs'" in findings[0].message
 
-    def test_same_name_without_that_group_is_fine(self, make_tree):
+    def test_parameter_shadowing_a_group_flag_is_flagged(self):
+        with pytest.raises(ValueError, match="'jobs'"):
+            register_workload(
+                workload(parameters=(Parameter("jobs", int, 1),))
+            )
+
+    def test_same_name_without_that_group_is_fine(self):
         # merge/check declare a 'format' parameter but not the sink
-        # group, so there is no collision to flag.
-        tree = make_tree({"m.py": "x = 1\n"})
-        assert (
-            list(
-                check_workload_flags(
-                    tree,
-                    [
-                        workload(
-                            flags=frozenset({"engine"}),
-                            parameters=(SimpleNamespace(name="format"),),
-                        )
-                    ],
-                )
+        # group, so there is no collision to reject.
+        register_workload(
+            workload(
+                flags=frozenset({"engine"}),
+                parameters=(Parameter("format", str, "text"),),
             )
-            == []
         )

@@ -59,7 +59,8 @@ class TestRegistry:
             "determinism",
             "worker-purity",
             "async-hygiene",
-            "contracts",
+            "concurrency",
+            "fork-safety",
         ):
             assert group in groups
 
@@ -94,7 +95,7 @@ class TestSelection:
     def test_select_by_prefix(self, make_tree):
         tree = make_tree({"m.py": "x = 1\n"})
         report = run_checks(tree, select=["WP"])
-        assert set(report.codes_run) == {"WP001", "WP002", "WP003"}
+        assert set(report.codes_run) == {"WP003"}
 
     def test_ignore_drops_codes(self, make_tree):
         tree = make_tree({"m.py": "x = 1\n"})

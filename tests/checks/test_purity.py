@@ -1,16 +1,16 @@
-"""Worker-purity checkers (WP001-003) over fabricated families."""
+"""Worker purity: registration rejects a mutable scenario dataclass and
+callables that do not pickle (formerly rules WP001/WP002); the static
+rule WP003 flags workers that rebind module globals."""
 
 from __future__ import annotations
 
 import importlib.util
 from dataclasses import dataclass
-from types import SimpleNamespace
 
-from repro.checks.purity import (
-    check_frozen_scenarios,
-    check_picklable_callables,
-    check_worker_globals,
-)
+import pytest
+
+from repro.checks.purity import check_worker_globals
+from repro.engine.registry import ScenarioFamily, register_family
 
 
 @dataclass(frozen=True)
@@ -27,89 +27,67 @@ def top_level_worker(scenario):
     return scenario
 
 
+def top_level_decoder(record):
+    return record
+
+
 def family(scenario_type=FrozenScenario, worker=top_level_worker, **kw):
     base = dict(
         name="fab",
         scenario_type=scenario_type,
         worker=worker,
-        decoder=None,
-        context_key=None,
+        decoder=top_level_decoder,
+        summary="a fabricated family",
     )
     base.update(kw)
-    return SimpleNamespace(**base)
+    return ScenarioFamily(**base)
 
 
+@pytest.mark.usefixtures("scratch_registries")
 class TestWp001Frozen:
-    def test_frozen_dataclass_passes(self, make_tree):
-        tree = make_tree({"m.py": "x = 1\n"})
-        assert list(check_frozen_scenarios(tree, [family()])) == []
+    def test_frozen_dataclass_passes(self):
+        register_family(family())
 
-    def test_mutable_dataclass_is_flagged(self, make_tree):
-        tree = make_tree({"m.py": "x = 1\n"})
-        findings = list(
-            check_frozen_scenarios(
-                tree, [family(scenario_type=MutableScenario)]
-            )
-        )
-        assert [f.code for f in findings] == ["WP001"]
-        assert "MutableScenario" in findings[0].message
+    def test_mutable_dataclass_is_flagged(self):
+        with pytest.raises(ValueError, match="MutableScenario"):
+            register_family(family(scenario_type=MutableScenario))
 
-    def test_plain_class_is_flagged(self, make_tree):
+    def test_plain_class_is_flagged(self):
         class Plain:
             pass
 
-        tree = make_tree({"m.py": "x = 1\n"})
-        findings = list(
-            check_frozen_scenarios(tree, [family(scenario_type=Plain)])
-        )
-        assert [f.code for f in findings] == ["WP001"]
+        with pytest.raises(ValueError, match="'Plain'.*frozen dataclass"):
+            register_family(family(scenario_type=Plain))
 
 
+@pytest.mark.usefixtures("scratch_registries")
 class TestWp002Picklable:
-    def test_top_level_function_passes(self, make_tree):
-        tree = make_tree({"m.py": "x = 1\n"})
-        assert list(check_picklable_callables(tree, [family()])) == []
+    def test_top_level_function_passes(self):
+        register_family(family())
 
-    def test_lambda_worker_is_flagged(self, make_tree):
-        tree = make_tree({"m.py": "x = 1\n"})
-        findings = list(
-            check_picklable_callables(
-                tree, [family(worker=lambda s: s)]
-            )
-        )
-        assert [f.code for f in findings] == ["WP002"]
+    def test_lambda_worker_is_flagged(self):
+        with pytest.raises(ValueError, match="worker .* not importable"):
+            register_family(family(worker=lambda s: s))
 
-    def test_nested_function_is_flagged(self, make_tree):
+    def test_nested_function_is_flagged(self):
         def nested(scenario):
             return scenario
 
-        tree = make_tree({"m.py": "x = 1\n"})
-        findings = list(
-            check_picklable_callables(tree, [family(worker=nested)])
-        )
-        assert [f.code for f in findings] == ["WP002"]
+        with pytest.raises(ValueError, match="not importable"):
+            register_family(family(worker=nested))
 
-    def test_every_callable_role_is_checked(self, make_tree):
-        tree = make_tree({"m.py": "x = 1\n"})
-        findings = list(
-            check_picklable_callables(
-                tree,
-                [
-                    family(
-                        decoder=lambda record: record,
-                        context_key=lambda s: s,
-                    )
-                ],
-            )
-        )
-        assert [f.code for f in findings] == ["WP002", "WP002"]
+    def test_every_callable_role_is_checked(self):
+        for role in ("worker", "decoder", "context_key"):
+            with pytest.raises(ValueError, match=f"^{role} of family"):
+                register_family(family(**{role: lambda value: value}))
 
 
 class TestWp003Globals:
     def load_worker(self, tmp_path, make_tree, body):
         tree = make_tree({"wpmod.py": body})
         path = tmp_path / "src" / "repro" / "wpmod.py"
-        spec = importlib.util.spec_from_file_location("wpmod", path)
+        # Named after its place in the tree, as a package module is.
+        spec = importlib.util.spec_from_file_location("repro.wpmod", path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         return tree, module

@@ -62,7 +62,7 @@ class TestAnalysisSeesTheServeLayer:
 
     def test_shard_fork_entry_is_discovered(self):
         # Jobs reach child processes only through the engine's one
-        # pooled loop, whose executor class is chosen at run time.
+        # pooled loop: ``with ProcessPoolExecutor(...) as pool``.
         entries = {target for target, _site in _graph().launches}
         assert "repro.engine.engine:_run_chunk_indexed" in entries
 

@@ -77,7 +77,7 @@ class TestEmitter:
         [run] = log["runs"]
         assert run["results"] == []
         rules = run["tool"]["driver"]["rules"]
-        assert len(rules) >= 19
+        assert len(rules) >= 14
         assert run["tool"]["driver"]["version"] == __version__
 
     def test_findings_become_results_with_anchored_locations(

@@ -24,10 +24,10 @@ class TestSelfCheck:
         report = run_repo_checks()
         assert report.ok, "\n" + report.render_text()
 
-    def test_all_six_groups_actually_ran(self):
+    def test_all_five_groups_actually_ran(self):
         report = run_repo_checks()
         prefixes = {code[:3] for code in report.codes_run}
-        assert {"DET", "WP0", "ASY", "RC0", "LK0", "FS0"} <= prefixes
+        assert {"DET", "WP0", "ASY", "LK0", "FS0"} <= prefixes
 
     def test_source_and_examples_are_covered(self):
         report = run_repo_checks()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import strategies as st
@@ -15,6 +16,29 @@ from repro.piecewise import PiecewiseFunction, from_points, step
 def rng() -> random.Random:
     """A deterministically seeded RNG for reproducible randomized tests."""
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def thread_pool(monkeypatch):
+    """Run the engine's pooled loop on threads instead of processes.
+
+    A test fake for the cases a process pool cannot serve: closure
+    workers, counters and events shared with the test, and memo
+    behaviour under threads sharing one process.
+    """
+    import repro.engine.engine as engine_module
+
+    monkeypatch.setattr(engine_module, "ProcessPoolExecutor", ThreadPoolExecutor)
+
+
+@pytest.fixture
+def scratch_registries(monkeypatch):
+    """Let a test register families and workloads without leaking them."""
+    import repro.api.workloads as workloads
+    import repro.engine.registry as registry
+
+    monkeypatch.setattr(registry, "_FAMILIES", dict(registry._FAMILIES))
+    monkeypatch.setattr(workloads, "_WORKLOADS", dict(workloads._WORKLOADS))
 
 
 # ----------------------------------------------------------------------

@@ -117,13 +117,12 @@ class TestBatchWorkerParity:
 
 
 class TestEngineBackendSeam:
-    def test_thread_executor_batched(self):
+    def test_thread_executor_batched(self, thread_pool):
         scenarios = _scenarios()
         got = run_batch(
             evaluate_bound_scenario,
             scenarios,
             max_workers=2,
-            executor="thread",
             group_by=bound_context_key,
         )
         assert got == _reference(scenarios)

@@ -316,16 +316,14 @@ class TestGroupedRunBatch:
 
     def test_pooled_grouped_matches_inline(self):
         inline = run_batch(evaluate_bound_scenario, self.SCENARIOS)
-        for executor in ("thread", "process"):
-            grouped = run_batch(
-                evaluate_bound_scenario,
-                self.SCENARIOS,
-                max_workers=3,
-                chunk_size=2,
-                executor=executor,
-                group_by=bound_context_key,
-            )
-            assert grouped == inline, executor
+        grouped = run_batch(
+            evaluate_bound_scenario,
+            self.SCENARIOS,
+            max_workers=3,
+            chunk_size=2,
+            group_by=bound_context_key,
+        )
+        assert grouped == inline
 
     def test_grouped_sink_bytes_match_ungrouped(self, tmp_path):
         plain = tmp_path / "plain.jsonl"
@@ -343,14 +341,15 @@ class TestGroupedRunBatch:
                 self.SCENARIOS,
                 max_workers=2,
                 chunk_size=2,
-                executor="thread",
                 sink=sink,
                 collect=False,
                 group_by=bound_context_key,
             )
         assert plain.read_bytes() == grouped.read_bytes()
 
-    def test_worker_error_pins_original_index_under_grouping(self):
+    def test_worker_error_pins_original_index_under_grouping(
+        self, thread_pool
+    ):
         # Exactly one failing scenario: with several failures the
         # engine surfaces whichever failing chunk completes first
         # (same contract as the ungrouped pool).
@@ -370,7 +369,6 @@ class TestGroupedRunBatch:
                 self.SCENARIOS,
                 max_workers=2,
                 chunk_size=2,
-                executor="thread",
                 group_by=bound_context_key,
             )
         assert info.value.index == index
@@ -399,7 +397,6 @@ class TestGroupedRunBatch:
                     collect=False,
                     max_workers=2,
                     chunk_size=2,
-                    executor="thread",
                     group_by=bound_context_key,
                 )
             assert run.computed == len(self.SCENARIOS)
@@ -486,7 +483,7 @@ class TestContextCacheThrash:
     context exactly once regardless of the cache capacity."""
 
     def test_grouped_run_builds_each_context_once_despite_tiny_cache(
-        self, monkeypatch
+        self, monkeypatch, thread_pool
     ):
         from repro.engine import context as context_module
         from repro.utils.caching import ThreadPinnedLRU
@@ -520,7 +517,6 @@ class TestContextCacheThrash:
             evaluate_bound_scenario,
             scenarios,
             max_workers=2,
-            executor="thread",
             group_by=bound_context_key,
         )
         assert results == expected

@@ -18,7 +18,7 @@ from repro.store import ResultStore
 
 
 def _square(x: int) -> int:
-    """Module-level worker (picklable for the process executor)."""
+    """Module-level worker (picklable into the process pool)."""
     return x * x
 
 
@@ -40,29 +40,27 @@ class TestInlinePath:
 
 
 class TestPooledPaths:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_identical_to_inline(self, executor):
         xs = list(range(37))
         inline = run_batch(_square, xs)
-        pooled = run_batch(
-            _square, xs, max_workers=3, chunk_size=4, executor=executor
-        )
+        pooled = run_batch(_square, xs, max_workers=3, chunk_size=4)
         assert pooled == inline
 
     def test_chunk_larger_than_input(self):
         xs = [1, 2, 3]
-        assert run_batch(
-            _square, xs, max_workers=2, chunk_size=100, executor="thread"
-        ) == [1, 4, 9]
+        assert run_batch(_square, xs, max_workers=2, chunk_size=100) == [
+            1, 4, 9,
+        ]
 
     def test_empty_sweep_parallel(self):
-        assert run_batch(_square, [], max_workers=4, executor="thread") == []
+        assert run_batch(_square, [], max_workers=4) == []
 
     def test_chunk_size_one(self):
         xs = list(range(11))
-        assert run_batch(
-            _square, xs, max_workers=4, chunk_size=1, executor="thread"
-        ) == [x * x for x in xs]
+        assert run_batch(_square, xs, max_workers=4, chunk_size=1) == [
+            x * x for x in xs
+        ]
 
     def test_sink_streams_in_scenario_order(self):
         sink = MemorySink()
@@ -71,17 +69,16 @@ class TestPooledPaths:
             list(range(23)),
             max_workers=4,
             chunk_size=3,
-            executor="thread",
             sink=sink,
         )
         assert [r["x"] for r in sink.records] == list(range(23))
 
-    def test_worker_exception_propagates(self):
+    def test_worker_exception_propagates(self, thread_pool):
         def boom(x):
             raise RuntimeError("worker failed")
 
         with pytest.raises(RuntimeError):
-            run_batch(boom, [1], max_workers=2, executor="thread")
+            run_batch(boom, [1], max_workers=2)
 
 
 class TestStreamOnlyMode:
@@ -98,7 +95,6 @@ class TestStreamOnlyMode:
             list(range(17)),
             max_workers=3,
             chunk_size=2,
-            executor="thread",
             sink=sink,
             collect=False,
         )
@@ -111,13 +107,6 @@ class TestStreamOnlyMode:
 
 
 class TestConfig:
-    def test_invalid_executor_rejected(self):
-        for max_workers in (None, 2):  # inline calls validate too
-            with pytest.raises(ValueError, match="executor must be one of"):
-                run_batch(
-                    _square, [1], max_workers=max_workers, executor="gpu"
-                )
-
     def test_invalid_chunk_size_rejected(self):
         for max_workers in (None, 2):
             with pytest.raises(ValueError, match="chunk_size must be > 0"):
@@ -129,17 +118,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="max_workers must be >= 0"):
             run_batch(_square, [1], max_workers=-1)
 
-    def test_zero_and_one_workers_are_inline(self):
+    def test_zero_and_one_workers_are_inline(self, thread_pool):
         caller = threading.get_ident()
 
         def where(_):
             return threading.get_ident()
 
         for max_workers in (None, 0, 1):
-            assert run_batch(
-                where, [0, 1], max_workers=max_workers, executor="thread"
-            ) == [caller, caller]
-        pooled = run_batch(where, [0, 1], max_workers=2, executor="thread")
+            assert run_batch(where, [0, 1], max_workers=max_workers) == [
+                caller, caller,
+            ]
+        pooled = run_batch(where, [0, 1], max_workers=2)
         assert caller not in pooled
 
     def test_resolve_workers(self):
@@ -173,7 +162,6 @@ class TestConfig:
         assert defaults == {
             "max_workers": None,
             "chunk_size": None,
-            "executor": "process",
             "sink": None,
             "collect": True,
             "group_by": None,
@@ -181,7 +169,7 @@ class TestConfig:
 
 
 class _BlockedHead:
-    """A thread-executor worker whose scenario 0 blocks until the engine
+    """A thread-pool worker whose scenario 0 blocks until the engine
     has nothing more it may submit.
 
     The engine's ``wait`` is wrapped: a wait on one future alone means
@@ -228,7 +216,7 @@ class TestSubmissionGate:
 
     @pytest.mark.parametrize("grouping", sorted(_GROUPINGS))
     def test_blocked_first_chunk_caps_submission(
-        self, monkeypatch, grouping
+        self, monkeypatch, thread_pool, grouping
     ):
         worker = _BlockedHead(monkeypatch)
         xs = list(range(400))
@@ -237,7 +225,6 @@ class TestSubmissionGate:
             xs,
             max_workers=self.WORKERS,
             chunk_size=1,
-            executor="thread",
             group_by=_GROUPINGS[grouping],
         )
         assert results == [{"x": x} for x in xs]
@@ -246,7 +233,7 @@ class TestSubmissionGate:
 
     @pytest.mark.parametrize("grouping", sorted(_GROUPINGS))
     def test_cancelled_cached_run_evaluates_at_most_the_window(
-        self, monkeypatch, tmp_path, grouping
+        self, monkeypatch, thread_pool, tmp_path, grouping
     ):
         worker = _BlockedHead(monkeypatch)
         fresh: list[int] = []
@@ -258,7 +245,6 @@ class TestSubmissionGate:
                     store,
                     max_workers=self.WORKERS,
                     chunk_size=1,
-                    executor="thread",
                     group_by=_GROUPINGS[grouping],
                     on_result=fresh.append,
                     cancel=lambda: len(fresh) >= 2,
@@ -286,7 +272,6 @@ class TestSubmissionGate:
                     xs,
                     max_workers=2,
                     chunk_size=2,
-                    executor="thread",
                     sink=sink,
                     group_by=key,
                 )

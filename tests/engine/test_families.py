@@ -1,6 +1,7 @@
 """Tests for the scenario-family registry and the sim/EDF families."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -33,6 +34,13 @@ class TestRegistry:
             assert callable(family.worker)
             assert callable(family.decoder)
             assert family.summary
+            # Registration accepts an empty field_help (test families);
+            # every built-in axis must still be documented.
+            documented = dict(family.field_help)
+            assert set(documented) == {
+                field.name for field in fields(family.scenario_type)
+            }, name
+            assert all(documented.values()), name
 
     def test_duplicate_registration_rejected(self):
         family = get_family("sim")
@@ -84,7 +92,6 @@ class TestSimFamily:
             evaluate_sim_scenario,
             scenarios,
             max_workers=2,
-            executor="thread",
         )
         assert inline == pooled
 

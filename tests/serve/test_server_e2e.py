@@ -200,6 +200,25 @@ class TestSweepWorkload:
         request = RunRequest.make("sweep", points=3, knots=24)
         assert _serve_lines(handle, request) == solo_lines(request)
 
+    def test_bool_count_is_a_bad_request(self, serve_factory) -> None:
+        # JSON true is not the count 1: it must neither start a job nor
+        # reach a manifest under an id of its own.
+        from repro.api.wire import request_to_wire
+        from repro.serve.protocol import encode_frame
+
+        handle = serve_factory()
+        with ServeClient(handle.host, handle.port) as client:
+            wire = request_to_wire(
+                RunRequest.make("sweep", points=1, knots=24)
+            )
+            wire["params"]["points"] = True
+            frame = client.send_raw(
+                encode_frame({"op": "submit", "request": wire})
+            )
+            assert frame["code"] == "bad-request"
+            assert "expects int" in frame["message"]
+            assert client.status()["submitted"] == 0
+
 
 class TestBackendOption:
     """The kernel-backend option is gone: a wire ``backend`` field is a

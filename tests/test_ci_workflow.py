@@ -181,14 +181,34 @@ class TestJobCommands:
         assert "python -m repro study --tasks 3 --sets 4 --store" in commands
         assert "cmp /tmp/study-cold.txt /tmp/study-warm.txt" in commands
 
-    def test_bench_smoke_job_matrixes_over_kernel_backends(self, workflow):
+    def test_bench_smoke_job_checks_the_process_pool_from_the_cli(
+        self, workflow
+    ):
+        # The engine has one pool kind; a --jobs 2 run must match the
+        # inline run byte for byte, for a pivoted CSV and a stream.
+        commands = _steps_commands(workflow["jobs"]["bench-smoke"])
+        assert (
+            "python -m repro fig5 --points 4 --knots 64 --jobs 2" in commands
+        )
+        assert "cmp /tmp/fold-plain/fig5.csv /tmp/fold-jobs/fig5.csv" in commands
+        assert (
+            "python -m repro sweep --points 5 --knots 64 --jobs 2 "
+            "--out /tmp/sweep-jobs.jsonl" in commands
+        )
+        assert (
+            "python -m repro sweep --points 5 --knots 64 "
+            "--out /tmp/sweep-inline.jsonl" in commands
+        )
+        assert "cmp /tmp/sweep-inline.jsonl /tmp/sweep-jobs.jsonl" in commands
+
+    def test_bench_smoke_job_has_no_backend_matrix(self, workflow):
         # One exact Algorithm 1 kernel: no backend matrix any more, and
         # no --backend flag (the CLI refuses it).
         job = workflow["jobs"]["bench-smoke"]
         assert "strategy" not in job
         assert "--backend" not in _steps_commands(job)
 
-    def test_bench_smoke_job_gates_the_numpy_backend_speedup(self, workflow):
+    def test_bench_smoke_job_has_no_numpy_step(self, workflow):
         # The numpy speedup gate went with the numpy backend: no numpy
         # install and no numpy gate step.  The remaining kernel's gate
         # (absolute µs/scenario against benchmarks/BASELINE.json) is a

@@ -24,6 +24,51 @@ class TestParser:
         assert args.sources == ["a.sqlite"]
 
 
+
+def _zz_workload(**kw):
+    from repro.api.workloads import Workload
+
+    base = dict(
+        name="zz",
+        summary="a workload the parser must never see",
+        parameters=(),
+        runner=lambda request, params: None,
+        render=str,
+        flags=frozenset({"engine"}),
+    )
+    base.update(kw)
+    return Workload(**base)
+
+
+@pytest.mark.usefixtures("scratch_registries")
+class TestRegistrationGuards:
+    """A workload the generated parser would mangle is refused when it
+    registers, not silently misparsed later."""
+
+    def test_misspelled_flag_group_is_refused(self):
+        from repro.api.workloads import register_workload, workload_names
+
+        # build_parser() would skip the unknown group without a word.
+        with pytest.raises(ValueError, match="unknown flag group 'engin'"):
+            register_workload(
+                _zz_workload(flags=frozenset({"engine", "engin"}))
+            )
+        assert "zz" not in workload_names()
+
+    def test_positional_shadowed_by_a_shared_flag_is_refused(self):
+        from repro.api.workloads import (
+            Parameter,
+            register_workload,
+            workload_names,
+        )
+
+        # 'repro zz 5 --jobs 3' would bind jobs=3 and lose the 5.
+        jobs = Parameter("jobs", int, positional=True)
+        with pytest.raises(ValueError, match="parameter 'jobs' collides"):
+            register_workload(_zz_workload(parameters=(jobs,)))
+        assert "zz" not in workload_names()
+
+
 class TestParseShard:
     def test_valid_specs(self):
         assert parse_shard("1/1") == (1, 1)
