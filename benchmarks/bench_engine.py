@@ -1,6 +1,6 @@
 """BENCH-ENGINE: batched engine throughput vs the sequential baselines.
 
-Six comparisons with the claims *asserted* so a regression fails the
+Five comparisons with the claims *asserted* so a regression fails the
 benchmark run instead of silently shipping:
 
 1. **Engine vs the single-shot API path** on a ≥1000-scenario
@@ -31,8 +31,6 @@ benchmark run instead of silently shipping:
    context (6 tasks, 256-knot delay functions, blocking tolerances and
    delay maxima) and one 1024-knot two-bell Figure 4 context must stay
    within 3x of ``benchmarks/BASELINE.json``.
-6. **Vectorized piecewise kernel vs the scalar ``f.value`` loop** on a
-   large sample grid.
 
 All comparisons also assert bit-identical results.
 
@@ -81,7 +79,6 @@ from repro.engine.sweeps import (
 )
 from repro.experiments import default_q_grid, render_table
 from repro.experiments.functions_fig4 import FIG4_MAX, fig4_delay_function
-from repro.piecewise import evaluate_sorted
 from repro.sched.crpd_rta import METHODS, delay_aware_rta
 
 #: Sweep shape: 350 Q points x 3 functions = 1050 scenarios (>= 1000);
@@ -509,40 +506,3 @@ def test_context_build_within_baseline(artifacts_dir):
                 f"BASELINE.json figure (limit {MAX_BASELINE_REGRESSION}x)"
             )
 
-
-def test_vectorized_kernel_beats_scalar_loop(artifacts_dir):
-    f = fig4_delay_function("bimodal", knots=scaled(4096, 1024))
-    wcet = f.wcet
-    samples = scaled(40_000, 10_000)
-    grid = [wcet * k / (samples - 1) for k in range(samples)]
-
-    started = time.perf_counter()
-    scalar = [f.value(x) for x in grid]
-    t_scalar = time.perf_counter() - started
-
-    started = time.perf_counter()
-    vectorized = evaluate_sorted(f.function, grid)
-    t_vectorized = time.perf_counter() - started
-
-    assert vectorized == scalar  # bit-identical
-    update_bench_json(
-        artifacts_dir,
-        "engine",
-        {
-            "vectorized_kernel": {
-                "samples": samples,
-                "scalar_s": round(t_scalar, 4),
-                "vectorized_s": round(t_vectorized, 4),
-                "vectorized_ops_per_s": round(samples / t_vectorized, 1),
-                "speedup": round(t_scalar / t_vectorized, 2),
-            }
-        },
-    )
-    print(
-        f"\nscalar: {t_scalar:.3f}s  vectorized: {t_vectorized:.3f}s  "
-        f"speedup: {t_scalar / t_vectorized:.1f}x"
-    )
-    assert t_vectorized < t_scalar, (
-        f"vectorized ({t_vectorized:.3f}s) slower than scalar "
-        f"({t_scalar:.3f}s)"
-    )

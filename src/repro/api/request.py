@@ -168,9 +168,3 @@ class RunRequest:
     def params_dict(self) -> dict[str, Any]:
         """The parameters as a plain dict (frozen mappings thawed)."""
         return {name: _thaw(value) for name, value in self.params}
-
-    def with_options(self, options: ExecutionOptions) -> "RunRequest":
-        """The same request under different execution options."""
-        return RunRequest(
-            workload=self.workload, params=self.params, options=options
-        )

@@ -12,7 +12,6 @@ from repro.experiments.functions_fig4 import (
     fig4_functions,
 )
 from repro.experiments.io import write_csv
-from repro.piecewise import evaluate_sorted
 from repro.utils.checks import require
 
 
@@ -56,10 +55,8 @@ def generate_fig4(
     require(samples >= 2, "need at least two samples")
     functions = fig4_functions(interpretation, knots, wcet)
     ts = tuple(wcet * k / (samples - 1) for k in range(samples))
-    # The grid is non-decreasing, so the one-pass batched kernel applies
-    # (bit-identical to calling f.value per point).
     series = {
-        name: tuple(evaluate_sorted(f.function, ts))
+        name: tuple(f.function.value(t) for t in ts)
         for name, f in functions.items()
     }
     return Fig4Data(ts=ts, series=series, interpretation=interpretation)

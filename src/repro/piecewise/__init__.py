@@ -8,14 +8,6 @@ the analyses (interval maxima, descending-line crossings) are exact.
 A function stores its pieces as four index-aligned coordinate tuples
 (``x0, x1, y0, y1``) and the queries walk those tuples directly;
 :class:`Segment` objects are built only when ``.segments`` is read.
-
-Two evaluation paths share the same semantics: the scalar
-:meth:`PiecewiseFunction.value` and the batched kernel of
-:mod:`repro.piecewise.vectorized` (:func:`evaluate_many` /
-:func:`evaluate_sorted`), which the batch-analysis engine and the figure
-samplers use to evaluate one function at many abscissae in a single
-merge walk over a :class:`SegmentIndex`, an O(1) view of the same
-tuples.
 """
 
 from repro.piecewise.builders import (
@@ -35,12 +27,6 @@ from repro.piecewise.operations import (
     subtract,
 )
 from repro.piecewise.segments import Segment
-from repro.piecewise.vectorized import (
-    SegmentIndex,
-    evaluate_many,
-    evaluate_sorted,
-    segment_index,
-)
 
 __all__ = [
     "Segment",
@@ -56,8 +42,4 @@ __all__ = [
     "combine",
     "max_envelope",
     "min_envelope",
-    "SegmentIndex",
-    "segment_index",
-    "evaluate_many",
-    "evaluate_sorted",
 ]

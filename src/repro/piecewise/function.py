@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from itertools import chain
 
 from repro.piecewise.segments import Segment
@@ -212,16 +212,7 @@ class PiecewiseFunction:
         lo, hi = self._x0[0], self._x1[-1]
         if not lo <= x <= hi:
             raise ValueError(f"{x} outside domain [{lo}, {hi}]")
-        return self._value_at_cursor(bisect.bisect_right(self._x0, x), x)
-
-    def _value_at_cursor(self, cursor: int, x: float) -> float:
-        """``f(x)`` for an ``x`` inside the domain, given
-        ``cursor == bisect_right(x0, x)``.
-
-        The candidates are the pieces of ``_segment_range(x, x)``; the
-        batched kernels in :mod:`repro.piecewise.vectorized` call this
-        with the cursor of their merge walk.
-        """
+        cursor = bisect.bisect_right(self._x0, x)
         x0s, x1s, y0s, y1s = self._x0, self._x1, self._y0, self._y1
         first = max(cursor - 2, 0)
         best: float | None = None
@@ -406,18 +397,6 @@ class PiecewiseFunction:
     def breakpoints(self) -> list[float]:
         """All abscissae at which a segment starts or ends (sorted, unique)."""
         return [self._x0[0], *self._x1]
-
-    def sample(self, xs: Sequence[float]) -> list[float]:
-        """Evaluate the function at each abscissa in ``xs``.
-
-        Delegates to the batched kernel in
-        :mod:`repro.piecewise.vectorized`, which is bit-identical to
-        calling :meth:`value` per point but amortises the segment lookup
-        across the whole batch.
-        """
-        from repro.piecewise.vectorized import evaluate_many
-
-        return evaluate_many(self, xs)
 
     def is_non_negative(self) -> bool:
         """Whether ``f(x) >= 0`` everywhere on the domain."""

@@ -433,16 +433,10 @@ class AnalysisServer:
                             f"fail_after={_limit} fault injected"
                         )
 
-            # The slot's long-lived connection (WAL mode makes the
-            # slots' concurrent access safe).  The manifest row joins
-            # the run's one checkpoint commit, which lands however the
-            # run ends — so a killed job keeps its manifest and prefix.
-            store = slot.store()
-            store.set_job_manifest(job.id, plan.manifest)
             run = run_cached_batch(
                 plan.worker,
                 plan.scenarios,
-                store,
+                slot.store(),
                 sink=_JobSink(job),
                 collect=False,
                 max_workers=self._config.jobs,

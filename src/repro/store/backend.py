@@ -152,15 +152,13 @@ class ResultStore:
         ).fetchone()
         return None if row is None else row[0]
 
-    def _write_meta(self, key: str, value: str) -> None:
-        self._connection().execute(
+    def _set_meta(self, key: str, value: str) -> None:
+        conn = self._connection()
+        conn.execute(
             "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
             (key, value),
         )
-
-    def _set_meta(self, key: str, value: str) -> None:
-        self._write_meta(key, value)
-        self._connection().commit()
+        conn.commit()
 
     @property
     def manifest(self) -> dict[str, Any] | None:
@@ -213,54 +211,6 @@ class ResultStore:
         )
         if existing is None:
             self._set_meta("shard", scope)
-
-    # ------------------------------------------------------------------
-    # job manifests
-    # ------------------------------------------------------------------
-
-    #: Meta-key namespace of per-job manifests (the ``serve`` kind).
-    _JOB_PREFIX = "job:"
-
-    def set_job_manifest(
-        self, job_id: str, manifest: Mapping[str, Any]
-    ) -> None:
-        """Record one served job's manifest under its job id.
-
-        A *serve* store is a shared memo table for many different grids
-        at once, so unlike :meth:`set_manifest` (one sweep shape per
-        store) it records one manifest **per job**, keyed by the job's
-        content-addressed id.  Job ids are pure functions of the
-        manifest, so re-recording must be identical — a mismatch means
-        a hash collision or corrupted meta and fails loudly.
-
-        The row joins the open transaction instead of committing on its
-        own: it becomes durable with the next :meth:`commit`, which for
-        a served job is the checkpoint commit of its results.
-        """
-        require(bool(job_id), "job id must be non-empty")
-        key = self._JOB_PREFIX + job_id
-        new = json.dumps(dict(manifest), sort_keys=True, allow_nan=False)
-        existing = self._get_meta(key)
-        require(
-            existing is None or existing == new,
-            f"store {self.path} already records a different manifest "
-            f"for job {job_id}; refusing to overwrite",
-        )
-        if existing is None:
-            self._write_meta(key, new)
-
-    def job_manifest(self, job_id: str) -> dict[str, Any] | None:
-        """The manifest recorded for ``job_id``, or ``None``."""
-        raw = self._get_meta(self._JOB_PREFIX + job_id)
-        return None if raw is None else json.loads(raw)
-
-    def job_ids(self) -> list[str]:
-        """All job ids with recorded manifests, sorted."""
-        rows = self._connection().execute(
-            "SELECT key FROM meta WHERE key LIKE ? ORDER BY key",
-            (self._JOB_PREFIX + "%",),
-        )
-        return [key[len(self._JOB_PREFIX):] for (key,) in rows]
 
     # ------------------------------------------------------------------
     # results

@@ -474,18 +474,31 @@ valid_values = st.sampled_from([0.0, -0.0, 1.0, -2.5, 7.0, 1e308, -1e308])
 #: Values that fail a check wherever they land.
 invalid_values = st.sampled_from([math.inf, -math.inf, math.nan])
 #: Gaps between pieces around the contiguity tolerance, one ulp either side.
-gaps = st.sampled_from(
-    [
-        0.0,
-        math.nextafter(TOLERANCE, 0.0),
-        TOLERANCE,
-        math.nextafter(TOLERANCE, math.inf),
-        -math.nextafter(TOLERANCE, 0.0),
-        -TOLERANCE,
-        -math.nextafter(TOLERANCE, math.inf),
-        2 * TOLERANCE,
-    ]
-)
+GAPS = [
+    0.0,
+    math.nextafter(TOLERANCE, 0.0),
+    TOLERANCE,
+    math.nextafter(TOLERANCE, math.inf),
+    -math.nextafter(TOLERANCE, 0.0),
+    -TOLERANCE,
+    -math.nextafter(TOLERANCE, math.inf),
+    2 * TOLERANCE,
+]
+gaps = st.sampled_from(GAPS)
+
+
+def within_tolerance_of(base):
+    """Abscissae ``base + gap`` for every in-tolerance gap, each pulled
+    back toward ``base`` ulp by ulp until the gap still holds once the
+    sum is rounded (``1.0 + 1e-9`` rounds past the tolerance)."""
+    shifted = []
+    for gap in GAPS:
+        if abs(gap) <= TOLERANCE:
+            x = base + gap
+            while abs(x - base) > TOLERANCE:
+                x = math.nextafter(x, base)
+            shifted.append(x)
+    return st.sampled_from(sorted(set(shifted)))
 
 
 @st.composite
@@ -1137,16 +1150,9 @@ class TestContextBuildOracles:
 
     @given(st.data())
     def test_max_value_of_pieces_contiguous_within_the_tolerance(self, data):
-        xs = [0.0, 1.0, 2.0, 3.0]
-        within = gaps.filter(lambda gap: abs(gap) <= TOLERANCE)
-        shifts = data.draw(st.lists(within, min_size=2, max_size=2))
+        starts = [0.0, *(data.draw(within_tolerance_of(x)) for x in (1.0, 2.0))]
         ys = data.draw(st.lists(tie_values, min_size=3, max_size=3))
-        try:
-            f = PiecewiseFunction._from_coordinates(
-                [0.0, 1.0 + shifts[0], 2.0 + shifts[1]], xs[1:], ys, ys
-            )
-        except ValueError:  # the sum rounded past the tolerance
-            assume(False)
+        f = PiecewiseFunction._from_coordinates(starts, [1.0, 2.0, 3.0], ys, ys)
         assert bits(f.max_value()) == bits(reference_max_on(f, *f.domain)[0])
 
     @given(st.lists(st.sampled_from([0.0, 1.0, 1.0, 2.0, -1.0, math.nan, math.inf, 3]), max_size=5),

@@ -66,6 +66,11 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             f.value(1.1)
 
+    def test_nan_rejected(self):
+        f = from_points([0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match=r"^nan outside domain \[0\.0, 1\.0\]$"):
+            f.value(float("nan"))
+
     def test_callable_protocol(self):
         f = constant(3.0, 0.0, 1.0)
         assert f(0.5) == 3.0
@@ -195,7 +200,7 @@ class TestTransformsAndIntegral:
 
     def test_sample(self):
         f = from_points([0.0, 4.0], [0.0, 4.0])
-        assert f.sample([0.0, 2.0, 4.0]) == [0.0, 2.0, 4.0]
+        assert [f.value(x) for x in (0.0, 2.0, 4.0)] == [0.0, 2.0, 4.0]
 
     def test_is_non_negative(self):
         assert constant(0.0, 0.0, 1.0).is_non_negative()

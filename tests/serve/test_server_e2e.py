@@ -9,22 +9,22 @@ server:
 * every client's record stream is **byte-identical** to a solo
   :meth:`repro.api.Workbench.run` of the same request;
 * streams are **resumable**: a reconnecting client supplying its last
-  received record count gets exactly the remaining records;
-* the store carries a **job manifest** per job, from which the exact
-  grid is reconstructible (``manifest_scenarios`` equivalence).
+  received record count gets exactly the remaining records.
 """
 
 from __future__ import annotations
 
+import json
+import sqlite3
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.api import RunRequest
-from repro.api.execution import manifest_scenarios
 from repro.api.plan import plan_scenarios
 from repro.api.workloads import get_workload
+from repro.cli import main
 from repro.serve import ServeClient
-from repro.store import ResultStore
-from repro.store.keys import scenario_key
+from repro.serve.jobs import job_id_for
+from repro.store import ResultStore, package_fingerprint
 
 #: Two overlapping two-point grids: q=100 is shared, 3 unique scenarios.
 GRID_A = RunRequest.family(
@@ -150,46 +150,56 @@ class TestResume:
             assert client.resume(job_id, 0).lines() == solo_lines(GRID_A)
 
 
-class TestJobManifests:
-    def test_store_records_a_reconstructible_manifest_per_job(
-        self, serve_factory, tmp_path
-    ) -> None:
-        handle = serve_factory()
-        _serve_lines(handle, GRID_A)
-        _serve_lines(handle, GRID_B)
-        handle.stop()
+class TestOldJobRows:
+    """Servers once wrote one ``job:<id>`` meta row per job; stores
+    that carry them must keep serving and merging, rows untouched."""
 
-        store = ResultStore(tmp_path / "serve.sqlite")
+    @staticmethod
+    def _job_rows(path) -> list[tuple[str, str]]:
+        connection = sqlite3.connect(path)
         try:
-            job_ids = store.job_ids()
-            assert len(job_ids) == 2
-            expected_keys = set()
-            for request in (GRID_A, GRID_B):
-                params = get_workload("campaign").resolve_params(
-                    request.params_dict()
-                )
-                plan = plan_scenarios("campaign", params)
-                expected_keys.add(
-                    tuple(
-                        scenario_key(s, store.fingerprint)
-                        for s in plan.scenarios
-                    )
-                )
-            rebuilt_keys = set()
-            for job_id in job_ids:
-                manifest = store.job_manifest(job_id)
-                assert manifest is not None
-                rebuilt_keys.add(
-                    tuple(
-                        scenario_key(s, store.fingerprint)
-                        for s in manifest_scenarios(manifest)
-                    )
-                )
-            # Each job's manifest rebuilds exactly its grid: the server
-            # can re-derive what any past job addressed in the store.
-            assert rebuilt_keys == expected_keys
+            return connection.execute(
+                "SELECT key, value FROM meta WHERE key LIKE 'job:%' "
+                "ORDER BY key"
+            ).fetchall()
         finally:
-            store.close()
+            connection.close()
+
+    def test_store_with_job_rows_serves_and_merges(
+        self, serve_factory, solo_lines, tmp_path, monkeypatch
+    ) -> None:
+        store_path = tmp_path / "serve.sqlite"
+        fingerprint = package_fingerprint("repro")
+        ResultStore(store_path, fingerprint=fingerprint).close()
+        rows = []
+        for request in (GRID_A, GRID_B):
+            params = get_workload("campaign").resolve_params(
+                request.params_dict()
+            )
+            manifest = plan_scenarios("campaign", params).manifest
+            rows.append((
+                "job:" + job_id_for("campaign", params, fingerprint),
+                json.dumps(manifest, sort_keys=True, allow_nan=False),
+            ))
+        rows.sort()
+        connection = sqlite3.connect(store_path)
+        with connection:
+            connection.executemany(
+                "INSERT INTO meta (key, value) VALUES (?, ?)", rows
+            )
+        connection.close()
+
+        handle = serve_factory()
+        assert _serve_lines(handle, GRID_A) == solo_lines(GRID_A)
+        handle.stop()
+        assert self._job_rows(store_path) == rows
+
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
+        merged = tmp_path / "merged.sqlite"
+        assert main(["merge", str(merged), str(store_path)]) == 0
+        with ResultStore(merged) as target:
+            assert len(target) == 2
+        assert self._job_rows(store_path) == rows
 
 
 class TestSweepWorkload:

@@ -183,8 +183,8 @@ def _abort_at_two(count: int) -> None:
 
 
 class TestOneCommitPerRun:
-    """A run commits once, however it ends, and that commit carries
-    what the caller wrote before the run (a served job's manifest)."""
+    """A run commits once, however it ends, and that commit makes the
+    computed prefix durable."""
 
     @pytest.mark.parametrize(
         ("outcome", "worker", "kwargs", "raises", "stored"),
@@ -201,13 +201,12 @@ class TestOneCommitPerRun:
             ("worker-error", _boom_on_four, {}, WorkerError, 3),
         ],
     )
-    def test_one_commit_makes_the_prefix_and_manifest_durable(
+    def test_one_commit_makes_the_prefix_durable(
         self, tmp_path, outcome, worker, kwargs, raises, stored
     ):
         store = _store(tmp_path)
         try:
             commits = _count_commits(store)
-            store.set_job_manifest("job", {"outcome": outcome})
             if raises is None:
                 run_cached_batch(worker, [1, 2, 3, 4], store, **kwargs)
             else:
@@ -216,7 +215,6 @@ class TestOneCommitPerRun:
             assert commits == [1]
             # Durable before any close: a second connection sees it all.
             with _store(tmp_path) as other:
-                assert other.job_manifest("job") == {"outcome": outcome}
                 assert len(other) == stored
         finally:
             store.close()

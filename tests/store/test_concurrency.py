@@ -11,7 +11,6 @@ commit-per-row writes.
 
 from __future__ import annotations
 
-import json
 import sqlite3
 import subprocess
 import sys
@@ -121,31 +120,5 @@ class TestWalConfiguration:
                 "PRAGMA busy_timeout"
             ).fetchone()[0]
             assert ms == 7500
-        finally:
-            store.close()
-
-
-class TestJobManifests:
-    def test_job_manifests_round_trip_and_enumerate(self, tmp_path) -> None:
-        store = ResultStore(tmp_path / "jobs.sqlite", fingerprint="x")
-        try:
-            manifest_a = {"kind": "qsweep", "points": 4, "knots": 32}
-            manifest_b = {"kind": "campaign", "spec": {"family": "bound"}}
-            store.set_job_manifest("job-a", manifest_a)
-            store.set_job_manifest("job-b", manifest_b)
-            assert store.job_manifest("job-a") == manifest_a
-            assert store.job_manifest("job-b") == manifest_b
-            assert store.job_manifest("job-c") is None
-            assert store.job_ids() == ["job-a", "job-b"]
-            # Identical re-record is idempotent …
-            store.set_job_manifest("job-a", json.loads(json.dumps(manifest_a)))
-            # … but silently rebinding a job id to a different grid is
-            # exactly the corruption the store must refuse.
-            try:
-                store.set_job_manifest("job-a", manifest_b)
-            except ValueError:
-                pass
-            else:
-                raise AssertionError("conflicting manifest was accepted")
         finally:
             store.close()

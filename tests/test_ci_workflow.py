@@ -181,6 +181,27 @@ class TestJobCommands:
         assert "python -m repro study --tasks 3 --sets 4 --store" in commands
         assert "cmp /tmp/study-cold.txt /tmp/study-warm.txt" in commands
 
+    def test_bench_smoke_job_checks_fig4_from_a_cold_and_a_warm_store(
+        self, workflow
+    ):
+        # fig4.csv must not depend on whether its one scenario was
+        # computed, checkpointed to a cold store or replayed from it.
+        commands = re.sub(
+            r"\s*\\\n\s*", " ", _steps_commands(workflow["jobs"]["bench-smoke"])
+        )
+        fig4 = "python -m repro fig4 --knots 64"
+        assert f"REPRO_RESULTS_DIR=/tmp/fig4-plain {fig4}\n" in commands
+        assert (
+            f"REPRO_RESULTS_DIR=/tmp/fig4-cold {fig4} --store /tmp/fig4.sqlite\n"
+            in commands
+        )
+        assert (
+            f"REPRO_RESULTS_DIR=/tmp/fig4-warm {fig4} --store /tmp/fig4.sqlite "
+            "--resume\n" in commands
+        )
+        assert "cmp /tmp/fig4-plain/fig4.csv /tmp/fig4-cold/fig4.csv" in commands
+        assert "cmp /tmp/fig4-plain/fig4.csv /tmp/fig4-warm/fig4.csv" in commands
+
     def test_bench_smoke_job_checks_the_process_pool_from_the_cli(
         self, workflow
     ):
