@@ -38,10 +38,11 @@ from conftest import (
 from repro.engine import (
     JsonlSink,
     evaluate_bound_scenario,
+    get_family,
     q_sweep_scenarios,
     run_cached_batch,
 )
-from repro.engine.sweeps import benchmark_function, bound_result_from_record
+from repro.engine.sweeps import benchmark_function
 from repro.experiments import default_q_grid, render_table
 from repro.store import ResultStore, package_fingerprint
 
@@ -73,7 +74,7 @@ def test_warm_resweep_beats_cold_and_is_identical(artifacts_dir, tmp_path):
                 scenarios,
                 store,
                 sink=sink,
-                decode=bound_result_from_record,
+                decode=get_family("bound").decoder,
             )
 
     # Cold: empty store, caches cleared — everything is computed.

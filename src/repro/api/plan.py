@@ -4,11 +4,12 @@ Every grid workload — the figures ``fig4`` and ``fig5``, the acceptance
 ``study``, the engine ``sweep`` and declarative ``campaign`` runs —
 has one shape: resolved parameters determine a *manifest* (the
 grid-regeneration record a store keeps), a concrete ordered scenario
-list, the family worker/decoder that evaluates it, a default sink name
-and, for the figure-shaped workloads, a *fold* turning the full result
-list into the typed payload and the artifact file.  :func:`plan_scenarios`
-computes that bundle once, from parameters alone — no execution — and
-each grid is built by exactly one planner here.  The plans are the
+list, the family worker that evaluates it (with its grouping key and
+record decoder), a default sink name and, for the figure-shaped
+workloads, a *fold* turning the full result list into the typed payload
+and the artifact file.  :func:`plan_scenarios` computes that bundle
+once, from parameters alone — no execution — and each grid is built by
+exactly one planner here.  The plans are the
 single source of truth for
 
 * the one grid runner in :mod:`repro.api.workloads`, which feeds the
@@ -71,10 +72,11 @@ class ScenarioPlan:
 
 
 def _plan_fig4(params: Mapping[str, Any]) -> ScenarioPlan:
+    from repro.engine.registry import record_decoder
     from repro.experiments.fig4 import (
+        Fig4Data,
         Fig4Scenario,
         evaluate_fig4_scenario,
-        fig4_data_from_record,
     )
 
     samples, knots = params["samples"], params["knots"]
@@ -84,7 +86,7 @@ def _plan_fig4(params: Mapping[str, Any]) -> ScenarioPlan:
         scenarios=[Fig4Scenario(samples=samples, knots=knots)],
         worker=evaluate_fig4_scenario,
         group_by=None,
-        decode=fig4_data_from_record,
+        decode=record_decoder(Fig4Data),
         sink_name="fig4",
         fold=_fold_fig4,
     )
@@ -103,23 +105,19 @@ def _plan_q_sweep(
     params: Mapping[str, Any], workload: str = "sweep"
 ) -> ScenarioPlan:
     """The paper's Q grid: ``sweep`` streams it, ``fig5`` folds it."""
-    from repro.engine import (
-        bound_result_from_record,
-        evaluate_bound_scenario,
-        q_sweep_scenarios,
-    )
-    from repro.engine.sweeps import bound_context_key
+    from repro.engine import get_family, q_sweep_scenarios
     from repro.experiments import default_q_grid
 
     points, knots = params["points"], params["knots"]
     qs = default_q_grid(points=points)
+    family = get_family("bound")
     return ScenarioPlan(
         workload=workload,
         manifest={"kind": "qsweep", "points": points, "knots": knots},
         scenarios=q_sweep_scenarios(qs, knots=knots),
-        worker=evaluate_bound_scenario,
-        group_by=bound_context_key,
-        decode=bound_result_from_record,
+        worker=family.worker,
+        group_by=family.context_key,
+        decode=family.decoder,
         sink_name=workload,
         fold=partial(_fold_fig5, qs) if workload == "fig5" else None,
     )
@@ -135,23 +133,20 @@ def _fold_fig5(
 
 
 def _plan_study(params: Mapping[str, Any]) -> ScenarioPlan:
-    from repro.engine.sweeps import (
-        evaluate_study_scenario,
-        study_context_key,
-        study_result_from_record,
-    )
+    from repro.engine import get_family
     from repro.experiments.schedulability_study import (
         reference_study_scenarios,
     )
 
     tasks, sets = params["tasks"], params["sets"]
+    family = get_family("study")
     return ScenarioPlan(
         workload="study",
         manifest={"kind": "study", "tasks": tasks, "sets": sets},
         scenarios=reference_study_scenarios(tasks, sets),
-        worker=evaluate_study_scenario,
-        group_by=study_context_key,
-        decode=study_result_from_record,
+        worker=family.worker,
+        group_by=family.context_key,
+        decode=family.decoder,
         sink_name="study",
         fold=partial(_fold_study, sets),
     )

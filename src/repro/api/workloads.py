@@ -115,7 +115,6 @@ class Workload:
         parameters: Declared parameters.
         runner: ``(request, resolved_params) -> RunResult``.
         render: ``RunResult -> str`` — the CLI's stdout.
-        exit_code: ``RunResult -> int`` (default: 0 iff ``result.ok``).
         flags: Shared execution-flag groups that apply: any of
             ``"engine"``, ``"store"``, ``"shard"``, ``"sink"``.
     """
@@ -125,9 +124,6 @@ class Workload:
     parameters: tuple[Parameter, ...]
     runner: Callable[[RunRequest, dict[str, Any]], RunResult]
     render: Callable[[RunResult], str]
-    exit_code: Callable[[RunResult], int] = field(
-        default=lambda result: 0 if result.ok else 1
-    )
     flags: frozenset[str] = field(default=frozenset())
 
     def resolve_params(self, supplied: Mapping[str, Any]) -> dict[str, Any]:

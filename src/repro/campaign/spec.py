@@ -35,10 +35,15 @@ import json
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Any, get_args, get_origin, get_type_hints
+from typing import Any
 
 from repro.campaign.samplers import expand_axis, normalize_params
-from repro.engine.registry import ScenarioFamily, get_family
+from repro.engine.registry import (
+    ScenarioFamily,
+    _coerce,
+    _field_types,
+    get_family,
+)
 from repro.utils.checks import require
 
 #: Recognised top-level spec keys.
@@ -99,61 +104,6 @@ def load_spec(path: Path | str) -> dict[str, Any]:
         f"campaign spec {path} must contain a mapping, got {type(data).__name__}",
     )
     return data
-
-
-def _field_types(scenario_type: type) -> dict[str, Any]:
-    """Resolved field name -> type hint of a scenario dataclass."""
-    hints = get_type_hints(scenario_type)
-    return {field.name: hints[field.name] for field in fields(scenario_type)}
-
-
-def _coerce(family: str, name: str, value: Any, hint: Any) -> Any:
-    """Coerce one JSON-shaped value onto a scenario field's type.
-
-    The coercions are exactly the ones a JSON round trip demands: int
-    literals feeding float fields, lists feeding tuple fields.  Anything
-    else must already have the right type — silent lossy casts would
-    fork store keys.
-    """
-    origin = get_origin(hint)
-    if origin is tuple:
-        require(
-            isinstance(value, (list, tuple)),
-            f"field {name!r} of family {family!r} expects a list, got {value!r}",
-        )
-        args = get_args(hint)
-        inner = args[0] if args and args[-1] is Ellipsis else None
-        return tuple(
-            _coerce(family, f"{name}[{i}]", item, inner)
-            if inner is not None
-            else item
-            for i, item in enumerate(value)
-        )
-    if hint is float:
-        require(
-            isinstance(value, (int, float)) and not isinstance(value, bool),
-            f"field {name!r} of family {family!r} expects a number, got {value!r}",
-        )
-        return float(value)
-    if hint is int:
-        require(
-            isinstance(value, int) and not isinstance(value, bool),
-            f"field {name!r} of family {family!r} expects an integer, got {value!r}",
-        )
-        return value
-    if hint is bool:
-        require(
-            isinstance(value, bool),
-            f"field {name!r} of family {family!r} expects a boolean, got {value!r}",
-        )
-        return value
-    if hint is str:
-        require(
-            isinstance(value, str),
-            f"field {name!r} of family {family!r} expects a string, got {value!r}",
-        )
-        return value
-    return value
 
 
 def _manifest_value(value: Any) -> Any:
@@ -276,16 +226,17 @@ def compile_campaign(spec: Mapping[str, Any]) -> CompiledCampaign:
         "to be covered by an axis or a default",
     )
 
+    owner = f"family {family.name!r}"
     axis_names = list(axes)
     axis_values = [
         [
-            _coerce(family.name, axis, value, types[axis])
+            _coerce(owner, axis, value, types[axis])
             for value in expand_axis(axis, axes[axis])
         ]
         for axis in axis_names
     ]
     fixed = {
-        key: _coerce(family.name, key, value, types[key])
+        key: _coerce(owner, key, value, types[key])
         for key, value in defaults.items()
     }
 

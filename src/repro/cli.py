@@ -152,7 +152,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     )
     result = Workbench().run(request)
     print(workload.render(result))
-    return workload.exit_code(result)
+    return 0 if result.ok else 1
 
 
 def _interrupted(args: argparse.Namespace) -> int:

@@ -24,10 +24,11 @@ byte-identical output.  A failing worker surfaces as
 process-pool boundary.
 
 Scenario shapes are *families* (:mod:`repro.engine.registry`): a
-frozen scenario dataclass, a module-level worker and a record decoder,
-registered under a stable name — ``bound`` and ``study`` in
-:mod:`repro.engine.sweeps`, ``sim`` and ``edf-study`` in
-:mod:`repro.engine.families`.  The registry is what lets declarative
+frozen scenario dataclass and a module-level worker returning a frozen
+result dataclass (from which :func:`record_decoder` derives the
+family's record decoder), registered under a stable name — ``bound``
+and ``study`` in :mod:`repro.engine.sweeps`, ``sim`` and ``edf-study``
+in :mod:`repro.engine.families`.  The registry is what lets declarative
 campaign specs (:mod:`repro.campaign`) reach any workload by name.
 
 Families evaluate against *shared-artifact contexts*
@@ -74,16 +75,15 @@ from repro.engine.families import (
     EdfStudyScenario,
     SimResult,
     SimScenario,
-    edf_study_result_from_record,
     evaluate_edf_study_scenario,
     evaluate_sim_scenario,
-    sim_result_from_record,
 )
 from repro.engine.registry import (
     AxisSpec,
     ScenarioFamily,
     family_names,
     get_family,
+    record_decoder,
     register_family,
 )
 from repro.engine.sinks import (
@@ -100,12 +100,10 @@ from repro.engine.sweeps import (
     StudyResult,
     StudyScenario,
     benchmark_function,
-    bound_result_from_record,
     evaluate_bound_scenario,
     evaluate_study_scenario,
     prepared_task_set,
     q_sweep_scenarios,
-    study_result_from_record,
 )
 
 __all__ = [
@@ -137,23 +135,20 @@ __all__ = [
     "StudyScenario",
     "StudyResult",
     "benchmark_function",
-    "bound_result_from_record",
     "evaluate_bound_scenario",
     "evaluate_study_scenario",
     "prepared_task_set",
     "q_sweep_scenarios",
-    "study_result_from_record",
     "SimScenario",
     "SimResult",
     "evaluate_sim_scenario",
-    "sim_result_from_record",
     "EdfStudyScenario",
     "EdfStudyResult",
     "evaluate_edf_study_scenario",
-    "edf_study_result_from_record",
     "AxisSpec",
     "ScenarioFamily",
     "register_family",
     "get_family",
     "family_names",
+    "record_decoder",
 ]

@@ -31,16 +31,13 @@ from dataclasses import dataclass
 from typing import Any, TypeVar
 
 from repro.engine.engine import WorkerError, run_batch
+from repro.engine.registry import Decoder
 from repro.engine.sinks import ResultSink
 from repro.store import ResultStore, scenario_key
 from repro.utils.checks import require
 
 S = TypeVar("S")
 R = TypeVar("R")
-
-#: Decoder signature: sink record -> typed result.
-Decoder = Callable[[Mapping[str, Any]], Any]
-
 
 class JobCancelled(RuntimeError):
     """A cached batch stopped because its ``cancel`` predicate fired.
@@ -114,9 +111,7 @@ def emit_from_store(
     store: ResultStore,
     scenarios: Sequence[S],
     sink: ResultSink | None = None,
-    decode: Decoder | None = None,
     collect: bool = True,
-    fingerprint: str | None = None,
 ) -> list[Any] | None:
     """Stream the stored records of ``scenarios``, in scenario order.
 
@@ -132,16 +127,13 @@ def emit_from_store(
         store: The store holding every scenario's record.
         scenarios: Scenario grid defining the emission order.
         sink: Optional sink receiving each record.
-        decode: Optional record decoder for the returned list.
         collect: ``False`` streams to the sink only.
-        fingerprint: Key fingerprint (default: the store's own).
 
     Returns:
-        Decoded records in scenario order, or ``None``.
+        The records in scenario order, or ``None``.
     """
-    effective = store.fingerprint if fingerprint is None else fingerprint
-    keys = [scenario_key(s, effective) for s in scenarios]
-    return _emit_keys(store, keys, sink, decode, collect)
+    keys = [scenario_key(s, store.fingerprint) for s in scenarios]
+    return _emit_keys(store, keys, sink, None, collect)
 
 
 def _emit_keys(
@@ -198,8 +190,8 @@ def run_cached_batch(
             scenario order once evaluation finishes, so output bytes do
             not depend on which scenarios were cached.
         collect: ``False`` skips accumulating decoded results.
-        decode: Optional record decoder (e.g.
-            :func:`repro.engine.sweeps.bound_result_from_record`) for
+        decode: Optional record decoder (a family's
+            :attr:`~repro.engine.registry.ScenarioFamily.decoder`) for
             the returned list; without it records are returned as-is.
         max_workers: Engine pool width for the fresh scenarios.
         chunk_size: Engine chunk size (default: auto).
@@ -228,8 +220,8 @@ def run_cached_batch(
     The run issues exactly one :meth:`ResultStore.commit` of its own —
     on success, cancellation, a raising ``on_result`` hook or a worker
     failure alike — so whatever completed is durable, together with
-    anything the caller wrote beforehand in the same transaction (a
-    served job's manifest).
+    anything the caller wrote beforehand in the same transaction (the
+    store's sweep manifest).
     """
     if keys is None:
         keys = [scenario_key(s, store.fingerprint) for s in scenarios]

@@ -17,11 +17,11 @@ and :class:`~repro.engine.sweeps.StudyScenario` in the family registry
   the fixed-priority ``study`` family.
 
 Like every family, workers are module-level (picklable), results are
-frozen dataclasses, scenarios carry their own seeds (results never
-depend on which pool worker evaluates them), and each result has a
-``*_from_record`` decoder so the family is fully servable from a
-:class:`repro.store.ResultStore`.  Both workers resolve their generated
-task set (and its safe-Q curves) through the shared-artifact
+frozen dataclasses (whose record decoder the registry derives, so the
+family is fully servable from a :class:`repro.store.ResultStore`), and
+scenarios carry their own seeds (results never depend on which pool
+worker evaluates them).  Both workers resolve their generated task
+set (and its safe-Q curves) through the shared-artifact
 :class:`~repro.engine.context.AnalysisContext`, so a grid sweeping
 ``q_fraction`` or ``policy`` over the same seeds generates and analyses
 each set once per process.
@@ -30,7 +30,6 @@ each set once per process.
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.engine.chunking import derive_seed
@@ -39,16 +38,13 @@ from repro.engine.context import (
     EDF_CURVES,
     FP_CURVES,
     TASK_SET,
-    ContextKey,
     get_context,
-    taskset_context_key,
 )
-from repro.engine.sweeps import _record_float
+from repro.engine.sweeps import study_context_key
 from repro.sched.edf_delay_aware import EDF_METHODS, edf_delay_aware_verdicts
 from repro.sim.release import periodic_releases, sporadic_releases
 from repro.sim.simulator import FloatingNPRSimulator, worst_case_delay_model
 from repro.sim.validation import validate_simulation
-from repro.utils.checks import require
 
 # ----------------------------------------------------------------------
 # Bound validation through the simulator (Theorem 1 at sweep scale)
@@ -116,20 +112,10 @@ class SimResult:
 SIM_ARTIFACTS = (TASK_SET, FP_CURVES, EDF_CURVES)
 
 
-def sim_context_key(scenario: SimScenario) -> ContextKey:
-    """The shared-artifact key of one sim scenario: its task set."""
-    return taskset_context_key(
-        scenario.n_tasks,
-        scenario.utilization,
-        scenario.seed,
-        scenario.delay_height,
-    )
-
-
 def evaluate_sim_scenario(scenario: SimScenario) -> SimResult:
     """Engine worker: simulate one generated task set and validate the
     observed preemption delays against Algorithm 1's bounds."""
-    context = get_context(sim_context_key(scenario), SIM_ARTIFACTS)
+    context = get_context(study_context_key(scenario), SIM_ARTIFACTS)
     task_set = context.prepared_task_set(
         scenario.policy, scenario.q_fraction
     )
@@ -169,19 +155,6 @@ def evaluate_sim_scenario(scenario: SimScenario) -> SimResult:
         preemptions=run.preemption_count(),
         max_tightness=report.max_tightness,
         bound_respected=report.passed,
-    )
-
-
-def sim_result_from_record(record: Mapping[str, object]) -> SimResult:
-    """Rebuild a :class:`SimResult` from its sink/store record."""
-    return SimResult(
-        utilization=_record_float(record["utilization"]),
-        seed=int(record["seed"]),  # type: ignore[arg-type]
-        admitted=bool(record["admitted"]),
-        checked_jobs=int(record["checked_jobs"]),  # type: ignore[arg-type]
-        preemptions=int(record["preemptions"]),  # type: ignore[arg-type]
-        max_tightness=_record_float(record["max_tightness"]),
-        bound_respected=bool(record["bound_respected"]),
     )
 
 
@@ -235,16 +208,6 @@ class EdfStudyResult:
 EDF_STUDY_ARTIFACTS = (TASK_SET, DELAY_MAXIMA, EDF_CURVES)
 
 
-def edf_study_context_key(scenario: EdfStudyScenario) -> ContextKey:
-    """The shared-artifact key of one EDF study scenario."""
-    return taskset_context_key(
-        scenario.n_tasks,
-        scenario.utilization,
-        scenario.seed,
-        scenario.delay_height,
-    )
-
-
 def evaluate_edf_study_scenario(
     scenario: EdfStudyScenario,
 ) -> EdfStudyResult:
@@ -254,9 +217,7 @@ def evaluate_edf_study_scenario(
     maxima come from the shared context; per scenario only the
     ``q_fraction`` scaling and the Q-dependent bounds remain.
     """
-    context = get_context(
-        edf_study_context_key(scenario), EDF_STUDY_ARTIFACTS
-    )
+    context = get_context(study_context_key(scenario), EDF_STUDY_ARTIFACTS)
     task_set = context.prepared_task_set("edf", scenario.q_fraction)
     if task_set is None:
         return EdfStudyResult(
@@ -272,21 +233,4 @@ def evaluate_edf_study_scenario(
         accepted=edf_delay_aware_verdicts(
             task_set, scenario.methods, delay_maxima=context.delay_maxima
         ),
-    )
-
-
-def edf_study_result_from_record(
-    record: Mapping[str, object],
-) -> EdfStudyResult:
-    """Rebuild an :class:`EdfStudyResult` from its sink/store record."""
-    accepted = record["accepted"]
-    require(
-        isinstance(accepted, (list, tuple)),
-        f"expected an accepted list, got {accepted!r}",
-    )
-    return EdfStudyResult(
-        utilization=_record_float(record["utilization"]),
-        seed=int(record["seed"]),  # type: ignore[arg-type]
-        admitted=bool(record["admitted"]),
-        accepted=tuple(bool(v) for v in accepted),
     )

@@ -5,10 +5,10 @@ compiler need to know about one kind of scenario:
 
 * the frozen scenario dataclass (the unit of work and the store key);
 * the module-level worker evaluating one scenario (picklable, so it
-  fans out over process pools);
-* the record decoder rebuilding a typed result from a sink/store
-  record (what makes the family servable from a
-  :class:`repro.store.ResultStore`);
+  fans out over process pools), whose annotated return type — a frozen
+  dataclass — also yields the family's record decoder
+  (:func:`record_decoder`), which makes the family servable from a
+  :class:`repro.store.ResultStore`;
 * its *shared-artifact declaration* — a ``context_key`` function mapping
   a scenario to the :class:`repro.engine.context.ContextKey` it shares
   with its grid neighbours, plus the ``artifacts`` the family consumes
@@ -20,8 +20,8 @@ compiler need to know about one kind of scenario:
 The built-in families — ``bound`` and ``study`` from
 :mod:`repro.engine.sweeps`, ``sim`` and ``edf-study`` from
 :mod:`repro.engine.families` — are registered at import time.  Adding a
-new family is one dataclass plus one worker function plus a
-:func:`register_family` call; the campaign subsystem
+new family is a scenario dataclass, a result dataclass, one worker
+function and a :func:`register_family` call; the campaign subsystem
 (:mod:`repro.campaign`) then reaches it by name from declarative specs
 with no further wiring.
 """
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping
 from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import lru_cache, partial
 from importlib import import_module
 from typing import Any, get_args, get_origin, get_type_hints
 
@@ -74,6 +75,166 @@ def _type_label(hint: Any) -> str:
     return getattr(hint, "__name__", str(hint))
 
 
+#: Record decoder signature: sink/store record -> typed result.
+Decoder = Callable[[Mapping[str, Any]], Any]
+
+#: The strings :func:`repro.utils.jsonsafe.json_safe` writes for the
+#: non-finite floats; a record's float field may hold one of them.
+_NON_FINITE = ("inf", "-inf", "nan")
+
+#: Scalar field types, as their coercion messages name them.
+_SCALARS = {
+    float: "a number",
+    int: "an integer",
+    bool: "a boolean",
+    str: "a string",
+}
+
+
+def _field_types(cls: type) -> dict[str, Any]:
+    """Resolved field name -> type hint of a dataclass."""
+    hints = get_type_hints(cls)
+    return {field.name: hints[field.name] for field in fields(cls)}
+
+
+def _coerce(
+    owner: str, name: str, value: Any, hint: Any, record: bool = False
+) -> Any:
+    """Coerce one JSON-shaped value onto a dataclass field's type.
+
+    The coercions are exactly the ones a JSON round trip demands: int
+    literals feeding float fields, lists feeding tuple fields and, for
+    a ``record`` value, the non-finite strings feeding float fields.
+    Anything else must already have the right type — silent lossy casts
+    would fork store keys.  ``owner`` names the dataclass in messages
+    (``"family 'bound'"``); they are built only on failure, because
+    every stored record a run reads back passes through here.
+    """
+    if hint in _SCALARS:
+        if record and hint is float and value in _NON_FINITE:
+            return float(value)
+        expected = (int, float) if hint is float else hint
+        # bool is an int subclass, but never a number or a count.
+        if not isinstance(value, expected) or (
+            isinstance(value, bool) and hint is not bool
+        ):
+            raise ValueError(
+                f"field {name!r} of {owner} expects {_SCALARS[hint]}, "
+                f"got {value!r}"
+            )
+        return float(value) if hint is float else value
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(
+                f"field {name!r} of {owner} expects a list, got {value!r}"
+            )
+        args = get_args(hint)
+        if not args or args[-1] is not Ellipsis:
+            return tuple(value)
+        try:
+            return tuple(
+                _coerce(owner, name, item, args[0], record) for item in value
+            )
+        except ValueError:
+            # Name the offending element; only a failure pays for it.
+            return tuple(
+                _coerce(owner, f"{name}[{i}]", item, args[0], record)
+                for i, item in enumerate(value)
+            )
+    return value
+
+
+def _frozen_dataclass(cls: Any) -> bool:
+    return (
+        isinstance(cls, type)
+        and is_dataclass(cls)
+        and cls.__dataclass_params__.frozen
+    )
+
+
+def _decodable(hint: Any, mapping: bool = True) -> bool:
+    """Whether a record column (or, for a ``dict[str, T]`` field, its
+    dotted ``name.key`` columns) decodes onto ``hint``."""
+    if hint in _SCALARS:
+        return True
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is tuple:
+        return args[1:] == (Ellipsis,) and _decodable(args[0], False)
+    return (
+        mapping
+        and origin is dict
+        and args[:1] == (str,)
+        and _decodable(args[1], False)
+    )
+
+
+def _decode_record(
+    result_type: type,
+    owner: str,
+    columns: tuple[tuple[str, Any], ...],
+    mappings: tuple[tuple[str, Any], ...],
+    record: Mapping[str, Any],
+) -> Any:
+    """One record -> ``result_type``; see :func:`record_decoder`."""
+    values = {
+        name: _coerce(owner, name, record[name], hint, True)
+        for name, hint in columns
+    }
+    for name, hint in mappings:
+        # sinks.as_record splats a mapping into ``name.key`` columns.
+        prefix = f"{name}."
+        values[name] = {
+            key[len(prefix):]: _coerce(owner, key, value, hint, True)
+            for key, value in record.items()
+            if key.startswith(prefix)
+        }
+    return result_type(**values)
+
+
+@lru_cache(maxsize=None)
+def record_decoder(result_type: type) -> Decoder:
+    """The decoder rebuilding a ``result_type`` from its sink/store record.
+
+    Derived from the frozen result dataclass: the inverse of
+    :func:`repro.engine.sinks.as_record` after the strict-JSON round
+    trip, so results served from a :class:`repro.store.ResultStore`
+    equal freshly computed ones.  Fields may be ``float`` (which also
+    reads the ``'inf'``/``'-inf'``/``'nan'`` strings the record holds
+    for non-finite values), ``int``, ``bool``, ``str``, ``tuple[T,
+    ...]`` of those, or ``dict[str, T]`` read back from its dotted
+    ``name.key`` columns.
+
+    Raises:
+        ValueError: for a result type that is not a frozen dataclass,
+            naming a field of any other type.
+    """
+    label = getattr(result_type, "__name__", repr(result_type))
+    if not _frozen_dataclass(result_type):
+        raise ValueError(
+            f"result type {label!r} is not a frozen dataclass, so its "
+            "records have no typed form to decode back to"
+        )
+    columns, mappings = [], []
+    for name, hint in _field_types(result_type).items():
+        if not _decodable(hint):
+            raise ValueError(
+                f"field {name!r} of result {label!r} has type "
+                f"{_type_label(hint)!r}, which no record decodes to; use "
+                "float, int, bool, str, tuple[T, ...] or dict[str, T]"
+            )
+        if get_origin(hint) is dict:
+            mappings.append((name, get_args(hint)[1]))
+        else:
+            columns.append((name, hint))
+    return partial(
+        _decode_record,
+        result_type,
+        f"result {label!r}",
+        tuple(columns),
+        tuple(mappings),
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class ScenarioFamily:
     """Everything the engine knows about one scenario shape.
@@ -82,11 +243,9 @@ class ScenarioFamily:
         name: Registry key (kebab-case, stable across releases — it is
             referenced by campaign specs and store manifests).
         scenario_type: The frozen scenario dataclass.
-        worker: Module-level callable ``scenario -> result``.
-        decoder: Callable rebuilding the typed result from its
-            sink/store record (inverse of
-            :func:`repro.engine.sinks.as_record` after the strict-JSON
-            round trip).
+        worker: Module-level callable ``scenario -> result``, annotated
+            with the frozen result dataclass it returns (see
+            :attr:`decoder`).
         summary: One-line description for ``--help``-style listings.
         context_key: Optional callable ``scenario ->``
             :class:`repro.engine.context.ContextKey` naming the shared
@@ -105,11 +264,16 @@ class ScenarioFamily:
     name: str
     scenario_type: type
     worker: Callable[[Any], Any]
-    decoder: Callable[[Mapping[str, Any]], Any]
     summary: str
     context_key: Callable[[Any], Any] | None = None
     artifacts: tuple[str, ...] = ()
     field_help: tuple[tuple[str, str], ...] = ()
+
+    @property
+    def decoder(self) -> Decoder:
+        """The record decoder of the worker's annotated result type
+        (:func:`record_decoder`)."""
+        return record_decoder(get_type_hints(self.worker)["return"])
 
     def axes(self) -> tuple[AxisSpec, ...]:
         """The family's sweepable axes, in scenario-field order.
@@ -166,12 +330,12 @@ def _validate(family: ScenarioFamily) -> None:
     """Reject a family the engine, the store or the docs cannot serve."""
     scenario = family.scenario_type
     require(
-        is_dataclass(scenario) and scenario.__dataclass_params__.frozen,
+        _frozen_dataclass(scenario),
         f"scenario type {scenario.__name__!r} of family {family.name!r} "
         "must be a frozen dataclass: the store keys the scenario value, "
         "and a mutable one could drift between keying and evaluation",
     )
-    for role in ("worker", "decoder", "context_key"):
+    for role in ("worker", "context_key"):
         func = getattr(family, role)
         require(
             func is None or _importable(func),
@@ -180,6 +344,14 @@ def _validate(family: ScenarioFamily) -> None:
             "by its qualified name, so it cannot pickle into the engine's "
             "process pool; define it at module top level",
         )
+    result = get_type_hints(family.worker).get("return")
+    require(
+        result is not None,
+        f"worker of family {family.name!r} "
+        f"({family.worker.__qualname__!r}) has no return annotation; the "
+        "store decodes its records by the result dataclass it returns",
+    )
+    record_decoder(result)  # refuses a result that no record decodes to
     if not family.field_help:
         return  # undocumented families render their axes without help
     declared = {name for name, _ in family.field_help}
@@ -201,9 +373,10 @@ def register_family(family: ScenarioFamily, replace: bool = False) -> None:
     """Register a scenario family under its name.
 
     The family must be servable before it is reachable: its scenario
-    type a frozen dataclass, its worker, decoder and context key
-    importable by qualified name (they pickle into the engine's process
-    pool), and a non-empty ``field_help`` must document exactly the
+    type a frozen dataclass, its worker and context key importable by
+    qualified name (they pickle into the engine's process pool), the
+    worker's return annotation a result type :func:`record_decoder`
+    accepts, and a non-empty ``field_help`` must document exactly the
     scenario's fields.
 
     Args:
@@ -253,7 +426,6 @@ def _register_builtins() -> None:
             name="bound",
             scenario_type=sweeps.BoundScenario,
             worker=sweeps.evaluate_bound_scenario,
-            decoder=sweeps.bound_result_from_record,
             summary="Algorithm 1 vs Eq. 4 delay bounds over (function, Q) "
             "grids (the Figure 5 shape)",
             context_key=sweeps.bound_context_key,
@@ -272,7 +444,6 @@ def _register_builtins() -> None:
             name="study",
             scenario_type=sweeps.StudyScenario,
             worker=sweeps.evaluate_study_scenario,
-            decoder=sweeps.study_result_from_record,
             summary="fixed-priority delay-aware acceptance studies on "
             "generated task sets (the EXT-D shape)",
             context_key=sweeps.study_context_key,
@@ -295,10 +466,9 @@ def _register_builtins() -> None:
             name="sim",
             scenario_type=families.SimScenario,
             worker=families.evaluate_sim_scenario,
-            decoder=families.sim_result_from_record,
             summary="simulator runs comparing observed preemption delay "
             "against Algorithm 1's bound (Theorem 1 at sweep scale)",
-            context_key=families.sim_context_key,
+            context_key=sweeps.study_context_key,
             artifacts=families.SIM_ARTIFACTS,
             field_help=(
                 ("utilization", "target total utilization of the "
@@ -322,10 +492,9 @@ def _register_builtins() -> None:
             name="edf-study",
             scenario_type=families.EdfStudyScenario,
             worker=families.evaluate_edf_study_scenario,
-            decoder=families.edf_study_result_from_record,
             summary="EDF delay-aware acceptance studies with "
             "Bertogna-Baruah NPR lengths",
-            context_key=families.edf_study_context_key,
+            context_key=sweeps.study_context_key,
             artifacts=families.EDF_STUDY_ARTIFACTS,
             field_help=(
                 ("utilization", "target total utilization of the "

@@ -31,9 +31,9 @@ results between ``max_workers=1`` and ``N``.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Any
 
 from repro.core.bounds import compare_bounds
 from repro.core.delay_function import PreemptionDelayFunction
@@ -145,51 +145,6 @@ def evaluate_bound_scenario(scenario: BoundScenario) -> BoundResult:
         state_of_the_art=comparison.state_of_the_art.total_delay,
         converged=comparison.algorithm1.converged,
         preemptions=comparison.algorithm1.preemptions,
-    )
-
-
-def _record_float(value: object) -> float:
-    """Decode a record float, honouring the strict-JSON non-finite
-    encoding (``"inf"``/``"-inf"``/``"nan"`` strings)."""
-    if isinstance(value, str):
-        return float(value)
-    require(
-        isinstance(value, (int, float)),
-        f"expected a numeric record value, got {value!r}",
-    )
-    return float(value)
-
-
-def bound_result_from_record(record: Mapping[str, object]) -> BoundResult:
-    """Rebuild a :class:`BoundResult` from its sink/store record.
-
-    Inverse of :func:`repro.engine.sinks.as_record` composed with the
-    strict-JSON round trip, so results served from a
-    :class:`repro.store.ResultStore` are indistinguishable from freshly
-    computed ones.
-    """
-    return BoundResult(
-        function=str(record["function"]),
-        q=_record_float(record["q"]),
-        algorithm1=_record_float(record["algorithm1"]),
-        state_of_the_art=_record_float(record["state_of_the_art"]),
-        converged=bool(record["converged"]),
-        preemptions=int(record["preemptions"]),  # type: ignore[arg-type]
-    )
-
-
-def study_result_from_record(record: Mapping[str, object]) -> StudyResult:
-    """Rebuild a :class:`StudyResult` from its sink/store record."""
-    accepted = record["accepted"]
-    require(
-        isinstance(accepted, (list, tuple)),
-        f"expected an accepted list, got {accepted!r}",
-    )
-    return StudyResult(
-        utilization=_record_float(record["utilization"]),
-        seed=int(record["seed"]),  # type: ignore[arg-type]
-        admitted=bool(record["admitted"]),
-        accepted=tuple(bool(v) for v in accepted),
     )
 
 
@@ -325,11 +280,14 @@ def prepared_task_set(
 STUDY_ARTIFACTS = (TASK_SET, DELAY_MAXIMA, FP_CURVES)
 
 
-def study_context_key(scenario: StudyScenario) -> ContextKey:
-    """The shared-artifact key of one study scenario: its task set.
+def study_context_key(scenario: Any) -> ContextKey:
+    """The shared-artifact key of one task-set scenario: its task set.
 
-    ``q_fraction`` (and ``methods``) are deliberately excluded — every
-    fractional assignment of the same generated set shares one context.
+    Serves every family that generates a task set from ``n_tasks``,
+    ``utilization``, ``seed`` and ``delay_height`` — ``study``, ``sim``
+    and ``edf-study``.  ``q_fraction`` (and ``methods``, ``policy``, …)
+    are deliberately excluded — every fractional assignment of the same
+    generated set shares one context.
     """
     return taskset_context_key(
         scenario.n_tasks,

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any
 
 from repro.experiments.functions_fig4 import (
     FIG4_NAMES,
@@ -74,16 +72,6 @@ class Fig4Scenario:
 def evaluate_fig4_scenario(scenario: Fig4Scenario) -> Fig4Data:
     """Engine worker: :func:`generate_fig4` for one scenario."""
     return generate_fig4(samples=scenario.samples, knots=scenario.knots)
-
-
-def fig4_data_from_record(record: Mapping[str, Any]) -> Fig4Data:
-    """Rebuild :class:`Fig4Data` from its sink/store record (the
-    ``series`` mapping arrives splatted as ``series.<name>`` keys)."""
-    return Fig4Data(
-        ts=tuple(record["ts"]),
-        series={name: tuple(record[f"series.{name}"]) for name in FIG4_NAMES},
-        interpretation=record["interpretation"],
-    )
 
 
 def write_fig4_csv(data: Fig4Data, filename: str = "fig4.csv", directory=None):

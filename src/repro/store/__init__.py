@@ -27,7 +27,6 @@ sinks from the store in scenario order).  See ``docs/architecture.md``.
 from repro.store.backend import ResultStore, merge_stores
 from repro.store.keys import (
     canonical_bytes,
-    code_fingerprint,
     package_fingerprint,
     scenario_key,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "ResultStore",
     "merge_stores",
     "canonical_bytes",
-    "code_fingerprint",
     "package_fingerprint",
     "scenario_key",
 ]

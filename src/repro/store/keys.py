@@ -9,20 +9,16 @@ processes on two machines computing the same scenario under the same
 code therefore address the same store row, which is what makes sharded
 sweeps mergeable and resumed sweeps exact.
 
-Fingerprints come in two strengths:
-
-* :func:`code_fingerprint` hashes the source of the modules that define
-  the given objects — cheap, but blind to changes in modules they call;
-* :func:`package_fingerprint` hashes every ``*.py`` file of a package —
-  the conservative choice used by the CLI, where a stale cache hit is
-  worse than a cold start.
+The fingerprint is :func:`package_fingerprint`: it hashes every
+``*.py`` file of a package, so a change anywhere in the code the
+workers may call — not only in the modules that define them — opens a
+fresh key space.  A stale cache hit is worse than a cold start.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import inspect
 import math
 import os
 from importlib import import_module
@@ -102,10 +98,9 @@ def scenario_key(scenario: Any, fingerprint: str = "") -> str:
 
     Args:
         scenario: Any value :func:`canonical_bytes` accepts.
-        fingerprint: Code fingerprint (see :func:`code_fingerprint` /
-            :func:`package_fingerprint`); different fingerprints address
-            disjoint key spaces, so results computed by different code
-            can never be confused.
+        fingerprint: Code fingerprint (see :func:`package_fingerprint`);
+            different fingerprints address disjoint key spaces, so
+            results computed by different code can never be confused.
 
     Returns:
         A 64-character SHA-256 hex digest.
@@ -117,35 +112,6 @@ def scenario_key(scenario: Any, fingerprint: str = "") -> str:
     digest.update(b"\x00")
     digest.update(canonical_bytes(scenario))
     return digest.hexdigest()
-
-
-def _module_of(obj: Any) -> ModuleType:
-    if isinstance(obj, ModuleType):
-        return obj
-    module = inspect.getmodule(obj)
-    require(module is not None, f"cannot resolve the module of {obj!r}")
-    return module
-
-
-def code_fingerprint(*objects: Any) -> str:
-    """Fingerprint of the source files defining ``objects``.
-
-    Accepts functions, classes or modules; duplicate modules are hashed
-    once.  The digest covers the module *sources* (not bytecode), so it
-    is stable across interpreter versions but changes whenever the
-    defining code — including docstrings — changes.
-    """
-    require(bool(objects), "need at least one object to fingerprint")
-    sources: dict[str, bytes] = {}
-    for obj in objects:
-        module = _module_of(obj)
-        path = getattr(module, "__file__", None)
-        require(
-            path is not None,
-            f"module {module.__name__!r} has no source file to fingerprint",
-        )
-        sources[module.__name__] = Path(path).read_bytes()
-    return _digest_sources(sources)
 
 
 def package_fingerprint(package: str | ModuleType = "repro") -> str:

@@ -1,7 +1,7 @@
 """Registry contracts, enforced where a family or a workload registers.
 
 ``register_family`` rejects ``field_help`` that drifts from the
-scenario dataclass; ``register_workload`` rejects unknown shared-flag
+scenario dataclass and a worker whose result no record decodes to; ``register_workload`` rejects unknown shared-flag
 groups and parameters that shadow an enabled group's flags.  The test
 classes keep the codes of the static rules these checks replaced
 (``RC001``, ``RC002``, ``RC005``).
@@ -9,6 +9,7 @@ classes keep the codes of the static rules these checks replaced
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import pytest
@@ -26,16 +27,25 @@ class Scenario:
     knots: int = 64
 
 
-def evaluate(scenario):
+def evaluate(scenario: Scenario) -> Scenario:
     return scenario
-
-
-def decode(record):
-    return record
 
 
 def context_key(scenario):
     return scenario.knots
+
+
+@dataclass(frozen=True)
+class Sampled:
+    samples: list[float]
+
+
+def unannotated(scenario):
+    return scenario
+
+
+def sampled(scenario: Scenario) -> Sampled:
+    return Sampled([scenario.q])
 
 
 def family(**kw):
@@ -43,7 +53,6 @@ def family(**kw):
         name="fab",
         scenario_type=Scenario,
         worker=evaluate,
-        decoder=decode,
         summary="a fabricated family",
         context_key=context_key,
         artifacts=("functions",),
@@ -64,6 +73,23 @@ class TestRc001Context:
         # the engine then runs the grid ungrouped.
         register_family(family(context_key=None, artifacts=()))
         assert get_family("fab").context_key is None
+
+
+class TestResultDecoding:
+    def test_worker_without_return_annotation_is_refused(self):
+        with pytest.raises(
+            ValueError, match="'unannotated'.*no return annotation"
+        ):
+            register_family(family(worker=unannotated))
+
+    def test_result_with_an_undecodable_field_is_refused(self):
+        with pytest.raises(ValueError, match="'samples' of result 'Sampled'"):
+            register_family(family(worker=sampled))
+
+    def test_registered_family_decodes_by_its_result_type(self):
+        register_family(family())
+        decoded = get_family("fab").decoder({"q": "inf", "knots": 64})
+        assert decoded == Scenario(q=math.inf, knots=64)
 
 
 class TestRc002Axes:

@@ -23,12 +23,8 @@ class MutableScenario:
     q: float = 1.0
 
 
-def top_level_worker(scenario):
+def top_level_worker(scenario: FrozenScenario) -> FrozenScenario:
     return scenario
-
-
-def top_level_decoder(record):
-    return record
 
 
 def family(scenario_type=FrozenScenario, worker=top_level_worker, **kw):
@@ -36,7 +32,6 @@ def family(scenario_type=FrozenScenario, worker=top_level_worker, **kw):
         name="fab",
         scenario_type=scenario_type,
         worker=worker,
-        decoder=top_level_decoder,
         summary="a fabricated family",
     )
     base.update(kw)
@@ -77,7 +72,7 @@ class TestWp002Picklable:
             register_family(family(worker=nested))
 
     def test_every_callable_role_is_checked(self):
-        for role in ("worker", "decoder", "context_key"):
+        for role in ("worker", "context_key"):
             with pytest.raises(ValueError, match=f"^{role} of family"):
                 register_family(family(**{role: lambda value: value}))
 

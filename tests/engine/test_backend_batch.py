@@ -17,8 +17,8 @@ from repro.api.plan import plan_scenarios
 from repro.engine import (
     BoundScenario,
     WorkerError,
-    bound_result_from_record,
     evaluate_bound_scenario,
+    get_family,
     q_sweep_scenarios,
     run_batch,
     run_cached_batch,
@@ -166,7 +166,7 @@ class TestCachedBackendSeam:
                 evaluate_bound_scenario,
                 scenarios,
                 store,
-                decode=bound_result_from_record,
+                decode=get_family("bound").decoder,
                 max_workers=2,
                 group_by=bound_context_key,
             )

@@ -47,10 +47,6 @@ from repro.engine.context import (
     TASK_SET,
     TASKSET_ARTIFACTS,
 )
-from repro.engine.families import (
-    edf_study_context_key,
-    sim_context_key,
-)
 from repro.engine.sweeps import (
     benchmark_function,
     bound_context_key,
@@ -121,7 +117,7 @@ class TestContextKey:
         # one context (it carries both safe-Q vectors).
         sim_fp = SimScenario(utilization=0.5, seed=3, policy="fp")
         sim_edf = SimScenario(utilization=0.5, seed=3, policy="edf")
-        assert sim_context_key(sim_fp) == sim_context_key(sim_edf)
+        assert study_context_key(sim_fp) == study_context_key(sim_edf)
 
 
 class TestTasksetContextArtifacts:
@@ -472,7 +468,7 @@ class TestRegistryDeclarations:
         edf = EdfStudyScenario(utilization=0.5, seed=1)
         assert get_family("edf-study").context_key(
             edf
-        ) == edf_study_context_key(edf)
+        ) == study_context_key(edf)
 
 
 class TestContextCacheThrash:

@@ -56,7 +56,6 @@ class TestRegistry:
             name="test-custom",
             scenario_type=SimScenario,
             worker=evaluate_sim_scenario,
-            decoder=get_family("sim").decoder,
             summary="a test family",
         )
         register_family(custom)

@@ -15,7 +15,6 @@ workers can pickle them by module name.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
 
@@ -51,15 +50,9 @@ def evaluate_hold_scenario(scenario: HoldScenario) -> HoldResult:
     return HoldResult(q=scenario.q)
 
 
-def hold_result_from_record(record: Mapping[str, object]) -> HoldResult:
-    """Decode a stored record."""
-    return HoldResult(q=float(record["q"]))
-
-
 HOLD_FAMILY = ScenarioFamily(
     name="hold",
     scenario_type=HoldScenario,
     worker=evaluate_hold_scenario,
-    decoder=hold_result_from_record,
     summary="test-only: workers wait until the test releases them",
 )

@@ -10,7 +10,6 @@ import pytest
 from repro.engine import BoundScenario, StudyScenario
 from repro.store import (
     canonical_bytes,
-    code_fingerprint,
     package_fingerprint,
     scenario_key,
 )
@@ -98,24 +97,8 @@ class TestScenarioKey:
 
 
 class TestFingerprints:
-    def test_code_fingerprint_is_stable(self):
-        from repro.engine import sweeps
-
-        assert code_fingerprint(sweeps) == code_fingerprint(sweeps)
-
-    def test_code_fingerprint_accepts_functions(self):
-        from repro.engine import evaluate_bound_scenario
-        from repro.engine import sweeps
-
-        assert code_fingerprint(evaluate_bound_scenario) == code_fingerprint(
-            sweeps
-        )
-
-    def test_package_fingerprint_is_stable_and_differs_from_module(self):
-        from repro.engine import sweeps
-
+    def test_package_fingerprint_is_stable(self):
         assert package_fingerprint("repro") == package_fingerprint("repro")
-        assert package_fingerprint("repro") != code_fingerprint(sweeps)
 
     def test_package_fingerprint_rejects_plain_modules(self):
         from repro.engine import sweeps

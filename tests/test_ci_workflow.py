@@ -171,7 +171,8 @@ class TestJobCommands:
     def test_bench_smoke_job_checks_the_folding_workloads(self, workflow):
         # The folding workloads' artifacts must not depend on how the
         # grid was run: a plain fig5 CSV against one rebuilt from two
-        # merged shard stores, and a cold study against a warm one.
+        # merged shard stores, and a store-less study (the worker's own
+        # results) against a cold one and a warm one (decoded records).
         commands = _steps_commands(workflow["jobs"]["bench-smoke"])
         assert "python -m repro fig5 --points 4 --knots 64" in commands
         assert "--shard $i/2" in commands
@@ -179,6 +180,11 @@ class TestJobCommands:
         assert "--store /tmp/fig5-merged.sqlite --resume" in commands
         assert "cmp /tmp/fold-plain/fig5.csv /tmp/fold-shard/fig5.csv" in commands
         assert "python -m repro study --tasks 3 --sets 4 --store" in commands
+        assert (
+            "python -m repro study --tasks 3 --sets 4 > /tmp/study-plain.txt"
+            in commands
+        )
+        assert "cmp /tmp/study-plain.txt /tmp/study-cold.txt" in commands
         assert "cmp /tmp/study-cold.txt /tmp/study-warm.txt" in commands
 
     def test_bench_smoke_job_checks_fig4_from_a_cold_and_a_warm_store(
