@@ -12,7 +12,11 @@ import math
 from dataclasses import dataclass
 
 from repro.core.delay_function import PreemptionDelayFunction
-from repro.core.floating_npr import FloatingNPRBound, floating_npr_delay_bound
+from repro.core.floating_npr import (
+    FloatingNPRBound,
+    WindowIndex,
+    floating_npr_delay_bound,
+)
 from repro.core.naive import NaivePointSelection, naive_point_selection_bound
 from repro.core.state_of_the_art import (
     StateOfTheArtBound,
@@ -58,6 +62,7 @@ def compare_bounds(
     include_naive: bool = False,
     naive_grid_step: float = 1.0,
     f_max: float | None = None,
+    index: WindowIndex | None = None,
 ) -> BoundComparison:
     """Compute every implemented bound for ``(f, q)``.
 
@@ -70,10 +75,13 @@ def compare_bounds(
             (see :func:`repro.core.state_of_the_art_delay_bound`); a
             context-holding sweep passes it so the global maximum is
             found once per function instead of once per ``(f, q)`` pair.
+        index: Precomputed ``window_index(f)`` for Algorithm 1 (see
+            :func:`repro.core.floating_npr_delay_bound`), built once per
+            function by the same sweeps.
     """
     return BoundComparison(
         q=q,
-        algorithm1=floating_npr_delay_bound(f, q),
+        algorithm1=floating_npr_delay_bound(f, q, index=index),
         state_of_the_art=state_of_the_art_delay_bound(f, q, f_max=f_max),
         naive=(
             naive_point_selection_bound(f, q, naive_grid_step)

@@ -23,6 +23,24 @@ itself.  The walk records its trace as five float columns, and
 :attr:`FloatingNPRBound.steps` builds :class:`WindowStep` objects only
 when it is read.
 
+A caller that evaluates many ``Q`` against one function passes its
+:func:`window_index`: the prefix maxima of each piece's reach
+``max(y0 + x0, y1 + x1)`` and each piece's ``max(y0, y1)``.  A window
+then bisects the reach for the first piece that might meet the line,
+with a margin of ``2**-30 c`` so that every piece before it is below the
+line under the walk's own test, and folds the whole pieces between the
+start piece and that one with a C-level ``max`` and ``index`` (the first
+of equal peaks, as the walk keeps).  The start piece, the meeting piece
+and the jump rule at ``p∩`` keep the walk's arithmetic, so the result is
+the walk's bit for bit.  Only the ``bound`` family's context
+(:mod:`repro.engine.context`) builds an index, once per function and
+shared by every ``Q`` of a sweep.  The walk still runs every window of
+a call with no index (the study path: each call there is on a fresh
+function and charges few windows, so a build would cost more than it
+saves), of a function whose pieces meet only within the tolerance (it
+gets no index) and of a call with ``Q <= max f``; it also runs the
+windows too short to fold.
+
 Extensions implemented beyond the paper's pseudo-code:
 
 * a divergence guard — when ``delay_max >= Q_i`` the analysis cannot
@@ -46,11 +64,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import add
 
 from repro.core.delay_function import PreemptionDelayFunction
-from repro.piecewise.function import _value_on
+from repro.piecewise.function import PiecewiseFunction, _value_on
 from repro.utils.checks import require, require_positive
 
 #: Default hard cap on iterations; Algorithm 1 performs at most
@@ -61,6 +80,15 @@ DEFAULT_MAX_ITERATIONS = 1_000_000
 #: Minimum guaranteed progression per window before the analysis declares
 #: divergence, as a fraction of Q.  Guards against float-precision stalls.
 _MIN_PROGRESS_FRACTION = 1e-12
+
+#: A window folds only pieces whose reach is below ``c * _BELOW``: a
+#: margin of 2**-30 c, some 10**7 ulps of ``c``, so each folded piece
+#: has both ends strictly below the line under the walk's own
+#: ``y - (c - x) < 0`` test.
+_BELOW = 1.0 - 2.0**-30
+
+#: Fewer pieces than this are cheaper to walk than to fold.
+_FOLD_MIN = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,11 +150,59 @@ class FloatingNPRBound:
         return self.wcet + self.total_delay
 
 
+@dataclass(frozen=True, slots=True)
+class WindowIndex:
+    """What Algorithm 1 reads to skip the pieces of a window that lie
+    wholly below the line; see :func:`window_index`.
+
+    Attributes:
+        function: The indexed function, checked by identity.
+        peak: ``max f``; the index serves only ``Q > peak``.
+        reach: Prefix maxima of each piece's ``max(y0 + x0, y1 + x1)``.
+        peaks: Each piece's ``max(y0, y1)``.
+    """
+
+    function: PiecewiseFunction
+    peak: float
+    reach: tuple[float, ...]
+    peaks: tuple[float, ...]
+
+
+def window_index(f: PreemptionDelayFunction) -> WindowIndex | None:
+    """The :class:`WindowIndex` of ``f``, or ``None`` when some piece
+    does not start exactly where the previous one ends (such functions
+    always take the walk).
+
+    Built once per function and shared by every ``Q`` evaluated
+    against it; a single call is cheaper without one.
+    """
+    x0s, x1s, y0s, y1s = f.function.coordinates
+    if x1s[:-1] != x0s[1:]:
+        return None
+    if y0s == y1s:
+        # A flat piece reaches furthest at its right end.
+        peaks = y0s
+        ends = map(add, y1s, x1s)
+    else:
+        peaks = tuple(map(max, y0s, y1s))
+        ends = map(max, map(add, y0s, x0s), map(add, y1s, x1s))
+    # A plain loop: ``accumulate(ends, max)`` pays a builtin call per
+    # piece and takes about four times as long.
+    reach = []
+    top = -math.inf
+    for end in ends:
+        if end > top:
+            top = end
+        reach.append(top)
+    return WindowIndex(f.function, max(peaks), tuple(reach), peaks)
+
+
 def floating_npr_delay_bound(
     f: PreemptionDelayFunction,
     q: float,
     max_preemptions: int | None = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
+    index: WindowIndex | None = None,
 ) -> FloatingNPRBound:
     """Run Algorithm 1 and return the cumulative preemption-delay bound.
 
@@ -138,24 +214,38 @@ def floating_npr_delay_bound(
             result charges only the ``max_preemptions`` largest window
             delays.  ``None`` reproduces the paper's Algorithm 1 exactly.
         max_iterations: Hard safety cap on the number of windows.
+        index: ``window_index(f)``, precomputed by a caller that
+            evaluates many ``q`` against one ``f``; the result is the
+            same bit for bit.
 
     Returns:
         A :class:`FloatingNPRBound` with the bound, a convergence flag and
         the full per-window trace.
 
     Raises:
-        ValueError: on invalid ``q``/``max_preemptions`` or if
-            ``max_iterations`` is exhausted while still converging.
+        ValueError: on invalid ``q``/``max_preemptions``, an ``index``
+            of another function, or if ``max_iterations`` is exhausted
+            while still converging.
     """
     require_positive(q, "q")
     if max_preemptions is not None:
         require(max_preemptions >= 0, f"max_preemptions must be >= 0, got {max_preemptions}")
 
     x0s, x1s, y0s, y1s = f.function.coordinates
-    # With every piece starting exactly where the previous one ends, the
-    # pieces before the meeting piece end at or before p∩ and at most one
-    # piece starts at p∩, so the walk can close the maximum itself.
-    exact = x1s[:-1] == x0s[1:]
+    reach = None
+    if index is None:
+        # With every piece starting exactly where the previous one ends,
+        # the pieces before the meeting piece end at or before p∩ and at
+        # most one piece starts at p∩, so the walk can close the maximum
+        # itself.
+        exact = x1s[:-1] == x0s[1:]
+    else:
+        require(index.function is f.function, "index was built for another function")
+        exact = True
+        if q > index.peak:
+            # No piece left of prog can reach the line, so the prefix
+            # maxima of the reach only grow from the window's own pieces.
+            reach, peaks = index.reach, index.peaks
     pieces = len(x0s)
     wcet = f.wcet
     floor = q - q * _MIN_PROGRESS_FRACTION
@@ -175,20 +265,28 @@ def floating_npr_delay_bound(
             )
         prog = p_next
         c = prog + q
-        hi = min(c, wcet)
+        hi = wcet if wcet < c else c  # min(c, wcet) without a call
         # One walk over the pieces meeting [prog, hi]: lines 7-10 find
         # p∩, the first point where f meets D(x) = c - x, and each piece
         # passed on the way adds to the maximum of f on [prog, p∩].
-        first = bisect_right(x0s, prog) - 2
+        inside = bisect_right(x0s, prog)
+        first = inside - 2
         if first < 0:
             first = 0
         last = bisect_right(x0s, hi) - 1
         if last < first:
             last = first
+        ks = range(first, last + 1)
+        if reach is not None and last - inside > _FOLD_MIN:
+            # Pieces inside..below-1 start after prog and reach less than
+            # the line: the walk would pass each of them below the line.
+            below = bisect_left(reach, c * _BELOW, inside, last + 1)
+            if below - inside > _FOLD_MIN:
+                ks = itertools.chain(range(first, inside), (-1,), range(below, last + 1))
         best_v = -math.inf
         best_x = prog
         p_cross = None
-        for k in range(first, last + 1):
+        for k in ks:
             a, b, ya, yb = x0s[k], x1s[k], y0s[k], y1s[k]
             if prog < a and b < hi and ya - (c - a) < 0 and yb - (c - b) < 0:
                 # Strictly inside the window and below the line.
@@ -196,6 +294,14 @@ def floating_npr_delay_bound(
                     v, x = yb, b
                 else:
                     v, x = ya, a
+            elif k < 0:
+                # The pieces inside..below-1 in one C-level fold (the last
+                # piece, read for k = -1, ends at C >= hi, so it never
+                # takes the branch above): the first of the largest
+                # max(y0, y1), at the end the walk would pick.
+                v = max(peaks[inside:below])
+                j = peaks.index(v, inside, below)
+                x = x1s[j] if y1s[j] > y0s[j] else x0s[j]
             else:
                 s_lo = a if a > prog else prog
                 s_hi = b if b < hi else hi

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.delay_function import PreemptionDelayFunction
+from repro.core.floating_npr import WindowIndex, window_index
 from repro.npr.assignment import apply_npr_lengths
 from repro.npr.qmax_edf import edf_max_npr_lengths
 from repro.npr.qmax_fp import fp_blocking_tolerances, fp_max_npr_lengths
@@ -59,7 +60,8 @@ DELAY_MAXIMA = "delay-maxima"
 FP_CURVES = "fp-curves"
 #: The EDF (Bertogna & Baruah slack) safe-Q vector.
 EDF_CURVES = "edf-curves"
-#: One Figure 4 benchmark delay function (+ its max).
+#: One Figure 4 benchmark delay function (+ its max and Algorithm 1's
+#: window index, shared by every Q evaluated against it).
 BENCHMARK_FUNCTION = "benchmark-function"
 
 #: Artifacts a task-set-shaped context can carry.
@@ -173,6 +175,9 @@ class AnalysisContext:
         function: The benchmark delay function
             (:data:`BENCHMARK_FUNCTION`).
         function_max: Its precomputed global maximum.
+        function_index: Its :func:`~repro.core.floating_npr.window_index`
+            (``None`` when its pieces meet only within the contiguity
+            tolerance).
     """
 
     key: ContextKey
@@ -184,6 +189,7 @@ class AnalysisContext:
     safe_q_edf: dict[str, float] | None = None
     function: PreemptionDelayFunction | None = None
     function_max: float | None = None
+    function_index: WindowIndex | None = None
 
     def prepared_task_set(
         self, policy: str, q_fraction: float
@@ -289,6 +295,7 @@ def _build_benchmark_context(
         artifacts=artifacts,
         function=f,
         function_max=f.max_value(),
+        function_index=window_index(f),
     )
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 from collections.abc import Mapping
 from pathlib import Path
@@ -25,21 +26,41 @@ from repro.utils.checks import require
 from repro.utils.jsonsafe import json_safe
 
 
+#: Field values :func:`as_record` passes through without asking whether
+#: they are mappings or dataclasses (``bool`` is an ``int``).
+_SCALARS = (str, int, float, tuple)
+
+
+@functools.lru_cache(maxsize=64)
+def _field_names(cls: type) -> tuple[str, ...]:
+    """The field names of dataclass ``cls``, in declaration order."""
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
 def as_record(result: Any) -> dict[str, Any]:
     """Flatten a worker result into a sink record.
 
     Dataclasses become field dicts (one level; nested mappings are
     splatted with dotted keys), mappings are copied, anything else is
-    wrapped under a ``"value"`` key.
+    wrapped under a ``"value"`` key.  Fields are read as they are, not
+    deep-copied (``dataclasses.asdict`` takes several times as long);
+    a field holding a dataclass is splatted as its ``asdict``.
     """
     if dataclasses.is_dataclass(result) and not isinstance(result, type):
-        raw: Mapping[str, Any] = dataclasses.asdict(result)
+        raw: Mapping[str, Any] = {
+            name: getattr(result, name) for name in _field_names(type(result))
+        }
     elif isinstance(result, Mapping):
         raw = result
     else:
         return {"value": result}
     record: dict[str, Any] = {}
     for key, value in raw.items():
+        if isinstance(value, _SCALARS):
+            record[key] = value
+            continue
+        if dataclasses.is_dataclass(value) and not isinstance(value, type):
+            value = dataclasses.asdict(value)
         if isinstance(value, Mapping):
             for sub_key, sub_value in value.items():
                 record[f"{key}.{sub_key}"] = sub_value

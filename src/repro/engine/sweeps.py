@@ -130,13 +130,18 @@ def bound_context_key(scenario: BoundScenario) -> ContextKey:
 def evaluate_bound_scenario(scenario: BoundScenario) -> BoundResult:
     """Engine worker: compute Algorithm 1 and Eq. 4 for one scenario.
 
-    The benchmark function and its global maximum come from the shared
+    The benchmark function, its global maximum and its Algorithm 1
+    window index come from the shared
     :class:`~repro.engine.context.AnalysisContext`, so a whole Q sweep
-    against one function builds (and maximises) it once per process.
+    against one function builds (and maximises and indexes) it once per
+    process.
     """
     context = get_context(bound_context_key(scenario), BOUND_ARTIFACTS)
     comparison = compare_bounds(
-        context.function, scenario.q, f_max=context.function_max
+        context.function,
+        scenario.q,
+        f_max=context.function_max,
+        index=context.function_index,
     )
     return BoundResult(
         function=scenario.function,

@@ -16,10 +16,25 @@ class _Sample:
     nested: dict
 
 
+@dataclass(frozen=True)
+class _Outer:
+    q: float
+    inner: _Sample
+
+
 class TestAsRecord:
     def test_dataclass_flattening(self):
         record = as_record(_Sample("a", 1.5, {"x": 1, "y": 2}))
         assert record == {"name": "a", "value": 1.5, "nested.x": 1, "nested.y": 2}
+
+    def test_a_nested_dataclass_is_splatted_as_its_asdict(self):
+        outer = _Outer(1.0, _Sample("a", 2.5, {"x": 1}))
+        assert as_record(outer) == {
+            "q": 1.0,
+            "inner.name": "a",
+            "inner.value": 2.5,
+            "inner.nested": {"x": 1},
+        }
 
     def test_mapping_passthrough(self):
         assert as_record({"k": 1}) == {"k": 1}

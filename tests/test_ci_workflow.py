@@ -146,17 +146,24 @@ class TestJobCommands:
 
     def test_bench_smoke_job_gates_the_grouped_speedup(self, workflow):
         # The shared-artifact context layer's ≥2x claim and the absolute
-        # context-build gate are asserted inside bench_engine.py; a
-        # dedicated smoke-mode step keeps both visible (and failing) on
-        # their own in the job log.
+        # context-build and kernel gates are asserted inside
+        # bench_engine.py; a dedicated smoke-mode step keeps them visible
+        # (and failing) on their own in the job log.  The kernel gate is
+        # selected by name, not through "grouped" matching
+        # kernel_on_grouped.
         job = workflow["jobs"]["bench-smoke"]
         assert job["env"]["REPRO_BENCH_SMOKE"] == "1"
         commands = _steps_commands(job)
         assert "benchmarks/bench_engine.py" in commands
-        assert '-k "grouped or context_build"' in commands
+        assert '-k "grouped or context_build or kernel"' in commands
+        assert any(
+            "kernel" in step.get("name", "") and "bench_engine.py" in step.get("run", "")
+            for step in job["steps"]
+        )
         bench_engine = (REPO_ROOT / "benchmarks" / "bench_engine.py").read_text()
         assert "def test_grouped_context_beats_ungrouped_rebuild" in bench_engine
         assert "def test_context_build_within_baseline" in bench_engine
+        assert "def test_kernel_on_grouped_grid_within_baseline" in bench_engine
 
     def test_bench_smoke_job_runs_a_campaign_end_to_end(self, workflow):
         # The campaign subsystem must be exercised for real on every
