@@ -28,7 +28,7 @@ from conftest import save_text, scaled, update_bench_json
 
 from repro.campaign import compile_campaign
 from repro.engine import clear_context_cache, q_sweep_scenarios, run_batch
-from repro.engine.sweeps import benchmark_function, evaluate_bound_scenario
+from repro.engine.sweeps import evaluate_bound_scenario
 from repro.experiments import default_q_grid, render_table
 from repro.store import canonical_bytes
 
@@ -79,7 +79,6 @@ def test_spec_compilation_overhead_is_negligible(artifacts_dir):
         canonical_bytes(s) for s in reference
     ]
 
-    benchmark_function.cache_clear()
     clear_context_cache()
     started = time.perf_counter()
     results = run_batch(evaluate_bound_scenario, compiled.scenarios)

@@ -38,12 +38,12 @@ from conftest import (
 
 from repro.engine import (
     JsonlSink,
+    clear_context_cache,
     evaluate_bound_scenario,
     get_family,
     q_sweep_scenarios,
     run_cached_batch,
 )
-from repro.engine.sweeps import benchmark_function
 from repro.experiments import default_q_grid, render_table
 from repro.store import ResultStore, package_fingerprint
 
@@ -79,7 +79,7 @@ def test_warm_resweep_beats_cold_and_is_identical(artifacts_dir, tmp_path):
             )
 
     # Cold: empty store, caches cleared — everything is computed.
-    benchmark_function.cache_clear()
+    clear_context_cache()
     started = time.perf_counter()
     cold = sweep("cold.jsonl")
     t_cold = time.perf_counter() - started
@@ -90,7 +90,7 @@ def test_warm_resweep_beats_cold_and_is_identical(artifacts_dir, tmp_path):
     # The sweep is short enough that one cyclic-GC pass landing in it
     # would double its time, so it runs from a collected heap with GC
     # off.
-    benchmark_function.cache_clear()
+    clear_context_cache()
     gc.collect()
     gc.disable()
     try:

@@ -34,10 +34,11 @@ campaign specs (:mod:`repro.campaign`) reach any workload by name.
 Families evaluate against *shared-artifact contexts*
 (:mod:`repro.engine.context`): expensive per-task-set / per-function
 state — generated task sets, safe-Q vectors, delay maxima, benchmark
-delay functions — is built once per :class:`ContextKey` through a
-per-process memo, and ``run_batch(..., group_by=family.context_key)`` shapes pooled
-chunks so each worker builds every context exactly once while output
-order and results stay bit-identical to the ungrouped path.
+delay functions — is built once per key (:class:`TaskSetKey`,
+:class:`BenchmarkKey`) through a per-process memo, and
+``run_batch(..., group_by=family.context_key)`` shapes pooled chunks so
+each worker builds every context exactly once while output order and
+results stay bit-identical to the ungrouped path.
 
 Layering: ``engine`` sits above ``core``/``sched``/``sim``/``tasks``
 (whose analyses it invokes through the family workers) and below
@@ -57,13 +58,13 @@ from repro.engine.chunking import (
     grouped_chunk_plan,
 )
 from repro.engine.context import (
-    AnalysisContext,
-    ContextKey,
-    benchmark_context_key,
+    BenchmarkContext,
+    BenchmarkKey,
+    TaskSetContext,
+    TaskSetKey,
     build_context,
     clear_context_cache,
     get_context,
-    taskset_context_key,
 )
 from repro.engine.engine import (
     WorkerError,
@@ -110,13 +111,13 @@ __all__ = [
     "default_chunk_size",
     "derive_seed",
     "grouped_chunk_plan",
-    "AnalysisContext",
-    "ContextKey",
-    "benchmark_context_key",
+    "BenchmarkContext",
+    "BenchmarkKey",
+    "TaskSetContext",
+    "TaskSetKey",
     "build_context",
     "clear_context_cache",
     "get_context",
-    "taskset_context_key",
     "run_batch",
     "resolve_workers",
     "WorkerError",

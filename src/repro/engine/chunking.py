@@ -5,8 +5,8 @@ decomposition — and therefore its results — never depends on worker
 count or scheduling order:
 
 * :func:`grouped_chunk_plan` splits a scenario stream into index chunks
-  that never span two shared-artifact groups (the
-  :class:`repro.engine.context.ContextKey` partition), so each pool
+  that never span two shared-artifact groups (the partition by
+  context key, :mod:`repro.engine.context`), so each pool
   worker builds a group's context once and evaluates its whole slice —
   while the engine still emits results in original scenario order.
   With one key for every scenario the chunks are the contiguous

@@ -1,30 +1,32 @@
-"""Shared-artifact analysis contexts: compute per-task-set state once.
+"""Shared-artifact analysis contexts: build the expensive object once per key.
 
 Algorithm 1 and the Eq. 4 recurrence are cheap per ``(f, Q)`` point, but
 a sweep grid evaluates *many* points against the *same* expensive shared
-inputs: the generated task set, its per-task delay functions, the
-Lehoczky blocking tolerances and safe-Q vectors (:mod:`repro.npr`), and
-the global delay maxima the event-accounting RTA methods read O(n²)
-times.  Re-deriving those per scenario is the dominant waste of a
-fig5-shaped grid (hundreds of Q / height points per task set).
+inputs: the generated task set, its per-task delay functions, its safe-Q
+vector (:mod:`repro.npr`) and the global delay maxima the
+event-accounting RTA methods read O(n²) times; or one Figure 4
+benchmark function, its maximum and Algorithm 1's window index.
+Re-deriving those per scenario is the dominant waste of a fig5-shaped
+grid (hundreds of Q / height points per task set).
 
-This module makes the shared state explicit:
+The key alone says what a context holds:
 
-* :class:`ContextKey` — a frozen, hashable identity derived from exactly
-  the scenario fields that determine the artifacts (seed, n_tasks,
-  utilization, delay shape — *not* the swept ``q``/``q_fraction``);
-* :class:`AnalysisContext` — a frozen, picklable bundle of the artifacts
-  themselves, built once per key;
-* :func:`get_context` — a per-process LRU memo, so engine workers
-  evaluating a grouped slice (see
-  :func:`repro.engine.chunking.grouped_chunk_plan`) build each context
-  exactly once;
-* artifact names (:data:`TASK_SET`, :data:`FP_CURVES`, …) that scenario
-  families *declare* in the registry
-  (:class:`repro.engine.registry.ScenarioFamily`), so the builder only
-  computes what a family actually consumes.
+* :class:`TaskSetKey` ``(n_tasks, utilization, seed, delay_height,
+  policy)`` builds a :class:`TaskSetContext` — the generated set, its
+  delay maxima and the safe-Q vector of that one policy;
+* :class:`BenchmarkKey` ``(function, interpretation, knots)`` builds a
+  :class:`BenchmarkContext` — the function, its ``max f`` and its
+  :func:`~repro.core.floating_npr.window_index`.
 
-Bit-identity is the design constraint: every artifact is produced by the
+Keys are frozen and hashable and exclude the swept fields (``q``,
+``q_fraction``), so every point of a grid over one set or function
+shares one context.  Contexts are frozen and picklable, and every field
+is built.  :func:`get_context` is a per-process memo of
+:func:`build_context`, so engine workers evaluating a grouped slice (see
+:func:`repro.engine.chunking.grouped_chunk_plan`) build each context
+exactly once.
+
+Bit-identity is the design constraint: every field is produced by the
 same public functions the single-shot path calls
 (:func:`repro.tasks.generate_task_set`,
 :func:`repro.npr.fp_max_npr_lengths`, …), so context-served evaluations
@@ -46,38 +48,6 @@ from repro.tasks.task import TaskSet
 from repro.utils.caching import ThreadPinnedLRU
 from repro.utils.checks import require
 
-# ----------------------------------------------------------------------
-# Artifact vocabulary
-# ----------------------------------------------------------------------
-
-#: The generated, priority-ordered base task set (no NPR lengths yet).
-TASK_SET = "task-set"
-#: Per-task global maxima ``max f_i`` (what Eq. 4 and the Busquets /
-#: Petters event accounting read, repeatedly).
-DELAY_MAXIMA = "delay-maxima"
-#: Lehoczky blocking tolerances ``beta_i`` plus the fixed-priority
-#: safe-Q vector derived from them.
-FP_CURVES = "fp-curves"
-#: The EDF (Bertogna & Baruah slack) safe-Q vector.
-EDF_CURVES = "edf-curves"
-#: One Figure 4 benchmark delay function (+ its max and Algorithm 1's
-#: window index, shared by every Q evaluated against it).
-BENCHMARK_FUNCTION = "benchmark-function"
-
-#: Artifacts a task-set-shaped context can carry.
-TASKSET_ARTIFACTS = (
-    TASK_SET,
-    DELAY_MAXIMA,
-    FP_CURVES,
-    EDF_CURVES,
-)
-#: Artifacts a benchmark-function context can carry.
-BENCHMARK_ARTIFACTS = (BENCHMARK_FUNCTION,)
-
-#: Context kinds (the dispatch tag of :func:`build_context`).
-TASKSET_KIND = "taskset"
-BENCHMARK_KIND = "benchmark"
-
 #: Distinct contexts kept per process.  Grids interleave only a handful
 #: of groups at a time (a q-major fig5 grid cycles through its three
 #: functions), so a small memo already guarantees one build per worker.
@@ -90,115 +60,78 @@ CONTEXT_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True, slots=True)
-class ContextKey:
-    """Identity of one shared-artifact context.
+class TaskSetKey:
+    """Identity of one generated task set and its NPR length policy.
 
     Attributes:
-        kind: :data:`TASKSET_KIND` or :data:`BENCHMARK_KIND`.
-        params: The determining fields as sorted ``(name, value)``
-            pairs — hashable, picklable, and printable for diagnostics.
+        n_tasks: Tasks per generated set.
+        utilization: Target total utilization.
+        seed: Generator seed.
+        delay_height: ``max f_i`` as a fraction of each task's WCET.
+        policy: ``"fp"`` (Lehoczky blocking tolerances) or ``"edf"``
+            (Bertogna & Baruah slack): the safe-Q vector the context
+            builds.
     """
 
-    kind: str
-    params: tuple[tuple[str, Any], ...]
+    n_tasks: int
+    utilization: float
+    seed: int
+    delay_height: float
+    policy: str
 
-    def __getitem__(self, name: str) -> Any:
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(name)
-
-
-def taskset_context_key(
-    n_tasks: int,
-    utilization: float,
-    seed: int,
-    delay_height: float,
-) -> ContextKey:
-    """Key of the task-set context those fields determine.
-
-    The scheduling policy is deliberately *not* part of the key: the
-    context carries the safe-Q vectors for both policies, so fp and EDF
-    scenarios over the same generated set share one context.
-    """
-    return ContextKey(
-        kind=TASKSET_KIND,
-        params=(
-            ("delay_height", delay_height),
-            ("n_tasks", n_tasks),
-            ("seed", seed),
-            ("utilization", utilization),
-        ),
-    )
+    @classmethod
+    def of(cls, scenario: Any, policy: str) -> TaskSetKey:
+        """The key of a scenario's ``n_tasks``, ``utilization``,
+        ``seed`` and ``delay_height`` under ``policy``."""
+        return cls(
+            scenario.n_tasks,
+            scenario.utilization,
+            scenario.seed,
+            scenario.delay_height,
+            policy,
+        )
 
 
-def benchmark_context_key(
-    function: str, interpretation: str, knots: int
-) -> ContextKey:
-    """Key of the Figure 4 benchmark-function context."""
-    return ContextKey(
-        kind=BENCHMARK_KIND,
-        params=(
-            ("function", function),
-            ("interpretation", interpretation),
-            ("knots", knots),
-        ),
-    )
+@dataclass(frozen=True, slots=True)
+class BenchmarkKey:
+    """Identity of one Figure 4 benchmark delay function."""
+
+    function: str
+    interpretation: str
+    knots: int
 
 
 # ----------------------------------------------------------------------
-# The context
+# Contexts
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class AnalysisContext:
-    """Every artifact shared by the scenarios of one :class:`ContextKey`.
-
-    Frozen and picklable; fields are ``None`` unless the corresponding
-    artifact was requested at build time.  Mappings are plain dicts by
+class TaskSetContext:
+    """What a :class:`TaskSetKey` builds.  Mappings are plain dicts by
     construction — treat them as read-only.
 
     Attributes:
         key: The identity this context was built for.
-        artifacts: The artifact names actually built.
-        task_set: Generated, rate-monotonic-prioritised base set
-            (:data:`TASK_SET`); NPR lengths are applied per scenario via
+        task_set: Generated, rate-monotonic-prioritised base set; NPR
+            lengths are applied per scenario via
             :meth:`prepared_task_set`.
-        delay_maxima: ``{task name: max f_i}`` (:data:`DELAY_MAXIMA`).
-        beta_fp: Lehoczky blocking tolerances (:data:`FP_CURVES`).
-        safe_q_fp: Maximal safe fixed-priority NPR lengths; ``None``
-            (with :data:`FP_CURVES` built) when some tolerance is
-            negative — the set admits no assignment.
-        safe_q_edf: Maximal safe EDF NPR lengths (:data:`EDF_CURVES`);
-            ``None`` when the set has negative slack.
-        function: The benchmark delay function
-            (:data:`BENCHMARK_FUNCTION`).
-        function_max: Its precomputed global maximum.
-        function_index: Its :func:`~repro.core.floating_npr.window_index`
-            (``None`` when its pieces meet only within the contiguity
-            tolerance).
+        delay_maxima: ``{task name: max f_i}``.
+        safe_q: Maximal safe NPR lengths under ``key.policy``; ``None``
+            when the set admits no assignment (a negative blocking
+            tolerance or negative slack).
     """
 
-    key: ContextKey
-    artifacts: tuple[str, ...]
-    task_set: TaskSet | None = None
-    delay_maxima: dict[str, float] | None = None
-    beta_fp: dict[str, float] | None = None
-    safe_q_fp: dict[str, float] | None = None
-    safe_q_edf: dict[str, float] | None = None
-    function: PreemptionDelayFunction | None = None
-    function_max: float | None = None
-    function_index: WindowIndex | None = None
+    key: TaskSetKey
+    task_set: TaskSet
+    delay_maxima: dict[str, float]
+    safe_q: dict[str, float] | None
 
-    def prepared_task_set(
-        self, policy: str, q_fraction: float
-    ) -> TaskSet | None:
-        """The base set with ``fraction``-scaled NPR lengths attached.
+    def prepared_task_set(self, q_fraction: float) -> TaskSet | None:
+        """The base set with ``q_fraction``-scaled NPR lengths attached.
 
-        Bit-identical to
-        :func:`repro.engine.sweeps.prepared_task_set` on the same
-        fields: the safe-Q vector was computed by the same
+        Bit-identical to :func:`repro.engine.sweeps.prepared_task_set`
+        on the same fields: the safe-Q vector was computed by the same
         ``*_max_npr_lengths`` call, and the scaling is the same
         :func:`repro.npr.assignment.apply_npr_lengths` arithmetic.
 
@@ -206,30 +139,37 @@ class AnalysisContext:
         per-set infeasibility the sweep counts as a rejection).
 
         Raises:
-            ValueError: for invalid *parameters* (unknown policy,
-                out-of-range fraction) — these must fail loudly.
+            ValueError: for an out-of-range fraction — it must fail
+                loudly.
         """
-        if policy not in ("edf", "fp"):
-            raise ValueError(f"unknown policy {policy!r}")
         if not 0.0 < q_fraction <= 1.0:
             raise ValueError(f"q_fraction must lie in (0, 1], got {q_fraction}")
-        # A missing artifact is a family mis-declaration, never a
-        # silent "this set is infeasible".
-        needed = FP_CURVES if policy == "fp" else EDF_CURVES
-        if TASK_SET not in self.artifacts or needed not in self.artifacts:
-            raise ValueError(
-                f"context {self.key.kind!r} was built without "
-                f"{TASK_SET!r}/{needed!r}; declare them in the family's "
-                "artifacts"
-            )
-        lengths = self.safe_q_fp if policy == "fp" else self.safe_q_edf
-        if lengths is None:
+        if self.safe_q is None:
             return None
         try:
-            return apply_npr_lengths(self.task_set, lengths, q_fraction)
+            return apply_npr_lengths(self.task_set, self.safe_q, q_fraction)
         except ValueError:
             # Some maximal length is 0: no positive NPR at any fraction.
             return None
+
+
+@dataclass(frozen=True)
+class BenchmarkContext:
+    """What a :class:`BenchmarkKey` builds.
+
+    Attributes:
+        key: The identity this context was built for.
+        function: The benchmark delay function.
+        function_max: Its global maximum.
+        function_index: Its :func:`~repro.core.floating_npr.window_index`
+            (``None`` when its pieces meet only within the contiguity
+            tolerance).
+    """
+
+    key: BenchmarkKey
+    function: PreemptionDelayFunction
+    function_max: float
+    function_index: WindowIndex | None
 
 
 # ----------------------------------------------------------------------
@@ -237,102 +177,58 @@ class AnalysisContext:
 # ----------------------------------------------------------------------
 
 
-def _build_taskset_context(
-    key: ContextKey, artifacts: tuple[str, ...]
-) -> AnalysisContext:
-    factory = gaussian_delay_factory(relative_height=key["delay_height"])
+def _build_taskset_context(key: TaskSetKey) -> TaskSetContext:
+    require(key.policy in ("edf", "fp"), f"unknown policy {key.policy!r}")
+    factory = gaussian_delay_factory(relative_height=key.delay_height)
     base = generate_task_set(
-        key["n_tasks"],
-        key["utilization"],
-        seed=key["seed"],
+        key.n_tasks,
+        key.utilization,
+        seed=key.seed,
         delay_function_factory=factory,
     ).rate_monotonic()
-
-    delay_maxima = None
-    if DELAY_MAXIMA in artifacts:
-        delay_maxima = {
-            task.name: task.delay_function.max_value()
-            for task in base
-            if task.delay_function is not None
-        }
-
-    beta_fp = safe_q_fp = None
-    if FP_CURVES in artifacts:
-        beta_fp = fp_blocking_tolerances(base)
-        if all(beta >= 0 for beta in beta_fp.values()):
-            safe_q_fp = fp_max_npr_lengths(base, tolerances=beta_fp)
-
-    safe_q_edf = None
-    if EDF_CURVES in artifacts:
+    delay_maxima = {
+        task.name: task.delay_function.max_value()
+        for task in base
+        if task.delay_function is not None
+    }
+    safe_q = None
+    if key.policy == "fp":
+        beta = fp_blocking_tolerances(base)
+        if all(value >= 0 for value in beta.values()):
+            safe_q = fp_max_npr_lengths(base, tolerances=beta)
+    else:
         try:
-            safe_q_edf = edf_max_npr_lengths(base)
+            safe_q = edf_max_npr_lengths(base)
         except ValueError:
-            safe_q_edf = None  # negative slack: no assignment exists
-
-    return AnalysisContext(
-        key=key,
-        artifacts=artifacts,
-        task_set=base if TASK_SET in artifacts else None,
-        delay_maxima=delay_maxima,
-        beta_fp=beta_fp,
-        safe_q_fp=safe_q_fp,
-        safe_q_edf=safe_q_edf,
-    )
+            pass  # negative slack: no assignment exists
+    return TaskSetContext(key, base, delay_maxima, safe_q)
 
 
-def _build_benchmark_context(
-    key: ContextKey, artifacts: tuple[str, ...]
-) -> AnalysisContext:
+def _build_benchmark_context(key: BenchmarkKey) -> BenchmarkContext:
     # Late import: the builder for Figure 4 functions lives above this
     # layer (repro.engine.sweeps / repro.experiments).
     from repro.engine.sweeps import benchmark_function
 
-    f = benchmark_function(
-        key["function"], key["interpretation"], key["knots"]
-    )
-    return AnalysisContext(
-        key=key,
-        artifacts=artifacts,
-        function=f,
-        function_max=f.max_value(),
-        function_index=window_index(f),
-    )
+    f = benchmark_function(key.function, key.interpretation, key.knots)
+    return BenchmarkContext(key, f, f.max_value(), window_index(f))
 
 
 def build_context(
-    key: ContextKey, artifacts: tuple[str, ...]
-) -> AnalysisContext:
-    """Build the context of ``key``, computing only ``artifacts``.
-
-    Args:
-        key: The context identity.
-        artifacts: Artifact names (a family's registry declaration);
-            must belong to the key's kind.
+    key: TaskSetKey | BenchmarkKey,
+) -> TaskSetContext | BenchmarkContext:
+    """Build the context ``key`` names (see the module docstring).
 
     Raises:
-        ValueError: for unknown kinds or artifacts of the wrong kind.
+        ValueError: for a task-set key with an unknown policy.
     """
-    valid = (
-        TASKSET_ARTIFACTS if key.kind == TASKSET_KIND else BENCHMARK_ARTIFACTS
-    )
-    unknown = [name for name in artifacts if name not in valid]
-    require(
-        not unknown,
-        f"unknown artifact(s) {', '.join(unknown)} for context kind "
-        f"{key.kind!r}; valid: {', '.join(valid)}",
-    )
-    if key.kind == TASKSET_KIND:
-        return _build_taskset_context(key, artifacts)
-    require(
-        key.kind == BENCHMARK_KIND,
-        f"unknown context kind {key.kind!r}",
-    )
-    return _build_benchmark_context(key, artifacts)
+    if isinstance(key, TaskSetKey):
+        return _build_taskset_context(key)
+    return _build_benchmark_context(key)
 
 
 def _get_context(
-    key: ContextKey, artifacts: tuple[str, ...]
-) -> AnalysisContext:
+    key: TaskSetKey | BenchmarkKey,
+) -> TaskSetContext | BenchmarkContext:
     """Per-process memoised :func:`build_context`.
 
     Workers call this per scenario; with group-respecting chunks
@@ -343,7 +239,7 @@ def _get_context(
     :data:`CONTEXT_CACHE_SIZE` entries, so a serve slot thread keeps
     its group's context even when other slots evict it.
     """
-    return build_context(key, artifacts)
+    return build_context(key)
 
 
 get_context = ThreadPinnedLRU(_get_context, CONTEXT_CACHE_SIZE)

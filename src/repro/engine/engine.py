@@ -156,8 +156,8 @@ def run_batch(
             shared-artifact group (typically a family's
             ``context_key``).  Pooled chunks then never span two groups
             (:func:`~repro.engine.chunking.grouped_chunk_plan`), so each
-            worker builds every
-            :class:`repro.engine.context.AnalysisContext` once.  The
+            worker builds every context
+            (:mod:`repro.engine.context`) once.  The
             inline path keeps plain scenario order — the per-process
             context memo already amortises there.  Purely a locality
             knob: results stay bit-identical and in scenario order.

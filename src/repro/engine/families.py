@@ -21,10 +21,11 @@ frozen dataclasses (whose record decoder the registry derives, so the
 family is fully servable from a :class:`repro.store.ResultStore`), and
 scenarios carry their own seeds (results never depend on which pool
 worker evaluates them).  Both workers resolve their generated task
-set (and its safe-Q curves) through the shared-artifact
-:class:`~repro.engine.context.AnalysisContext`, so a grid sweeping
-``q_fraction`` or ``policy`` over the same seeds generates and analyses
-each set once per process.
+set, its delay maxima and the safe-Q vector of their policy through a
+:class:`~repro.engine.context.TaskSetKey` (``edf`` for ``edf-study``,
+the scenario's ``policy`` for ``sim``), so a grid sweeping
+``q_fraction`` over the same seeds generates and analyses each set once
+per process and policy.
 """
 
 from __future__ import annotations
@@ -33,14 +34,7 @@ import random
 from dataclasses import dataclass
 
 from repro.engine.chunking import derive_seed
-from repro.engine.context import (
-    DELAY_MAXIMA,
-    EDF_CURVES,
-    FP_CURVES,
-    TASK_SET,
-    get_context,
-)
-from repro.engine.sweeps import study_context_key
+from repro.engine.context import TaskSetKey, get_context
 from repro.sched.edf_delay_aware import EDF_METHODS, edf_delay_aware_verdicts
 from repro.sim.release import periodic_releases, sporadic_releases
 from repro.sim.simulator import FloatingNPRSimulator, worst_case_delay_model
@@ -106,19 +100,17 @@ class SimResult:
     bound_respected: bool
 
 
-#: Context artifacts the ``sim`` family consumes.  Both safe-Q vectors
-#: are declared because the scenario's ``policy`` field (not the key)
-#: selects the NPR length criterion at evaluation time.
-SIM_ARTIFACTS = (TASK_SET, FP_CURVES, EDF_CURVES)
+def sim_context_key(scenario: SimScenario) -> TaskSetKey:
+    """The context key of one sim scenario: its generated set under the
+    scenario's own policy, which selects the NPR length criterion."""
+    return TaskSetKey.of(scenario, scenario.policy)
 
 
 def evaluate_sim_scenario(scenario: SimScenario) -> SimResult:
     """Engine worker: simulate one generated task set and validate the
     observed preemption delays against Algorithm 1's bounds."""
-    context = get_context(study_context_key(scenario), SIM_ARTIFACTS)
-    task_set = context.prepared_task_set(
-        scenario.policy, scenario.q_fraction
-    )
+    context = get_context(sim_context_key(scenario))
+    task_set = context.prepared_task_set(scenario.q_fraction)
     if task_set is None:
         return SimResult(
             utilization=scenario.utilization,
@@ -204,8 +196,10 @@ class EdfStudyResult:
     accepted: tuple[bool, ...]
 
 
-#: Context artifacts the ``edf-study`` family consumes.
-EDF_STUDY_ARTIFACTS = (TASK_SET, DELAY_MAXIMA, EDF_CURVES)
+def edf_study_context_key(scenario: EdfStudyScenario) -> TaskSetKey:
+    """The context key of one edf-study scenario: its generated set
+    under the EDF policy."""
+    return TaskSetKey.of(scenario, "edf")
 
 
 def evaluate_edf_study_scenario(
@@ -217,8 +211,8 @@ def evaluate_edf_study_scenario(
     maxima come from the shared context; per scenario only the
     ``q_fraction`` scaling and the Q-dependent bounds remain.
     """
-    context = get_context(study_context_key(scenario), EDF_STUDY_ARTIFACTS)
-    task_set = context.prepared_task_set("edf", scenario.q_fraction)
+    context = get_context(edf_study_context_key(scenario))
+    task_set = context.prepared_task_set(scenario.q_fraction)
     if task_set is None:
         return EdfStudyResult(
             utilization=scenario.utilization,

@@ -9,10 +9,10 @@ compiler need to know about one kind of scenario:
   dataclass — also yields the family's record decoder
   (:func:`record_decoder`), which makes the family servable from a
   :class:`repro.store.ResultStore`;
-* its *shared-artifact declaration* — a ``context_key`` function mapping
-  a scenario to the :class:`repro.engine.context.ContextKey` it shares
-  with its grid neighbours, plus the ``artifacts`` the family consumes
-  from the built :class:`~repro.engine.context.AnalysisContext`.  The
+* its ``context_key`` — a function mapping a scenario to the key
+  (:class:`repro.engine.context.TaskSetKey` or
+  :class:`~repro.engine.context.BenchmarkKey`) it shares with its grid
+  neighbours; the key alone says what the built context holds.  The
   engine groups scenario streams by this key
   (:func:`repro.engine.run_batch` with ``group_by``) so each worker
   builds every context once and evaluates its whole slice against it.
@@ -247,14 +247,11 @@ class ScenarioFamily:
             with the frozen result dataclass it returns (see
             :attr:`decoder`).
         summary: One-line description for ``--help``-style listings.
-        context_key: Optional callable ``scenario ->``
-            :class:`repro.engine.context.ContextKey` naming the shared
-            artifacts the scenario evaluates against; ``None`` for
-            families without shared state.  Passed as ``group_by`` to
-            the engine so grid slices sharing a key are evaluated
-            together.
-        artifacts: The artifact names (see :mod:`repro.engine.context`)
-            the family's worker consumes from the built context.
+        context_key: Optional callable ``scenario ->`` context key
+            (see :mod:`repro.engine.context`) naming the shared context
+            the scenario evaluates against; ``None`` for families
+            without shared state.  Passed as ``group_by`` to the engine
+            so grid slices sharing a key are evaluated together.
         field_help: ``(field name, one-line help)`` pairs documenting
             the scenario dataclass's fields; surfaced through
             :meth:`axes` to the CLI, docs generator and campaign
@@ -266,7 +263,6 @@ class ScenarioFamily:
     worker: Callable[[Any], Any]
     summary: str
     context_key: Callable[[Any], Any] | None = None
-    artifacts: tuple[str, ...] = ()
     field_help: tuple[tuple[str, str], ...] = ()
 
     @property
@@ -429,7 +425,6 @@ def _register_builtins() -> None:
             summary="Algorithm 1 vs Eq. 4 delay bounds over (function, Q) "
             "grids (the Figure 5 shape)",
             context_key=sweeps.bound_context_key,
-            artifacts=sweeps.BOUND_ARTIFACTS,
             field_help=(
                 ("function", "benchmark delay-function name "
                  "(gaussian1, gaussian2, bimodal)"),
@@ -447,7 +442,6 @@ def _register_builtins() -> None:
             summary="fixed-priority delay-aware acceptance studies on "
             "generated task sets (the EXT-D shape)",
             context_key=sweeps.study_context_key,
-            artifacts=sweeps.STUDY_ARTIFACTS,
             field_help=(
                 ("utilization", "target total utilization of the "
                  "generated set"),
@@ -468,8 +462,7 @@ def _register_builtins() -> None:
             worker=families.evaluate_sim_scenario,
             summary="simulator runs comparing observed preemption delay "
             "against Algorithm 1's bound (Theorem 1 at sweep scale)",
-            context_key=sweeps.study_context_key,
-            artifacts=families.SIM_ARTIFACTS,
+            context_key=families.sim_context_key,
             field_help=(
                 ("utilization", "target total utilization of the "
                  "generated set"),
@@ -494,8 +487,7 @@ def _register_builtins() -> None:
             worker=families.evaluate_edf_study_scenario,
             summary="EDF delay-aware acceptance studies with "
             "Bertogna-Baruah NPR lengths",
-            context_key=sweeps.study_context_key,
-            artifacts=families.EDF_STUDY_ARTIFACTS,
+            context_key=families.edf_study_context_key,
             field_help=(
                 ("utilization", "target total utilization of the "
                  "generated set"),

@@ -12,13 +12,14 @@ surface (the simulation-validation and EDF families live in
   scenario carries its own seed, making results independent of which
   worker evaluates it.
 
-Both workers evaluate against a shared-artifact
-:class:`~repro.engine.context.AnalysisContext` resolved through the
+Both workers evaluate against a context resolved through the
 per-process memo :func:`repro.engine.context.get_context`: the bound
-worker reuses one built benchmark function (and its precomputed global
-maximum) across every Q of a sweep, the study worker reuses one
-generated task set, its Lehoczky/safe-Q curves and delay maxima across
-every ``q_fraction``.  The context-served results are bit-identical to
+worker's :class:`~repro.engine.context.BenchmarkKey` reuses one built
+benchmark function (with its global maximum and window index) across
+every Q of a sweep, the study worker's
+:class:`~repro.engine.context.TaskSetKey` reuses one generated task
+set, its fixed-priority safe-Q vector and its delay maxima across every
+``q_fraction``.  The context-served results are bit-identical to
 the single-shot recipes (:func:`prepared_task_set` + the ``sched``
 tests), which the context tests assert.
 
@@ -32,21 +33,10 @@ results between ``max_workers=1`` and ``N``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Any
 
 from repro.core.bounds import compare_bounds
 from repro.core.delay_function import PreemptionDelayFunction
-from repro.engine.context import (
-    BENCHMARK_FUNCTION,
-    DELAY_MAXIMA,
-    FP_CURVES,
-    TASK_SET,
-    ContextKey,
-    benchmark_context_key,
-    get_context,
-    taskset_context_key,
-)
+from repro.engine.context import BenchmarkKey, TaskSetKey, get_context
 from repro.npr.assignment import assign_npr_lengths
 from repro.sched.crpd_rta import delay_aware_rta
 from repro.tasks.generation import gaussian_delay_factory, generate_task_set
@@ -98,31 +88,26 @@ class BoundResult:
     preemptions: int
 
 
-@lru_cache(maxsize=64)
 def benchmark_function(
     name: str, interpretation: str = "literal", knots: int = 2048
 ) -> PreemptionDelayFunction:
-    """Per-process cache of the Figure 4 benchmark functions.
+    """Build one Figure 4 benchmark function.
 
     Building a 2048-knot benchmark function costs orders of magnitude
-    more than one bound evaluation; caching it per ``(name,
-    interpretation, knots)`` is what makes the batched path beat the
-    single-shot path even on one core.  The benchmark-kind
-    :class:`~repro.engine.context.AnalysisContext` builds its function
-    through this cache, so both layers share one instance.
+    more than one bound evaluation, so it is built once per
+    :class:`~repro.engine.context.BenchmarkKey`: the
+    :class:`~repro.engine.context.BenchmarkContext` calls this, and the
+    context memo (:func:`repro.engine.context.get_context`) is what
+    every Q of a sweep reuses.
     """
     from repro.experiments.functions_fig4 import fig4_delay_function
 
     return fig4_delay_function(name, interpretation, knots)
 
 
-#: Context artifacts the ``bound`` family consumes.
-BOUND_ARTIFACTS = (BENCHMARK_FUNCTION,)
-
-
-def bound_context_key(scenario: BoundScenario) -> ContextKey:
-    """The shared-artifact key of one bound scenario: its function."""
-    return benchmark_context_key(
+def bound_context_key(scenario: BoundScenario) -> BenchmarkKey:
+    """The context key of one bound scenario: its function."""
+    return BenchmarkKey(
         scenario.function, scenario.interpretation, scenario.knots
     )
 
@@ -132,11 +117,11 @@ def evaluate_bound_scenario(scenario: BoundScenario) -> BoundResult:
 
     The benchmark function, its global maximum and its Algorithm 1
     window index come from the shared
-    :class:`~repro.engine.context.AnalysisContext`, so a whole Q sweep
+    :class:`~repro.engine.context.BenchmarkContext`, so a whole Q sweep
     against one function builds (and maximises and indexes) it once per
     process.
     """
-    context = get_context(bound_context_key(scenario), BOUND_ARTIFACTS)
+    context = get_context(bound_context_key(scenario))
     comparison = compare_bounds(
         context.function,
         scenario.q,
@@ -237,9 +222,9 @@ def prepared_task_set(
 ) -> TaskSet | None:
     """Generate, prioritise and NPR-annotate one task set.
 
-    The single-shot recipe; sweep workers resolve the same artifacts
-    through :func:`repro.engine.context.get_context` instead, so one
-    generated set serves every swept fraction.  Both paths produce
+    The single-shot recipe; sweep workers resolve the same set and
+    safe-Q vector through :func:`repro.engine.context.get_context`
+    instead, so one generated set serves every swept fraction.  Both paths produce
     bit-identical task sets (asserted in the context tests).
 
     Returns ``None`` when the set admits no NPR assignment (negative
@@ -281,40 +266,27 @@ def prepared_task_set(
         return None
 
 
-#: Context artifacts the ``study`` family consumes.
-STUDY_ARTIFACTS = (TASK_SET, DELAY_MAXIMA, FP_CURVES)
-
-
-def study_context_key(scenario: Any) -> ContextKey:
-    """The shared-artifact key of one task-set scenario: its task set.
-
-    Serves every family that generates a task set from ``n_tasks``,
-    ``utilization``, ``seed`` and ``delay_height`` — ``study``, ``sim``
-    and ``edf-study``.  ``q_fraction`` (and ``methods``, ``policy``, …)
-    are deliberately excluded — every fractional assignment of the same
-    generated set shares one context.
-    """
-    return taskset_context_key(
-        scenario.n_tasks,
-        scenario.utilization,
-        scenario.seed,
-        scenario.delay_height,
-    )
+def study_context_key(scenario: StudyScenario) -> TaskSetKey:
+    """The context key of one study scenario: its generated set under
+    the fixed-priority policy.  ``q_fraction`` and ``methods`` are
+    excluded, so every fractional assignment of one set shares one
+    context."""
+    return TaskSetKey.of(scenario, "fp")
 
 
 def evaluate_study_scenario(scenario: StudyScenario) -> StudyResult:
     """Engine worker: run every test method against one task set.
 
-    The generated set, its blocking tolerances / safe-Q vector and the
+    The generated set, its fixed-priority safe-Q vector and the
     per-task delay maxima come from the shared
-    :class:`~repro.engine.context.AnalysisContext`; only the
+    :class:`~repro.engine.context.TaskSetContext`; only the
     ``q_fraction`` scaling and the Q-dependent Algorithm 1 bound are
     computed per scenario.  Bit-identical to the
     :func:`prepared_task_set` + :func:`repro.sched.delay_aware_rta`
     recipe.
     """
-    context = get_context(study_context_key(scenario), STUDY_ARTIFACTS)
-    task_set = context.prepared_task_set("fp", scenario.q_fraction)
+    context = get_context(study_context_key(scenario))
+    task_set = context.prepared_task_set(scenario.q_fraction)
     if task_set is None:
         return StudyResult(
             utilization=scenario.utilization,

@@ -2,8 +2,8 @@
 
 :func:`assign_npr_lengths` is the one-call recipe (derive the maximal
 safe lengths, scale, attach); :func:`apply_npr_lengths` is the scaling
-step alone, for callers that already hold a safe-Q vector — the
-:class:`repro.engine.context.AnalysisContext` computes the vector once
+step alone, for callers that already hold a safe-Q vector — a
+:class:`repro.engine.context.TaskSetContext` computes the vector once
 per task set and applies it at every swept fraction.
 """
 

@@ -111,8 +111,8 @@ def delay_aware_rta(
         delay_maxima: Precomputed ``{task name: max f_i}``.  Every
             method except ``algorithm1`` reads ``f_i`` only through its
             global maximum, and the event-accounting methods read it
-            O(n²) times per test — a sweep holding an
-            :class:`repro.engine.context.AnalysisContext` computes the
+            O(n²) times per test — a sweep holding a
+            :class:`repro.engine.context.TaskSetContext` computes the
             maxima once per task set and passes them here.  Values must
             equal ``f_i.max_value()`` exactly; missing names fall back
             to computing.

@@ -2,7 +2,7 @@
 
 :class:`ThreadPinnedLRU` is a fixed-capacity ``functools.lru_cache``
 that also keeps each thread's last result.  The engine memoises its
-``AnalysisContext`` objects with it
+task-set and benchmark contexts with it
 (:func:`repro.engine.context.get_context`): the serve slot threads, each
 evaluating its job inline, share that one memo.
 """

@@ -55,7 +55,6 @@ def family(**kw):
         worker=evaluate,
         summary="a fabricated family",
         context_key=context_key,
-        artifacts=("functions",),
         field_help=(("q", "NPR length"), ("knots", "resolution")),
     )
     base.update(kw)
@@ -71,7 +70,7 @@ class TestRc001Context:
     def test_family_without_shared_state_registers(self):
         # context_key=None is the documented "no shared state" case;
         # the engine then runs the grid ungrouped.
-        register_family(family(context_key=None, artifacts=()))
+        register_family(family(context_key=None))
         assert get_family("fab").context_key is None
 
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from tests.core.test_window_index import cases
 
 from repro.core import floating_npr_delay_bound, window_index
-from repro.engine.context import BENCHMARK_FUNCTION, build_context
+from repro.engine.context import build_context
 from repro.engine.sweeps import bound_context_key, q_sweep_scenarios
 from repro.experiments.fig5 import default_q_grid
 
@@ -74,7 +74,7 @@ def test_every_result_carries_its_certificate(case, indexed):
 def test_the_default_figure5_grid_is_certified():
     qs = default_q_grid()
     for scenario in q_sweep_scenarios(qs[:1]):
-        context = build_context(bound_context_key(scenario), (BENCHMARK_FUNCTION,))
+        context = build_context(bound_context_key(scenario))
         f = context.function
         for q in qs:
             for index in (context.function_index, None):

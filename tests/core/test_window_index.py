@@ -27,7 +27,7 @@ from repro.core import (
     floating_npr_delay_bound,
     window_index,
 )
-from repro.engine.context import BENCHMARK_FUNCTION, build_context
+from repro.engine.context import build_context
 from repro.engine.sweeps import (
     BoundScenario,
     StudyScenario,
@@ -308,7 +308,7 @@ class TestIndexedKernel:
 class TestWhoBuildsTheIndex:
     def test_the_bound_context_carries_the_function_index(self):
         scenario = BoundScenario(function="bimodal", q=100.0, knots=128)
-        context = build_context(bound_context_key(scenario), (BENCHMARK_FUNCTION,))
+        context = build_context(bound_context_key(scenario))
         assert context.function_index is not None
         assert context.function_index.function is context.function.function
         without = compare_bounds(context.function, 100.0, f_max=context.function_max)

@@ -2,8 +2,9 @@
 
 Three claims are locked in here:
 
-1. **Artifact fidelity** — every :class:`AnalysisContext` artifact equals
-   the value the single-shot functions produce, and the context-served
+1. **Artifact fidelity** — every field of a :class:`TaskSetContext` or
+   :class:`BenchmarkContext` equals the value the single-shot functions
+   produce, a key builds only what it names, and the context-served
    workers are bit-identical to the pre-context per-scenario recipes.
 2. **Plan correctness** — :func:`grouped_chunk_plan` is a pure
    permutation-free partition: every index exactly once, no chunk mixes
@@ -18,15 +19,16 @@ import pickle
 import pytest
 
 from repro.engine import (
-    AnalysisContext,
+    BenchmarkContext,
+    BenchmarkKey,
     BoundScenario,
-    ContextKey,
     EdfStudyScenario,
     JsonlSink,
     SimScenario,
     StudyScenario,
+    TaskSetContext,
+    TaskSetKey,
     WorkerError,
-    benchmark_context_key,
     build_context,
     clear_context_cache,
     evaluate_bound_scenario,
@@ -37,16 +39,8 @@ from repro.engine import (
     grouped_chunk_plan,
     run_batch,
     run_cached_batch,
-    taskset_context_key,
 )
-from repro.engine.context import (
-    BENCHMARK_FUNCTION,
-    DELAY_MAXIMA,
-    EDF_CURVES,
-    FP_CURVES,
-    TASK_SET,
-    TASKSET_ARTIFACTS,
-)
+from repro.engine.families import edf_study_context_key, sim_context_key
 from repro.engine.sweeps import (
     benchmark_function,
     bound_context_key,
@@ -55,7 +49,6 @@ from repro.engine.sweeps import (
 )
 from repro.npr import (
     edf_max_npr_lengths,
-    fp_blocking_tolerances,
     fp_max_npr_lengths,
 )
 from repro.sched import delay_aware_rta
@@ -97,102 +90,109 @@ def _base_set(n_tasks, utilization, seed, delay_height):
 
 class TestContextKey:
     def test_hashable_equal_and_picklable(self):
-        key = taskset_context_key(4, 0.6, 7, 0.05)
-        again = taskset_context_key(4, 0.6, 7, 0.05)
+        key = TaskSetKey(4, 0.6, 7, 0.05, "fp")
+        again = TaskSetKey(4, 0.6, 7, 0.05, "fp")
         assert key == again and hash(key) == hash(again)
         assert pickle.loads(pickle.dumps(key)) == key
-        assert key["seed"] == 7 and key["n_tasks"] == 4
+        assert key.seed == 7 and key.n_tasks == 4
 
     def test_distinct_fields_distinct_keys(self):
-        key = taskset_context_key(4, 0.6, 7, 0.05)
-        assert key != taskset_context_key(4, 0.6, 8, 0.05)
-        assert key != benchmark_context_key("bimodal", "literal", 64)
+        key = TaskSetKey(4, 0.6, 7, 0.05, "fp")
+        assert key != TaskSetKey(4, 0.6, 8, 0.05, "fp")
+        assert key != BenchmarkKey("bimodal", "literal", 64)
 
     def test_unknown_param_raises(self):
-        with pytest.raises(KeyError):
-            taskset_context_key(4, 0.6, 7, 0.05)["q_fraction"]
+        # The swept fields are not part of a key.
+        with pytest.raises(AttributeError):
+            TaskSetKey(4, 0.6, 7, 0.05, "fp").q_fraction
 
-    def test_policy_is_not_part_of_the_key(self):
-        # fp and EDF scenarios over the same generated set must share
-        # one context (it carries both safe-Q vectors).
+    def test_policy_is_part_of_the_key(self):
+        # A context builds the safe-Q vector of its key's policy only,
+        # so fp and EDF scenarios over one generated set do not share.
         sim_fp = SimScenario(utilization=0.5, seed=3, policy="fp")
         sim_edf = SimScenario(utilization=0.5, seed=3, policy="edf")
-        assert study_context_key(sim_fp) == study_context_key(sim_edf)
+        assert sim_context_key(sim_fp) == TaskSetKey(4, 0.5, 3, 0.05, "fp")
+        assert sim_context_key(sim_edf) == TaskSetKey(4, 0.5, 3, 0.05, "edf")
 
 
 class TestTasksetContextArtifacts:
-    KEY = taskset_context_key(5, 0.6, 11, 0.05)
+    KEY = TaskSetKey(5, 0.6, 11, 0.05, "fp")
 
     def test_artifacts_match_single_shot_functions(self):
-        context = build_context(self.KEY, TASKSET_ARTIFACTS)
         base = _base_set(5, 0.6, 11, 0.05)
-        assert _task_sets_equal(context.task_set, base)
-        assert context.delay_maxima == {
-            t.name: t.delay_function.max_value() for t in base
-        }
-        assert context.beta_fp == fp_blocking_tolerances(base)
-        assert context.safe_q_fp == fp_max_npr_lengths(base)
-        assert context.safe_q_edf == edf_max_npr_lengths(base)
+        maxima = {t.name: t.delay_function.max_value() for t in base}
+        for policy, max_npr_lengths in (
+            ("fp", fp_max_npr_lengths),
+            ("edf", edf_max_npr_lengths),
+        ):
+            context = build_context(TaskSetKey(5, 0.6, 11, 0.05, policy))
+            assert _task_sets_equal(context.task_set, base)
+            assert context.delay_maxima == maxima
+            assert context.safe_q == max_npr_lengths(base)
 
     def test_context_is_picklable(self):
-        context = build_context(self.KEY, TASKSET_ARTIFACTS)
+        context = build_context(self.KEY)
         clone = pickle.loads(pickle.dumps(context))
         assert clone.key == context.key
-        assert clone.safe_q_fp == context.safe_q_fp
+        assert clone.safe_q == context.safe_q
         assert _task_sets_equal(clone.task_set, context.task_set)
 
-    def test_unrequested_artifacts_stay_none(self):
-        context = build_context(self.KEY, (TASK_SET,))
-        assert context.task_set is not None
-        assert context.delay_maxima is None
-        assert context.beta_fp is None
-        assert context.safe_q_edf is None
+    @pytest.mark.parametrize(
+        "policy,built,skipped",
+        [
+            ("fp", "fp_blocking_tolerances", "edf_max_npr_lengths"),
+            ("edf", "edf_max_npr_lengths", "fp_blocking_tolerances"),
+        ],
+    )
+    def test_each_key_builds_only_its_policys_vector(
+        self, monkeypatch, policy, built, skipped
+    ):
+        # What keeps a study build at its cost: an fp key builds no EDF
+        # vector and an edf key no fp vector.
+        from repro.engine import context as context_module
 
-    def test_wrong_kind_artifact_rejected(self):
-        with pytest.raises(ValueError, match="unknown artifact"):
-            build_context(self.KEY, (BENCHMARK_FUNCTION,))
+        calls = {built: 0, skipped: 0}
+        for name in calls:
+            real = getattr(context_module, name)
 
-    def test_prepared_without_declared_curves_fails_loudly(self):
-        context = build_context(self.KEY, (TASK_SET,))
-        with pytest.raises(ValueError, match="artifacts"):
-            context.prepared_task_set("fp", 0.5)
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(context_module, name, counting)
+        context = build_context(TaskSetKey(5, 0.6, 11, 0.05, policy))
+        assert calls == {built: 1, skipped: 0}
+        assert context.safe_q is not None
 
     @pytest.mark.parametrize("policy", ["fp", "edf"])
     @pytest.mark.parametrize("fraction", [0.25, 0.5, 1.0])
     def test_prepared_task_set_matches_single_shot(self, policy, fraction):
         for seed in range(12):
-            context = build_context(
-                taskset_context_key(4, 0.75, seed, 0.05), TASKSET_ARTIFACTS
-            )
+            context = build_context(TaskSetKey(4, 0.75, seed, 0.05, policy))
             reference = prepared_task_set(
                 4, 0.75, seed, fraction, 0.05, policy=policy
             )
-            served = context.prepared_task_set(policy, fraction)
+            served = context.prepared_task_set(fraction)
             assert _task_sets_equal(served, reference), (policy, seed)
 
     def test_invalid_fraction_and_policy_fail_loudly(self):
-        context = build_context(self.KEY, TASKSET_ARTIFACTS)
+        context = build_context(self.KEY)
         with pytest.raises(ValueError, match="q_fraction"):
-            context.prepared_task_set("fp", 0.0)
+            context.prepared_task_set(0.0)
         with pytest.raises(ValueError, match="policy"):
-            context.prepared_task_set("rm", 0.5)
+            build_context(TaskSetKey(5, 0.6, 11, 0.05, "rm"))
 
 
 class TestBenchmarkContextArtifacts:
     def test_function_max_and_index_precomputed(self):
-        # The kernel bisects the function's own coordinate tuples, so
-        # the memoised function is the segment index: a rebuilt context
-        # shares those tuples instead of recomputing them.
-        key = benchmark_context_key("bimodal", "literal", 128)
-        context = build_context(key, (BENCHMARK_FUNCTION,))
-        assert context.function is benchmark_function("bimodal", "literal", 128)
+        key = BenchmarkKey("bimodal", "literal", 128)
+        context = build_context(key)
+        assert context.key == key
+        assert context.function.function == (
+            benchmark_function("bimodal", "literal", 128).function
+        )
         assert context.function_max == context.function.max_value()
-        rebuilt = build_context(key, (BENCHMARK_FUNCTION,))
-        for ours, theirs in zip(
-            context.function.function.coordinates,
-            rebuilt.function.function.coordinates,
-        ):
-            assert ours is theirs
+        assert context.function_index.function is context.function.function
 
 
 class TestWorkersMatchUncontextedRecipes:
@@ -416,7 +416,10 @@ class TestRegistryDeclarations:
             (
                 "bound",
                 BoundScenario(function="bimodal", q=50.0, knots=64),
-                (BENCHMARK_FUNCTION,),
+                {
+                    "type": BenchmarkContext,
+                    "key": BenchmarkKey("bimodal", "literal", 64),
+                },
             ),
             (
                 "study",
@@ -428,30 +431,38 @@ class TestRegistryDeclarations:
                     delay_height=0.05,
                     methods=METHODS,
                 ),
-                (TASK_SET, DELAY_MAXIMA, FP_CURVES),
+                {
+                    "type": TaskSetContext,
+                    "key": TaskSetKey(4, 0.5, 1, 0.05, "fp"),
+                },
             ),
             (
                 "sim",
-                SimScenario(utilization=0.5, seed=1),
-                (TASK_SET, FP_CURVES, EDF_CURVES),
+                SimScenario(utilization=0.5, seed=1, policy="edf"),
+                {
+                    "type": TaskSetContext,
+                    "key": TaskSetKey(4, 0.5, 1, 0.05, "edf"),
+                },
             ),
             (
                 "edf-study",
                 EdfStudyScenario(utilization=0.5, seed=1),
-                (TASK_SET, DELAY_MAXIMA, EDF_CURVES),
+                {
+                    "type": TaskSetContext,
+                    "key": TaskSetKey(5, 0.5, 1, 0.05, "edf"),
+                },
             ),
         ],
     )
     def test_families_declare_context_and_artifacts(
         self, name, scenario, expected_artifacts
     ):
-        family = get_family(name)
-        assert family.artifacts == expected_artifacts
-        key = family.context_key(scenario)
-        assert isinstance(key, ContextKey)
-        # The declaration must actually build.
-        context = build_context(key, family.artifacts)
-        assert isinstance(context, AnalysisContext)
+        # The key alone says what the context holds.
+        key = get_family(name).context_key(scenario)
+        assert key == expected_artifacts["key"]
+        context = build_context(key)
+        assert type(context) is expected_artifacts["type"]
+        assert context.key == key
 
     def test_family_keys_route_to_module_functions(self):
         study = StudyScenario(
@@ -468,7 +479,9 @@ class TestRegistryDeclarations:
         edf = EdfStudyScenario(utilization=0.5, seed=1)
         assert get_family("edf-study").context_key(
             edf
-        ) == study_context_key(edf)
+        ) == edf_study_context_key(edf)
+        sim = SimScenario(utilization=0.5, seed=1)
+        assert get_family("sim").context_key(sim) == sim_context_key(sim)
 
 
 class TestContextCacheThrash:
@@ -496,9 +509,9 @@ class TestContextCacheThrash:
         builds: list = []
         real_build = context_module.build_context
 
-        def counting_build(key, artifacts):
+        def counting_build(key):
             builds.append(key)
-            return real_build(key, artifacts)
+            return real_build(key)
 
         monkeypatch.setattr(context_module, "build_context", counting_build)
         # Half the group count: an order-respecting run never notices,

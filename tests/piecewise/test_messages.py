@@ -24,13 +24,7 @@ from repro.engine import (
     evaluate_study_scenario,
 )
 from repro.core import PreemptionDelayFunction
-from repro.engine.context import (
-    TASK_SET,
-    TASKSET_ARTIFACTS,
-    build_context,
-    taskset_context_key,
-)
-from repro.engine.sweeps import benchmark_function
+from repro.engine.context import TaskSetKey, build_context
 from repro.npr.assignment import apply_npr_lengths, assign_npr_lengths
 from repro.piecewise import PiecewiseFunction, Segment, add, constant, step
 from repro.sched.crpd_rta import delay_aware_rta
@@ -300,19 +294,15 @@ class TestPerScenarioCheckMessages:
             assert message(excinfo) == text
 
     def test_context_messages(self):
-        key = taskset_context_key(3, 0.5, 7, 0.05)
-        full = build_context(key, TASKSET_ARTIFACTS)
-        bare = build_context(key, (TASK_SET,))
+        context = build_context(TaskSetKey(3, 0.5, 7, 0.05, "fp"))
         cases = [
-            (lambda: full.prepared_task_set("rm", 0.5), "unknown policy 'rm'"),
             (
-                lambda: full.prepared_task_set("fp", 1.25),
-                "q_fraction must lie in (0, 1], got 1.25",
+                lambda: build_context(TaskSetKey(3, 0.5, 7, 0.05, "rm")),
+                "unknown policy 'rm'",
             ),
             (
-                lambda: bare.prepared_task_set("edf", 0.5),
-                "context 'taskset' was built without 'task-set'/'edf-curves'; "
-                "declare them in the family's artifacts",
+                lambda: context.prepared_task_set(1.25),
+                "q_fraction must lie in (0, 1], got 1.25",
             ),
         ]
         for call, text in cases:
@@ -377,10 +367,8 @@ class TestNoEagerFormatting:
             PiecewiseFunction, "_from_coordinates", classmethod(counting_from)
         )
         clear_context_cache()
-        benchmark_function.cache_clear()
         yield reprs, segments, validated
         clear_context_cache()
-        benchmark_function.cache_clear()
 
     def test_study_scenario(self, counters):
         reprs, segments, validated = counters

@@ -1,4 +1,4 @@
-"""The ThreadPinnedLRU memo behind the engine's AnalysisContext cache.
+"""The ThreadPinnedLRU memo behind the engine's shared-context cache.
 
 These tests lock in the lru-compatible memo behaviour, the per-thread
 pin, and the wiring — the engine's context memo is a

@@ -235,6 +235,20 @@ class TestJobCommands:
         )
         assert "cmp /tmp/sweep-inline.jsonl /tmp/sweep-jobs.jsonl" in commands
 
+    def test_bench_smoke_job_checks_the_task_set_campaigns_under_jobs(
+        self, workflow
+    ):
+        # Task-set contexts group by policy; a pooled sim or edf-study
+        # campaign must still stream the inline run's bytes.
+        commands = re.sub(
+            r"\s*\\\n\s*", " ", _steps_commands(workflow["jobs"]["bench-smoke"])
+        )
+        for name, stem in (("sim-validate", "sim"), ("edf-study", "edf")):
+            run = f"python -m repro campaign {name} --set sets_per_point=2"
+            assert f"{run} --out /tmp/{stem}-inline.jsonl\n" in commands
+            assert f"{run} --jobs 2 --out /tmp/{stem}-jobs.jsonl\n" in commands
+            assert f"cmp /tmp/{stem}-inline.jsonl /tmp/{stem}-jobs.jsonl" in commands
+
     def test_bench_smoke_job_has_no_backend_matrix(self, workflow):
         # One exact Algorithm 1 kernel: no backend matrix any more, and
         # no --backend flag (the CLI refuses it).
