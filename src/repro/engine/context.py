@@ -219,11 +219,14 @@ def build_context(
     """Build the context ``key`` names (see the module docstring).
 
     Raises:
-        ValueError: for a task-set key with an unknown policy.
+        ValueError: for a task-set key with an unknown policy, or a key
+            of neither kind.
     """
     if isinstance(key, TaskSetKey):
         return _build_taskset_context(key)
-    return _build_benchmark_context(key)
+    if isinstance(key, BenchmarkKey):
+        return _build_benchmark_context(key)
+    raise ValueError(f"unknown context key kind: {key!r}")
 
 
 def _get_context(

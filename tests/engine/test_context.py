@@ -175,6 +175,12 @@ class TestTasksetContextArtifacts:
             served = context.prepared_task_set(fraction)
             assert _task_sets_equal(served, reference), (policy, seed)
 
+    def test_wrong_kind_artifact_rejected(self):
+        # A key must name one of the two context kinds; the bare tuple
+        # of a task-set key's fields is neither.
+        with pytest.raises(ValueError, match="unknown context key"):
+            build_context((5, 0.6, 11, 0.05, "fp"))
+
     def test_invalid_fraction_and_policy_fail_loudly(self):
         context = build_context(self.KEY)
         with pytest.raises(ValueError, match="q_fraction"):
