@@ -23,23 +23,30 @@ itself.  The walk records its trace as five float columns, and
 :attr:`FloatingNPRBound.steps` builds :class:`WindowStep` objects only
 when it is read.
 
-A caller that evaluates many ``Q`` against one function passes its
-:func:`window_index`: the prefix maxima of each piece's reach
-``max(y0 + x0, y1 + x1)`` and each piece's ``max(y0, y1)``.  A window
-then bisects the reach for the first piece that might meet the line,
-with a margin of ``2**-30 c`` so that every piece before it is below the
-line under the walk's own test, and folds the whole pieces between the
-start piece and that one with a C-level ``max`` and ``index`` (the first
-of equal peaks, as the walk keeps).  The start piece, the meeting piece
-and the jump rule at ``p∩`` keep the walk's arithmetic, so the result is
-the walk's bit for bit.  Only the ``bound`` family's context
+A step function whose pieces meet exactly, and whose two ordinate
+columns are one tuple (every builder of a step function stores them
+so), takes the flat walk instead: the same windows, meeting test, root
+formula and jump rule at ``p∩``, but each piece contributes only its
+value at ``max(a, prog)`` (``y``, or ``y + 0.0`` where ``prog`` cuts it
+strictly inside, as the interpolation returns it), a forward cursor
+replaces the per-window bisects, and no tie rule is needed because each
+candidate lies right of the last.  Its result is the walk's bit for
+bit.  Every Figure 4 function and every ``study`` task's bell is such a
+function.
+
+A caller that evaluates many ``Q`` against one step function passes its
+:func:`window_index`: the prefix maxima of each piece's reach ``y + x1``
+and the ordinate tuple.  A window of the flat walk then bisects the
+reach for the first piece that might meet the line, with a margin of
+``2**-30 c`` so that every piece before it is below the line under the
+walk's own test, and folds the whole pieces between the start piece and
+that one with a C-level ``max`` and ``index`` (the first of equal
+values, as the walk keeps).  Only the ``bound`` family's context
 (:mod:`repro.engine.context`) builds an index, once per function and
-shared by every ``Q`` of a sweep.  The walk still runs every window of
-a call with no index (the study path: each call there is on a fresh
-function and charges few windows, so a build would cost more than it
-saves), of a function whose pieces meet only within the tolerance (it
-gets no index) and of a call with ``Q <= max f``; it also runs the
-windows too short to fold.
+shared by every ``Q`` of a sweep.  A call with no index (the study
+path: each call there is on a fresh function and most charge two
+windows, so a build would cost more than it saves) or with
+``Q <= max f``, and a window too short to fold, walk every piece.
 
 Extensions implemented beyond the paper's pseudo-code:
 
@@ -156,10 +163,10 @@ class WindowIndex:
     wholly below the line; see :func:`window_index`.
 
     Attributes:
-        function: The indexed function, checked by identity.
+        function: The indexed step function, checked by identity.
         peak: ``max f``; the index serves only ``Q > peak``.
-        reach: Prefix maxima of each piece's ``max(y0 + x0, y1 + x1)``.
-        peaks: Each piece's ``max(y0, y1)``.
+        reach: Prefix maxima of each piece's ``y + x1``.
+        peaks: Each piece's value: the function's ordinate tuple.
     """
 
     function: PiecewiseFunction
@@ -169,32 +176,26 @@ class WindowIndex:
 
 
 def window_index(f: PreemptionDelayFunction) -> WindowIndex | None:
-    """The :class:`WindowIndex` of ``f``, or ``None`` when some piece
-    does not start exactly where the previous one ends (such functions
-    always take the walk).
+    """The :class:`WindowIndex` of ``f``, or ``None`` unless ``f`` is a
+    step function (one ordinate tuple) whose every piece starts exactly
+    where the previous one ends: only the flat walk folds pieces.
 
     Built once per function and shared by every ``Q`` evaluated
     against it; a single call is cheaper without one.
     """
-    x0s, x1s, y0s, y1s = f.function.coordinates
-    if x1s[:-1] != x0s[1:]:
+    x0s, x1s, ys, y1s = f.function.coordinates
+    if ys is not y1s or x1s[:-1] != x0s[1:]:
         return None
-    if y0s == y1s:
-        # A flat piece reaches furthest at its right end.
-        peaks = y0s
-        ends = map(add, y1s, x1s)
-    else:
-        peaks = tuple(map(max, y0s, y1s))
-        ends = map(max, map(add, y0s, x0s), map(add, y1s, x1s))
-    # A plain loop: ``accumulate(ends, max)`` pays a builtin call per
-    # piece and takes about four times as long.
+    # A flat piece reaches furthest at its right end.  A plain loop:
+    # ``accumulate(ends, max)`` pays a builtin call per piece and takes
+    # about four times as long.
     reach = []
     top = -math.inf
-    for end in ends:
+    for end in map(add, ys, x1s):
         if end > top:
             top = end
         reach.append(top)
-    return WindowIndex(f.function, max(peaks), tuple(reach), peaks)
+    return WindowIndex(f.function, max(ys), tuple(reach), ys)
 
 
 def floating_npr_delay_bound(
@@ -228,28 +229,59 @@ def floating_npr_delay_bound(
             while still converging.
     """
     require_positive(q, "q")
-    if max_preemptions is not None:
-        require(max_preemptions >= 0, f"max_preemptions must be >= 0, got {max_preemptions}")
+    if max_preemptions is not None and not max_preemptions >= 0:
+        raise ValueError(f"max_preemptions must be >= 0, got {max_preemptions}")
 
     x0s, x1s, y0s, y1s = f.function.coordinates
-    reach = None
     if index is None:
         # With every piece starting exactly where the previous one ends,
         # the pieces before the meeting piece end at or before p∩ and at
-        # most one piece starts at p∩, so the walk can close the maximum
+        # most one piece starts at p∩, so a walk can close the maximum
         # itself.
         exact = x1s[:-1] == x0s[1:]
     else:
         require(index.function is f.function, "index was built for another function")
-        exact = True
-        if q > index.peak:
-            # No piece left of prog can reach the line, so the prefix
-            # maxima of the reach only grow from the window's own pieces.
-            reach, peaks = index.reach, index.peaks
+        exact = True  # window_index checked it
+    if exact and y0s is y1s:
+        converged, total_delay, columns = _flat_walk(f, q, max_iterations, index)
+    else:
+        converged, total_delay, columns = _walk(f, q, max_iterations, exact)
+
+    delays = columns[3]
+    preemptions = len(delays)
+    if converged and max_preemptions is not None and max_preemptions < preemptions:
+        # Release-pattern cap: the adversary gets to pick which windows
+        # its (at most) k preemptions land in, so charge the k largest.
+        total_delay = sum(sorted(delays, reverse=True)[:max_preemptions])
+        preemptions = max_preemptions
+    return FloatingNPRBound(
+        total_delay=total_delay,
+        wcet=f.wcet,
+        q=q,
+        converged=converged,
+        preemptions=preemptions,
+        trace=tuple(map(tuple, columns)),
+    )
+
+
+def _iteration_cap_error(max_iterations: int, wcet: float, q: float) -> ValueError:
+    """What either walk raises when ``max_iterations`` runs out."""
+    return ValueError(
+        f"Algorithm 1 exceeded {max_iterations} iterations "
+        f"(C={wcet}, Q={q}); the bound is close to divergence"
+    )
+
+
+def _walk(
+    f: PreemptionDelayFunction, q: float, max_iterations: int, exact: bool
+) -> tuple[bool, float, tuple[list[float], ...]]:
+    """Algorithm 1's windows on any function: ``(converged, total,
+    columns)``, the trace as one list per :class:`WindowStep` field after
+    ``index``, and ``total`` infinite when the analysis diverges."""
+    x0s, x1s, y0s, y1s = f.function.coordinates
     pieces = len(x0s)
     wcet = f.wcet
     floor = q - q * _MIN_PROGRESS_FRACTION
-    # The trace, one list per WindowStep field after ``index``.
     columns: tuple[list[float], ...] = ([], [], [], [], [])
     progs, crosses, argmaxes, delays, nexts = columns
     total_delay = 0.0
@@ -259,34 +291,23 @@ def floating_npr_delay_bound(
     while p_next < wcet:
         iteration += 1
         if iteration > max_iterations:
-            raise ValueError(
-                f"Algorithm 1 exceeded {max_iterations} iterations "
-                f"(C={wcet}, Q={q}); the bound is close to divergence"
-            )
+            raise _iteration_cap_error(max_iterations, wcet, q)
         prog = p_next
         c = prog + q
         hi = wcet if wcet < c else c  # min(c, wcet) without a call
         # One walk over the pieces meeting [prog, hi]: lines 7-10 find
         # p∩, the first point where f meets D(x) = c - x, and each piece
         # passed on the way adds to the maximum of f on [prog, p∩].
-        inside = bisect_right(x0s, prog)
-        first = inside - 2
+        first = bisect_right(x0s, prog) - 2
         if first < 0:
             first = 0
         last = bisect_right(x0s, hi) - 1
         if last < first:
             last = first
-        ks = range(first, last + 1)
-        if reach is not None and last - inside > _FOLD_MIN:
-            # Pieces inside..below-1 start after prog and reach less than
-            # the line: the walk would pass each of them below the line.
-            below = bisect_left(reach, c * _BELOW, inside, last + 1)
-            if below - inside > _FOLD_MIN:
-                ks = itertools.chain(range(first, inside), (-1,), range(below, last + 1))
         best_v = -math.inf
         best_x = prog
         p_cross = None
-        for k in ks:
+        for k in range(first, last + 1):
             a, b, ya, yb = x0s[k], x1s[k], y0s[k], y1s[k]
             if prog < a and b < hi and ya - (c - a) < 0 and yb - (c - b) < 0:
                 # Strictly inside the window and below the line.
@@ -294,14 +315,6 @@ def floating_npr_delay_bound(
                     v, x = yb, b
                 else:
                     v, x = ya, a
-            elif k < 0:
-                # The pieces inside..below-1 in one C-level fold (the last
-                # piece, read for k = -1, ends at C >= hi, so it never
-                # takes the branch above): the first of the largest
-                # max(y0, y1), at the end the walk would pick.
-                v = max(peaks[inside:below])
-                j = peaks.index(v, inside, below)
-                x = x1s[j] if y1s[j] > y0s[j] else x0s[j]
             else:
                 s_lo = a if a > prog else prog
                 s_hi = b if b < hi else hi
@@ -343,14 +356,7 @@ def floating_npr_delay_bound(
             best_v, best_x = f.max_on(prog, p_cross)
         if best_v >= floor:
             # No forward progress can be guaranteed: the bound diverges.
-            return FloatingNPRBound(
-                total_delay=math.inf,
-                wcet=wcet,
-                q=q,
-                converged=False,
-                preemptions=len(delays),
-                trace=tuple(map(tuple, columns)),
-            )
+            return False, math.inf, columns
         p_next = c - best_v
         total_delay += best_v
         progs.append(prog)
@@ -358,18 +364,120 @@ def floating_npr_delay_bound(
         argmaxes.append(best_x)
         delays.append(best_v)
         nexts.append(p_next)
+    return True, total_delay, columns
 
-    preemptions = len(delays)
-    if max_preemptions is not None and max_preemptions < preemptions:
-        # Release-pattern cap: the adversary gets to pick which windows
-        # its (at most) k preemptions land in, so charge the k largest.
-        total_delay = sum(sorted(delays, reverse=True)[:max_preemptions])
-        preemptions = max_preemptions
-    return FloatingNPRBound(
-        total_delay=total_delay,
-        wcet=wcet,
-        q=q,
-        converged=True,
-        preemptions=preemptions,
-        trace=tuple(map(tuple, columns)),
-    )
+
+def _flat_walk(
+    f: PreemptionDelayFunction, q: float, max_iterations: int, index: WindowIndex | None
+) -> tuple[bool, float, tuple[list[float], ...]]:
+    """:func:`_walk` on a step function whose pieces meet exactly.
+
+    A piece is its value ``y`` on ``[a, b]``, so it takes the value
+    ``_value_on`` gives at ``max(a, prog)``: ``y`` itself, or ``y + 0.0``
+    when ``prog`` cuts it strictly inside (the interpolation adds a zero
+    slope term, which turns ``-0.0`` into ``0.0`` and an ``int`` into a
+    ``float``).  The piece's other end has the same value, so it never
+    raises the maximum, and each candidate lies right of the last, so
+    the walk's leftmost-argmax tie rule never fires.  ``inside`` follows
+    ``prog`` forward instead of a bisect per window.  With an index and
+    ``Q > max f``, a window that spans at least six pieces folds its whole
+    pieces below the line with one C-level ``max`` and ``index``, after
+    reading the one or two pieces at ``prog`` directly: the reach shows
+    that none of them meets the line either.
+    """
+    x0s, x1s, ys, _ = f.function.coordinates
+    reach = None
+    if index is not None and q > index.peak:
+        # No piece left of prog can reach the line, so the prefix maxima
+        # of the reach only grow from the window's own pieces.
+        reach, peaks = index.reach, index.peaks
+    pieces = len(x0s)
+    wcet = f.wcet
+    floor = q - q * _MIN_PROGRESS_FRACTION
+    columns: tuple[list[float], ...] = ([], [], [], [], [])
+    progs, crosses, argmaxes, delays, nexts = columns
+    total_delay = 0.0
+    p_next = q
+    inside = 0  # bisect_right(x0s, prog): the first piece starting after prog
+
+    iteration = 0
+    while p_next < wcet:
+        iteration += 1
+        if iteration > max_iterations:
+            raise _iteration_cap_error(max_iterations, wcet, q)
+        prog = p_next
+        c = prog + q
+        hi = wcet if wcet < c else c
+        if inside < pieces and x0s[inside] <= prog:
+            inside = bisect_right(x0s, prog, inside)
+        best_v = -math.inf
+        best_x = prog
+        start = inside - 2 if inside > 1 else 0
+        fold = inside + _FOLD_MIN + 1  # the window must reach this piece
+        if reach is not None and fold < pieces and x0s[fold] <= hi:
+            # Pieces inside..below-1 start after prog and reach less than
+            # the line: the walk would pass each of them below the line.
+            below = bisect_left(reach, c * _BELOW, inside)
+            if below - inside > _FOLD_MIN:
+                # So do the one or two pieces at prog, which reach no
+                # further: piece inside-1 holds prog, and piece inside-2
+                # ends there when inside-1 starts there.
+                k = inside - 1
+                if x0s[k] < prog:
+                    best_v = ys[k] + 0.0
+                elif ys[k] > ys[k - 1]:
+                    best_v = ys[k]
+                else:
+                    best_v = ys[k - 1]
+                # The first of the largest values, at its piece's start.
+                v = max(peaks[inside:below])
+                if v > best_v:
+                    best_v, best_x = v, x0s[peaks.index(v, inside, below)]
+                start = below
+        p_cross = None
+        for k in range(start, pieces):
+            a = x0s[k]
+            if a > prog:
+                if a > hi:
+                    break
+                s_lo = a
+                v = ys[k]
+            else:
+                b = x1s[k]
+                if b < prog:
+                    continue
+                s_lo = prog
+                v = ys[k] if a == prog or b == prog else ys[k] + 0.0
+            b = x1s[k]
+            s_hi = b if b < hi else hi
+            g_lo = v - (c - s_lo)
+            if g_lo >= 0:
+                p_cross = s_lo
+                break
+            g_hi = v - (c - s_hi)
+            if not (g_hi < 0 or g_hi == g_lo):
+                root = s_lo + (s_hi - s_lo) * (0.0 - g_lo) / (g_hi - g_lo)
+                p_cross = min(max(root, s_lo), s_hi)
+                break
+            if v > best_v:
+                best_v, best_x = v, s_lo
+        if p_cross is None:
+            p_cross = hi
+        else:
+            # The meeting piece, then the next piece's start when p∩
+            # falls on it (a jump).
+            if v > best_v:
+                best_v, best_x = v, s_lo
+            k += 1
+            if k < pieces and x0s[k] == p_cross and ys[k] > best_v:
+                best_v, best_x = ys[k], x0s[k]
+        if best_v >= floor:
+            return False, math.inf, columns
+        p_next = c - best_v
+        total_delay += best_v
+        progs.append(prog)
+        crosses.append(p_cross)
+        argmaxes.append(best_x)
+        delays.append(best_v)
+        nexts.append(p_next)
+    return True, total_delay, columns

@@ -22,7 +22,6 @@ import math
 import operator
 
 from repro.tasks.task import TaskSet
-from repro.utils.checks import require
 
 #: Relative tolerance for float comparisons at Lehoczky points.  Period
 #: multiples are computed as ``k * period``, which can land one ulp away
@@ -114,11 +113,11 @@ def fp_max_npr_lengths(
     if tolerances is None:
         tolerances = fp_blocking_tolerances(tasks)
     for name, beta in tolerances.items():
-        require(
-            beta >= 0,
-            f"task {name} has negative blocking tolerance ({beta:.3f}): "
-            "unschedulable under fixed priority even without blocking",
-        )
+        if not beta >= 0:
+            raise ValueError(
+                f"task {name} has negative blocking tolerance ({beta:.3f}): "
+                "unschedulable under fixed priority even without blocking"
+            )
     result: dict[str, float] = {}
     running_min = math.inf
     for task in ordered:

@@ -71,6 +71,19 @@ def _value_on(x0: float, x1: float, y0: float, y1: float, x: float) -> float:
     return y0 + ratio * (y1 - y0)
 
 
+def _shared_column(y0: tuple[float, ...], y1: tuple[float, ...]) -> tuple[float, ...]:
+    """``y0`` itself when every ``y1[k] is y0[k]``, else ``y1``.
+
+    A step function thus holds one ordinate tuple (``y0 is y1``), which
+    Algorithm 1 reads as the sign that every piece is flat.  Equal but
+    distinct objects (``0.0`` and ``-0.0``, ``1`` and ``1.0``) keep two
+    tuples: the pieces' end values may differ in sign or type.
+    """
+    if y1 is not y0 and all(map(operator.is_, y0, y1)):
+        return y0
+    return y1
+
+
 class PiecewiseFunction:
     """A function defined by contiguous affine segments on a closed domain.
 
@@ -78,7 +91,8 @@ class PiecewiseFunction:
     sorted, non-overlapping and contiguous (each segment starts where the
     previous one ends).  The pieces are stored as four index-aligned
     coordinate tuples (see :attr:`coordinates`); :class:`Segment` objects
-    are built only when :attr:`segments` is read.
+    are built only when :attr:`segments` is read.  When each piece's two
+    ordinates are one object, both columns are one tuple.
 
     Args:
         segments: Non-empty iterable of :class:`Segment`, ordered by ``x0``,
@@ -96,7 +110,7 @@ class PiecewiseFunction:
         self._x0 = tuple(s.x0 for s in segs)
         self._x1 = tuple(s.x1 for s in segs)
         self._y0 = tuple(s.y0 for s in segs)
-        self._y1 = tuple(s.y1 for s in segs)
+        self._y1 = _shared_column(self._y0, tuple(s.y1 for s in segs))
 
     @classmethod
     def _from_coordinates(
@@ -115,7 +129,8 @@ class PiecewiseFunction:
         rebuilt through :class:`Segment` in order, so the first failing
         check raises its usual message.
         """
-        x0, x1, y0, y1 = tuple(x0), tuple(x1), tuple(y0), tuple(y1)
+        x0, x1, y0 = tuple(x0), tuple(x1), tuple(y0)
+        y1 = _shared_column(y0, tuple(y1))
         if not (
             x0
             and _all_finite(x0)

@@ -12,11 +12,12 @@ adversary completely:
 
 :func:`exact_worst_case` solves that by dynamic programming over the
 integer grid, O(C) uncapped and O(C k) capped, and shares no code with
-Algorithm 1.  Theorem 1 says Algorithm 1 bounds it, on the walk and on
-the indexed path, uncapped and capped; the trace certificate holds on
-the same runs.  The unsound packing of :mod:`repro.core.naive` spaces
-its points ``Q`` apart, which this model admits, so it never exceeds
-the exact worst case.
+Algorithm 1.  Theorem 1 says Algorithm 1 bounds it, on the flat walk
+with and without an index and on the general walk (a copy of ``f`` whose
+two ordinate columns are equal but distinct), uncapped and capped; the
+trace certificate holds on the same runs.  The unsound packing of
+:mod:`repro.core.naive` spaces its points ``Q`` apart, which this model
+admits, so it never exceeds the exact worst case.
 """
 
 from __future__ import annotations
@@ -24,12 +25,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from tests.core.test_trace_certificate import certify
+from tests.core.test_window_index import kernel_paths
 
-from repro.core import (
-    PreemptionDelayFunction,
-    floating_npr_delay_bound,
-    window_index,
-)
+from repro.core import PreemptionDelayFunction, floating_npr_delay_bound
 from repro.core.naive import naive_point_selection_bound
 from repro.experiments.figure2 import run_figure2_demo
 
@@ -95,11 +93,13 @@ def test_algorithm1_bounds_the_exact_worst_case(case):
     f = PreemptionDelayFunction.from_step(
         [float(b) for b in bounds], [float(v) for v in values]
     )
-    for index in (window_index(f), None):
-        bound = floating_npr_delay_bound(f, float(q), cap, index=index)
+    paths = kernel_paths(f)
+    assert len(paths) == 3  # from_step: the general walk runs too
+    for g, index in paths:
+        bound = floating_npr_delay_bound(g, float(q), cap, index=index)
         assert bound.converged
         assert exact <= bound.total_delay
-        certify(f, float(q), bound, cap)
+        certify(g, float(q), bound, cap)
     if cap is None:
         assert naive_point_selection_bound(f, float(q)).total_delay <= exact
 

@@ -7,7 +7,8 @@ wide, each charge dominates ``f`` on its window (an independent maximum
 over ``f``'s knots) and the total is the sum of the charges, or of the
 ``k`` largest when capped.  It runs on the indexed path and the walk,
 uncapped and capped, and over every ``(function, Q)`` of the default
-Figure 5 grid.
+Figure 5 grid; a step function also runs the general walk, on a copy
+whose two ordinate columns are equal but distinct.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from bisect import bisect_left, bisect_right
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tests.core.test_window_index import cases
+from tests.core.test_window_index import cases, flat_cases, kernel_paths
 
-from repro.core import floating_npr_delay_bound, window_index
+from repro.core import floating_npr_delay_bound
 from repro.engine.context import build_context
 from repro.engine.sweeps import bound_context_key, q_sweep_scenarios
 from repro.experiments.fig5 import default_q_grid
@@ -60,23 +61,24 @@ def certify(f, q: float, bound, cap: int | None = None) -> None:
 
 
 @settings(deadline=None)
-@given(cases(), st.booleans())
-def test_every_result_carries_its_certificate(case, indexed):
+@given(st.one_of(cases(), flat_cases()))
+def test_every_result_carries_its_certificate(case):
     f, q, cap, max_iterations = case
-    index = window_index(f) if indexed else None
-    try:
-        bound = floating_npr_delay_bound(f, q, cap, max_iterations, index=index)
-    except ValueError:
-        return  # the iteration cap, pinned to the walk in test_window_index
-    certify(f, q, bound, cap)
+    for g, index in kernel_paths(f):
+        try:
+            bound = floating_npr_delay_bound(g, q, cap, max_iterations, index=index)
+        except ValueError:
+            continue  # the iteration cap, pinned to the walk in test_window_index
+        certify(g, q, bound, cap)
 
 
 def test_the_default_figure5_grid_is_certified():
     qs = default_q_grid()
     for scenario in q_sweep_scenarios(qs[:1]):
         context = build_context(bound_context_key(scenario))
-        f = context.function
+        paths = kernel_paths(context.function, context.function_index)
+        assert len(paths) == 3  # a step function: the general walk runs too
         for q in qs:
-            for index in (context.function_index, None):
+            for g, index in paths:
                 for cap in (None, 5):
-                    certify(f, q, floating_npr_delay_bound(f, q, cap, index=index), cap)
+                    certify(g, q, floating_npr_delay_bound(g, q, cap, index=index), cap)

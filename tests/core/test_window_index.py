@@ -1,13 +1,16 @@
-"""Algorithm 1 with a :class:`~repro.core.floating_npr.WindowIndex`
-against a frozen copy of the walk it skips pieces of.
+"""Algorithm 1's flat walk and its :class:`~repro.core.floating_npr.WindowIndex`
+against a frozen copy of the general walk.
 
-With an index, each window bisects the prefix maxima of the pieces'
-reach for the first piece that might meet the line and folds the whole
-pieces before it with one ``max`` over their peaks.  The start piece,
-the meeting piece and the jump rule at ``p∩`` keep the walk's
-arithmetic, so the bound, its flags and all five trace columns must be
-the walk's bit for bit: signed zeros, ``int``/``float`` ties, a jump at
-``p∩``, ``Q`` just above ``max f``, capped runs and functions whose
+A step function (one ordinate tuple) whose pieces meet exactly takes
+the flat walk: each piece is its value at ``max(a, prog)``, and with an
+index each window bisects the prefix maxima of the pieces' reach for
+the first piece that might meet the line and folds the whole pieces
+before it with one ``max`` over their values.  The meeting piece and
+the jump rule at ``p∩`` keep the walk's arithmetic, so the bound, its
+flags and all five trace columns must be the walk's bit for bit: signed
+zeros, ``int``/``float`` ties, a jump at ``p∩``, ``Q`` below, at and
+just above ``max f``, capped runs, functions with slopes or with equal
+but distinct ordinate columns (the general walk) and functions whose
 pieces meet only within the contiguity tolerance (which get no index).
 """
 
@@ -148,6 +151,38 @@ def as_bits(total, converged, preemptions, columns) -> tuple:
     )
 
 
+def is_flat(f) -> bool:
+    """Whether ``f`` holds one ordinate tuple, which sends a function
+    whose pieces meet exactly down the kernel's flat walk."""
+    _, _, y0s, y1s = f.function.coordinates
+    return y0s is y1s
+
+
+def with_distinct_ends(f):
+    """``f`` with a ``y1`` column of equal but distinct objects, which
+    the kernel runs through the general walk: a reference for the flat
+    walk on the same values (an ``int`` end becomes a ``float``)."""
+    x0s, x1s, y0s, _ = f.function.coordinates
+    copy = PreemptionDelayFunction(
+        PiecewiseFunction._from_coordinates(
+            x0s, x1s, y0s, [float(repr(y)) for y in y0s]
+        )
+    )
+    assert not is_flat(copy)
+    return copy
+
+
+def kernel_paths(f, index=None):
+    """``(function, index)`` for each kernel path over ``f``'s values:
+    ``f`` with its index (``index``, else ``window_index(f)``) and
+    without, and for a step function the general walk of
+    :func:`with_distinct_ends`."""
+    paths = [(f, window_index(f) if index is None else index), (f, None)]
+    if is_flat(f):
+        paths.append((with_distinct_ends(f), None))
+    return paths
+
+
 def kernel_outcome(f, q, cap=None, max_iterations=1_000_000, index=None):
     try:
         bound = floating_npr_delay_bound(f, q, cap, max_iterations, index=index)
@@ -169,6 +204,9 @@ def reference_outcome(f, q, cap=None, max_iterations=1_000_000):
 
 #: Ordinates with signed zeros and ``int``/``float`` ties.
 ordinates = st.sampled_from([0.0, -0.0, 0, 1, 1.0, 2.0, 2, 3.0, 5, 5.0, 8.0])
+
+#: Zeros that compare equal and differ in sign or type.
+zeros = st.sampled_from([0.0, -0.0, 0])
 
 
 @st.composite
@@ -224,6 +262,54 @@ def cases(draw):
     return f, q, cap, max_iterations
 
 
+@st.composite
+def step_functions(draw):
+    """Step functions built by ``step``, so one ordinate tuple: up to 60
+    pieces at float cuts or on an integer grid, or a piece per unit,
+    where integer ``Q`` starts windows on a knot.  The values have
+    signed zeros and ``int``/``float`` ties, or are all zeros, which
+    tie everywhere."""
+    wcet = draw(st.sampled_from([40.0, 64.0, 100.0]))
+    grid = draw(st.sampled_from(["unit", "integer", "float"]))
+    if grid == "unit":
+        knots = [float(x) for x in range(1, int(wcet))]
+    elif grid == "integer":
+        cuts = draw(st.lists(st.integers(1, int(wcet) - 1), max_size=60, unique=True))
+        knots = sorted(map(float, cuts))
+    else:
+        cuts = draw(st.lists(st.floats(0.0, 1.0), max_size=60))
+        knots = sorted({k for k in (t * wcet for t in cuts) if 0.0 < k < wcet})
+    xs = [0.0, *knots, wcet]
+    value = draw(st.sampled_from([ordinates, ordinates, zeros]))
+    values = draw(st.lists(value, min_size=len(xs) - 1, max_size=len(xs) - 1))
+    return PreemptionDelayFunction.from_step(xs, values)
+
+
+@st.composite
+def flat_cases(draw):
+    """``(f, q, cap, max_iterations)`` on a step function: Q below
+    ``max f`` (with a small iteration cap, as such runs stall or
+    diverge), at it, just above it, anywhere, or far above it."""
+    f = draw(step_functions())
+    peak = float(f.max_value())
+    kind = draw(st.sampled_from(["below", "at", "near", "any", "any", "wide"]))
+    max_iterations = 1_000_000
+    if kind == "below":
+        q = draw(st.floats(0.25, max(peak, 0.25)))
+        max_iterations = 40
+    elif kind == "at":
+        q = max(peak, 0.25)
+        max_iterations = 40
+    elif kind == "near":
+        q = max(peak + draw(st.sampled_from([2.0**-40, 2.0**-20, 0.125, 1.0])), 0.25)
+    elif kind == "any":
+        q = draw(st.one_of(st.integers(1, 40).map(float), st.floats(0.5, 40.0)))
+    else:
+        q = draw(st.floats(peak + 8.0, 60.0))
+    cap = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=6)))
+    return f, q, cap, max_iterations
+
+
 # ----------------------------------------------------------------------
 # Properties and fixed cases
 # ----------------------------------------------------------------------
@@ -238,6 +324,71 @@ class TestIndexedKernel:
         expected = reference_outcome(f, q, cap, max_iterations)
         assert kernel_outcome(f, q, cap, max_iterations, index=window_index(f)) == expected
         assert kernel_outcome(f, q, cap, max_iterations) == expected
+
+    @settings(deadline=None)
+    @given(flat_cases())
+    def test_the_flat_walk_matches_the_frozen_walk(self, case):
+        f, q, cap, max_iterations = case
+        assert is_flat(f)
+        index = window_index(f)
+        assert index is not None and index.peaks is f.function.coordinates[2]
+        expected = reference_outcome(f, q, cap, max_iterations)
+        assert kernel_outcome(f, q, cap, max_iterations, index=index) == expected
+        assert kernel_outcome(f, q, cap, max_iterations) == expected
+
+    @pytest.mark.parametrize("zero", [-0.0, 0])
+    def test_a_piece_cut_inside_adds_a_zero(self, zero):
+        # prog = Q cuts a piece strictly inside, where the walk's
+        # interpolation returns zero + 0.0: 0.0, a float, not the
+        # stored -0.0 or int 0.  Unit pieces let Q = 30.5 fold too.
+        for width, q in ((3.0, 5.0), (1.0, 30.5), (1.0, 2.5)):
+            xs = [width * k for k in range(61)]
+            f = PreemptionDelayFunction.from_step(xs, [zero] * 60)
+            assert is_flat(f)
+            for index in (window_index(f), None):
+                outcome = kernel_outcome(f, q, index=index)
+                assert outcome == reference_outcome(f, q)
+                assert outcome[3][3][0] == ("float", "0.0")
+
+    @pytest.mark.parametrize(
+        "values, delay",
+        [
+            # The piece ending at prog = 10 offers 3.0 there, above the
+            # 2.0 of the piece starting there and everything folded.
+            ([1.0] * 9 + [3.0, 2.0] + [1.0] * 49, ("float", "3.0")),
+            # All zeros: the first of the two pieces at prog wins the tie.
+            ([0.0, -0.0] * 30, ("float", "-0.0")),
+            ([0.0, 0] * 30, ("int", "0")),
+        ],
+    )
+    def test_a_fold_starting_on_a_knot_keeps_both_pieces_there(self, values, delay):
+        # Q = 10 over unit pieces: window 1 starts on the knot 10 and
+        # folds the pieces from 11 on.
+        f = PreemptionDelayFunction.from_step([float(x) for x in range(61)], values)
+        index = window_index(f)
+        outcome = kernel_outcome(f, 10.0, index=index)
+        assert outcome == reference_outcome(f, 10.0)
+        assert outcome[3][3][0] == delay
+        # The fold ran: raising the folded values changes the charge.
+        raised = dataclasses.replace(index, peaks=tuple(y + 5.0 for y in index.peaks))
+        assert floating_npr_delay_bound(f, 10.0, index=raised).steps[0].delay >= 5.0
+
+    def test_equal_but_distinct_columns_take_the_general_walk(self):
+        # y0 = 0.0 and y1 = -0.0 compare equal but are not one tuple.
+        # At prog = 5 the piece ending there offers its y1 = -0.0, which
+        # the next piece's y0 = 0.0 does not beat; a walk reading y0
+        # alone would charge 0.0.
+        f = PreemptionDelayFunction(
+            PiecewiseFunction(
+                Segment(float(x), float(x + 5), 0.0, -0.0) for x in range(0, 60, 5)
+            )
+        )
+        x0s, x1s, y0s, y1s = f.function.coordinates
+        assert y0s == y1s and y0s is not y1s
+        assert window_index(f) is None
+        outcome = kernel_outcome(f, 5.0)
+        assert outcome == reference_outcome(f, 5.0)
+        assert outcome[3][3][0] == ("float", "-0.0")
 
     def test_a_long_window_folds_and_keeps_the_jump_at_p_cross(self):
         # Q = 30 over unit pieces of value 1: window 1 (prog 30, D(x) =
@@ -288,12 +439,16 @@ class TestIndexedKernel:
             floating_npr_delay_bound(f, 5.0, index=window_index(g))
 
     def test_the_index_holds_prefix_reach_and_peaks(self):
-        f = PreemptionDelayFunction.from_points([0.0, 1.0, 2.0, 4.0], [3.0, 0.0, 1.0, 0.5])
+        f = PreemptionDelayFunction.from_step([0.0, 1.0, 2.0, 4.0], [3.0, 0.0, 1.0])
         index = window_index(f)
         assert index.function is f.function
         assert index.peak == 3.0
-        assert index.peaks == (3.0, 1.0, 1.0)
-        assert index.reach == (3.0, 3.0, 4.5)
+        assert index.peaks is f.function.coordinates[2]
+        assert index.reach == (4.0, 4.0, 5.0)
+
+    def test_functions_with_slopes_get_no_index(self):
+        f = PreemptionDelayFunction.from_points([0.0, 1.0, 2.0, 4.0], [3.0, 0.0, 1.0, 0.5])
+        assert window_index(f) is None
 
     def test_figure4_functions_match_the_walk_on_a_q_grid(self):
         for name in FIG4_NAMES:

@@ -23,9 +23,10 @@ from repro.engine import (
     evaluate_bound_scenario,
     evaluate_study_scenario,
 )
-from repro.core import PreemptionDelayFunction
+from repro.core import PreemptionDelayFunction, floating_npr_delay_bound
 from repro.engine.context import TaskSetKey, build_context
 from repro.npr.assignment import apply_npr_lengths, assign_npr_lengths
+from repro.npr.qmax_fp import fp_max_npr_lengths
 from repro.piecewise import PiecewiseFunction, Segment, add, constant, step
 from repro.sched.crpd_rta import delay_aware_rta
 from repro.sched.rta import response_time
@@ -293,6 +294,30 @@ class TestPerScenarioCheckMessages:
                 call()
             assert message(excinfo) == text
 
+    def test_analysis_messages(self):
+        f = PreemptionDelayFunction.from_constant(1.0, 30.0)
+        tasks = TaskSet([Task("a", 3.0, 4.0), Task("b", 3.0, 6.0)]).rate_monotonic()
+        cases = [
+            (
+                lambda: floating_npr_delay_bound(f, 5.0, max_preemptions=-1),
+                "max_preemptions must be >= 0, got -1",
+            ),
+            (
+                lambda: fp_max_npr_lengths(tasks),
+                "task b has negative blocking tolerance (-2.000): "
+                "unschedulable under fixed priority even without blocking",
+            ),
+            (
+                lambda: fp_max_npr_lengths(tasks, tolerances={"a": 1.0, "b": -0.25}),
+                "task b has negative blocking tolerance (-0.250): "
+                "unschedulable under fixed priority even without blocking",
+            ),
+        ]
+        for call, text in cases:
+            with pytest.raises(ValueError) as excinfo:
+                call()
+            assert message(excinfo) == text
+
     def test_context_messages(self):
         context = build_context(TaskSetKey(3, 0.5, 7, 0.05, "fp"))
         cases = [
@@ -401,3 +426,25 @@ class TestNoEagerFormatting:
             Segment(0.0, 0.0, 0.0, 0.0)
         assert len(segments) == 1
         assert len(reprs) == 1
+
+    def test_analysis_checks_format_only_on_failure(self):
+        formatted = []
+
+        class CountedFloat(float):
+            def __format__(self, spec):
+                formatted.append(spec)
+                return float.__format__(self, spec)
+
+        class CountedInt(int):
+            def __format__(self, spec):
+                formatted.append(spec)
+                return int.__format__(self, spec)
+
+        tasks = TaskSet([Task("a", 1.0, 10.0), Task("b", 2.0, 20.0)]).rate_monotonic()
+        fp_max_npr_lengths(tasks, tolerances={"a": CountedFloat(9.0), "b": CountedFloat(8.0)})
+        f = PreemptionDelayFunction.from_constant(1.0, 30.0)
+        assert floating_npr_delay_bound(f, 5.0, CountedInt(2)).total_delay == 2.0
+        assert formatted == []
+        with pytest.raises(ValueError):
+            fp_max_npr_lengths(tasks, tolerances={"a": CountedFloat(-1.0), "b": 8.0})
+        assert formatted == [".3f"]
