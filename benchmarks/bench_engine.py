@@ -28,7 +28,9 @@ benchmark run instead of silently shipping:
 4. **Algorithm 1's kernel on a grouped bound grid**: the per-scenario
    path over warmed benchmark functions must be bit-identical to the
    ungrouped run, and its absolute µs per scenario must stay within
-   3x of ``benchmarks/BASELINE.json``.
+   3x of ``benchmarks/BASELINE.json``.  It is timed as the best of
+   ``KERNEL_REPS`` passes, interleaved with the ungrouped reference
+   runs.
 5. **Context build**: the absolute µs to build one ``study`` task-set
    context (6 tasks, 256-knot delay functions, blocking tolerances and
    delay maxima) and one 1024-knot two-bell Figure 4 context must stay
@@ -107,6 +109,9 @@ CONTEXT_UTILIZATIONS = (0.3, 0.5, 0.65, 0.8, 0.9)
 CONTEXT_SEEDS = scaled(15, 5)
 #: Best-of reps of every context timing.
 CONTEXT_REPS = scaled(5, 3)
+#: Best-of passes of the kernel timing: one smoke pass is about 40 ms,
+#: and single smoke passes of one tree spread about 2x on a 2-CPU host.
+KERNEL_REPS = scaled(3, 7)
 
 
 def _best_of(reps, fn, *, before=None):
@@ -394,14 +399,17 @@ def test_kernel_on_grouped_grid_within_baseline(artifacts_dir):
         q_sweep_scenarios(qs[:1], knots=KNOTS),
         group_by=bound_context_key,
     )
-    t_kernel, grouped = _best_of(
-        TIMING_REPS,
-        lambda: run_batch(
+    # An ungrouped reference run follows every timed pass and spreads
+    # the passes out: a slow spell of the host that covers one pass
+    # need not cover the next, and the best pass escapes it.
+    t_kernel = float("inf")
+    for _ in range(KERNEL_REPS):
+        started = time.perf_counter()
+        grouped = run_batch(
             evaluate_bound_scenario, scenarios, group_by=bound_context_key
-        ),
-    )
-
-    assert grouped == run_batch(evaluate_bound_scenario, scenarios)
+        )
+        t_kernel = min(t_kernel, time.perf_counter() - started)
+        assert grouped == run_batch(evaluate_bound_scenario, scenarios)
     kernel_us = t_kernel / len(scenarios) * 1e6
     drift, gated = baseline_drift(
         "engine.kernel", "kernel_us_per_scenario", kernel_us

@@ -145,11 +145,10 @@ def _emit_keys(
 ) -> list[Any] | None:
     """:func:`emit_from_store` over precomputed keys, in their order."""
     results: list[Any] | None = [] if collect else None
-    for key in keys:
-        record = store.get(key)
+    for record in store.records(keys):
         if record is None:
             # Count the damage only on the failure path; the happy path
-            # stays one query per scenario.
+            # stays one read query per chunk of keys.
             missing = sum(1 for _ in store.missing_indices(keys))
             require(
                 False,
@@ -231,8 +230,9 @@ def run_cached_batch(
             f"got {len(keys)} keys for {len(scenarios)} scenarios",
         )
     # The cache decision is one batched membership query per chunk of
-    # keys; emission below then reads each record once.  A key repeated
-    # in the grid is computed once, at its first position.
+    # keys, and emission below reads the records with one query per
+    # chunk too.  A key repeated in the grid is computed once, at its
+    # first position.
     pending: dict[str, int] = {}
     for index in store.missing_indices(keys):
         pending.setdefault(keys[index], index)

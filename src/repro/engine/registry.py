@@ -32,6 +32,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import lru_cache, partial
 from importlib import import_module
+from types import MappingProxyType
 from typing import Any, get_args, get_origin, get_type_hints
 
 from repro.utils.checks import require
@@ -91,10 +92,20 @@ _SCALARS = {
 }
 
 
-def _field_types(cls: type) -> dict[str, Any]:
-    """Resolved field name -> type hint of a dataclass."""
+@lru_cache(maxsize=None)
+def _field_types(cls: type) -> Mapping[str, Any]:
+    """Resolved field name -> type hint of a dataclass (shared; read
+    only)."""
     hints = get_type_hints(cls)
-    return {field.name: hints[field.name] for field in fields(cls)}
+    return MappingProxyType(
+        {field.name: hints[field.name] for field in fields(cls)}
+    )
+
+
+@lru_cache(maxsize=None)
+def _result_type(worker: Callable[[Any], Any]) -> Any:
+    """The resolved return annotation of a family worker, or ``None``."""
+    return get_type_hints(worker).get("return")
 
 
 def _coerce(
@@ -269,7 +280,7 @@ class ScenarioFamily:
     def decoder(self) -> Decoder:
         """The record decoder of the worker's annotated result type
         (:func:`record_decoder`)."""
-        return record_decoder(get_type_hints(self.worker)["return"])
+        return record_decoder(_result_type(self.worker))
 
     def axes(self) -> tuple[AxisSpec, ...]:
         """The family's sweepable axes, in scenario-field order.
@@ -280,7 +291,7 @@ class ScenarioFamily:
         listings, the generated ``docs/api.md`` tables) from the
         registry alone.
         """
-        hints = get_type_hints(self.scenario_type)
+        hints = _field_types(self.scenario_type)
         help_by_name = dict(self.field_help)
         specs = []
         for field in fields(self.scenario_type):
@@ -340,7 +351,7 @@ def _validate(family: ScenarioFamily) -> None:
             "by its qualified name, so it cannot pickle into the engine's "
             "process pool; define it at module top level",
         )
-    result = get_type_hints(family.worker).get("return")
+    result = _result_type(family.worker)
     require(
         result is not None,
         f"worker of family {family.name!r} "

@@ -13,9 +13,11 @@ loop, but *evaluated* on a pool slot's thread (one slot per job).  The
 slot thread
 appends lines and flips states directly (atomic under the GIL) and
 wakes loop-side subscribers through
-:meth:`Job.pulse` → ``loop.call_soon_threadsafe``; subscribers follow
-the capture-event-then-check pattern (:meth:`Job.change_event`) so no
-wakeup can be lost between draining lines and sleeping.
+:meth:`Job.pulse` → ``loop.call_soon_threadsafe``, with at most one
+wake-up in flight per job: lines appended while one is pending ride on
+it.  Subscribers follow the capture-event-then-check pattern
+(:meth:`Job.change_event`) so no wakeup can be lost between draining
+lines and sleeping.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ class Job:
         self.cancel_event = threading.Event()
         self._loop = loop
         self._change = asyncio.Event()
+        self._pulse_pending = False
 
     # ------------------------------------------------------------------
     # loop-side observation
@@ -100,6 +103,10 @@ class Job:
         return self._change
 
     def _pulse(self) -> None:
+        # Subscribers released here read the job only after this
+        # returns, so they see every change made while the flag was
+        # set; a change made after it is cleared schedules its own.
+        self._pulse_pending = False
         previous, self._change = self._change, asyncio.Event()
         previous.set()
 
@@ -108,7 +115,18 @@ class Job:
     # ------------------------------------------------------------------
 
     def pulse(self) -> None:
-        """Wake every loop-side subscriber (thread-safe)."""
+        """Wake every loop-side subscriber (thread-safe).
+
+        Keeps at most one wake-up in flight: while one is pending, the
+        change that called this is already visible to the subscribers
+        it will release, so a second hand-off to the loop buys nothing.
+        A caller racing :meth:`_pulse` either sees the flag set (and
+        that wake-up's subscribers read after the change) or cleared
+        (and schedules its own), so the flag needs no lock.
+        """
+        if self._pulse_pending:
+            return
+        self._pulse_pending = True
         self._loop.call_soon_threadsafe(self._pulse)
 
     def append_line(self, line: str) -> None:
@@ -171,10 +189,6 @@ class JobRegistry:
     def get(self, job_id: str) -> Job | None:
         """The job called ``job_id``, or ``None``."""
         return self.jobs.get(job_id)
-
-    def queued_count(self) -> int:
-        """Jobs currently waiting for the executor."""
-        return sum(1 for job in self.jobs.values() if job.state == "queued")
 
     def submit(
         self,

@@ -208,10 +208,13 @@ class AnalysisServer:
         # other one open, and two slots closing at once can each still
         # see the other and both leave the ``-wal`` file behind.
         self._close_lock = threading.Lock()
+        # The queued jobs, in dispatch order: a job leaves the deque
+        # as it starts or is cancelled, so ``len`` is the queue depth
+        # the backpressure check reads.
+        self._pending: deque[Job] = deque()
         # Pool accounting: a plain lock, usable from the loop *and* the
         # slot threads (a finished job adds its scenario counts from
         # its own thread).
-        self._pending: deque[Job] = deque()
         self._slot_lock = threading.Lock()
         self._slots_busy = 0
         # Scenario claims: running jobs that overlap serialize on the
@@ -326,11 +329,6 @@ class AnalysisServer:
                     return
                 self._slots_busy += 1
             job = self._pending.popleft()
-            if job.state != "queued":
-                # Cancelled while waiting: the slot frees right back up.
-                with self._slot_lock:
-                    self._slots_busy -= 1
-                continue
             job.state = "running"
             job.pulse()
             self._slot_queue.put(job)
@@ -341,12 +339,10 @@ class AnalysisServer:
         self._dispatch()
 
     def _discard_pending(self, job: Job) -> None:
-        """Drop a no-longer-queued job from the dispatch queue *now*.
+        """Drop a job cancelled while queued from the dispatch queue.
 
-        The dispatcher would skip it anyway, but a stale entry sitting
-        in front of live jobs costs them a dispatch round — with a
-        pool, a lazily released queue position is capacity another
-        client's submission was refused over.
+        Its queue position frees at once: a stale entry would count
+        against ``max_queued`` and refuse another client's submission.
         """
         try:
             self._pending.remove(job)
@@ -627,10 +623,7 @@ class AnalysisServer:
             "failed",
             "cancelled",
         )
-        if (
-            needs_enqueue
-            and self._registry.queued_count() >= self._config.max_queued
-        ):
+        if needs_enqueue and len(self._pending) >= self._config.max_queued:
             self._rejected += 1
             raise ProtocolError(
                 "busy",
@@ -713,6 +706,10 @@ class AnalysisServer:
     ) -> None:
         """Send record frames from ``cursor`` until the job is terminal.
 
+        Each drain pass sends every record frame pending at its start
+        in one write and one drain; the pass that saw the job terminal
+        sends its records and the closing frame together.
+
         The capture-event-then-check pattern pairs with
         :meth:`Job.change_event`: the event captured *before* draining
         is the one any later change sets, so no update is missed
@@ -736,21 +733,30 @@ class AnalysisServer:
                 # after the drain could see a line land and the job
                 # finish in between, and end the stream one short.
                 finished = job.terminal
-                while cursor < len(job.lines):
-                    line = job.lines[cursor]
-                    cursor += 1
-                    self._records_streamed += 1
-                    await self._send(
-                        writer,
+                count = len(job.lines)
+                frames = [
+                    encode_frame(
                         {
                             "frame": "record",
                             "job": job.id,
-                            "seq": cursor,
+                            "seq": seq,
                             "line": line,
-                        },
+                        }
                     )
+                    for seq, line in enumerate(
+                        job.lines[cursor:count], start=cursor + 1
+                    )
+                ]
+                self._records_streamed += count - cursor
+                cursor = count
                 if finished:
                     break
+                if frames:
+                    writer.write(b"".join(frames))
+                    await writer.drain()
+                    # Lines that landed during the drain are read at
+                    # once, without waiting for their wake-up.
+                    continue
                 waiter = asyncio.create_task(changed.wait())
                 done, _ = await asyncio.wait(
                     {waiter, eof_watch},
@@ -778,28 +784,25 @@ class AnalysisServer:
                     "client disconnected (or spoke) mid-stream"
                 )
             if job.state == "done":
-                await self._send(
-                    writer,
-                    {
-                        "frame": "end",
-                        "job": job.id,
-                        "state": "done",
-                        "total": job.total,
-                        "cached": job.cached,
-                        "computed": job.computed,
-                    },
-                )
+                last = {
+                    "frame": "end",
+                    "job": job.id,
+                    "state": "done",
+                    "total": job.total,
+                    "cached": job.cached,
+                    "computed": job.computed,
+                }
             else:
                 code, message = job.error or ("job-failed", "job failed")
-                await self._send(
-                    writer,
-                    {
-                        "frame": "error",
-                        "code": code,
-                        "message": message,
-                        "job": job.id,
-                    },
-                )
+                last = {
+                    "frame": "error",
+                    "code": code,
+                    "message": message,
+                    "job": job.id,
+                }
+            frames.append(encode_frame(last))
+            writer.write(b"".join(frames))
+            await writer.drain()
         finally:
             if not eof_watch.done():
                 eof_watch.cancel()

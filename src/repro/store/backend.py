@@ -3,9 +3,9 @@
 Schema (format version :data:`repro.store.keys.STORE_FORMAT_VERSION`):
 
 * ``results(key TEXT PRIMARY KEY, record TEXT)`` — one row per computed
-  scenario; ``record`` is the sink record as strict JSON (sorted keys,
-  non-finite floats as ``"inf"``/``"-inf"``/``"nan"`` strings, exactly
-  as :class:`repro.engine.sinks.JsonlSink` would write it);
+  scenario; ``record`` is the sink record as strict JSON
+  (:func:`dumps_record`: keys in the record's insertion order,
+  non-finite floats as ``"inf"``/``"-inf"``/``"nan"`` strings);
 * ``meta(key TEXT PRIMARY KEY, value TEXT)`` — the code fingerprint the
   rows were computed under and the sweep manifest (the parameters that
   regenerate the scenario grid, written by the CLI so ``repro merge``
@@ -14,8 +14,14 @@ Schema (format version :data:`repro.store.keys.STORE_FORMAT_VERSION`):
 Writes are batched: :meth:`ResultStore.put` commits every
 ``commit_every`` rows and on :meth:`~ResultStore.close`, so a killed
 sweep loses at most the last uncommitted batch — the resume pass simply
-recomputes those scenarios.  SQLite's journal keeps committed batches
-durable across ``SIGKILL``.
+recomputes those scenarios.
+
+Durability: the store runs in WAL mode with ``synchronous=NORMAL``.  A
+commit reaches the WAL file without an fsync, so every committed batch
+survives ``SIGKILL`` of the writing process; only an OS crash or a power
+loss can roll back the last few commits, and the database stays
+consistent even then.  The rows are a cache of deterministic results,
+so a resume after such a loss recomputes whatever the lost commits held.
 
 Stores merge by key: rows for the same key are interchangeable because
 the key already binds scenario *and* code fingerprint, so
@@ -34,8 +40,9 @@ from typing import Any
 from repro.utils.checks import require
 from repro.utils.jsonsafe import json_safe
 
-#: Keys per membership query of :meth:`ResultStore.missing_indices`,
-#: under SQLite's historical limit of 999 bound parameters.
+#: Keys per query of :meth:`ResultStore.records` and
+#: :meth:`ResultStore.missing_indices`, under SQLite's historical limit
+#: of 999 bound parameters.
 _MEMBERSHIP_CHUNK = 500
 
 #: Default number of puts between commits (checkpoint granularity).
@@ -108,11 +115,15 @@ class ResultStore:
         try:
             # WAL keeps committed batches durable across SIGKILL *and*
             # lets concurrent processes read while a writer commits —
-            # the access pattern of a shared serve store.  On
-            # filesystems where WAL is unsupported SQLite keeps the
-            # prior journal mode; correctness is unaffected, only
-            # concurrency.
-            self._conn.execute("PRAGMA journal_mode=WAL")
+            # the access pattern of a shared serve store.  Under WAL,
+            # NORMAL drops the per-commit fsync and keeps that promise
+            # (see the module docstring).  On filesystems where WAL is
+            # unsupported SQLite keeps the prior journal mode, and the
+            # default FULL sync with it; correctness is unaffected,
+            # only concurrency.
+            (mode,) = self._conn.execute("PRAGMA journal_mode=WAL").fetchone()
+            if mode == "wal":
+                self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.executescript(_SCHEMA)
         except sqlite3.DatabaseError as exc:
             self._conn.close()  # not close(): commit would raise again
@@ -234,23 +245,42 @@ class ResultStore:
         ).fetchone()
         return None if row is None else json.loads(row[0])
 
-    def missing_indices(self, keys: Sequence[str]) -> Iterator[int]:
-        """Positions in ``keys`` whose key has no record, in order.
-
-        One ``SELECT … WHERE key IN (…)`` per :data:`_MEMBERSHIP_CHUNK`
-        keys instead of one query per key; only one chunk's found keys
-        are held at a time.
-        """
+    def _chunks(
+        self, keys: Sequence[str], columns: str
+    ) -> Iterator[tuple[int, Sequence[str], Iterator[Any]]]:
+        """``(start, chunk, rows)`` per :data:`_MEMBERSHIP_CHUNK` keys:
+        the rows of one ``SELECT columns … WHERE key IN (chunk)``."""
         conn = self._connection()
         for start in range(0, len(keys), _MEMBERSHIP_CHUNK):
             chunk = keys[start : start + _MEMBERSHIP_CHUNK]
             marks = ", ".join("?" * len(chunk))
-            found = {
-                key
-                for (key,) in conn.execute(
-                    f"SELECT key FROM results WHERE key IN ({marks})", chunk
-                )
-            }
+            yield start, chunk, conn.execute(
+                f"SELECT {columns} FROM results WHERE key IN ({marks})", chunk
+            )
+
+    def records(
+        self, keys: Sequence[str]
+    ) -> Iterator[dict[str, Any] | None]:
+        """The record stored under each of ``keys`` (``None`` where
+        absent), in order.
+
+        One query per :data:`_MEMBERSHIP_CHUNK` keys instead of one
+        :meth:`get` per key; only one chunk's rows are held at a time.
+        """
+        for _, chunk, rows in self._chunks(keys, "key, record"):
+            found = dict(rows)
+            for key in chunk:
+                raw = found.get(key)
+                yield None if raw is None else json.loads(raw)
+
+    def missing_indices(self, keys: Sequence[str]) -> Iterator[int]:
+        """Positions in ``keys`` whose key has no record, in order.
+
+        One query per :data:`_MEMBERSHIP_CHUNK` keys instead of one per
+        key; only one chunk's found keys are held at a time.
+        """
+        for start, chunk, rows in self._chunks(keys, "key"):
+            found = {key for (key,) in rows}
             for offset, key in enumerate(chunk):
                 if key not in found:
                     yield start + offset

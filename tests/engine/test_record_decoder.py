@@ -239,6 +239,46 @@ def test_family_decoder_is_its_result_types(name, result_type):
     assert get_family(name).decoder is record_decoder(result_type)
 
 
+def test_repeated_plans_resolve_type_hints_once(monkeypatch):
+    """A served job plans its request and reads the family decoder:
+    after the first plan of a family neither resolves a type hint
+    again, and clearing the memos (as perfbench does between jobs)
+    makes the next plan pay for them once more."""
+    import repro.engine.registry as registry
+    from repro.api import RunRequest
+    from repro.api.plan import plan_scenarios
+    from repro.api.workloads import get_workload
+
+    request = RunRequest.family(
+        "bound",
+        axes={"q": {"grid": [60.0, 120.0]}},
+        defaults={"function": "gaussian1", "knots": 48},
+    )
+    params = get_workload(request.workload).resolve_params(
+        request.params_dict()
+    )
+    resolved = []
+    real = registry.get_type_hints
+
+    def counting(*args, **kwargs):
+        resolved.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(registry, "get_type_hints", counting)
+    first = plan_scenarios(request.workload, params)
+    resolved.clear()
+    for _ in range(3):
+        plan = plan_scenarios(request.workload, params)
+        assert plan.decode is first.decode
+        assert plan.scenarios == first.scenarios
+    assert resolved == []
+
+    registry._field_types.cache_clear()
+    registry._result_type.cache_clear()
+    plan_scenarios(request.workload, params)
+    assert resolved
+
+
 def test_non_finite_floats_round_trip_from_their_strings():
     decode = record_decoder(BoundResult)
     record = stored(BoundResult("bimodal", 12.0, math.inf, -math.inf, False, 0))

@@ -11,9 +11,11 @@ import pytest
 
 from repro.api import RunRequest, Workbench
 from repro.api.options import ExecutionOptions, SinkSpec
+import repro.serve.server as server_module
 from repro.engine import registry
 from repro.serve import ServeConfig, start_server
 from repro.serve.server import ServerHandle
+from repro.store import ResultStore
 
 
 @pytest.fixture
@@ -51,6 +53,22 @@ def hold(serve_factory, monkeypatch):
     monkeypatch.setitem(registry._FAMILIES, "hold", hold_family.HOLD_FAMILY)
     yield release
     release.set()
+
+
+@pytest.fixture
+def traced_stores(monkeypatch):
+    """Every store the server opens, each logging its SQL statements."""
+    opened: list[ResultStore] = []
+
+    class TracedStore(ResultStore):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            self.statements: list[str] = []
+            self._connection().set_trace_callback(self.statements.append)
+            opened.append(self)
+
+    monkeypatch.setattr(server_module, "ResultStore", TracedStore)
+    return opened
 
 
 @pytest.fixture

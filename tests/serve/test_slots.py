@@ -36,22 +36,6 @@ def _bound(*qs: float) -> RunRequest:
     )
 
 
-@pytest.fixture
-def traced_stores(monkeypatch):
-    """Every store the server opens, each logging its SQL statements."""
-    opened: list[ResultStore] = []
-
-    class TracedStore(ResultStore):
-        def __init__(self, *args, **kwargs) -> None:
-            super().__init__(*args, **kwargs)
-            self.statements: list[str] = []
-            self._connection().set_trace_callback(self.statements.append)
-            opened.append(self)
-
-    monkeypatch.setattr(server_module, "ResultStore", TracedStore)
-    return opened
-
-
 def _commits(store: ResultStore) -> int:
     return store.statements.count("COMMIT")  # type: ignore[attr-defined]
 
@@ -166,13 +150,14 @@ class TestSlotStress:
 
 
 class _Writer:
-    """A stream writer that keeps the frames it was sent."""
+    """A stream writer that keeps the frames it was sent (one write
+    may carry several newline-terminated frames)."""
 
     def __init__(self) -> None:
         self.frames: list[dict] = []
 
     def write(self, data: bytes) -> None:
-        self.frames.append(json.loads(data))
+        self.frames.extend(json.loads(line) for line in data.splitlines())
 
     async def drain(self) -> None:
         pass

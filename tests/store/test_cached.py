@@ -268,10 +268,13 @@ class TestKeysHashedOncePerRun:
 
 
 class TestOneStoreReadPerScenario:
-    """The cache decision is a batched membership query: each scenario
-    costs one ``get`` (its emission) and no ``key in store``."""
+    """Each record is read once, in batches: the cache decision is one
+    membership query per chunk of keys, and emission one read query per
+    chunk, so no scenario costs a ``get`` or a ``key in store`` of its
+    own."""
 
-    def _count_reads(self, monkeypatch) -> dict[str, int]:
+    @pytest.fixture
+    def reads(self, monkeypatch) -> dict[str, int]:
         reads = {"get": 0, "contains": 0}
         get, contains = ResultStore.get, ResultStore.__contains__
 
@@ -287,20 +290,39 @@ class TestOneStoreReadPerScenario:
         monkeypatch.setattr(ResultStore, "__contains__", counted_contains)
         return reads
 
-    def test_a_half_warm_run_reads_each_record_once(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _trace(store: ResultStore) -> list[str]:
+        statements: list[str] = []
+        store._connection().set_trace_callback(statements.append)
+        return statements
+
+    @staticmethod
+    def _queries(statements: list[str]) -> dict[str, int]:
+        return {
+            "membership": sum(
+                s.startswith("SELECT key FROM results") for s in statements
+            ),
+            "read": sum(
+                s.startswith("SELECT key, record FROM results")
+                for s in statements
+            ),
+        }
+
+    def test_a_half_warm_run_reads_each_record_once(self, tmp_path, reads):
         xs = list(range(12))
         with _store(tmp_path) as store:
             run_cached_batch(_tag, xs[::2], store)
             CALLS.clear()
-            reads = self._count_reads(monkeypatch)
+            statements = self._trace(store)
             sink = MemorySink()
             run = run_cached_batch(_tag, xs, store, sink=sink)
         assert (run.cached, run.computed) == (6, 6)
         assert CALLS == xs[1::2]
-        assert reads == {"get": len(xs), "contains": 0}
+        assert reads == {"get": 0, "contains": 0}
+        assert self._queries(statements) == {"membership": 1, "read": 1}
         assert [r["x"] for r in sink.records] == xs
 
-    def test_membership_spans_query_chunks(self, tmp_path, monkeypatch):
+    def test_membership_spans_query_chunks(self, tmp_path, monkeypatch, reads):
         import repro.store.backend as backend
 
         monkeypatch.setattr(backend, "_MEMBERSHIP_CHUNK", 4)
@@ -311,6 +333,24 @@ class TestOneStoreReadPerScenario:
             absent = list(store.missing_indices(keys))
             assert absent == [0, 2, 3, 6, 7, 8, 9]
             CALLS.clear()
+            statements = self._trace(store)
             run = run_cached_batch(_tag, [*xs, 3, 1], store)
         assert CALLS == absent
         assert [r["x"] for r in run.results] == [*xs, 3, 1]
+        # 13 keys in chunks of 4: four queries of each kind.
+        assert self._queries(statements) == {"membership": 4, "read": 4}
+        assert reads == {"get": 0, "contains": 0}
+
+    def test_a_gap_in_a_later_chunk_fails_with_the_count(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.store.backend as backend
+
+        monkeypatch.setattr(backend, "_MEMBERSHIP_CHUNK", 4)
+        with _store(tmp_path) as store:
+            run_cached_batch(_tag, [0, 1, 2, 3, 4, 6, 8], store)
+            sink = MemorySink()
+            with pytest.raises(ValueError, match="missing 2 of 9"):
+                emit_from_store(store, list(range(9)), sink=sink)
+        # The first chunk was whole, so it streamed before the failure.
+        assert [r["x"] for r in sink.records] == [0, 1, 2, 3, 4]
