@@ -11,8 +11,10 @@ submitted twice:
 Asserted claims: the warm submission computes zero scenarios, its
 absolute µs per record (connect → last byte) stays within
 ``MAX_BASELINE_REGRESSION``× of ``benchmarks/BASELINE.json`` (smoke
-mode, same host), it is at least ``MIN_SPEEDUP``× faster end-to-end
-than the cold one, and its stream is byte-identical to the cold one.  This is the service
+mode, same host), and its stream is byte-identical to the cold one.
+The cold/warm ratio is printed and recorded but not asserted: it
+divides compute time by replay time, so a faster cold path shrinks it
+while the replay, near its fixed cost, moves less.  This is the service
 analogue of ``benchmarks/bench_store.py``'s warm-resweep gate: the
 network and protocol layers are allowed to cost something, but never
 a recompute.
@@ -59,12 +61,6 @@ from repro.serve import ServeClient, ServeConfig, start_server
 #: Sweep shape (scenarios = 3x the point count).
 N_POINTS = scaled(60, 12)
 KNOTS = scaled(512, 256)
-#: A warm duplicate pays connection + replay only.  Its absolute µs per
-#: record is gated against ``BASELINE.json``; this floor on the
-#: cold/warm ratio is about half the measured smoke median (27x, range
-#: 21-59x over 7 runs on a 2-CPU Xeon).  The ratio divides compute time
-#: by replay time, so a faster kernel shrinks it.
-MIN_SPEEDUP = 12.0
 
 
 def _timed_submit(host: str, port: int, request: RunRequest):
@@ -145,10 +141,6 @@ def test_warm_duplicate_submission_beats_cold(artifacts_dir, tmp_path):
             f"warm duplicate takes {warm_us:.0f} µs/record, {drift:.2f}x "
             f"its BASELINE.json figure (limit {MAX_BASELINE_REGRESSION}x)"
         )
-    assert speedup >= MIN_SPEEDUP, (
-        f"warm duplicate only {speedup:.1f}x faster than cold "
-        f"(need >= {MIN_SPEEDUP}x)"
-    )
 
 
 # ----------------------------------------------------------------------

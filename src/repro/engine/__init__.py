@@ -17,8 +17,8 @@ the input and every randomised scenario carries its own derived seed.
 With a :class:`repro.store.ResultStore`, :func:`run_cached_batch`
 makes sweeps *incremental*: already-computed scenarios are served from
 the content-addressed store, fresh ones are checkpointed as they
-stream, and final sinks are emitted from the store in scenario order —
-so interrupted-and-resumed or sharded-and-merged sweeps produce
+stream, and sinks are fed from the store in scenario order as rows are
+committed — so interrupted-and-resumed or sharded-and-merged sweeps produce
 byte-identical output.  A failing worker surfaces as
 :class:`WorkerError`, pinning the scenario index even across the
 process-pool boundary.

@@ -9,19 +9,25 @@ persistent memory (:class:`repro.store.ResultStore`):
 2. scenarios whose key is already stored are *skipped* — their records
    are served from disk;
 3. the rest are evaluated by the ordinary engine and **checkpointed**
-   into the store as they stream out, in one commit when the run ends
-   — however it ends (a long run also commits every
-   ``commit_every`` puts, so a hard kill keeps all but the last
-   partial batch);
-4. finally the sink/return values are emitted **from the store** in
-   scenario order, under the keys of step 1.
+   into the store as they stream out: the store commits every
+   ``commit_every`` puts, and the run commits once more when it ends
+   — however it ends — so a hard kill keeps all but the last partial
+   batch;
+4. the sink/return values are emitted **from the store** in scenario
+   order, under the keys of step 1, as their rows become committed:
+   the leading run of stored scenarios before evaluation starts, every
+   further scenario whose row a checkpoint commit made durable right
+   after that commit, and the rest after the final commit.
 
 Step 4 is what makes resume exact: fresh results take the same
 ``record → strict JSON → record`` round trip as cached ones, so an
 interrupted-and-resumed sweep emits final output *byte-identical* to an
 uninterrupted run — and a set of shard stores merged with
 :func:`repro.store.merge_stores` emits byte-identical output to an
-unsharded run (:func:`emit_from_store`).
+unsharded run (:func:`emit_from_store`).  Because a fresh record
+reaches the sink only once its row is committed, an interrupted run's
+sink holds a prefix of the final output, which the resume rewrites
+byte for byte.
 """
 
 from __future__ import annotations
@@ -72,29 +78,34 @@ class _CheckpointSink(ResultSink):
     """Puts freshly computed records into the store, in scenario order.
 
     The engine guarantees record order matches the submitted scenario
-    order, so a running cursor pairs each record with its key.  The
-    optional ``on_result`` hook fires after each checkpointed record —
-    progress reporting, and the test seam for simulating a mid-sweep
-    kill (raising from the hook leaves a valid, committed prefix).
+    order, so a running cursor pairs each record with its key.  When a
+    put commits, ``on_commit`` gets the number of records now durable.
+    The optional ``on_result`` hook fires after each checkpointed
+    record — progress reporting, and the test seam for simulating a
+    mid-sweep kill (raising from the hook leaves a valid, committed
+    prefix).
     """
 
     def __init__(
         self,
         store: ResultStore,
         keys: Sequence[str],
+        on_commit: Callable[[int], None],
         on_result: Callable[[int], None] | None = None,
         cancel: Callable[[], bool] | None = None,
     ) -> None:
         self._store = store
         self._keys = keys
         self._cursor = 0
+        self._on_commit = on_commit
         self._on_result = on_result
         self._cancel = cancel
 
     def write(self, record: Mapping[str, Any]) -> None:
         key = self._keys[self._cursor]
         self._cursor += 1
-        self._store.put(key, record)
+        if self._store.put(key, record):
+            self._on_commit(self._cursor)
         if self._on_result is not None:
             self._on_result(self._cursor)
         if self._cancel is not None and self._cancel():
@@ -133,7 +144,9 @@ def emit_from_store(
         The records in scenario order, or ``None``.
     """
     keys = [scenario_key(s, store.fingerprint) for s in scenarios]
-    return _emit_keys(store, keys, sink, None, collect)
+    results: list[Any] | None = [] if collect else None
+    _emit_keys(store, keys, sink, None, results)
+    return results
 
 
 def _emit_keys(
@@ -141,10 +154,10 @@ def _emit_keys(
     keys: Sequence[str],
     sink: ResultSink | None,
     decode: Decoder | None,
-    collect: bool,
-) -> list[Any] | None:
-    """:func:`emit_from_store` over precomputed keys, in their order."""
-    results: list[Any] | None = [] if collect else None
+    results: list[Any] | None,
+) -> None:
+    """:func:`emit_from_store` over precomputed keys, in their order,
+    appending to ``results`` unless it is ``None``."""
     for record in store.records(keys):
         if record is None:
             # Count the damage only on the failure path; the happy path
@@ -160,7 +173,6 @@ def _emit_keys(
             sink.write(record)
         if results is not None:
             results.append(record if decode is None else decode(record))
-    return results
 
 
 def run_cached_batch(
@@ -185,9 +197,13 @@ def run_cached_batch(
         scenarios: The batch; may be empty.
         store: Persistent result store; its code fingerprint scopes the
             keys (stale stores fail at open time, not here).
-        sink: Optional final-output sink; written *from the store* in
-            scenario order once evaluation finishes, so output bytes do
-            not depend on which scenarios were cached.
+        sink: Optional output sink; written *from the store* in
+            scenario order, so output bytes do not depend on which
+            scenarios were cached.  Each record is written once its row
+            is committed: the leading stored scenarios before
+            evaluation, the next stretch after each checkpoint commit,
+            the rest after the final commit.  A run that raises leaves
+            the sink holding a prefix of the full output.
         collect: ``False`` skips accumulating decoded results.
         decode: Optional record decoder (a family's
             :attr:`~repro.engine.registry.ScenarioFamily.decoder`) for
@@ -203,8 +219,8 @@ def run_cached_batch(
             when the caller already hashed them (the serve layer claims
             them before the run).  Without it they are computed here.
             Either way each key is hashed once per run: the cache
-            decision, the checkpoints and the final emission all reuse
-            the same list.
+            decision, the checkpoints and the emission all reuse the
+            same list.
         group_by: Optional shared-artifact grouping key, forwarded to
             :func:`repro.engine.run_batch` for the cache-miss subset.
             Store keys stay strictly per-scenario — resume and shard
@@ -220,7 +236,8 @@ def run_cached_batch(
     on success, cancellation, a raising ``on_result`` hook or a worker
     failure alike — so whatever completed is durable, together with
     anything the caller wrote beforehand in the same transaction (the
-    store's sweep manifest).
+    store's sweep manifest).  Each emission point reads its stretch of
+    records with one query per chunk of keys.
     """
     if keys is None:
         keys = [scenario_key(s, store.fingerprint) for s in scenarios]
@@ -230,14 +247,28 @@ def run_cached_batch(
             f"got {len(keys)} keys for {len(scenarios)} scenarios",
         )
     # The cache decision is one batched membership query per chunk of
-    # keys, and emission below reads the records with one query per
-    # chunk too.  A key repeated in the grid is computed once, at its
-    # first position.
+    # keys.  A key repeated in the grid is computed once, at its first
+    # position.
     pending: dict[str, int] = {}
     for index in store.missing_indices(keys):
         pending.setdefault(keys[index], index)
     missing = list(pending.values())  # ascending, as the indices came
+    results: list[Any] | None = [] if collect else None
+    emitted = 0
+
+    def emit_until(stop: int) -> None:
+        nonlocal emitted
+        if stop > emitted:
+            _emit_keys(store, keys[emitted:stop], sink, decode, results)
+            emitted = stop
+
+    def emit_committed(done: int) -> None:
+        # The first ``done`` misses are committed, so is every stored
+        # or repeated key before the next miss.
+        emit_until(missing[done] if done < len(missing) else len(keys))
+
     try:
+        emit_committed(0)
         if missing:
             if cancel is not None and cancel():
                 raise JobCancelled(
@@ -249,7 +280,11 @@ def run_cached_batch(
                 max_workers=max_workers,
                 chunk_size=chunk_size,
                 sink=_CheckpointSink(
-                    store, [keys[i] for i in missing], on_result, cancel
+                    store,
+                    [keys[i] for i in missing],
+                    emit_committed,
+                    on_result,
+                    cancel,
                 ),
                 collect=False,
                 group_by=group_by,
@@ -263,7 +298,7 @@ def run_cached_batch(
         ) from exc
     finally:
         store.commit()
-    results = _emit_keys(store, keys, sink, decode, collect)
+    emit_until(len(keys))
     return CachedRun(
         results=results,
         total=len(scenarios),

@@ -16,7 +16,9 @@
   their predecessors have been flushed; with ``collect=False`` results
   are *only* streamed (never accumulated), and chunk submission is
   gated on the chunks submitted but not yet flushed, so sweeps of 10^5+
-  scenarios hold at most a bounded window of chunks in memory.
+  scenarios hold at most a bounded window of chunks in memory.  A
+  store-backed run (:func:`repro.engine.run_cached_batch`) streams
+  too, from the store: each record once its row is committed.
 
 Workers must be module-level callables (picklable for the process pool)
 taking one scenario and returning one result.  Scenarios should carry

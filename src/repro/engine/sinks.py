@@ -16,25 +16,22 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import json
 from collections.abc import Mapping
 from pathlib import Path
 from typing import IO, Any
 
 from repro.utils.checks import require
-from repro.utils.jsonsafe import json_safe
+from repro.utils.jsonsafe import field_names, json_safe
 
+
+#: The encoder of :func:`record_line`: one instance, not one per call
+#: (``json.dumps`` with keywords builds a fresh encoder every time).
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 #: Field values :func:`as_record` passes through without asking whether
 #: they are mappings or dataclasses (``bool`` is an ``int``).
 _SCALARS = (str, int, float, tuple)
-
-
-@functools.lru_cache(maxsize=64)
-def _field_names(cls: type) -> tuple[str, ...]:
-    """The field names of dataclass ``cls``, in declaration order."""
-    return tuple(field.name for field in dataclasses.fields(cls))
 
 
 def as_record(result: Any) -> dict[str, Any]:
@@ -48,7 +45,7 @@ def as_record(result: Any) -> dict[str, Any]:
     """
     if dataclasses.is_dataclass(result) and not isinstance(result, type):
         raw: Mapping[str, Any] = {
-            name: getattr(result, name) for name in _field_names(type(result))
+            name: getattr(result, name) for name in field_names(type(result))
         }
     elif isinstance(result, Mapping):
         raw = result
@@ -77,7 +74,7 @@ def record_line(record: Mapping[str, Any]) -> str:
     by construction rather than by parallel implementation.
     """
     safe = {key: json_safe(value) for key, value in record.items()}
-    return json.dumps(safe, sort_keys=True, allow_nan=False)
+    return _LINE_ENCODER.encode(safe)
 
 
 class ResultSink:

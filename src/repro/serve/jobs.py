@@ -10,11 +10,10 @@ is what makes streams resumable across disconnects.
 
 Thread topology: jobs are *created and observed* on the server's event
 loop, but *evaluated* on a pool slot's thread (one slot per job).  The
-slot thread
-appends lines and flips states directly (atomic under the GIL) and
-wakes loop-side subscribers through
+slot thread hands a run's lines over and flips states directly (atomic
+under the GIL) and wakes loop-side subscribers through
 :meth:`Job.pulse` → ``loop.call_soon_threadsafe``, with at most one
-wake-up in flight per job: lines appended while one is pending ride on
+wake-up in flight per job: a change made while one is pending rides on
 it.  Subscribers follow the capture-event-then-check pattern
 (:meth:`Job.change_event`) so no wakeup can be lost between draining
 lines and sleeping.
@@ -129,13 +128,12 @@ class Job:
         self._pulse_pending = True
         self._loop.call_soon_threadsafe(self._pulse)
 
-    def append_line(self, line: str) -> None:
-        """Append one JSONL record line and wake subscribers."""
-        self.lines.append(line)
-        self.pulse()
-
-    def complete(self, total: int, cached: int, computed: int) -> None:
-        """Mark the job done with its cache statistics."""
+    def complete(
+        self, lines: list[str], total: int, cached: int, computed: int
+    ) -> None:
+        """Append the run's JSONL record lines and mark the job done
+        with its cache statistics, in one wake-up."""
+        self.lines.extend(lines)
         self.total, self.cached, self.computed = total, cached, computed
         self.state = "done"
         self.pulse()

@@ -91,14 +91,14 @@ class ProtocolError(ValueError):
         }
 
 
+#: The encoder of :func:`encode_frame`: one instance, not one per call
+#: (``json.dumps`` with keywords builds a fresh encoder every time).
+_FRAME_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
 def encode_frame(frame: Mapping[str, Any]) -> bytes:
     """Serialize one frame to its wire line (``\\n`` included)."""
-    return (
-        json.dumps(
-            frame, separators=(",", ":"), allow_nan=False
-        ).encode("utf-8")
-        + b"\n"
-    )
+    return _FRAME_ENCODER.encode(frame).encode("utf-8") + b"\n"
 
 
 def decode_frame(line: bytes, limit: int | None = None) -> dict[str, Any]:

@@ -124,18 +124,22 @@ class ServeConfig:
 
 
 class _JobSink(ResultSink):
-    """Feeds a job's stream: one verbatim JSONL line per record.
+    """Collects a job's stream: one verbatim JSONL line per record.
 
     Uses :func:`repro.engine.record_line` — the exact serialization
     :class:`repro.engine.JsonlSink` writes — so a served stream is
-    byte-identical to a local sink file by construction.
+    byte-identical to a local sink file by construction.  The lines
+    stay here until the run returns and reach the job in one hand-off
+    (:meth:`Job.complete`): each hand-off to the loop waits on the GIL,
+    so handing a half-warm job's stored prefix over early would cost
+    it a second one.
     """
 
-    def __init__(self, job: Job) -> None:
-        self._job = job
+    def __init__(self) -> None:
+        self.lines: list[str] = []
 
     def write(self, record: Any) -> None:
-        self._job.append_line(record_line(record))
+        self.lines.append(record_line(record))
 
 
 class _Slot:
@@ -429,11 +433,12 @@ class AnalysisServer:
                             f"fail_after={_limit} fault injected"
                         )
 
+            sink = _JobSink()
             run = run_cached_batch(
                 plan.worker,
                 plan.scenarios,
                 slot.store(),
-                sink=_JobSink(job),
+                sink=sink,
                 collect=False,
                 max_workers=self._config.jobs,
                 chunk_size=self._config.chunk,
@@ -448,7 +453,7 @@ class AnalysisServer:
             with self._slot_lock:
                 self._scenarios_cached += run.cached
                 self._scenarios_computed += run.computed
-            job.complete(run.total, run.cached, run.computed)
+            job.complete(sink.lines, run.total, run.cached, run.computed)
         except JobCancelled as exc:
             job.fail("job-cancelled", str(exc), state="cancelled")
         except KeyboardInterrupt as exc:

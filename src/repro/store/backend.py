@@ -54,6 +54,10 @@ DEFAULT_COMMIT_EVERY = 64
 #: generous timeout turns contention into a wait, not a crash.
 DEFAULT_BUSY_TIMEOUT = 30.0
 
+#: The encoder of :func:`dumps_record`: one instance, not one per call
+#: (``json.dumps`` with keywords builds a fresh encoder every time).
+_RECORD_ENCODER = json.JSONEncoder(allow_nan=False)
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key TEXT PRIMARY KEY,
@@ -75,7 +79,7 @@ def dumps_record(record: Mapping[str, Any]) -> str:
     same header as one fed fresh results.
     """
     safe = {key: json_safe(value) for key, value in record.items()}
-    return json.dumps(safe, allow_nan=False)
+    return _RECORD_ENCODER.encode(safe)
 
 
 class ResultStore:
@@ -227,16 +231,23 @@ class ResultStore:
     # results
     # ------------------------------------------------------------------
 
-    def put(self, key: str, record: Mapping[str, Any]) -> None:
+    def put(self, key: str, record: Mapping[str, Any]) -> bool:
         """Insert (or overwrite) one record; commits every
-        ``commit_every`` puts."""
+        ``commit_every`` puts.
+
+        Returns:
+            Whether this put committed, making every row put so far
+            durable and visible to other connections.
+        """
         self._connection().execute(
             "INSERT OR REPLACE INTO results (key, record) VALUES (?, ?)",
             (key, dumps_record(record)),
         )
         self._uncommitted += 1
-        if self._uncommitted >= self._commit_every:
-            self.commit()
+        if self._uncommitted < self._commit_every:
+            return False
+        self.commit()
+        return True
 
     def get(self, key: str) -> dict[str, Any] | None:
         """The record stored under ``key``, or ``None``."""

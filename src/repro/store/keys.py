@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import math
 import os
 from importlib import import_module
@@ -27,10 +28,17 @@ from types import ModuleType
 from typing import Any
 
 from repro.utils.checks import require
+from repro.utils.jsonsafe import field_names
 
 #: Bump when the canonical encoding or store record format changes;
 #: part of every fingerprint, so old stores can never serve new code.
 STORE_FORMAT_VERSION = 1
+
+#: The encoder of :func:`canonical_bytes`: one instance, not one per
+#: call (``json.dumps`` with keywords builds a fresh encoder every time).
+_CANONICAL_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False
+)
 
 
 def _encode(value: Any) -> Any:
@@ -53,8 +61,8 @@ def _encode(value: Any) -> Any:
         return {
             "__dataclass__": f"{cls.__module__}.{cls.__qualname__}",
             "fields": {
-                field.name: _encode(getattr(value, field.name))
-                for field in dataclasses.fields(value)
+                name: _encode(getattr(value, name))
+                for name in field_names(cls)
             },
         }
     if isinstance(value, tuple):
@@ -82,15 +90,7 @@ def canonical_bytes(value: Any) -> bytes:
     canonical vocabulary (sets, arbitrary objects…), so accidental
     non-determinism fails loudly instead of silently forking keys.
     """
-    import json
-
-    return json.dumps(
-        _encode(value),
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=True,
-        allow_nan=False,
-    ).encode("ascii")
+    return _CANONICAL_ENCODER.encode(_encode(value)).encode("ascii")
 
 
 def scenario_key(scenario: Any, fingerprint: str = "") -> str:
@@ -144,6 +144,9 @@ def _collect_sources(
     ``sorted(root.rglob("*.py"))`` yields, without building a ``Path``
     per entry: subdirectories are entered unless they are symlinks, and
     ``_digest_sources`` sorts the names, so walk order is irrelevant.
+    Files are read with raw ``os.read`` calls sized by ``fstat``: a
+    buffered file object per source costs more than the read, and
+    fixed-size reads leave the heap fragmented.
     """
     with os.scandir(directory) as entries:
         for entry in entries:
@@ -151,8 +154,16 @@ def _collect_sources(
             if entry.is_dir(follow_symlinks=False):
                 _collect_sources(entry.path, name + "/", sources)
             elif entry.name.endswith(".py"):
-                with open(entry.path, "rb") as handle:
-                    sources[name] = handle.read()
+                fd = os.open(entry.path, os.O_RDONLY)
+                try:
+                    # One read to the end, one more to see end of file.
+                    size = os.fstat(fd).st_size + 1
+                    data = os.read(fd, size)
+                    while more := os.read(fd, size):
+                        data += more
+                finally:
+                    os.close(fd)
+                sources[name] = data
 
 
 def _digest_sources(sources: dict[str, bytes]) -> str:

@@ -8,12 +8,22 @@ pandas and every non-Python consumer reject.  Both the streaming sinks
 (:mod:`repro.store.backend`) therefore route every value through
 :func:`json_safe` — one definition, so a record checkpointed to the
 store serializes byte-identically to one streamed straight to a sink.
+:func:`field_names` is the one memo of a dataclass's field names that
+the sinks' records and the store's canonical keys are both read with.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from typing import Any
+
+
+@functools.lru_cache(maxsize=64)
+def field_names(cls: type) -> tuple[str, ...]:
+    """The field names of dataclass ``cls``, in declaration order."""
+    return tuple(field.name for field in dataclasses.fields(cls))
 
 
 def json_safe(value: Any) -> Any:

@@ -27,7 +27,7 @@ from repro.api.workloads import get_workload
 from repro.serve import ServeClient, ServeConfig
 from repro.serve.jobs import Job, job_id_for
 from repro.serve.protocol import encode_frame
-from repro.serve.server import AnalysisServer
+from repro.serve.server import AnalysisServer, _Slot
 from repro.store.keys import package_fingerprint
 
 
@@ -69,6 +69,8 @@ def server(tmp_path) -> AnalysisServer:
 
 class TestPulseCoalescing:
     def test_appends_while_a_wake_up_is_pending_ride_on_it(self, monkeypatch):
+        # A job changes thrice before the loop runs (dispatched, a
+        # line streamed, done with the rest): one wake-up carries all.
         async def main() -> tuple[int, int, bool]:
             loop = asyncio.get_running_loop()
             scheduled = []
@@ -81,9 +83,10 @@ class TestPulseCoalescing:
             monkeypatch.setattr(loop, "call_soon_threadsafe", counting)
             job = Job("job", _bound(60.0), loop)
             changed = job.change_event()
-            for n in range(8):
-                job.append_line(f'{{"n": {n}}}')
-            job.complete(8, 0, 8)
+            job.pulse()
+            job.lines.append('{"n": 0}')
+            job.pulse()
+            job.complete([f'{{"n": {n}}}' for n in range(1, 8)], 8, 0, 8)
             burst = len(scheduled)
             await asyncio.sleep(0)  # the one wake-up runs
             woke = changed.is_set()
@@ -92,6 +95,39 @@ class TestPulseCoalescing:
 
         burst, total, woke = asyncio.run(main())
         assert (burst, total, woke) == (1, 2, True)
+
+    def test_a_half_warm_job_hands_its_records_over_in_one_wake_up(
+        self, server, tmp_path, monkeypatch, solo_lines
+    ):
+        # The run emits its stored prefix before evaluation and the
+        # rest after its commit; the slot still wakes the loop once.
+        qs = [50.0 + 20.0 * n for n in range(8)]
+
+        async def main() -> tuple[Job, list]:
+            loop = asyncio.get_running_loop()
+            slot = _Slot(str(tmp_path / "s.sqlite"), server._fingerprint)
+            try:
+                warm = Job("warm", _bound(*qs[:4]), loop)
+                server._run_job(warm, slot)
+                assert (warm.state, warm.cached) == ("done", 0)
+                scheduled = []
+                real = loop.call_soon_threadsafe
+
+                def counting(callback, *args):
+                    scheduled.append(callback)
+                    return real(callback, *args)
+
+                monkeypatch.setattr(loop, "call_soon_threadsafe", counting)
+                job = Job("job", _bound(*qs), loop)
+                server._run_job(job, slot)
+                return job, scheduled
+            finally:
+                slot.close()
+
+        job, scheduled = asyncio.run(main())
+        assert (job.state, job.cached, job.computed) == ("done", 4, 4)
+        assert job.lines == solo_lines(_bound(*qs))
+        assert scheduled == [job._pulse]
 
     def test_a_burst_reaches_a_waiting_subscriber_in_one_write(self, server):
         lines = [f'{{"n": {n}}}' for n in range(8)]
@@ -102,9 +138,7 @@ class TestPulseCoalescing:
             writer = _Writer()
             stream = asyncio.create_task(_stream(server, job, writer))
             await asyncio.sleep(0.01)  # the subscriber is waiting
-            for line in lines:
-                job.append_line(line)
-            job.complete(8, 0, 8)
+            job.complete(lines, 8, 0, 8)
             await stream
             return writer
 
@@ -134,11 +168,12 @@ class TestPulseCoalescing:
             writers = [_Writer() for _ in jobs]
 
             def produce(job: Job, waits: list[float]) -> None:
-                for line, pause in zip(lines, waits):
-                    job.append_line(line)
+                for line, pause in zip(lines[:-1], waits):
+                    job.lines.append(line)
+                    job.pulse()
                     if pause:
                         time.sleep(pause)
-                job.complete(len(lines), 0, len(lines))
+                job.complete(lines[-1:], len(lines), 0, len(lines))
 
             slots = [
                 threading.Thread(target=produce, args=(job, waits))
@@ -179,7 +214,7 @@ class TestPulseCoalescing:
         async def main() -> _Writer:
             job = Job("job", _bound(60.0), asyncio.get_running_loop())
             job.state = "running"
-            job.append_line('{"n": 0}')
+            job.lines.append('{"n": 0}')
             job.fail("job-failed", "boom")
             writer = _Writer()
             await _stream(server, job, writer)

@@ -185,8 +185,7 @@ class _RacyLines(list):
         n = super().__len__()
         if not self._fired and self._writer.records() == n:
             self._fired = True
-            self.append(self._final)
-            self._job.complete(n + 1, 0, n + 1)
+            self._job.complete([self._final], n + 1, 0, n + 1)
         return n
 
 

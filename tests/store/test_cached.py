@@ -3,7 +3,9 @@
 import pytest
 
 from repro.engine import (
+    JsonlSink,
     MemorySink,
+    ResultSink,
     emit_from_store,
     run_batch,
     run_cached_batch,
@@ -319,7 +321,19 @@ class TestOneStoreReadPerScenario:
         assert (run.cached, run.computed) == (6, 6)
         assert CALLS == xs[1::2]
         assert reads == {"get": 0, "contains": 0}
-        assert self._queries(statements) == {"membership": 1, "read": 1}
+        # One read per emission point: the stored prefix ``[0]`` before
+        # evaluation, the other eleven records after the commit.
+        assert self._queries(statements) == {"membership": 1, "read": 2}
+        read_at = [
+            n
+            for n, s in enumerate(statements)
+            if s.startswith("SELECT key, record")
+        ]
+        first_put = next(
+            n for n, s in enumerate(statements) if s.startswith("INSERT")
+        )
+        assert read_at[0] < first_put
+        assert statements[read_at[1] - 1] == "COMMIT"
         assert [r["x"] for r in sink.records] == xs
 
     def test_membership_spans_query_chunks(self, tmp_path, monkeypatch, reads):
@@ -354,3 +368,98 @@ class TestOneStoreReadPerScenario:
                 emit_from_store(store, list(range(9)), sink=sink)
         # The first chunk was whole, so it streamed before the failure.
         assert [r["x"] for r in sink.records] == [0, 1, 2, 3, 4]
+
+
+class _LoggingSink(ResultSink):
+    """Records each written ``x`` with the worker calls made so far."""
+
+    def __init__(self, check=None) -> None:
+        self.log: list[tuple[int, int]] = []
+        self._check = check
+
+    def write(self, record) -> None:
+        if self._check is not None:
+            self._check(record)
+        self.log.append((record["x"], len(CALLS)))
+
+
+class TestStreamedEmission:
+    """Records reach the sink as their rows are committed, in scenario
+    order, not after the run's last scenario."""
+
+    def test_a_half_warm_run_emits_its_stored_prefix_first(self, tmp_path):
+        xs = list(range(10))
+        with _store(tmp_path) as store:
+            run_cached_batch(_tag, [*xs[:5], 8], store)
+            CALLS.clear()
+            sink = _LoggingSink()
+            run = run_cached_batch(_tag, xs, store, sink=sink)
+        assert (run.cached, CALLS) == (6, [5, 6, 7, 9])
+        # 0..4 before the worker's first call; 8 is stored but follows
+        # a miss, so it waits for the commit with the rest.
+        assert sink.log == [
+            *((x, 0) for x in range(5)),
+            *((x, 4) for x in range(5, 10)),
+        ]
+
+    def test_each_checkpoint_commit_emits_what_it_made_durable(
+        self, tmp_path
+    ):
+        xs = list(range(10))
+        seen: list[int] = []
+
+        with _store(tmp_path, commit_every=4) as store, _store(
+            tmp_path
+        ) as other:
+
+            def committed(record) -> None:
+                # A second connection sees every key written so far.
+                seen.append(record["x"])
+                keys = [scenario_key(x, "fp") for x in seen]
+                assert list(other.missing_indices(keys)) == []
+
+            sink = _LoggingSink(committed)
+            run = run_cached_batch(_tag, xs, store, sink=sink)
+        assert run.computed == 10
+        assert sink.log == [
+            *((x, 4) for x in range(4)),
+            *((x, 8) for x in range(4, 8)),
+            (8, 10),
+            (9, 10),
+        ]
+
+    def test_a_repeated_key_is_emitted_once_its_first_copy_commits(
+        self, tmp_path
+    ):
+        xs = [0, 1, 0, 2, 1, 3]
+        with _store(tmp_path, commit_every=2) as store:
+            sink = _LoggingSink()
+            run = run_cached_batch(_tag, xs, store, sink=sink)
+        assert (run.computed, CALLS) == (4, [0, 1, 2, 3])
+        assert sink.log == [(0, 2), (1, 2), (0, 2), (2, 4), (1, 4), (3, 4)]
+
+    def test_a_kill_leaves_the_committed_prefix_and_resume_rewrites_it(
+        self, tmp_path
+    ):
+        xs = list(range(12))
+        plain = tmp_path / "plain.jsonl"
+        with JsonlSink(plain) as sink:
+            run_batch(_tag, xs, sink=sink, collect=False)
+
+        def kill(count: int) -> None:
+            if count >= 10:
+                raise KeyboardInterrupt
+
+        out = tmp_path / "out.jsonl"
+        with _store(tmp_path, commit_every=4) as store:
+            with JsonlSink(out) as sink, pytest.raises(KeyboardInterrupt):
+                run_cached_batch(_tag, xs, store, sink=sink, on_result=kill)
+            assert len(store) == 10
+        # Checkpoints committed 8 rows before the kill; the sink holds
+        # exactly their lines, a prefix of the plain run's file.
+        lines = plain.read_text().splitlines(keepends=True)
+        assert out.read_text() == "".join(lines[:8])
+        with _store(tmp_path) as store, JsonlSink(out) as sink:
+            run = run_cached_batch(_tag, xs, store, sink=sink)
+        assert (run.cached, run.computed) == (10, 2)
+        assert out.read_bytes() == plain.read_bytes()

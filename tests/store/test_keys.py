@@ -2,6 +2,7 @@
 practice, fingerprint scoping."""
 
 import math
+import os
 from pathlib import Path
 from types import ModuleType
 
@@ -153,3 +154,46 @@ class TestPackageFingerprintWalk:
         (root / "sub" / "deeper" / "z.py").write_bytes(b"Z = 4\n")
         assert package_fingerprint(package) != digest
         assert package_fingerprint(package) == _rglob_fingerprint(package)
+
+    def test_matches_buffered_reads_and_skips_symlinked_directories(
+        self, tmp_path
+    ):
+        root = tmp_path / "pkg"
+        outside = tmp_path / "outside"
+        for path, content in {
+            root / "__init__.py": b"",
+            root / "a.py": b"A = 1\n" * 20000,
+            root / "nested" / "__init__.py": b"",
+            root / "nested" / "deep" / "b.py": "B = 'é'\n".encode(),
+            outside / "c.py": b"C = 3\n",
+        }.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(content)
+        (root / "linked").symlink_to(outside, target_is_directory=True)
+        package = ModuleType("pkg")
+        package.__file__ = str(root / "__init__.py")
+
+        def buffered(directory, prefix, sources):
+            # The walk as it read before: a buffered file per source.
+            with os.scandir(directory) as entries:
+                for entry in entries:
+                    name = prefix + entry.name
+                    if entry.is_dir(follow_symlinks=False):
+                        buffered(entry.path, name + "/", sources)
+                    elif entry.name.endswith(".py"):
+                        with open(entry.path, "rb") as handle:
+                            sources[name] = handle.read()
+
+        reference: dict[str, bytes] = {}
+        buffered(root, "", reference)
+        assert sorted(reference) == [
+            "__init__.py",
+            "a.py",
+            "nested/__init__.py",
+            "nested/deep/b.py",
+        ]
+        digest = package_fingerprint(package)
+        assert digest == _digest_sources(reference)
+        # The symlinked directory is not followed.
+        (outside / "c.py").write_bytes(b"C = 4\n")
+        assert package_fingerprint(package) == digest
