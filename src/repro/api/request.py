@@ -30,21 +30,43 @@ from repro.utils.checks import require
 #: tell real mappings apart from lists that merely look pair-shaped.
 _MAPPING_TAG = "__frozen_mapping__"
 
+#: Exact types that freeze and thaw to themselves, read before any
+#: ``Mapping`` ABC check (which costs far more than a type lookup).
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+class _FrozenParams(tuple):
+    """Parameter pairs a :class:`RunRequest` already froze and checked.
+
+    A request built from another request's ``params`` (a tuple of this
+    type) skips freezing and checking them again; any other tuple, a
+    slice or concatenation of this one included, is frozen as usual.
+    """
+
+    __slots__ = ()
+
 
 def _freeze(value: Any) -> Any:
     """Coerce JSON-shaped parameter values into hashable frozen forms."""
-    if isinstance(value, Mapping):
+    kind = type(value)
+    if kind in _SCALARS:
+        return value
+    if kind is dict or (
+        kind is not list and kind is not tuple and isinstance(value, Mapping)
+    ):
         return (
             _MAPPING_TAG,
             tuple((str(k), _freeze(v)) for k, v in value.items()),
         )
-    if isinstance(value, (list, tuple)):
+    if kind is list or kind is tuple or isinstance(value, (list, tuple)):
         return tuple(_freeze(item) for item in value)
     return value
 
 
 def _thaw(value: Any) -> Any:
     """Inverse of :func:`_freeze`; only tagged tuples become dicts."""
+    if type(value) in _SCALARS:
+        return value
     if (
         isinstance(value, tuple)
         and len(value) == 2
@@ -67,7 +89,8 @@ class RunRequest:
         params: Frozen ``(name, value)`` parameter pairs; mappings and
             lists are recursively frozen to tuples.  Use
             :meth:`params_dict` (or :meth:`make`) rather than building
-            the tuples by hand.
+            the tuples by hand.  Passing another request's ``params``
+            reuses them as they are, without freezing them again.
         options: Execution options (jobs, store, resume, shard, sinks).
     """
 
@@ -80,7 +103,9 @@ class RunRequest:
             bool(self.workload),
             "RunRequest needs a non-empty workload name",
         )
-        frozen = tuple(
+        if type(self.params) is _FrozenParams:
+            return
+        frozen = _FrozenParams(
             (str(name), _freeze(value)) for name, value in self.params
         )
         names = [name for name, _ in frozen]

@@ -19,7 +19,6 @@ safe NPR length is::
 from __future__ import annotations
 
 import math
-import operator
 
 from repro.tasks.task import TaskSet
 
@@ -52,8 +51,33 @@ def _testing_set(tasks: list, i: int) -> list[float]:
     return sorted(points)
 
 
+def _workload(
+    wcet: float, higher: list[tuple[float, float]], t: float, shrink: float
+) -> float:
+    """``W_i(t) = C_i + sum_{j<i} ceil(t / T_j) C_j``, the terms added in
+    priority order.
+
+    Each ratio is nudged down by a relative epsilon: at a multiple of
+    T_j that float rounding puts one ulp above the integer (2.1 / 0.7 ->
+    3.0000000000000004) a plain ceil would charge a spurious job.
+    """
+    ceil = math.ceil
+    for period, cost in higher:
+        wcet += ceil((t / period) * shrink) * cost
+    return wcet
+
+
 def fp_blocking_tolerances(tasks: TaskSet) -> dict[str, float]:
     """Blocking tolerance ``beta_i`` of every task.
+
+    Each level scans its testing points from the deadline down and
+    stops once ``t - W_min`` cannot beat the best slack found, where
+    ``W_min`` is the workload at the smallest testing point.  Every
+    term of the workload is non-decreasing in ``t`` in floats (a
+    division, a product and a ``ceil``, each rounded monotonically),
+    and so is every partial sum, so ``W_i(t') >= W_min`` and
+    ``t' - W_i(t') <= t - W_min`` for every point ``t' <= t`` left: the
+    early exit returns the bits the full scan returns.
 
     Args:
         tasks: Task set with priorities assigned (see
@@ -65,23 +89,21 @@ def fp_blocking_tolerances(tasks: TaskSet) -> dict[str, float]:
     """
     ordered = list(tasks.sorted_by_priority())
     shrink = 1.0 - _REL_TOL
-    ceil = math.ceil
     result: dict[str, float] = {}
+    higher: list[tuple[float, float]] = []
     for i, task in enumerate(ordered):
         points = _testing_set(ordered, i)
-        # W_i(t) = C_i + sum_{j<i} ceil(t / T_j) C_j at every point, the
-        # terms added in priority order.  Each ratio is nudged down by a
-        # relative epsilon: at a multiple of T_j that float rounding puts
-        # one ulp above the integer (2.1 / 0.7 -> 3.0000000000000004) a
-        # plain ceil would charge a spurious job.
-        workloads = [task.wcet] * len(points)
-        for higher in ordered[:i]:
-            period, wcet = higher.period, higher.wcet
-            workloads = [
-                w + ceil((t / period) * shrink) * wcet
-                for w, t in zip(workloads, points)
-            ]
-        result[task.name] = max(map(operator.sub, points, workloads))
+        wcet = task.wcet
+        least = _workload(wcet, higher, points[0], shrink)
+        best = -math.inf
+        for t in reversed(points):
+            if t - least <= best:
+                break
+            slack = t - _workload(wcet, higher, t, shrink)
+            if slack > best:
+                best = slack
+        result[task.name] = best
+        higher.append((task.period, wcet))
     return result
 
 

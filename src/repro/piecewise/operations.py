@@ -120,7 +120,8 @@ def _shared_grid_cells(
     onto ``b`` (a cell that survives the merge above 8192): the search
     then lands on piece ``k + 1``, which reads ``y0[k + 1]`` at both
     ends.  A domain whose doubled ends overflow keeps the per-cell search
-    (the midpoint leaves the cell).
+    (the midpoint leaves the cell).  A function holding one ordinate
+    tuple (a step function) gets one list for both of its columns.
     """
     x0s, x1s, fy0, fy1 = f.coordinates
     if not (
@@ -134,7 +135,9 @@ def _shared_grid_cells(
         return None
     gy0, gy1 = g.coordinates[2:]
     grid = [x0s[0], *x1s]
-    f0, f1, g0, g1 = list(fy0), list(fy1), list(gy0), list(gy1)
+    f0, g0 = list(fy0), list(gy0)
+    f1 = f0 if fy1 is fy0 else list(fy1)
+    g1 = g0 if gy1 is gy0 else list(gy1)
     ends = grid[1:]
     mids = map(operator.mul, repeat(0.5), map(operator.add, grid, ends))
     if any(map(operator.eq, mids, ends)):
@@ -151,13 +154,19 @@ def _envelope(
     """Exact pointwise max (or min) envelope, splitting cells at crossings.
 
     On a grid both functions share (see :func:`_shared_grid_cells`) with
-    no crossing inside any cell — two step functions on one grid never
-    cross — the envelope is picked column-wise at C speed.
+    no crossing inside any cell the envelope is picked column-wise at C
+    speed.  Two step functions on one grid never cross, so for them the
+    crossing test is skipped and one picked column serves both ends.
     """
     pick = max if take_max else min
     cells = _shared_grid_cells(f, g)
     if cells is not None:
         grid, f0s, f1s, g0s, g1s = cells
+        if f1s is f0s and g1s is g0s:
+            column = tuple(map(pick, f0s, g0s))
+            return PiecewiseFunction._from_coordinates(
+                grid[:-1], grid[1:], column, column
+            )
         d0s = map(operator.sub, f0s, g0s)
         d1s = map(operator.sub, f1s, g1s)
         if not any(map(operator.lt, map(operator.mul, d0s, d1s), repeat(0.0))):

@@ -8,6 +8,15 @@ request attaches to the same job (single-flight), and any client can
 re-attach later by job id and replay the stream from an offset — which
 is what makes streams resumable across disconnects.
 
+A finished job keeps only what a replay, a resume or the ``status``
+frame reads: its id, state, error, cache statistics and lines.  The
+request goes when the job turns terminal (a restart installs the
+resubmitting client's own), a change event exists only while a stream
+waits on one, and once no stream reads a finished job its lines are
+held as one zlib-compressed string, expanded again for each replay or
+resume.  Replays and resumes still read from memory, never from the
+store.
+
 Thread topology: jobs are *created and observed* on the server's event
 loop, but *evaluated* on a pool slot's thread (one slot per job).  The
 slot thread hands a run's lines over and flips states directly (atomic
@@ -22,7 +31,7 @@ lines and sleeping.
 from __future__ import annotations
 
 import asyncio
-import threading
+import zlib
 from collections.abc import Mapping
 from typing import Any
 
@@ -55,7 +64,8 @@ class Job:
     Attributes:
         id: Content-addressed job id (:func:`job_id_for`).
         request: The sanitized request being evaluated (replaced on
-            restart with the resubmitting client's request).
+            restart with the resubmitting client's request); ``None``
+            once the job is terminal.
         state: ``queued``/``running``/``done``/``failed``/``cancelled``.
         lines: JSONL record lines streamed so far (grows append-only
             within one attempt; reset on restart).
@@ -63,24 +73,28 @@ class Job:
         total/cached/computed: Cache statistics of the completed run.
         subscribers: Currently attached client streams.
         attempt: Evaluation attempt counter (restarts increment it).
+        cancel_requested: Set to stop the attempt at its next record
+            checkpoint; the slot polls it, nothing waits on it.
     """
 
     def __init__(
         self, job_id: str, request: RunRequest, loop: asyncio.AbstractEventLoop
     ) -> None:
         self.id = job_id
-        self.request = request
+        self.request: RunRequest | None = request
         self.state = "queued"
-        self.lines: list[str] = []
+        # The lines as a list, or packed into one compressed string
+        # once the job is finished and unread (see :meth:`compact`).
+        self._lines: list[str] | bytes = []
         self.error: tuple[str, str] | None = None
         self.total = 0
         self.cached = 0
         self.computed = 0
         self.subscribers = 0
         self.attempt = 1
-        self.cancel_event = threading.Event()
+        self.cancel_requested = False
         self._loop = loop
-        self._change = asyncio.Event()
+        self._change: asyncio.Event | None = None
         self._pulse_pending = False
 
     # ------------------------------------------------------------------
@@ -92,22 +106,56 @@ class Job:
         """Whether no further lines or state changes will occur."""
         return self.state in TERMINAL_STATES
 
+    @property
+    def lines(self) -> list[str]:
+        """The JSONL record lines streamed so far.
+
+        A compacted job expands them into a fresh list on every read.
+        """
+        lines = self._lines
+        if isinstance(lines, bytes):
+            return zlib.decompress(lines).decode().split("\n")
+        return lines
+
+    @lines.setter
+    def lines(self, lines: list[str]) -> None:
+        self._lines = lines
+
     def change_event(self) -> asyncio.Event:
-        """The event the *next* :meth:`pulse` will set.
+        """The event the *next* :meth:`pulse` will set (created here).
 
         Capture it **before** inspecting ``lines``/``state``; any
         change after the capture sets exactly this event, so waiting on
-        it can never miss an update.
+        it can never miss an update.  Only the loop calls this, and a
+        wake-up only ever runs on the loop, so reading the job first
+        and capturing right before the wait, with no ``await`` between,
+        is as safe.
         """
+        if self._change is None:
+            self._change = asyncio.Event()
         return self._change
+
+    def compact(self) -> None:
+        """Pack a finished job's lines once no stream reads them (loop
+        side): one zlib level-1 string of the newline-joined lines."""
+        lines = self._lines
+        if (
+            lines
+            and not isinstance(lines, bytes)
+            and not self.subscribers
+            and self.terminal
+        ):
+            self._lines = zlib.compress("\n".join(lines).encode(), 1)
 
     def _pulse(self) -> None:
         # Subscribers released here read the job only after this
         # returns, so they see every change made while the flag was
         # set; a change made after it is cleared schedules its own.
         self._pulse_pending = False
-        previous, self._change = self._change, asyncio.Event()
-        previous.set()
+        changed, self._change = self._change, None
+        if changed is not None:
+            changed.set()
+        self.compact()
 
     # ------------------------------------------------------------------
     # executor-side mutation
@@ -135,12 +183,14 @@ class Job:
         with its cache statistics, in one wake-up."""
         self.lines.extend(lines)
         self.total, self.cached, self.computed = total, cached, computed
+        self.request = None
         self.state = "done"
         self.pulse()
 
     def fail(self, code: str, message: str, state: str = "failed") -> None:
         """Mark the job failed (or ``cancelled``) with an error."""
         self.error = (code, message)
+        self.request = None
         self.state = state
         self.pulse()
 
@@ -163,7 +213,7 @@ class Job:
         self.error = None
         self.total = self.cached = self.computed = 0
         self.attempt += 1
-        self.cancel_event = threading.Event()
+        self.cancel_requested = False
         self._pulse()
 
 

@@ -279,11 +279,11 @@ class AnalysisServer:
             await self._server.wait_closed()
         self._pending.clear()
         # A running job stops at its next record checkpoint (the
-        # engine polls the job's cancel event); the work already
+        # engine polls the job's cancel flag); the work already
         # computed is committed, so a restart resumes it.
         for job in self._registry.jobs.values():
             if not job.terminal:
-                job.cancel_event.set()
+                job.cancel_requested = True
         threads, self._slot_threads = self._slot_threads, []
         for _ in threads:
             self._slot_queue.put(None)
@@ -332,9 +332,10 @@ class AnalysisServer:
                 if self._slots_busy >= self._workers:
                     return
                 self._slots_busy += 1
+            # A job turning ``running`` gives its streams nothing to
+            # send, so it wakes none of them.
             job = self._pending.popleft()
             job.state = "running"
-            job.pulse()
             self._slot_queue.put(job)
 
     def _job_finished(self) -> None:
@@ -368,7 +369,7 @@ class AnalysisServer:
         wanted = sorted(set(keys))
         with self._claims_cond:
             while not self._stopping:
-                if job.cancel_event.is_set():
+                if job.cancel_requested:
                     return False
                 blocked = [
                     key
@@ -412,9 +413,11 @@ class AnalysisServer:
         keys: list[str] = []
         claimed = False
         try:
-            workload = get_workload(job.request.workload)
-            params = workload.resolve_params(job.request.params_dict())
-            plan = plan_scenarios(job.request.workload, params)
+            request = job.request
+            assert request is not None, "a dispatched job holds its request"
+            workload = get_workload(request.workload)
+            params = workload.resolve_params(request.params_dict())
+            plan = plan_scenarios(request.workload, params)
             keys = [
                 scenario_key(s, self._fingerprint) for s in plan.scenarios
             ]
@@ -424,7 +427,7 @@ class AnalysisServer:
                     "job cancelled while waiting on overlapping scenarios"
                 )
             on_result: Callable[[int], None] | None = None
-            fail_after = job.request.options.fail_after
+            fail_after = request.options.fail_after
             if fail_after is not None:
 
                 def on_result(count: int, _limit: int = fail_after) -> None:
@@ -444,7 +447,7 @@ class AnalysisServer:
                 chunk_size=self._config.chunk,
                 group_by=plan.group_by,
                 on_result=on_result,
-                cancel=job.cancel_event.is_set,
+                cancel=lambda: job.cancel_requested,
                 keys=keys,
             )
             # Count scenarios *before* the job turns terminal: the end
@@ -692,7 +695,7 @@ class AnalysisServer:
             raise ProtocolError(
                 "unknown-job", f"no job {frame.get('job')!r} on this server"
             )
-        job.cancel_event.set()
+        job.cancel_requested = True
         if job.state == "queued":
             job.fail(
                 "job-cancelled", "cancelled while queued", state="cancelled"
@@ -715,10 +718,11 @@ class AnalysisServer:
         in one write and one drain; the pass that saw the job terminal
         sends its records and the closing frame together.
 
-        The capture-event-then-check pattern pairs with
-        :meth:`Job.change_event`: the event captured *before* draining
-        is the one any later change sets, so no update is missed
-        between the drain and the wait.
+        A pass reads the job, then waits on :meth:`Job.change_event`
+        with no ``await`` in between: wake-ups run on this loop, so any
+        change after the read sets exactly the event waited on, and no
+        update is missed between the drain and the wait.  A stream that
+        never waits creates no event.
 
         While waiting, a one-byte read watches the connection: sends
         only fail once the OS notices, so without it a vanished client
@@ -731,14 +735,14 @@ class AnalysisServer:
         eof_watch = asyncio.create_task(reader.read(1))
         try:
             while True:
-                changed = job.change_event()
                 # Read the state *before* draining: the job appends its
                 # last line before it turns terminal, so a drain after
                 # seeing it terminal cannot miss a line — whereas checking
                 # after the drain could see a line land and the job
                 # finish in between, and end the stream one short.
                 finished = job.terminal
-                count = len(job.lines)
+                lines = job.lines
+                count = len(lines)
                 frames = [
                     encode_frame(
                         {
@@ -749,7 +753,7 @@ class AnalysisServer:
                         }
                     )
                     for seq, line in enumerate(
-                        job.lines[cursor:count], start=cursor + 1
+                        lines[cursor:count], start=cursor + 1
                     )
                 ]
                 self._records_streamed += count - cursor
@@ -762,7 +766,7 @@ class AnalysisServer:
                     # Lines that landed during the drain are read at
                     # once, without waiting for their wake-up.
                     continue
-                waiter = asyncio.create_task(changed.wait())
+                waiter = asyncio.create_task(job.change_event().wait())
                 done, _ = await asyncio.wait(
                     {waiter, eof_watch},
                     return_when=asyncio.FIRST_COMPLETED,
@@ -817,13 +821,14 @@ class AnalysisServer:
                 # it *and its queue position* right away (a running job
                 # keeps going — its results land in the shared store,
                 # and the client may resume later).
-                job.cancel_event.set()
+                job.cancel_requested = True
                 job.fail(
                     "job-cancelled",
                     "all subscribers disconnected before the job started",
                     state="cancelled",
                 )
                 self._discard_pending(job)
+            job.compact()
 
     @staticmethod
     async def _send(

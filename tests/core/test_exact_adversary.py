@@ -18,6 +18,12 @@ two ordinate columns are equal but distinct), uncapped and capped; the
 trace certificate holds on the same runs.  The unsound packing of
 :mod:`repro.core.naive` spaces its points ``Q`` apart, which this model
 admits, so it never exceeds the exact worst case.
+
+The exact worst case is monotone, capped and uncapped: a larger ``Q``
+or a smaller ``f`` only removes adversary chains, so it never rises
+with ``Q`` and never falls as ``f`` rises.  Algorithm 1 is not
+monotone in either, but any Algorithm 1 bound at ``Q' <= Q`` still
+bounds the exact worst case at ``Q``; that rests on this property.
 """
 
 from __future__ import annotations
@@ -102,6 +108,17 @@ def test_algorithm1_bounds_the_exact_worst_case(case):
         certify(g, float(q), bound, cap)
     if cap is None:
         assert naive_point_selection_bound(f, float(q)).total_delay <= exact
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_step_cases(), st.integers(0, 5), st.data())
+def test_the_exact_worst_case_is_monotone(case, cap, data):
+    bounds, values, q, _ = case
+    higher = [v + data.draw(st.integers(0, q - 1 - v)) for v in values]
+    for k in (None, cap):
+        exact = exact_worst_case(bounds, values, q, k)
+        assert exact_worst_case(bounds, values, q + 1, k) <= exact
+        assert exact_worst_case(bounds, higher, q, k) >= exact
 
 
 def test_a_flat_function_is_charged_exactly():

@@ -25,11 +25,15 @@ replace.
   loop with its workload inlined.  The generated task sets, their delay
   functions, maxima and tolerances must equal frozen copies of the
   closure-per-knot factory, the ``replace``-based task copies, the
-  ``max_on`` walk and the ``_level_i_workload`` loop, bit for bit.
+  ``max_on`` walk and the ``_level_i_workload`` loop, bit for bit.  The
+  blocking tolerances scan each level's testing points from the
+  deadline down and stop early; they must equal the full scan's on
+  schedulable and unschedulable sets alike.
 * :func:`max_envelope` of two functions on one grid reads each cell's
-  values from the coordinate tuples; it must return what the frozen
-  per-cell ``_segment_on_cell`` loop returns, including a one-ulp cell
-  whose midpoint rounds onto its right end.
+  values from the coordinate tuples, and of two step functions on one
+  grid picks one column without a crossing test; it must return what
+  the frozen per-cell ``_segment_on_cell`` loop returns, including a
+  one-ulp cell whose midpoint rounds onto its right end.
 """
 
 import bisect
@@ -1042,6 +1046,41 @@ class TestContextBuildOracles:
             k: bits(v) for k, v in reference_blocking_tolerances(ts).items()
         }
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from([0.7, 1.0, 2.1, 3.0, 7.0, 10.0, 33.3]),
+                    st.floats(min_value=1.0, max_value=100.0),
+                ),
+                st.floats(min_value=0.001, max_value=0.9),
+                st.sampled_from([None, 0.4, 0.9, 1.0, 1.5]),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        st.booleans(),
+    )
+    def test_early_exit_matches_the_full_scan(self, specs, deadline_monotonic):
+        # Up to ten tasks of total utilization up to 9: most sets of
+        # many tasks are unschedulable, where the scan never stops early
+        # on a negative slack it could still beat.
+        tasks = [
+            Task(
+                f"t{k}",
+                share * period,
+                period,
+                None if stretch is None else stretch * period,
+            )
+            for k, (period, share, stretch) in enumerate(specs)
+        ]
+        ts = TaskSet(tasks)
+        ts = ts.deadline_monotonic() if deadline_monotonic else ts.rate_monotonic()
+        assert {k: bits(v) for k, v in fp_blocking_tolerances(ts).items()} == {
+            k: bits(v) for k, v in reference_blocking_tolerances(ts).items()
+        }
+
     def test_blocking_tolerance_snaps_a_multiple_one_ulp_above(self):
         # 2.1 / 0.7 rounds to 3.0000000000000004: the relative tolerance
         # must snap it to 3 in the inlined loop as in the old one.
@@ -1179,6 +1218,23 @@ class TestContextBuildOracles:
             expected = built(lambda: reference_cell_envelope(f, g, take_max))
             assert built(lambda: envelope(f, g)) == expected
             assert expected == built(lambda: reference_envelope(f, g, take_max))
+
+    @given(shared_grids(), st.data())
+    def test_step_envelopes_on_one_grid_match_the_cell_loop(self, grid, data):
+        # Two step functions on one grid: one picked column, no
+        # crossing test, and still the cell loop's result bit for bit.
+        pieces = len(grid) - 1
+        values = st.lists(
+            st.one_of(tie_values, st.floats(-5.0, 5.0)), min_size=pieces, max_size=pieces
+        )
+        f = step(grid, data.draw(values))
+        g = step(grid, data.draw(values))
+        for take_max, envelope in ((True, max_envelope), (False, min_envelope)):
+            got = built(lambda: envelope(f, g))
+            assert got == built(lambda: reference_cell_envelope(f, g, take_max))
+            if got[0] == "built":
+                _, _, y0, y1 = envelope(f, g).coordinates
+                assert y1 is y0
 
     def test_one_ulp_cell_reads_the_next_piece(self):
         # From 10000 + 1 ulp (an odd mantissa) a one-ulp cell's midpoint
